@@ -1,17 +1,16 @@
-"""Executor comparison — per-iteration vs batched vs compiled plans.
+"""Executor comparison — per-iteration vs compiled plans.
 
 For every suite matrix, runs the two workloads the paper's runtime
 section cares about most — the SpTRSV→SpMV combination (Table 1 row 3,
 the Fig. 5 protagonist) and the unrolled Gauss-Seidel chain (Fig. 9) —
-under all three executors:
+under both executors:
 
-* ``iter``    — :func:`repro.runtime.execute_schedule`, the semantics
+* ``iter`` — :func:`repro.runtime.execute_schedule`, the semantics
   oracle (one Python call per iteration);
-* ``batched`` — :func:`repro.runtime.execute_schedule_batched`
-  (vectorizes dependence-free kernels only);
-* ``plan``    — :func:`repro.runtime.execute_schedule_planned`, the
-  compiled level-batched plan that also vectorizes dependence-carrying
-  kernels (SpTRSV, SpIC0, SpILU0) one intra-DAG level at a time.
+* ``plan`` — :func:`repro.runtime.execute_schedule_planned`, the
+  compiled level-batched plan that vectorizes dependence-carrying
+  kernels (SpTRSV, SpIC0, SpILU0) one intra-DAG level of one
+  s-partition at a time.
 
 Reported per matrix: wall seconds per executor (best of ``--reps``
 repeats on a fresh state each time), plan compile seconds, and the
@@ -38,12 +37,7 @@ import numpy as np
 from repro import fuse
 from repro.fusion import build_combination
 from repro.obs import recording, stage_breakdown
-from repro.runtime import (
-    execute_schedule,
-    execute_schedule_batched,
-    execute_schedule_planned,
-    plan_for,
-)
+from repro.runtime import execute_schedule, execute_schedule_planned, plan_for
 from repro.solvers import build_gs_chain
 from repro.solvers.gauss_seidel import gs_split
 
@@ -56,15 +50,13 @@ from common import (
     small_test_matrix,
 )
 
-EXECUTORS = ("iter", "batched", "plan")
+EXECUTORS = ("iter", "plan")
 
 
 def _run_once(executor, schedule, kernels, state, min_batch):
     t0 = time.perf_counter()
     if executor == "plan":
         execute_schedule_planned(schedule, kernels, state, min_batch=min_batch)
-    elif executor == "batched":
-        execute_schedule_batched(schedule, kernels, state, min_batch=min_batch)
     else:
         execute_schedule(schedule, kernels, state)
     return time.perf_counter() - t0
@@ -156,7 +148,6 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
                 "nnz": m.matrix.nnz,
                 "seconds": seconds,
                 "speedup_plan_vs_iter": seconds["iter"] / seconds["plan"],
-                "speedup_plan_vs_batched": seconds["batched"] / seconds["plan"],
                 "plan_compile_seconds": diags["plan_compile_seconds"],
                 "plan_cache_hits": diags["plan_cache_hits"],
                 "plan_cache_misses": diags["plan_cache_misses"],
@@ -168,7 +159,6 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
                 print(
                     f"{m.name:16s} {workload:12s} "
                     f"iter {seconds['iter'] * 1e3:8.1f}ms  "
-                    f"batched {seconds['batched'] * 1e3:8.1f}ms  "
                     f"plan {seconds['plan'] * 1e3:8.1f}ms  "
                     f"({row['speedup_plan_vs_iter']:.1f}x vs iter, "
                     f"compile {diags['plan_compile_seconds'] * 1e3:.1f}ms, "
@@ -179,17 +169,12 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
         "geomean_speedup_plan_vs_iter": geomean(
             [r["speedup_plan_vs_iter"] for r in rows]
         ),
-        "geomean_speedup_plan_vs_batched": geomean(
-            [r["speedup_plan_vs_batched"] for r in rows]
-        ),
         "all_cache_hits_positive": all(r["plan_cache_hits"] > 0 for r in rows),
     }
     if verbose:
         print(
             f"\ngeomean speedup: plan vs iter "
-            f"{summary['geomean_speedup_plan_vs_iter']:.2f}x, "
-            f"plan vs batched "
-            f"{summary['geomean_speedup_plan_vs_batched']:.2f}x"
+            f"{summary['geomean_speedup_plan_vs_iter']:.2f}x"
         )
     return {"rows": rows, "summary": summary, "smoke": smoke, "reps": reps}
 
@@ -207,7 +192,7 @@ def main(argv=None) -> int:
         help="fail when plan is this fraction slower than iter (smoke mode)",
     )
     args = ap.parse_args(argv)
-    print_header("Executor comparison: iter vs batched vs compiled plans")
+    print_header("Executor comparison: iter vs compiled plans")
     payload = run(
         smoke=args.smoke,
         reps=args.reps,

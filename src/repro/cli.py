@@ -228,19 +228,11 @@ def _execute_with(executor, schedule, kernels, state, min_batch, sanitize=False)
     """Run *schedule* under the named executor; returns wall seconds."""
     import time
 
-    from .runtime import (
-        execute_schedule,
-        execute_schedule_batched,
-        execute_schedule_planned,
-    )
+    from .runtime import execute_schedule, execute_schedule_planned
 
     t0 = time.perf_counter()
     if executor == "plan":
         execute_schedule_planned(
-            schedule, kernels, state, min_batch=min_batch, sanitize=sanitize
-        )
-    elif executor == "batched":
-        execute_schedule_batched(
             schedule, kernels, state, min_batch=min_batch, sanitize=sanitize
         )
     else:
@@ -482,7 +474,7 @@ def _cmd_sanitize(args) -> int:
     combo = COMBINATIONS[args.combo]
     fl = fuse(kernels, args.threads, scheduler=args.scheduler)
     executors = (
-        ("iter", "batched", "plan") if args.executor == "all" else (args.executor,)
+        ("iter", "plan") if args.executor == "all" else (args.executor,)
     )
     print(f"combination {args.combo} ({combo.name}): {combo.operations}")
     print(
@@ -657,17 +649,17 @@ def build_parser() -> argparse.ArgumentParser:
         if executor:
             sp.add_argument(
                 "--executor",
-                default="batched",
-                choices=("iter", "batched", "plan"),
-                help="schedule executor: per-iteration oracle, vectorized "
-                "batches, or compiled level-batched plan",
+                default="plan",
+                choices=("iter", "plan"),
+                help="schedule executor: compiled level-batched plan "
+                "(default) or the per-iteration oracle",
             )
             sp.add_argument(
                 "--min-batch",
                 type=int,
                 default=4,
                 help="group size below which iterations run scalar "
-                "(see repro.runtime.batched for the tradeoff)",
+                "(see repro.runtime.plan for the tradeoff)",
             )
             sp.add_argument(
                 "--sanitize",
@@ -776,14 +768,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--executor",
         default="all",
-        choices=("iter", "batched", "plan", "all"),
-        help="happens-before model to check under (default: all three)",
+        choices=("iter", "plan", "all"),
+        help="happens-before model to check under (default: both)",
     )
     sp.add_argument(
         "--min-batch",
         type=int,
         default=4,
-        help="batch threshold for the batched/plan models",
+        help="batch threshold for the plan model",
     )
     sp.add_argument(
         "--max-violations",

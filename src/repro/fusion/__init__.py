@@ -1,6 +1,5 @@
 """Sparse fusion: inspector, public fuse() API, Table 1 combinations."""
 
-from .codegen import CodegenUnsupported, generate_source, make_fused_executor
 from .combinations import COMBINATIONS, KernelCombination, build_combination
 from .fused import FusedLoops, fuse, inspect_loops, repack_schedule
 from .inspector import build_inter_dep, compute_reuse, shared_variables
@@ -16,7 +15,4 @@ __all__ = [
     "build_inter_dep",
     "compute_reuse",
     "shared_variables",
-    "CodegenUnsupported",
-    "generate_source",
-    "make_fused_executor",
 ]

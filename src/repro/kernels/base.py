@@ -157,32 +157,13 @@ class Kernel(abc.ABC):
 
         *iters* must be an antichain of the intra-DAG (no dependence
         between any two of them) whose predecessors have all executed —
-        exactly what one w-partition ∩ level set of a valid schedule
+        exactly what one s-partition ∩ level set of a valid schedule
         provides. *precomp* is the value returned by
         :meth:`precompute_level` for the same *iters*. The default falls
         back to per-iteration execution.
         """
         for i in np.asarray(iters).tolist():
             self.run_iteration(i, state, scratch)
-
-    # ------------------------------------------------------------------
-    # Fused-code generation (Sec. 2.3; see repro.fusion.codegen)
-    # ------------------------------------------------------------------
-    def codegen_body(self, prefix: str) -> str | None:
-        """Python source of one iteration (loop variable ``i``), or
-        ``None`` when this kernel cannot be code-generated (e.g. it needs
-        scratch workspaces). Structural arrays are referenced as
-        ``{prefix}{const}`` (from :meth:`codegen_consts`) and state
-        arrays via :meth:`cg_var`."""
-        return None
-
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        """Structural arrays the generated body needs, by local name."""
-        return {}
-
-    def cg_var(self, prefix: str, var: str) -> str:
-        """Generated-code local name of state variable *var*."""
-        return f"{prefix}v_{var.replace('.', '_').lstrip('_')}"
 
     # ------------------------------------------------------------------
     # Dataflow

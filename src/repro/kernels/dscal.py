@@ -145,23 +145,6 @@ class DScalCSR(Kernel):
             return self.a.indptr.copy(), np.arange(self.a.nnz, dtype=INDEX_DTYPE)
         return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
 
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        return {
-            "indptr": self.a.indptr,
-            "indices": self.a.indices,
-            "diag": self._diag_pos,
-        }
-
-    def codegen_body(self, prefix: str) -> str:
-        ax = self.cg_var(prefix, self.a_var)
-        sx = self.cg_var(prefix, self.s_var)
-        return (
-            f"lo = {prefix}indptr[i]; hi = {prefix}indptr[i + 1]\n"
-            f"di = 1.0 / np.sqrt({ax}[{prefix}diag[i]])\n"
-            f"dj = 1.0 / np.sqrt({ax}[{prefix}diag[{prefix}indices[lo:hi]]])\n"
-            f"{sx}[lo:hi] = {ax}[lo:hi] * di * dj"
-        )
-
     def iteration_costs(self) -> np.ndarray:
         return self.a.row_nnz().astype(VALUE_DTYPE)
 

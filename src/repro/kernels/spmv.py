@@ -188,24 +188,6 @@ class SpMVCSR(Kernel):
             )
         return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
 
-    # -- codegen ---------------------------------------------------------
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        return {"indptr": self.a.indptr, "indices": self.a.indices}
-
-    def codegen_body(self, prefix: str) -> str:
-        ax = self.cg_var(prefix, self.a_var)
-        x = self.cg_var(prefix, self.x_var)
-        y = self.cg_var(prefix, self.y_var)
-        acc = (
-            f"np.dot({ax}[lo:hi], {x}[{prefix}indices[lo:hi]])"
-        )
-        if self.add_var is not None:
-            acc += f" + {self.cg_var(prefix, self.add_var)}[i]"
-        return (
-            f"lo = {prefix}indptr[i]; hi = {prefix}indptr[i + 1]\n"
-            f"{y}[i] = {acc}"
-        )
-
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
         return self.a.row_nnz().astype(VALUE_DTYPE)
@@ -354,21 +336,6 @@ class SpMVCSC(Kernel):
         if var == self.y_var:
             return self.a.indptr.copy(), self.a.indices.copy()
         return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
-
-    # -- codegen ---------------------------------------------------------
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        return {"indptr": self.a.indptr, "indices": self.a.indices}
-
-    def codegen_body(self, prefix: str) -> str:
-        ax = self.cg_var(prefix, self.a_var)
-        x = self.cg_var(prefix, self.x_var)
-        y = self.cg_var(prefix, self.y_var)
-        return (
-            f"lo = {prefix}indptr[i]; hi = {prefix}indptr[i + 1]\n"
-            f"rows = {prefix}indices[lo:hi]\n"
-            f"if rows.shape[0]:\n"
-            f"    {y}[rows] += {ax}[lo:hi] * {x}[i]"
-        )
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:

@@ -166,23 +166,6 @@ class SpMVSymLower(Kernel):
             return self.low.indptr.copy(), self.low.indices.copy()
         return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
 
-    # -- codegen ---------------------------------------------------------
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        return {"indptr": self.low.indptr, "indices": self.low.indices}
-
-    def codegen_body(self, prefix: str) -> str:
-        ax = self.cg_var(prefix, self.a_var)
-        x = self.cg_var(prefix, self.x_var)
-        y = self.cg_var(prefix, self.y_var)
-        return (
-            f"lo = {prefix}indptr[i]; hi = {prefix}indptr[i + 1]\n"
-            f"rows = {prefix}indices[lo + 1:hi]\n"
-            f"off = {ax}[lo + 1:hi]\n"
-            f"{y}[i] += {ax}[lo] * {x}[i] + float(np.dot(off, {x}[rows]))\n"
-            f"if rows.shape[0]:\n"
-            f"    {y}[rows] += off * {x}[i]"
-        )
-
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
         return self.low.col_nnz().astype(VALUE_DTYPE)

@@ -188,20 +188,6 @@ class SpTRSVCSR(Kernel):
             return indptr, self.low.indices[mask]
         return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
 
-    # -- codegen ---------------------------------------------------------
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        return {"indptr": self.low.indptr, "indices": self.low.indices}
-
-    def codegen_body(self, prefix: str) -> str:
-        lx = self.cg_var(prefix, self.l_var)
-        b = self.cg_var(prefix, self.b_var)
-        x = self.cg_var(prefix, self.x_var)
-        return (
-            f"lo = {prefix}indptr[i]; hi = {prefix}indptr[i + 1]\n"
-            f"{x}[i] = ({b}[i] - np.dot({lx}[lo:hi - 1], "
-            f"{x}[{prefix}indices[lo:hi - 1]])) / {lx}[hi - 1]"
-        )
-
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
         return self.low.row_nnz().astype(VALUE_DTYPE)
@@ -373,24 +359,6 @@ class SpTRSVCSC(Kernel):
             return indptr, self.low.indices[mask]
         return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
 
-    # -- codegen ---------------------------------------------------------
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        return {"indptr": self.low.indptr, "indices": self.low.indices}
-
-    def codegen_body(self, prefix: str) -> str:
-        lx = self.cg_var(prefix, self.l_var)
-        b = self.cg_var(prefix, self.b_var)
-        x = self.cg_var(prefix, self.x_var)
-        acc = self.cg_var(prefix, self.acc_var)
-        return (
-            f"lo = {prefix}indptr[i]; hi = {prefix}indptr[i + 1]\n"
-            f"xj = ({b}[i] - {acc}[i]) / {lx}[lo]\n"
-            f"{x}[i] = xj\n"
-            f"rows = {prefix}indices[lo + 1:hi]\n"
-            f"if rows.shape[0]:\n"
-            f"    {acc}[rows] += {lx}[lo + 1:hi] * xj"
-        )
-
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
         return self.low.col_nnz().astype(VALUE_DTYPE)
@@ -526,24 +494,6 @@ class SpTRSVCSRFromLU(Kernel):
                 np.arange(n, dtype=INDEX_DTYPE),
             )
         return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
-
-    # -- codegen ---------------------------------------------------------
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        return {
-            "indptr": self.a.indptr,
-            "indices": self.a.indices,
-            "diag": self._diag_off,
-        }
-
-    def codegen_body(self, prefix: str) -> str:
-        lu = self.cg_var(prefix, self.lu_var)
-        b = self.cg_var(prefix, self.b_var)
-        x = self.cg_var(prefix, self.x_var)
-        return (
-            f"lo = {prefix}indptr[i]; di = {prefix}diag[i]\n"
-            f"{x}[i] = {b}[i] - np.dot({lu}[lo:di], "
-            f"{x}[{prefix}indices[lo:di]])"
-        )
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:

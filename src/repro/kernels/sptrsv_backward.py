@@ -179,26 +179,6 @@ class SpTRSVBackwardCSR(Kernel):
             return self.low.indices[lo : hi - 1]
         return _EMPTY
 
-    # -- codegen ---------------------------------------------------------
-    def codegen_consts(self) -> dict[str, np.ndarray]:
-        return {"indptr": self.low.indptr, "indices": self.low.indices}
-
-    def codegen_body(self, prefix: str) -> str:
-        lx = self.cg_var(prefix, self.l_var)
-        b = self.cg_var(prefix, self.b_var)
-        x = self.cg_var(prefix, self.x_var)
-        acc = self.cg_var(prefix, self.acc_var)
-        n = self.low.n_rows
-        return (
-            f"j = {n - 1} - i\n"
-            f"lo = {prefix}indptr[j]; hi = {prefix}indptr[j + 1]\n"
-            f"xj = ({b}[j] - {acc}[j]) / {lx}[hi - 1]\n"
-            f"{x}[j] = xj\n"
-            f"cols = {prefix}indices[lo:hi - 1]\n"
-            f"if cols.shape[0]:\n"
-            f"    {acc}[cols] += {lx}[lo:hi - 1] * xj"
-        )
-
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
         return self.low.row_nnz()[::-1].astype(VALUE_DTYPE)

@@ -7,6 +7,16 @@ is the user guide.
 """
 
 from . import names
+# recorder first: the schedulers imported via memtrace need `current`
+from .recorder import (
+    NULL_RECORDER,
+    NullRecorder,
+    Recorder,
+    Span,
+    current,
+    recording,
+    set_recorder,
+)
 from .exporters import (
     export_jsonl,
     export_perfetto,
@@ -19,15 +29,6 @@ from .memtrace import (
     SanitizeReport,
     Violation,
     sanitize_schedule,
-)
-from .recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    Recorder,
-    Span,
-    current,
-    recording,
-    set_recorder,
 )
 
 __all__ = [

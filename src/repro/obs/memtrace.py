@@ -14,18 +14,21 @@ the schedule's happens-before relation:
     ``HB(u, v)  ⟺  s(u) < s(v)``  (barrier between s-partitions)
     ``          or s(u) = s(v) ∧ w(u) = w(v) ∧ t(u) < t(v)``
 
-where ``t`` is the executor's *dispatch* index inside a w-partition.
-Because ``t`` depends on how an executor groups iterations, the
-sanitizer models all three executors:
+where ``t`` is the executor's *dispatch* index. Because ``t`` depends
+on how an executor groups iterations, the sanitizer models both
+executors:
 
-* ``"iter"`` — one dispatch per iteration (packed order);
-* ``"batched"`` — one dispatch per vectorized run
-  (:func:`repro.runtime.batched.execute_schedule_batched`): members of
-  one batch share ``t`` and are treated as concurrent;
+* ``"iter"`` — one dispatch per iteration (packed order within the
+  w-partition);
 * ``"plan"`` — one dispatch per compiled
-  :class:`~repro.runtime.plan.PlanStep`: a level batch's members are
+  :class:`~repro.runtime.plan.PlanStep`, numbered per s-partition
+  (a step may span several w-partitions): a level batch's members are
   concurrent, so the level-batching legality argument in
   docs/performance.md is checked dynamically here, not just argued.
+
+The rule keeps requiring ``w(u) = w(v)`` inside one s-partition, so a
+dependence between two w-partitions of the same s-partition is reported
+even when the plan happens to order it.
 
 Commutative scatter accumulations (``y[rows] += ...`` under the paper's
 ``Atomic`` annotation) are declared per kernel via
@@ -45,7 +48,7 @@ is ordered if and only if all checked pairs are. This keeps the pair
 count linear-ish in the access-stream size instead of quadratic.
 
 Entry point: :func:`sanitize_schedule`, surfaced as ``sanitize=True``
-on all three ``execute_schedule*`` functions and as ``repro sanitize``
+on both ``execute_schedule*`` functions and as ``repro sanitize``
 / ``--sanitize`` on the CLI.
 """
 
@@ -380,61 +383,37 @@ def execution_coordinates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-vertex ``(s, w, t)`` happens-before coordinates.
 
-    ``t`` is the dispatch index within the vertex's w-partition under
-    the named executor; vertices sharing a ``t`` are concurrent (one
-    vectorized batch / level step).
+    ``t`` is the dispatch index under the named executor: within the
+    vertex's w-partition for ``"iter"``, within its s-partition for
+    ``"plan"``. Vertices sharing a ``t`` are concurrent (one level or
+    batch step).
     """
     sp, wp, pos = schedule.assignment()
     sp = sp.astype(np.int64)
     wp = wp.astype(np.int64)
     if executor == "iter":
         return sp, wp, pos.astype(np.int64)
-    offsets = schedule.offsets
-    loop_of = np.zeros(max(1, schedule.n_vertices), dtype=np.int64)
-    for k in range(len(kernels)):
-        loop_of[offsets[k] : offsets[k + 1]] = k
-    tt = np.zeros(schedule.n_vertices, dtype=np.int64)
-    if executor == "batched":
-        batchable = [getattr(k, "supports_batch", False) for k in kernels]
-        for _, _, verts in schedule.iter_all():
-            if verts.shape[0] == 0:
-                continue
-            loops = loop_of[verts]
-            boundaries = np.nonzero(np.diff(loops))[0] + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [verts.shape[0]]])
-            t = 0
-            for a, b in zip(starts, ends):
-                k = int(loops[a])
-                if batchable[k] and (b - a) >= min_batch:
-                    tt[verts[a:b]] = t
-                    t += 1
-                else:
-                    tt[verts[a:b]] = np.arange(t, t + (b - a))
-                    t += b - a
-        return sp, wp, tt
-    if executor == "plan":
-        from ..runtime.plan import plan_for
+    if executor != "plan":
+        raise ValueError(
+            f"unknown executor {executor!r}; expected 'iter' or 'plan'"
+        )
+    from ..runtime.plan import plan_for
 
-        plan = plan_for(schedule, kernels, min_batch=min_batch)
-        next_t: dict[tuple[int, int], int] = {}
-        for step in plan.steps:
-            key = (step.s, step.w)
-            t = next_t.get(key, 0)
-            gids = np.asarray(step.iters, dtype=np.int64) + int(
-                offsets[step.loop]
-            )
-            if step.kind == "scalar":
-                tt[gids] = np.arange(t, t + gids.shape[0])
-                t += gids.shape[0]
-            else:  # "level" / "batch": one concurrent dispatch
-                tt[gids] = t
-                t += 1
-            next_t[key] = t
-        return sp, wp, tt
-    raise ValueError(
-        f"unknown executor {executor!r}; expected 'iter', 'batched' or 'plan'"
-    )
+    offsets = schedule.offsets
+    plan = plan_for(schedule, kernels, min_batch=min_batch)
+    tt = np.zeros(schedule.n_vertices, dtype=np.int64)
+    next_t = [0] * schedule.n_spartitions
+    for step in plan.steps:
+        t = next_t[step.s]
+        gids = np.asarray(step.iters, dtype=np.int64) + int(offsets[step.loop])
+        if step.kind == "scalar":
+            tt[gids] = np.arange(t, t + gids.shape[0])
+            t += gids.shape[0]
+        else:  # "level" / "batch": one concurrent dispatch
+            tt[gids] = t
+            t += 1
+        next_t[step.s] = t
+    return sp, wp, tt
 
 
 # ----------------------------------------------------------------------

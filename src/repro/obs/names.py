@@ -47,7 +47,6 @@ PLAN_CACHE_MISSES = "plan.cache_misses"
 EXECUTOR_ITERATIONS = "executor.iterations"
 EXECUTOR_BATCHED_ITERATIONS = "executor.batched_iterations"
 EXECUTOR_SCALAR_ITERATIONS = "executor.scalar_iterations"
-EXECUTOR_BATCHES = "executor.batches"
 EXECUTOR_LEVEL_COUNT = "executor.level_count"
 
 # -- simulated machine attribution (model cycles, not wall clock) -----
@@ -108,7 +107,6 @@ REGISTRY: dict[str, tuple[str, str]] = {
     EXECUTOR_ITERATIONS: ("1", "iterations executed (any executor)"),
     EXECUTOR_BATCHED_ITERATIONS: ("1", "iterations executed vectorized"),
     EXECUTOR_SCALAR_ITERATIONS: ("1", "iterations executed scalar"),
-    EXECUTOR_BATCHES: ("1", "vectorized batches launched"),
     EXECUTOR_LEVEL_COUNT: ("1", "level steps executed by the plan executor"),
     EXECUTOR_SIM_COMPUTE_CYCLES: ("cycles", "simulated compute (ALU) cycles"),
     EXECUTOR_SIM_MEMORY_CYCLES: ("cycles", "simulated memory-stall cycles"),

@@ -1,7 +1,6 @@
 """Runtime: executors, the simulated machine, the cache model, metrics."""
 
 from .cache import AddressSpace, CacheConfig, LRUCache, ThreadCache
-from .batched import execute_schedule_batched
 from .executor import allocate_state, execute_schedule, run_reference
 from .machine import MachineConfig, MachineReport, SimulatedMachine
 from .plan import (
@@ -30,7 +29,6 @@ __all__ = [
     "ThreadCache",
     "allocate_state",
     "execute_schedule",
-    "execute_schedule_batched",
     "execute_schedule_planned",
     "ExecutionPlan",
     "PlanStep",

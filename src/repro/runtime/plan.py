@@ -1,17 +1,19 @@
 """Compiled execution plans: level-batched vectorized schedule execution.
 
-The batched executor (:mod:`repro.runtime.batched`) only vectorizes
-kernels with an *empty* intra-DAG, so dependence-carrying kernels —
-SpTRSV, SpIC0, SpILU0, the very loops the paper fuses — fall back to
-per-iteration Python. This module removes that limit by compiling a
+Dependence-carrying kernels — SpTRSV, SpIC0, SpILU0, the very loops the
+paper fuses — cannot run a whole loop as one vectorized call, and
+per-iteration Python (:func:`repro.runtime.executor.execute_schedule`)
+pays interpreter cost per iteration. This module compiles a
 :class:`~repro.schedule.schedule.FusedSchedule` plus its kernel list
 *once* into a flat, array-backed :class:`ExecutionPlan`:
 
-* Within every w-partition, iterations are regrouped by loop (ascending
-  program order) and each dependence-carrying group is split into
-  **intra-DAG level sets** — antichains whose members are mutually
-  independent and may therefore execute as one vectorized
-  :meth:`~repro.kernels.base.Kernel.run_level_batch` call.
+* Within every s-partition, the w-partitions are concatenated and the
+  iterations regrouped by loop (ascending program order); each
+  dependence-carrying group is split into **intra-DAG level sets** —
+  antichains whose members are mutually independent and may therefore
+  execute as one vectorized
+  :meth:`~repro.kernels.base.Kernel.run_level_batch` call. One stable
+  ``lexsort`` over ``(s, loop, level)`` does the whole regrouping.
 * Per level, the kernel's :meth:`~repro.kernels.base.Kernel.precompute_level`
   builds the concatenated gather/scatter index arrays and
   ``np.add.reduceat`` segment boundaries up front, so executing the plan
@@ -25,15 +27,32 @@ per-iteration Python. This module removes that limit by compiling a
   :mod:`repro.obs` make the amortization visible.
 
 Legality of the regrouping (see docs/performance.md for the full
-argument): within a w-partition, (a) inter-loop dependences only flow
-from a lower to a higher loop index, because the inspector builds ``F``
-for ordered loop pairs only, so running complete loop groups in
-ascending program order satisfies them; (b) intra-loop dependences
-always increase the intra-DAG level, so ascending level order satisfies
-them and same-level iterations form an antichain; (c) dependences whose
-source lies in a *different* w-partition come from an earlier
-s-partition by the :func:`~repro.schedule.schedule.validate_schedule`
-dependence rule, and s-partitions stay sequential.
+argument): (a) w-partitions of one s-partition are mutually independent
+by the :func:`~repro.schedule.schedule.validate_schedule` dependence
+rule, so their union is free of cross-w dependences and regrouping it is
+the same argument as regrouping one w-partition, over a larger set;
+(b) inter-loop dependences only flow from a lower to a higher loop
+index, because the inspector builds ``F`` for ordered loop pairs only,
+so running complete loop groups in ascending program order satisfies
+them; (c) intra-loop dependences always increase the intra-DAG level,
+so ascending level order satisfies them and same-level iterations form
+an antichain; (d) every other dependence comes from an earlier
+s-partition, and s-partitions stay sequential.
+
+Choosing ``min_batch``: every level or batch step pays a fixed dispatch
+cost (index-array handling and ufunc dispatch — several microseconds
+regardless of size), while each scalar iteration pays only a Python
+call. Below roughly 4 iterations the dispatch dominates and batching
+*loses*; past a few dozen the per-element amortization wins by an order
+of magnitude. Groups and levels smaller than ``min_batch`` therefore run
+scalar, in packed order. Raise it on machines with slow ufunc dispatch
+or for schedules whose levels are mostly tiny (deep, narrow DAGs); lower
+it to 2 when levels are rare but the kernel's batch path is cheap (pure
+gathers, no scatter). ``min_batch=1`` forces vectorization everywhere
+and is mainly useful for testing the batch paths. Both the CLI
+(``--min-batch``) and the executor benchmark
+(``benchmarks/bench_executor_plans.py --min-batch``) expose the knob so
+the crossover can be measured rather than guessed.
 """
 
 from __future__ import annotations
@@ -66,18 +85,18 @@ class PlanStep:
 
     ``kind`` is ``"level"`` (vectorized antichain via
     ``run_level_batch``), ``"batch"`` (dependence-free ``run_batch``) or
-    ``"scalar"`` (per-iteration loop, preserving packed order).
+    ``"scalar"`` (per-iteration loop, preserving packed order). A step
+    may span every w-partition of its s-partition.
     """
 
     kind: str
     loop: int
     iters: np.ndarray
     precomp: Any = None
-    #: schedule coordinates of the dispatch (s-partition / w-partition);
-    #: the dependence sanitizer uses them to model plan-executor
-    #: happens-before, where one level/batch step is a concurrent unit
+    #: s-partition of the dispatch; the dependence sanitizer uses it to
+    #: model plan-executor happens-before, where one level/batch step is
+    #: a concurrent unit
     s: int = 0
-    w: int = 0
 
 
 @dataclass
@@ -105,19 +124,6 @@ class ExecutionPlan:
         return len(self.steps)
 
 
-def _split_levels(iters: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
-    """Split *iters* into its intra-DAG level sets, ascending level.
-
-    Stable sort keeps the packed order within one level, which keeps the
-    scalar fallback for tiny levels faithful to the original schedule.
-    """
-    lv = levels[iters]
-    order = np.argsort(lv, kind="stable")
-    sorted_lv = lv[order]
-    boundaries = np.nonzero(np.diff(sorted_lv))[0] + 1
-    return [iters[g] for g in np.split(order, boundaries)]
-
-
 def compile_plan(
     schedule: FusedSchedule,
     kernels: list[Kernel],
@@ -126,10 +132,9 @@ def compile_plan(
 ) -> ExecutionPlan:
     """Compile *schedule* + *kernels* into an :class:`ExecutionPlan`.
 
-    ``min_batch`` is the group/level size below which the per-iteration
-    path stays cheaper than vectorized dispatch (see
-    :func:`repro.runtime.batched.execute_schedule_batched` for the
-    tradeoff discussion).
+    Emits one step per (s-partition, loop, intra-DAG level). Groups and
+    levels smaller than ``min_batch`` run scalar in packed order (see
+    the module docstring for the tradeoff).
     """
     if len(kernels) != len(schedule.loop_counts):
         raise ValueError(
@@ -144,60 +149,62 @@ def compile_plan(
     rec = current_recorder()
     t0 = time.perf_counter()
     offsets = schedule.offsets
-    loop_of = np.zeros(max(1, schedule.n_vertices), dtype=np.int64)
-    for k in range(len(kernels)):
-        loop_of[offsets[k] : offsets[k + 1]] = k
-    level_capable = [
-        getattr(k, "supports_level_batch", False) for k in kernels
-    ]
+    level_capable = np.array(
+        [getattr(k, "supports_level_batch", False) for k in kernels], dtype=bool
+    )
     batch_capable = [getattr(k, "supports_batch", False) for k in kernels]
-    # Intra-DAG levels, computed lazily per loop (memoized on the DAG).
-    kern_levels: list[np.ndarray | None] = [None] * len(kernels)
 
     steps: list[PlanStep] = []
     n_level = n_batch = n_scalar_iters = n_batched_iters = 0
     with rec.span("plan.compile", vertices=schedule.n_vertices):
-        for s, w, verts in schedule.iter_all():
-            if verts.shape[0] == 0:
-                continue
-            loops = loop_of[verts]
-            # Group by loop, ascending program order, packed order kept
-            # within each group (legality: module docstring, point (a)).
-            order = np.argsort(loops, kind="stable")
-            grouped = verts[order]
-            gloops = loops[order]
-            boundaries = np.nonzero(np.diff(gloops))[0] + 1
-            for group in np.split(grouped, boundaries):
-                k = int(loop_of[group[0]])
-                kern = kernels[k]
-                iters = group - int(offsets[k])
-                if level_capable[k] and iters.shape[0] >= min_batch:
-                    if kern_levels[k] is None:
-                        kern_levels[k] = kern.intra_dag().levels()
-                    for chunk in _split_levels(iters, kern_levels[k]):
-                        if chunk.shape[0] >= min_batch:
-                            steps.append(
-                                PlanStep(
-                                    "level",
-                                    k,
-                                    chunk,
-                                    kern.precompute_level(chunk),
-                                    s=s,
-                                    w=w,
-                                )
-                            )
-                            n_level += 1
-                            n_batched_iters += chunk.shape[0]
-                        else:
-                            steps.append(PlanStep("scalar", k, chunk, s=s, w=w))
-                            n_scalar_iters += chunk.shape[0]
-                elif batch_capable[k] and iters.shape[0] >= min_batch:
-                    steps.append(PlanStep("batch", k, iters, s=s, w=w))
-                    n_batch += 1
-                    n_batched_iters += iters.shape[0]
-                else:
-                    steps.append(PlanStep("scalar", k, iters, s=s, w=w))
-                    n_scalar_iters += iters.shape[0]
+        # Every scheduled vertex in schedule order: s-partitions, then
+        # their w-partitions concatenated (legality: module docstring).
+        parts = [v for wlist in schedule.s_partitions for v in wlist]
+        verts = (
+            np.concatenate(parts).astype(np.int64)
+            if parts
+            else np.empty(0, dtype=np.int64)
+        )
+        s_of = np.repeat(
+            np.arange(schedule.n_spartitions, dtype=np.int64),
+            [sum(v.shape[0] for v in wlist) for wlist in schedule.s_partitions],
+        )
+        loops = np.searchsorted(offsets, verts, side="right") - 1
+        # (s, loop) groups of a level-batchable loop with at least
+        # min_batch iterations split into intra-DAG levels; every other
+        # group runs whole, so its level key stays 0.
+        group = s_of * len(kernels) + loops
+        leveled = level_capable[loops] & (np.bincount(group)[group] >= min_batch)
+        level = np.zeros_like(verts)
+        for k in np.unique(loops[leveled]).tolist():
+            sel = leveled & (loops == k)
+            level[sel] = kernels[k].intra_dag().levels()[verts[sel] - offsets[k]]
+        # Stable: packed order survives within each (s, loop, level) run.
+        order = np.lexsort((level, loops, s_of))
+        verts, s_of, loops, level, leveled = (
+            x[order] for x in (verts, s_of, loops, level, leveled)
+        )
+        cuts = np.flatnonzero(
+            (np.diff(s_of) != 0) | (np.diff(loops) != 0) | (np.diff(level) != 0)
+        ) + 1
+        bounds = [0, *cuts.tolist(), verts.shape[0]] if verts.shape[0] else []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            k = int(loops[lo])
+            iters = verts[lo:hi] - int(offsets[k])
+            s = int(s_of[lo])
+            big = hi - lo >= min_batch
+            if big and leveled[lo]:
+                precomp = kernels[k].precompute_level(iters)
+                steps.append(PlanStep("level", k, iters, precomp, s=s))
+                n_level += 1
+                n_batched_iters += hi - lo
+            elif big and batch_capable[k]:
+                steps.append(PlanStep("batch", k, iters, s=s))
+                n_batch += 1
+                n_batched_iters += hi - lo
+            else:
+                steps.append(PlanStep("scalar", k, iters, s=s))
+                n_scalar_iters += hi - lo
     compile_seconds = time.perf_counter() - t0
     if rec.enabled:
         rec.count(names.PLAN_COMPILE_SECONDS, compile_seconds)

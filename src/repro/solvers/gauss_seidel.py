@@ -26,7 +26,6 @@ from ..kernels import SpMVCSR, SpTRSVCSR
 from ..kernels.base import Kernel, State
 from ..obs import current as current_recorder
 from ..obs import names
-from ..runtime.batched import execute_schedule_batched
 from ..runtime.executor import allocate_state, execute_schedule
 from ..runtime.plan import execute_schedule_planned
 from ..runtime.machine import MachineConfig, SimulatedMachine
@@ -115,7 +114,7 @@ def gauss_seidel(
     n_threads: int = 8,
     machine: MachineConfig | None = None,
     x0: np.ndarray | None = None,
-    executor: str = "batched",
+    executor: str = "plan",
     min_batch: int = 4,
 ) -> GSResult:
     """Solve ``A x = b`` with backward GS (paper's Fig. 9 configuration).
@@ -123,16 +122,16 @@ def gauss_seidel(
     ``method`` selects how the unrolled chain is scheduled:
     ``"sparse-fusion"`` (ICO), ``"parsy"`` (unfused LBC per loop),
     ``"joint-wavefront"`` / ``"joint-lbc"`` / ``"joint-dagp"``.
-    ``executor`` selects how each chunk runs: ``"iter"`` (per-iteration
-    oracle), ``"batched"`` (vectorized dependence-free runs) or
-    ``"plan"`` (compiled level-batched plan — compiled on the first
-    sweep, cache-hit on every later one; see :mod:`repro.runtime.plan`).
-    ``min_batch`` tunes the vectorization threshold of the latter two.
+    ``executor`` selects how each chunk runs: ``"plan"`` (default; the
+    compiled level-batched plan — compiled on the first sweep, cache-hit
+    on every later one; see :mod:`repro.runtime.plan`) or ``"iter"``
+    (per-iteration oracle). ``min_batch`` tunes the plan's vectorization
+    threshold.
     Convergence stops at relative residual *tol* or *max_iters* GS
     iterations; ``simulated_solve_seconds`` prices the executed chunks
     on the machine model.
     """
-    if executor not in ("iter", "batched", "plan"):
+    if executor not in ("iter", "plan"):
         raise ValueError(f"unknown executor {executor!r}")
     if not a.is_square:
         raise ValueError("Gauss-Seidel requires a square matrix")
@@ -173,10 +172,6 @@ def gauss_seidel(
         while iterations < max_iters:
             if executor == "plan":
                 execute_schedule_planned(
-                    sched, kernels, state, min_batch=min_batch
-                )
-            elif executor == "batched":
-                execute_schedule_batched(
                     sched, kernels, state, min_batch=min_batch
                 )
             else:

@@ -220,7 +220,7 @@ class TestSanitizeCommand:
         rc = main(["sanitize", "--matrix", "lap2d:8", "--combo", "1"])
         assert rc == 0
         out = capsys.readouterr().out
-        for executor in ("iter", "batched", "plan"):
+        for executor in ("iter", "plan"):
             assert f"sanitizer[{executor}]: clean" in out
 
     def test_sanitize_single_executor_and_json(self, tmp_path, capsys):
@@ -229,12 +229,12 @@ class TestSanitizeCommand:
         jp = tmp_path / "san.json"
         rc = main(
             ["sanitize", "--matrix", "lap2d:8", "--combo", "3",
-             "--executor", "batched", "--json", str(jp)]
+             "--executor", "plan", "--json", str(jp)]
         )
         assert rc == 0
         payload = json.loads(jp.read_text())
         assert len(payload) == 1
-        assert payload[0]["executor"] == "batched"
+        assert payload[0]["executor"] == "plan"
         assert payload[0]["clean"] is True
 
     def test_fuse_sanitize_flag(self, capsys):

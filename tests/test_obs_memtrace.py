@@ -1,5 +1,5 @@
-"""Dynamic dependence sanitizer: suite schedules are clean under all
-three executor models, seeded corruptions are caught with exact
+"""Dynamic dependence sanitizer: suite schedules are clean under both
+executor models, seeded corruptions are caught with exact
 provenance, and commutative-update exemptions hold."""
 
 import numpy as np
@@ -16,14 +16,10 @@ from repro.obs.memtrace import (
     derive_dependence_pairs,
     execution_coordinates,
 )
-from repro.runtime import (
-    execute_schedule,
-    execute_schedule_batched,
-    execute_schedule_planned,
-)
+from repro.runtime import execute_schedule, execute_schedule_planned
 from repro.schedule import ScheduleError, validate_schedule
 
-EXECUTORS = ("iter", "batched", "plan")
+EXECUTORS = ("iter", "plan")
 
 
 def corrupt_across_barrier(schedule):
@@ -135,9 +131,6 @@ def test_executors_accept_sanitize_kwarg(lap2d_nd):
 
     for run in (
         lambda st: execute_schedule(fl.schedule, kernels, st, sanitize=True),
-        lambda st: execute_schedule_batched(
-            fl.schedule, kernels, st, sanitize=True
-        ),
         lambda st: execute_schedule_planned(
             fl.schedule, kernels, st, sanitize=True
         ),
@@ -150,11 +143,7 @@ def test_executors_accept_sanitize_kwarg(lap2d_nd):
 def test_executors_raise_on_corrupted_schedule(lap2d_nd):
     kernels, state = build_combination(1, lap2d_nd, seed=1)
     bad = corrupt_across_barrier(fuse(kernels, 6, validate=False).schedule)
-    for run in (
-        execute_schedule,
-        execute_schedule_batched,
-        execute_schedule_planned,
-    ):
+    for run in (execute_schedule, execute_schedule_planned):
         st = {v: a.copy() for v, a in state.items()}
         with pytest.raises(DependenceViolationError) as exc:
             run(bad, kernels, st, sanitize=True)

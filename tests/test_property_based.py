@@ -210,38 +210,19 @@ class TestSubstrateInvariants:
         assert 0.0 <= compute_reuse(k1, k2) <= 2.0
 
 
-class TestCodegenEquivalence:
+class TestPlanEquivalence:
     @SETTINGS
     @given(lower_matrices(), st.integers(min_value=1, max_value=6))
-    def test_generated_executor_matches_oracle(self, low, r):
-        """For every random TRSV-TRSV fusion, the generated fused code
-        (Fig. 3 variants) is bitwise-identical to the oracle executor."""
-        from repro.fusion import fuse, make_fused_executor
-
-        k1 = SpTRSVCSR(low, l_var="Lx", b_var="b", x_var="y")
-        k2 = SpTRSVCSR(low, l_var="Lx", b_var="y", x_var="z")
-        fl = fuse([k1, k2], r)
-        run = make_fused_executor(fl.schedule, [k1, k2])
-        state = allocate_state([k1, k2])
-        rng = np.random.default_rng(low.n_rows)
-        state["Lx"][:] = low.data
-        state["b"][:] = rng.random(low.n_rows)
-        st2 = {v: a.copy() for v, a in state.items()}
-        execute_schedule(fl.schedule, [k1, k2], state)
-        run(st2)
-        assert np.array_equal(state["z"], st2["z"])
-
-    @SETTINGS
-    @given(lower_matrices())
-    def test_batched_matches_oracle(self, low):
-        """Random TRSV->SpMV-CSC fusions: batched executor == oracle."""
+    def test_plan_matches_oracle(self, low, r):
+        """Random TRSV->SpMV-CSC fusions: the compiled plan, whose steps
+        span whole s-partitions, agrees with the per-iteration oracle."""
         from repro.fusion import fuse
-        from repro.runtime import execute_schedule_batched
+        from repro.runtime import execute_schedule_planned
 
         full = CSRMatrix.from_scipy(low.to_scipy() + low.to_scipy().T)
         k1 = SpTRSVCSR(low, b_var="b", x_var="y")
         k2 = SpMVCSC(full.to_csc(), a_var="Ax", x_var="y", y_var="z")
-        fl = fuse([k1, k2], 4)
+        fl = fuse([k1, k2], r)
         state = allocate_state([k1, k2])
         rng = np.random.default_rng(low.n_rows + 1)
         state["Lx"][:] = low.data
@@ -249,5 +230,5 @@ class TestCodegenEquivalence:
         state["b"][:] = rng.random(low.n_rows)
         st2 = {v: a.copy() for v, a in state.items()}
         execute_schedule(fl.schedule, [k1, k2], state)
-        execute_schedule_batched(fl.schedule, [k1, k2], st2)
+        execute_schedule_planned(fl.schedule, [k1, k2], st2, min_batch=2)
         assert np.allclose(state["z"], st2["z"], atol=1e-12)

@@ -1,16 +1,10 @@
-"""Batched executor and vectorized array-helper tests."""
+"""Vectorized batch paths: the kernels' ``run_batch`` (dispatched by the
+compiled plan's ``batch`` steps) and the array helpers behind them."""
 
 import numpy as np
-import pytest
 
-from repro import fuse
-from repro.fusion import COMBINATIONS, build_combination
-from repro.kernels import DScalCSR, SpMVCSC, SpMVCSR, internal_var
-from repro.runtime import (
-    allocate_state,
-    execute_schedule,
-    execute_schedule_batched,
-)
+from repro.kernels import DScalCSR, SpMVCSC, SpMVCSR
+from repro.runtime import allocate_state
 from repro.utils import multi_range, segment_sums
 
 
@@ -102,57 +96,3 @@ class TestRunBatch:
         st["b"][:] = rng.random(low.n_rows)
         k.run_batch(np.arange(k.n_iterations), st)  # sequential fallback
         assert np.allclose(np.tril(low.to_dense()) @ st["x"], st["b"])
-
-
-class TestBatchedExecutor:
-    @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
-    def test_matches_per_iteration_everywhere(self, cid, lap3d_nd):
-        kernels, state = build_combination(cid, lap3d_nd, seed=cid)
-        fl = fuse(kernels, 8)
-        st1 = {k: v.copy() for k, v in state.items()}
-        st2 = {k: v.copy() for k, v in state.items()}
-        execute_schedule(fl.schedule, kernels, st1)
-        execute_schedule_batched(fl.schedule, kernels, st2)
-        for var in st1:
-            if internal_var(var):
-                continue
-            assert np.allclose(st1[var], st2[var], atol=1e-12), (cid, var)
-
-    def test_repeated_execution_stays_consistent(self, lap2d_nd, rng):
-        """Re-running a chunk on evolving state (the solver pattern) —
-        the scenario that exposed the original batching bug."""
-        from repro.solvers import build_gs_chain
-        from repro.solvers.gauss_seidel import gs_split
-
-        kernels, xi, xo = build_gs_chain(lap2d_nd, 2)
-        fl = fuse(kernels, 6, validate=False)
-        low, e = gs_split(lap2d_nd)
-        st1 = allocate_state(kernels)
-        st1["Lx"][:] = low.data
-        st1["Ex"][:] = e.data
-        st1["b"][:] = rng.random(lap2d_nd.n_rows)
-        st2 = {k: v.copy() for k, v in st1.items()}
-        for _ in range(10):
-            execute_schedule(fl.schedule, kernels, st1)
-            st1[xi][:] = st1[xo]
-            execute_schedule_batched(fl.schedule, kernels, st2)
-            st2[xi][:] = st2[xo]
-        assert np.allclose(st1[xo], st2[xo], atol=1e-13)
-
-    def test_min_batch_respected(self, lap2d_nd, rng):
-        kernels, state = build_combination(3, lap2d_nd, seed=1)
-        fl = fuse(kernels, 4)
-        st = {k: v.copy() for k, v in state.items()}
-        execute_schedule_batched(fl.schedule, kernels, st, min_batch=10**9)
-        ref = {k: v.copy() for k, v in state.items()}
-        execute_schedule(fl.schedule, kernels, ref)
-        for var in st:
-            assert np.array_equal(st[var], ref[var]), var
-
-    def test_loop_count_mismatch_rejected(self, lap2d_nd):
-        kernels, state = build_combination(1, lap2d_nd)
-        from repro.schedule import FusedSchedule
-
-        bad = FusedSchedule((1,), [[np.array([0])]])
-        with pytest.raises(ValueError):
-            execute_schedule_batched(bad, kernels, state)

@@ -58,8 +58,9 @@ class TestEquivalence:
 
     def test_factorizations_bitwise(self, lap3d_nd):
         """SpIC0/SpILU0 level batches replay the exact scalar update
-        order — not just close, identical."""
-        for cid in (2, 6):  # the factorization combinations
+        order — not just close, identical — even when a level step spans
+        several w-partitions."""
+        for cid in (2, 4, 5, 6):  # the factorization combinations
             kernels, state = build_combination(cid, lap3d_nd, seed=cid)
             fl = fuse(kernels, 8)
             st1, st2 = _run_both(fl.schedule, kernels, state)
@@ -91,6 +92,80 @@ class TestEquivalence:
         execute_schedule_planned(fl.schedule, kernels, st2)
         for var in st1:
             assert np.array_equal(st1[var], st2[var]), var
+
+
+class TestSPartitionSteps:
+    """Steps span whole s-partitions: one per (s, loop, intra-DAG level)."""
+
+    @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
+    def test_every_step_lies_in_one_spartition(self, cid, lap3d_nd):
+        kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
+        fl = fuse(kernels, 8)
+        sp, wp, _ = fl.schedule.assignment()
+        offsets = fl.schedule.offsets
+        plan = compile_plan(fl.schedule, kernels)
+        spans_w = False
+        for step in plan.steps:
+            gids = step.iters + offsets[step.loop]
+            assert np.all(sp[gids] == step.s)
+            spans_w |= np.unique(wp[gids]).shape[0] > 1
+        # merging happened: some step covers several w-partitions
+        assert spans_w
+        # steps come in s-partition order, each iteration exactly once
+        assert all(a.s <= b.s for a, b in zip(plan.steps, plan.steps[1:]))
+        covered = np.concatenate(
+            [step.iters + offsets[step.loop] for step in plan.steps]
+        )
+        assert np.array_equal(np.sort(covered), np.arange(fl.schedule.n_vertices))
+
+    @pytest.mark.parametrize("min_batch", [2, 4, 16])
+    @pytest.mark.parametrize("cid", [1, 4, 5])
+    def test_level_steps_per_spartition_and_loop(self, cid, min_batch, lap3d_nd):
+        kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
+        fl = fuse(kernels, 8)
+        sched = fl.schedule
+        offsets = sched.offsets
+        sp, _, _ = sched.assignment()
+        plan = compile_plan(sched, kernels, min_batch=min_batch)
+        got: dict[tuple[int, int], int] = {}
+        for step in plan.steps:
+            if step.kind == "level":
+                key = (step.s, step.loop)
+                got[key] = got.get(key, 0) + 1
+        for k, kern in enumerate(kernels):
+            assert kern.supports_level_batch
+            levels = kern.intra_dag().levels()
+            loop_sp = sp[offsets[k] : offsets[k + 1]]
+            for s in range(sched.n_spartitions):
+                _, sizes = np.unique(levels[loop_sp == s], return_counts=True)
+                expected = int(np.sum(sizes >= min_batch))
+                assert got.get((s, k), 0) == expected, (s, k)
+
+    def test_same_s_cross_w_dependence_still_flagged(self):
+        """A dependence between two w-partitions of one s-partition
+        breaks the schedule contract even though the merged plan happens
+        to order it; the plan sanitizer must still report it."""
+        from repro.obs.memtrace import execution_coordinates
+        from repro.obs import sanitize_schedule
+        from repro.schedule import ScheduleError, validate_schedule
+        from repro.sparse import banded_spd
+
+        low = banded_spd(16, 1).lower_triangle()  # chain 0 -> 1 -> ...
+        kern = SpTRSVCSR(low)
+        verts = np.arange(kern.n_iterations, dtype=np.int64)
+        sched = FusedSchedule(
+            (kern.n_iterations,), [[verts[0::2], verts[1::2]]]
+        )
+        with pytest.raises(ScheduleError):
+            validate_schedule(sched, [kern.intra_dag()])
+        rep = sanitize_schedule(sched, [kern], executor="plan")
+        assert not rep.clean
+        v = rep.violations[0]
+        assert v.producer.s == v.consumer.s
+        assert v.producer.w != v.consumer.w
+        # plan dispatch numbers are per s-partition: distinct and ordered
+        _, _, tt = execution_coordinates(sched, [kern], "plan")
+        assert np.array_equal(np.sort(tt), np.arange(kern.n_iterations))
 
 
 class TestDegenerateSchedules:
@@ -217,6 +292,23 @@ class TestSolverIntegration:
         assert res.converged
         assert res.iterations == ref.iterations
         assert np.allclose(res.x, ref.x, atol=1e-10)
+
+    def test_solvers_compile_once_per_solve(self, lap2d_nd, rng):
+        """Each solve compiles its fused plan once (the default executor)
+        and cache-hits it on every later preconditioner application or
+        sweep."""
+        from repro.solvers import gauss_seidel, pcg_ic0
+
+        b = rng.random(lap2d_nd.n_rows)
+        for solve in (
+            lambda: pcg_ic0(lap2d_nd, b, tol=1e-10),
+            lambda: gauss_seidel(lap2d_nd, b, tol=1e-8),
+        ):
+            with recording() as rec:
+                res = solve()
+            assert res.converged
+            assert rec.counter("plan.cache_misses") == 1
+            assert rec.counter("plan.cache_hits") > 0
 
     def test_gauss_seidel_rejects_unknown_executor(self, lap2d_nd, rng):
         from repro.solvers import gauss_seidel

@@ -5,7 +5,7 @@ dynamic sanitizer (:mod:`repro.obs.memtrace`, element-level shadow
 execution) are independent implementations of the same correctness
 contract. On arbitrary random structures: every schedule the fusion
 pipeline emits passes both, and reversing any real dependence edge is
-rejected by both — under all three executor models."""
+rejected by both — under both executor models."""
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,7 +17,7 @@ from repro.obs import sanitize_schedule
 from repro.schedule import ScheduleError, validate_schedule
 from repro.sparse import random_lower_triangular
 
-EXECUTORS = ("iter", "batched", "plan")
+EXECUTORS = ("iter", "plan")
 
 SETTINGS = settings(
     max_examples=25,
