@@ -8,7 +8,8 @@ from the same per-iteration access maps the inspector joins — and
 derives:
 
 * **reuse-distance histograms** per w-partition (exact LRU stack
-  distances over cache lines, Bennett–Kruskal with a Fenwick tree), and
+  distances over cache lines from the offline dominance count of
+  :func:`repro.runtime.cache.stack_distances`), and
   the modeled hit rate of a ``capacity_lines``-line cache;
 * **working sets**: distinct cache lines touched per w-partition and
   per s-partition;
@@ -42,6 +43,7 @@ import numpy as np
 from ..kernels.base import Kernel, internal_var
 from ..obs import current as current_recorder
 from ..obs import names
+from ..runtime.cache import stack_distances
 from ..schedule.schedule import FusedSchedule
 
 __all__ = [
@@ -57,6 +59,36 @@ __all__ = [
 _BUCKETS = (4, 16, 64, 256, 1024, 4096)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of *x* (a sort plus run heads)."""
+    x = np.sort(x)
+    return x[np.r_[True, x[1:] != x[:-1]]] if x.shape[0] else x
+
+
+def _segment_stats(
+    dist: np.ndarray, seg: np.ndarray, n_seg: int, capacity_lines: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-segment ``(n_accesses, histogram, hits, distance_sum)``.
+
+    *dist* are stack distances (-1 = cold) of accesses tagged with
+    segment ids *seg*; ``histogram`` rows hold the cold count, one
+    bucket per ``_BUCKETS`` bound and an overflow bucket.
+    """
+    n_buckets = len(_BUCKETS) + 2
+    reused = dist >= 0
+    bucket = np.where(reused, 1 + np.searchsorted(_BUCKETS, dist, side="right"), 0)
+    hist = np.bincount(seg * n_buckets + bucket, minlength=n_seg * n_buckets)
+    n_acc = np.bincount(seg, minlength=n_seg)
+    hits = np.bincount(seg[reused & (dist < capacity_lines)], minlength=n_seg)
+    dist_sum = np.bincount(seg, weights=np.where(reused, dist, 0), minlength=n_seg)
+    return (
+        n_acc,
+        hist.reshape(n_seg, n_buckets),
+        hits,
+        dist_sum.astype(np.int64),
+    )
+
+
 def reuse_distance_histogram(
     stream: np.ndarray, *, capacity_lines: int
 ) -> tuple[np.ndarray, float, float]:
@@ -67,65 +99,20 @@ def reuse_distance_histogram(
     per ``_BUCKETS`` bound plus an overflow bucket, ``hit_rate`` is the
     fraction of accesses with distance < *capacity_lines* (cold misses
     count as misses) and ``mean_distance`` averages over reused accesses
-    only (NaN-free: 0.0 when nothing is reused).
-
-    Bennett–Kruskal: walk the stream keeping each line's last position;
-    the stack distance is the number of *distinct* lines touched since,
-    counted with a Fenwick tree over positions — O(n log n).
+    only (NaN-free: 0.0 when nothing is reused). Distances come from
+    :func:`repro.runtime.cache.stack_distances`.
     """
+    stream = np.asarray(stream, dtype=np.int64)
     n = stream.shape[0]
-    hist = np.zeros(len(_BUCKETS) + 2, dtype=np.int64)
-    if n == 0:
-        return hist, 0.0, 0.0
-    # Fenwick tree over stream positions; tree[i] counts "last
-    # occurrences" in a range. 1-based internally.
-    tree = np.zeros(n + 1, dtype=np.int64)
-
-    def add(pos: int, delta: int) -> None:
-        i = pos + 1
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix(pos: int) -> int:
-        # count of last-occurrences in positions [0, pos]
-        i = pos + 1
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & (-i)
-        return s
-
-    last: dict[int, int] = {}
-    hits = 0
-    dist_sum = 0
-    n_reused = 0
-    bounds = _BUCKETS
-    for t in range(n):
-        line = int(stream[t])
-        prev = last.get(line)
-        if prev is None:
-            hist[0] += 1  # cold
-        else:
-            # distinct lines since prev (exclusive) = last-occurrence
-            # count in (prev, t)
-            d = prefix(t - 1) - prefix(prev)
-            dist_sum += d
-            n_reused += 1
-            if d < capacity_lines:
-                hits += 1
-            for b, bound in enumerate(bounds):
-                if d < bound:
-                    hist[1 + b] += 1
-                    break
-            else:
-                hist[-1] += 1
-            add(prev, -1)
-        add(t, 1)
-        last[line] = t
-    hit_rate = hits / n
-    mean = dist_sum / n_reused if n_reused else 0.0
-    return hist, hit_rate, mean
+    n_acc, hist, hits, dist_sum = _segment_stats(
+        stack_distances(stream), np.zeros(n, dtype=np.int64), 1, capacity_lines
+    )
+    n_reused = n - int(hist[0, 0])
+    return (
+        hist[0],
+        int(hits[0]) / n if n else 0.0,
+        int(dist_sum[0]) / n_reused if n_reused else 0.0,
+    )
 
 
 @dataclass
@@ -291,59 +278,39 @@ def _vertex_lines(
     """Per-vertex accessed cache lines, deduped within the vertex.
 
     Returns ``(indptr, lines, written)`` where ``lines[indptr[g]:
-    indptr[g+1]]`` are the distinct lines vertex ``g`` touches and
-    ``written`` marks lines the vertex writes.
+    indptr[g+1]]`` are the distinct lines vertex ``g`` touches, in
+    ascending order, and ``written`` marks lines the vertex writes. One
+    lexsort of every access-map entry by ``(vertex, line)``.
     """
     per_line = max(1, line_bytes // 8)
     n_vertices = int(offsets[-1])
-    vert_lines: list[np.ndarray] = [None] * n_vertices  # type: ignore[list-item]
-    vert_written: list[np.ndarray] = [None] * n_vertices  # type: ignore[list-item]
+    gids = [np.empty(0, dtype=np.int64)]
+    lines = [np.empty(0, dtype=np.int64)]
+    writes = [np.empty(0, dtype=bool)]
     for ki, kern in enumerate(kernels):
-        n = kern.n_iterations
-        per_iter_read: list[list[np.ndarray]] = [[] for _ in range(n)]
-        per_iter_write: list[list[np.ndarray]] = [[] for _ in range(n)]
+        iters = np.arange(kern.n_iterations, dtype=np.int64) + int(offsets[ki])
         for var in kern.all_vars:
-            rmap, wmap = kern.access_maps(var)
-            b = base[var]
-            for bucket, m in ((per_iter_read, rmap), (per_iter_write, wmap)):
+            for m, is_write in zip(kern.access_maps(var), (False, True)):
                 if m is None:
                     continue
                 indptr, idx = m
-                lines = b + np.asarray(idx, dtype=np.int64) // per_line
-                for i in range(n):
-                    seg = lines[indptr[i] : indptr[i + 1]]
-                    if seg.shape[0]:
-                        bucket[i].append(seg)
-        off = int(offsets[ki])
-        for i in range(n):
-            w = (
-                np.unique(np.concatenate(per_iter_write[i]))
-                if per_iter_write[i]
-                else np.empty(0, dtype=np.int64)
-            )
-            both = per_iter_read[i] + per_iter_write[i]
-            a = (
-                np.unique(np.concatenate(both))
-                if both
-                else np.empty(0, dtype=np.int64)
-            )
-            vert_lines[off + i] = a
-            vert_written[off + i] = w
-    counts = np.array([v.shape[0] for v in vert_lines], dtype=np.int64)
+                gids.append(np.repeat(iters, np.diff(indptr)))
+                lines.append(base[var] + np.asarray(idx, dtype=np.int64) // per_line)
+                writes.append(np.full(idx.shape[0], is_write))
+    gid = np.concatenate(gids)
+    line = np.concatenate(lines)
+    write = np.concatenate(writes)
+    order = np.lexsort((line, gid))
+    gid, line, write = gid[order], line[order], write[order]
+    first = np.ones(gid.shape[0], dtype=bool)
+    first[1:] = (gid[1:] != gid[:-1]) | (line[1:] != line[:-1])
+    starts = np.flatnonzero(first)
     indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    lines = (
-        np.concatenate(vert_lines)
-        if n_vertices
-        else np.empty(0, dtype=np.int64)
+    np.cumsum(np.bincount(gid[starts], minlength=n_vertices), out=indptr[1:])
+    written = (
+        np.logical_or.reduceat(write, starts) if starts.shape[0] else write[:0]
     )
-    written = np.zeros(lines.shape[0], dtype=bool)
-    for g in range(n_vertices):
-        w = vert_written[g]
-        if w.shape[0]:
-            seg = lines[indptr[g] : indptr[g + 1]]
-            written[indptr[g] : indptr[g + 1]] = np.isin(seg, w)
-    return indptr, lines, written
+    return indptr, line[starts], written
 
 
 def _replay(
@@ -353,76 +320,80 @@ def _replay(
     written: np.ndarray,
     capacity_lines: int,
 ) -> tuple[list[WPartitionLocality], list[SPartitionLocality], int, float, float, int]:
-    """Replay *schedule*'s per-w-partition streams through the LRU model."""
+    """Replay *schedule*'s per-w-partition streams through the LRU model.
+
+    Every non-empty w-partition's stream (its vertices' lines in packed
+    order) is one segment of a single :func:`stack_distances` call; the
+    per-segment and per-s-partition statistics are bincounts over it.
+    """
+    n_sp = schedule.n_spartitions
+    sp, wp, pos = schedule.assignment()
+    rank = np.empty(schedule.n_vertices, dtype=np.int64)  # executed order
+    rank[np.lexsort((pos, wp, sp))] = np.arange(schedule.n_vertices)
+    entry_gid = np.repeat(np.arange(schedule.n_vertices), np.diff(indptr))
+    order = np.argsort(rank[entry_gid], kind="stable")
+    order = order[sp[entry_gid[order]] >= 0]  # unscheduled vertices never run
+    stream = lines[order]
+    # segments: the non-empty w-partitions, in (s, w) order
+    n_w = int(wp.max(initial=0)) + 1
+    sw_key = (sp * n_w + wp)[entry_gid[order]]
+    seg_keys = _distinct(sw_key)
+    seg = np.searchsorted(seg_keys, sw_key)
+    seg_s = seg_keys // n_w
+    n_seg = seg_keys.shape[0]
+    span = int(lines.max()) + 1 if lines.shape[0] else 1
+    dist = stack_distances(seg * span + stream)
+    n_acc, hist, hits, dist_sum = _segment_stats(dist, seg, n_seg, capacity_lines)
+
     w_parts: list[WPartitionLocality] = []
-    s_parts: list[SPartitionLocality] = []
-    total_accesses = 0
-    total_hits = 0
     dist_weighted = 0.0
-    n_reused_total = 0
-    all_lines: set[int] = set()
-    total_false = 0
-    for s, wlist in enumerate(schedule.s_partitions):
-        s_accesses = 0
-        s_hits = 0
-        s_lines: set[int] = set()
-        writers: dict[int, int] = {}  # line -> first writing w (or -2 if >=2)
-        false_here = 0
-        for w, verts in enumerate(wlist):
-            if verts.shape[0] == 0:
-                continue
-            segs = [lines[indptr[g] : indptr[g + 1]] for g in verts.tolist()]
-            stream = (
-                np.concatenate(segs) if segs else np.empty(0, dtype=np.int64)
-            )
-            hist, hit_rate, mean_d = reuse_distance_histogram(
-                stream, capacity_lines=capacity_lines
-            )
-            ws = int(np.unique(stream).shape[0]) if stream.shape[0] else 0
-            n_reused = int(hist[1:].sum())
-            w_parts.append(
-                WPartitionLocality(
-                    s=s,
-                    w=w,
-                    n_accesses=int(stream.shape[0]),
-                    working_set=ws,
-                    histogram=hist,
-                    hit_rate=hit_rate,
-                    mean_reuse_distance=mean_d,
-                )
-            )
-            s_accesses += stream.shape[0]
-            s_hits += int(round(hit_rate * stream.shape[0]))
-            s_lines.update(np.unique(stream).tolist())
-            dist_weighted += mean_d * n_reused
-            n_reused_total += n_reused
-            for g in verts.tolist():
-                seg_w = lines[indptr[g] : indptr[g + 1]][
-                    written[indptr[g] : indptr[g + 1]]
-                ]
-                for line in seg_w.tolist():
-                    prev = writers.get(line)
-                    if prev is None:
-                        writers[line] = w
-                    elif prev != w and prev != -2:
-                        writers[line] = -2
-                        false_here += 1
-        s_parts.append(
-            SPartitionLocality(
+    for i, (s, w) in enumerate(zip(seg_s.tolist(), (seg_keys % n_w).tolist())):
+        n = int(n_acc[i])
+        n_reused = n - int(hist[i, 0])
+        mean_d = int(dist_sum[i]) / n_reused if n_reused else 0.0
+        w_parts.append(
+            WPartitionLocality(
                 s=s,
-                n_accesses=int(s_accesses),
-                working_set=len(s_lines),
-                hit_rate=(s_hits / s_accesses) if s_accesses else 0.0,
-                false_shared_lines=false_here,
+                w=w,
+                n_accesses=n,
+                working_set=int(hist[i, 0]),
+                histogram=hist[i],
+                hit_rate=int(hits[i]) / n if n else 0.0,
+                mean_reuse_distance=mean_d,
             )
         )
-        total_accesses += s_accesses
-        total_hits += s_hits
-        all_lines.update(s_lines)
-        total_false += false_here
-    hit_rate = total_hits / total_accesses if total_accesses else 0.0
-    mean_d = dist_weighted / n_reused_total if n_reused_total else 0.0
-    return w_parts, s_parts, total_accesses, hit_rate, mean_d, len(all_lines)
+        dist_weighted += mean_d * n_reused
+
+    # s-partition aggregates; written lines shared by >= 2 w-partitions
+    # of one s-partition are false-sharing risks
+    s_acc = np.bincount(seg_s, weights=n_acc, minlength=n_sp)
+    s_hits = np.bincount(seg_s, weights=hits, minlength=n_sp)
+    s_key = seg_s[seg] * span + stream
+    s_ws = np.bincount(_distinct(s_key) // span, minlength=n_sp)
+    w_entry = written[order]
+    writer_lines = _distinct(s_key[w_entry] * n_seg + seg[w_entry]) // n_seg
+    shared = _distinct(writer_lines[1:][writer_lines[1:] == writer_lines[:-1]])
+    s_false = np.bincount(shared // span, minlength=n_sp)
+    s_parts = [
+        SPartitionLocality(
+            s=s,
+            n_accesses=int(s_acc[s]),
+            working_set=int(s_ws[s]),
+            hit_rate=int(s_hits[s]) / int(s_acc[s]) if s_acc[s] else 0.0,
+            false_shared_lines=int(s_false[s]),
+        )
+        for s in range(n_sp)
+    ]
+    total_accesses = int(n_acc.sum())
+    n_reused_total = total_accesses - int(hist[:, 0].sum())
+    return (
+        w_parts,
+        s_parts,
+        total_accesses,
+        int(hits.sum()) / total_accesses if total_accesses else 0.0,
+        dist_weighted / n_reused_total if n_reused_total else 0.0,
+        int(np.count_nonzero(np.bincount(stream, minlength=1))),
+    )
 
 
 def _measured_reuse(kernels: list[Kernel]) -> float:
@@ -431,29 +402,38 @@ def _measured_reuse(kernels: list[Kernel]) -> float:
     ``2 * |common| / max(|footprint1|, |footprint2|)`` over distinct
     non-internal ``(variable, element)`` accesses of the first kernel
     pair — the measured analogue of
-    :func:`repro.fusion.inspector.compute_reuse`.
+    :func:`repro.fusion.inspector.compute_reuse`. Footprints are
+    boolean masks over ``var_id * stride + element``.
     """
     if len(kernels) < 2:
         return 0.0
-
-    def footprint(kern: Kernel) -> set[tuple[str, int]]:
-        out: set[tuple[str, int]] = set()
-        for var in kern.all_vars:
-            if internal_var(var):
-                continue
-            rmap, wmap = kern.access_maps(var)
-            for m in (rmap, wmap):
-                if m is None:
-                    continue
-                out.update((var, int(e)) for e in np.unique(m[1]))
-        return out
-
-    f1 = footprint(kernels[0])
-    f2 = footprint(kernels[1])
-    denom = max(len(f1), len(f2))
+    pair = kernels[:2]
+    var_ids = {
+        v: i for i, v in enumerate(sorted({v for k in pair for v in k.all_vars}))
+    }
+    accesses = [
+        [
+            (var_ids[var], np.asarray(m[1], dtype=np.int64))
+            for var in kern.all_vars
+            if not internal_var(var)
+            for m in kern.access_maps(var)
+            if m is not None
+        ]
+        for kern in pair
+    ]
+    stride = 1 + max(
+        (int(idx.max()) for acc in accesses for _, idx in acc if idx.shape[0]),
+        default=0,
+    )
+    f1, f2 = (np.zeros(len(var_ids) * stride, dtype=bool) for _ in pair)
+    for f, acc in zip((f1, f2), accesses):
+        for vid, idx in acc:
+            f[vid * stride + idx] = True
+    denom = max(np.count_nonzero(f1), np.count_nonzero(f2))
     if denom == 0:
         return 0.0
-    return 2.0 * len(f1 & f2) / denom
+    common = np.count_nonzero(f1 & f2)
+    return 2.0 * common / denom
 
 
 def profile_locality(
@@ -539,7 +519,6 @@ def profile_locality(
             false_shared_lines=sum(s.false_shared_lines for s in s_parts),
             w_partitions=w_parts,
             s_partitions=s_parts,
-            seconds=time.perf_counter() - t0,
         )
         report.seconds = time.perf_counter() - t0
         span.set(

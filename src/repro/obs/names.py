@@ -113,7 +113,7 @@ REGISTRY: dict[str, tuple[str, str]] = {
     EXECUTOR_SIM_WAIT_CYCLES: ("cycles", "simulated idle-at-barrier cycles"),
     EXECUTOR_SIM_BARRIER_CYCLES: ("cycles", "simulated barrier-cost cycles"),
     EXECUTOR_SIM_MAKESPAN_CYCLES: ("cycles", "simulated makespan (critical path)"),
-    CACHE_ACCESSES: ("1", "element accesses in the LRU simulator"),
+    CACHE_ACCESSES: ("1", "element accesses priced by the LRU cache model"),
     CACHE_L1_HITS: ("1", "simulated L1 hits"),
     CACHE_LLC_HITS: ("1", "simulated LLC hits"),
     CACHE_MISSES: ("1", "simulated DRAM accesses"),

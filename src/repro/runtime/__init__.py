@@ -1,6 +1,6 @@
 """Runtime: executors, the simulated machine, the cache model, metrics."""
 
-from .cache import AddressSpace, CacheConfig, LRUCache, ThreadCache
+from .cache import CacheConfig, stack_distances
 from .executor import allocate_state, execute_schedule, run_reference
 from .machine import MachineConfig, MachineReport, SimulatedMachine
 from .plan import (
@@ -23,10 +23,8 @@ from .threaded import ThreadedExecutor
 from .trace import export_chrome_trace, simulated_trace_events
 
 __all__ = [
-    "AddressSpace",
     "CacheConfig",
-    "LRUCache",
-    "ThreadCache",
+    "stack_distances",
     "allocate_state",
     "execute_schedule",
     "execute_schedule_planned",

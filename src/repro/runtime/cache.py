@@ -1,10 +1,11 @@
-"""Two-level LRU cache simulator — the PAPI/locality stand-in.
+"""Two-level LRU cache model, priced by exact stack distances.
 
 The paper measures locality with PAPI counters (L1/LLC/TLB accesses) and
 reports an *average memory access latency* proxy (Fig. 6 top). Offline we
-obtain the same proxy from a small cache simulator: each simulated thread
-owns a private L1 and an LLC slice, both LRU over 64-byte lines, and every
-element access costs the latency of the level that hits.
+obtain the same proxy from a small cache model: each simulated thread
+owns a private L1 and an LLC slice, both fully-associative LRU over
+64-byte lines, and every element access costs the latency of the level
+that hits.
 
 Address space: every state variable gets a disjoint base so that element
 ``i`` of variable ``v`` lives on line ``(base_v + i) // 8`` (8 doubles per
@@ -13,15 +14,23 @@ it prices exactly the two effects sparse fusion optimizes: *temporal*
 reuse across kernels (interleaved packing keeps shared lines hot) and
 *spatial* reuse within a kernel (separated packing streams consecutive
 rows/columns).
+
+Nothing is replayed access by access. A fully-associative LRU cache of
+``c`` lines hits an access exactly when its *stack distance* — the
+number of distinct lines touched since the previous access to the same
+line — is below ``c``, so :func:`stack_distances` computes every
+access's distance in one offline pass and the hierarchy is priced from
+those arrays (:func:`cache_levels`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-__all__ = ["CacheConfig", "LRUCache", "ThreadCache", "AddressSpace"]
+__all__ = ["CacheConfig", "stack_distances", "variable_bases", "cache_levels"]
+
+#: :func:`cache_levels` verdicts
+L1, LLC, DRAM = 0, 1, 2
 
 
 class CacheConfig:
@@ -51,148 +60,120 @@ class CacheConfig:
         self.lat_llc = float(lat_llc)
         self.lat_mem = float(lat_mem)
 
-
-class LRUCache:
-    """A fully-associative LRU set of cache-line ids."""
-
-    __slots__ = ("capacity", "lines")
-
-    def __init__(self, capacity: int):
-        self.capacity = int(capacity)
-        self.lines: OrderedDict[int, None] = OrderedDict()
-
-    def access(self, line: int) -> bool:
-        """Touch *line*; True on hit. Evicts LRU on miss when full."""
-        lines = self.lines
-        if line in lines:
-            lines.move_to_end(line)
-            return True
-        lines[line] = None
-        if len(lines) > self.capacity:
-            lines.popitem(last=False)
-        return False
-
-    def clear(self) -> None:
-        """Empty the cache (cold start)."""
-        self.lines.clear()
-
-
-class AddressSpace:
-    """Disjoint virtual bases for named state variables."""
-
-    __slots__ = ("bases", "_next")
-
-    def __init__(self):
-        self.bases: dict[str, int] = {}
-        self._next = 0
-
-    def register(self, name: str, size: int) -> int:
-        """Assign (or return) the base of *name*; sizes are line-padded."""
-        if name not in self.bases:
-            self.bases[name] = self._next
-            self._next += int(size) + 8  # pad to avoid false line sharing
-        return self.bases[name]
-
-
-class ThreadCache:
-    """One thread's private L1 + LLC slice, with access accounting."""
-
-    __slots__ = (
-        "config",
-        "l1",
-        "llc",
-        "n_access",
-        "n_l1_hit",
-        "n_llc_hit",
-        "cycles",
-        "hit_cycles",
-        "miss_cycles",
-    )
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self.l1 = LRUCache(config.l1_lines)
-        self.llc = LRUCache(config.llc_lines)
-        self.n_access = 0
-        self.n_l1_hit = 0
-        self.n_llc_hit = 0
-        self.cycles = 0.0
-        #: cycles served by a cache level (L1 or LLC latency)
-        self.hit_cycles = 0.0
-        #: cycles served by DRAM (the stall the paper's Fig. 6 prices)
-        self.miss_cycles = 0.0
-
-    def access_elements(self, base: int, indices: np.ndarray) -> float:
-        """Access ``base + indices`` element-wise; returns cycles spent.
-
-        Consecutive indices on one line are coalesced into a single line
-        touch *per occurrence run* (the hardware would replay from the
-        load buffer), which is what rewards unit-stride access.
-        """
-        cfg = self.config
-        lines = (base + indices) // cfg.line_elems
-        cost = 0.0
-        hit_cost = 0.0
-        last = -1
-        l1 = self.l1
-        llc = self.llc
-        for line in lines.tolist():
-            self.n_access += 1
-            if line == last:
-                self.n_l1_hit += 1
-                cost += cfg.lat_l1
-                hit_cost += cfg.lat_l1
-                continue
-            last = line
-            if l1.access(line):
-                self.n_l1_hit += 1
-                cost += cfg.lat_l1
-                hit_cost += cfg.lat_l1
-            elif llc.access(line):
-                self.n_llc_hit += 1
-                cost += cfg.lat_llc
-                hit_cost += cfg.lat_llc
-            else:
-                cost += cfg.lat_mem
-        self.cycles += cost
-        self.hit_cycles += hit_cost
-        self.miss_cycles += cost - hit_cost
-        return cost
-
     @property
-    def avg_latency(self) -> float:
-        """Average cycles per element access so far."""
-        return self.cycles / self.n_access if self.n_access else 0.0
+    def latencies(self) -> np.ndarray:
+        """Cycles per access served by ``[L1, LLC, DRAM]``."""
+        return np.array([self.lat_l1, self.lat_llc, self.lat_mem])
 
-    def stats(self) -> dict[str, float]:
-        """Access counters as a plain dict."""
-        return {
-            "accesses": float(self.n_access),
-            "l1_hits": float(self.n_l1_hit),
-            "llc_hits": float(self.n_llc_hit),
-            "misses": float(self.n_access - self.n_l1_hit - self.n_llc_hit),
-            "cycles": self.cycles,
-            "hit_cycles": self.hit_cycles,
-            "miss_cycles": self.miss_cycles,
-            "avg_latency": self.avg_latency,
-        }
 
-    def emit_counters(self, recorder, prefix: str = "cache") -> None:
-        """Add this cache's hit/miss totals to *recorder*'s counters.
+def stack_distances(keys: np.ndarray) -> np.ndarray:
+    """Exact LRU stack distance of every access in *keys*.
 
-        Called once per simulated thread at the end of a cache-fidelity
-        simulation; per-access recording would swamp the recorder. Names
-        come from the :mod:`repro.obs.names` registry.
-        """
-        from ..obs import names
+    ``d[t]`` is the number of distinct keys strictly between the
+    previous occurrence ``p`` of ``keys[t]`` and ``t``, or ``-1`` for a
+    first touch. A position ``j`` in ``(p, t)`` holds a key not seen
+    earlier in the window exactly when ``prev[j] <= p``, and ``prev[j]
+    > p`` already implies ``j > p``, so
 
-        stats = self.stats()
-        registered = {
-            "accesses": names.CACHE_ACCESSES,
-            "l1_hits": names.CACHE_L1_HITS,
-            "llc_hits": names.CACHE_LLC_HITS,
-            "misses": names.CACHE_MISSES,
-        }
-        for key, name in registered.items():
-            counter = name if prefix == "cache" else f"{prefix}.{key}"
-            recorder.count(counter, stats[key])
+        d[t] = (t - p - 1) - #{j < t : prev[j] > p}.
+
+    Only reuses (``prev >= 0``) can be counted, and their ``prev``
+    values are distinct (an access precedes at most one next
+    occurrence), so the count is a per-element inversion count over the
+    reuses in stream order. A bottom-up merge sort computes it in
+    ⌈log₂ n⌉ passes of one stable ``argsort`` each: when two sorted
+    halves merge, a right-half element at merged rank ``r`` that is
+    ``i``-th in its own half follows ``r - i`` smaller left-half
+    elements, and the rest of the left half is larger. O(n log² n)
+    worst case, no per-access Python.
+
+    Independent streams go through one call: concatenate them and make
+    their keys disjoint (e.g. ``stream * n_lines + line``).
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    n = keys.shape[0]
+    dist = np.full(n, -1, dtype=np.int64)
+    if n < 2:
+        return dist
+    repeat = np.zeros(n, dtype=bool)
+    repeat[1:] = keys[1:] == keys[:-1]
+    if repeat.any():
+        # an immediate repeat has distance 0 and changes no other
+        # access's distance: solve the run heads only
+        dist[repeat] = 0
+        dist[~repeat] = stack_distances(keys[~repeat])
+        return dist
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    t = np.flatnonzero(prev >= 0)
+    m = t.shape[0]
+    if m == 0:
+        return dist
+    p = prev[t]
+    later = np.zeros(m, dtype=np.int64)  # #{earlier reuse with larger prev}
+    vals = p
+    ids = pos = np.arange(m, dtype=np.int64)
+    for k in range((m - 1).bit_length()):
+        half = 1 << k
+        # merge sorted runs of 2**k into runs of 2**(k+1); the block id
+        # in the high digits keeps every merge inside its block
+        src = np.argsort((pos >> (k + 1)) * n + vals, kind="stable")
+        right = np.flatnonzero(src & half)
+        s = src[right]
+        later[ids[s]] += half - (right & (2 * half - 1)) + (s & (half - 1))
+        vals = vals[src]
+        ids = ids[src]
+    dist[t] = (t - p - 1) - later
+    return dist
+
+
+def variable_bases(sizes: dict[str, int]) -> dict[str, int]:
+    """Disjoint element-offset base of every variable in *sizes*.
+
+    Variables are laid out in the mapping's order, each followed by an
+    8-element pad so that no two variables share a line.
+    """
+    bases: dict[str, int] = {}
+    nxt = 0
+    for var, size in sizes.items():
+        bases[var] = nxt
+        nxt += int(size) + 8
+    return bases
+
+
+def cache_levels(
+    lines: np.ndarray, streams: np.ndarray, calls: np.ndarray, config: CacheConfig
+) -> np.ndarray:
+    """Level (``L1``/``LLC``/``DRAM``) serving each line access.
+
+    ``streams[t]`` names the thread whose private L1 + LLC slice serves
+    access ``t`` (each thread's accesses in its execution order); all
+    streams start cold. ``calls`` groups the accesses of one vector
+    load: a repeat of the previous access's line within one call is
+    coalesced into an L1 hit (the hardware would replay it from the
+    load buffer), which is what rewards unit-stride access.
+
+    The hierarchy is non-inclusive: L1 is an LRU over the thread's
+    whole line stream, and the LLC an LRU over its L1 *misses* only. A
+    coalesced repeat has stack distance 0 and leaves the LRU order
+    unchanged, so each level's verdict is ``distance < capacity`` on
+    its own stream.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.shape[0]
+    levels = np.full(n, DRAM, dtype=np.int8)
+    if n == 0:
+        return levels
+    span = int(lines.max()) + 1
+    keys = np.asarray(streams, dtype=np.int64) * span + lines
+    coalesced = np.zeros(n, dtype=bool)
+    coalesced[1:] = (calls[1:] == calls[:-1]) & (lines[1:] == lines[:-1])
+    d1 = stack_distances(keys)
+    l1 = coalesced | ((d1 >= 0) & (d1 < config.l1_lines))
+    miss = np.flatnonzero(~l1)
+    d2 = stack_distances(keys[miss])
+    levels[l1] = L1
+    levels[miss[(d2 >= 0) & (d2 < config.llc_lines)]] = LLC
+    return levels

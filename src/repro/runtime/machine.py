@@ -9,8 +9,8 @@ exactly the three effects the paper's evaluation turns on:
 * **load balance** — an s-partition takes as long as its slowest
   w-partition (threads are pinned: w-partition ``w`` runs on thread
   ``w``), idle threads wait;
-* **locality** — per-iteration memory cost comes either from the LRU
-  cache simulator (``fidelity="cache"``, Fig. 6) or from a flat
+* **locality** — per-iteration memory cost comes either from the two-level
+  LRU cache model (``fidelity="cache"``, Fig. 6) or from a flat
   per-touched-nonzero charge (``fidelity="flat"``, fast sweeps).
 
 The compute charge is ``cycles_per_nnz * c(v) + cycles_per_iter`` with an
@@ -41,7 +41,7 @@ from ..kernels.base import Kernel
 from ..obs import current as current_recorder
 from ..obs import names
 from ..schedule.schedule import FusedSchedule
-from .cache import AddressSpace, CacheConfig, ThreadCache
+from .cache import DRAM, L1, LLC, CacheConfig, cache_levels, variable_bases
 
 __all__ = ["MachineConfig", "MachineReport", "SimulatedMachine"]
 
@@ -210,6 +210,72 @@ class SimulatedMachine:
     def __init__(self, config: MachineConfig | None = None):
         self.config = config if config is not None else MachineConfig()
 
+    def _price_memory(
+        self, schedule: FusedSchedule, kernels: list[Kernel]
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+        """Cache-fidelity memory cycles per (s-partition, thread).
+
+        Each thread's element-line stream is built from the kernels'
+        access maps: s-partitions in order, then the thread's
+        w-partitions (``w % n_threads == thread``) ascending, then each
+        w-partition's vertices in packed order, and within an iteration
+        every ``read_vars`` then ``write_vars`` map slice in map order
+        (one coalescing load per slice). All threads' streams are priced
+        by one :func:`~repro.runtime.cache.cache_levels` call. Returns
+        ``(hit_cycles, miss_cycles, cache_stats)``.
+        """
+        cfg = self.config
+        cc = cfg.cache
+        sizes: dict[str, int] = {}
+        for k in kernels:
+            for var, size in k.var_sizes().items():
+                sizes[var] = max(size, sizes.get(var, 0))
+        bases = variable_bases(sizes)
+        sp, wp, pos = schedule.assignment()
+        thread = wp % cfg.n_threads
+        rank = np.empty(schedule.n_vertices, dtype=np.int64)  # in thread order
+        rank[np.lexsort((pos, wp, sp, thread))] = np.arange(schedule.n_vertices)
+
+        # every map slice, tagged with its vertex and its slot in the
+        # iteration (reads first, then writes, in declaration order)
+        gids, slots, lines = ([np.empty(0, dtype=np.int64)] for _ in range(3))
+        for ki, kern in enumerate(kernels):
+            iters = np.arange(kern.n_iterations) + int(schedule.offsets[ki])
+            loads = [(v, 0) for v in kern.read_vars] + [(v, 1) for v in kern.write_vars]
+            for slot, (var, kind) in enumerate(loads):
+                indptr, idx = kern.access_maps(var)[kind]
+                gids.append(np.repeat(iters, np.diff(indptr)))
+                slots.append(np.full(idx.shape[0], slot))
+                lines.append((bases[var] + idx) // cc.line_elems)
+        n_slots = max([len(k.read_vars) + len(k.write_vars) for k in kernels], default=1)
+        gid = np.concatenate(gids)
+        call = rank[gid] * n_slots + np.concatenate(slots)
+        order = np.argsort(call, kind="stable")
+        order = order[sp[gid[order]] >= 0]  # unscheduled vertices never run
+        gid = gid[order]
+        levels = cache_levels(np.concatenate(lines)[order], thread[gid], call[order], cc)
+
+        n_cells = schedule.n_spartitions * cfg.n_threads
+        counts = np.bincount(
+            (sp[gid] * cfg.n_threads + thread[gid]) * 3 + levels, minlength=n_cells * 3
+        ).reshape(schedule.n_spartitions, cfg.n_threads, 3)
+        cycles = counts * cc.latencies
+        totals = counts.sum(axis=(0, 1))
+        stats = {
+            "accesses": float(gid.shape[0]),
+            "l1_hits": float(totals[L1]),
+            "llc_hits": float(totals[LLC]),
+            "misses": float(totals[DRAM]),
+            "cycles": float(totals @ cc.latencies),
+        }
+        rec = current_recorder()
+        if rec.enabled:
+            rec.count(names.CACHE_ACCESSES, stats["accesses"])
+            rec.count(names.CACHE_L1_HITS, stats["l1_hits"])
+            rec.count(names.CACHE_LLC_HITS, stats["llc_hits"])
+            rec.count(names.CACHE_MISSES, stats["misses"])
+        return cycles[..., L1] + cycles[..., LLC], cycles[..., DRAM], stats
+
     def simulate(
         self,
         schedule: FusedSchedule,
@@ -229,8 +295,8 @@ class SimulatedMachine:
             The fused loops in program order.
         fidelity:
             ``"flat"`` — memory cost folded into ``cycles_per_nnz``;
-            ``"cache"`` — run the LRU simulator over each thread's access
-            stream (slower, used by the locality experiments).
+            ``"cache"`` — price each thread's access stream on the
+            two-level LRU cache model (used by the locality experiments).
         efficiency:
             Compute-cost multiplier (< 1 = more optimized executor code).
         sequential_override:
@@ -250,14 +316,8 @@ class SimulatedMachine:
         cache_stats: dict[str, float] = {}
 
         if fidelity == "cache":
-            space = AddressSpace()
-            sizes: dict[str, int] = {}
-            for k in kernels:
-                for var, size in k.var_sizes().items():
-                    sizes[var] = max(size, sizes.get(var, 0))
-            for var, size in sizes.items():
-                space.register(var, size)
-            caches = [ThreadCache(cfg.cache) for _ in range(cfg.n_threads)]
+            mem_hit, mem_miss, cache_stats = self._price_memory(schedule, kernels)
+            mem = mem_hit + mem_miss
 
         loop_of = np.zeros(schedule.n_vertices, dtype=np.int64)
         for k in range(len(kernels)):
@@ -271,23 +331,6 @@ class SimulatedMachine:
                     + cfg.cycles_per_iter * verts.shape[0]
                 ) * efficiency
                 if fidelity == "cache":
-                    tc = caches[thread]
-                    hit0, miss0 = tc.hit_cycles, tc.miss_cycles
-                    for v in verts.tolist():
-                        k = int(loop_of[v])
-                        i = v - int(offsets[k])
-                        kern = kernels[k]
-                        for var in kern.read_vars:
-                            idx = kern.reads_of(var, i)
-                            if idx.shape[0]:
-                                tc.access_elements(space.bases[var], idx)
-                        for var in kern.write_vars:
-                            idx = kern.writes_of(var, i)
-                            if idx.shape[0]:
-                                tc.access_elements(space.bases[var], idx)
-                    mem_hit[s, thread] += tc.hit_cycles - hit0
-                    mem_miss[s, thread] += tc.miss_cycles - miss0
-                    mem[s, thread] += (tc.hit_cycles - hit0) + (tc.miss_cycles - miss0)
                     # In cache fidelity the flat per-nnz charge would
                     # double-count memory; keep only the iteration/ALU part.
                     compute = (
@@ -312,17 +355,6 @@ class SimulatedMachine:
                 comp[s, 0] += extra
             busy_s = comp[s] + mem[s]
             sp_cycles.append(float(busy_s.max(initial=0.0)) + cfg.barrier_cycles)
-
-        if fidelity == "cache":
-            rec = current_recorder()
-            agg = {"accesses": 0.0, "l1_hits": 0.0, "llc_hits": 0.0, "misses": 0.0, "cycles": 0.0}
-            for tc in caches:
-                for key, val in tc.stats().items():
-                    if key in agg:
-                        agg[key] += val
-                if rec.enabled:
-                    tc.emit_counters(rec)
-            cache_stats = agg
 
         total = float(sum(sp_cycles))
         report = MachineReport(

@@ -70,6 +70,70 @@ def test_histogram_shape_matches_buckets():
 
 
 # ----------------------------------------------------------------------
+# exactness against a brute per-w-partition replay
+# ----------------------------------------------------------------------
+def brute_replay(schedule, kernels, capacity_lines):
+    """Per-w ``(histogram, working_set, hit_rate)`` and per-s false-shared
+    counts from the per-iteration accessors and a list-based LRU stack."""
+    per_line = 8
+    sizes = {}
+    for k in kernels:
+        for var, size in k.var_sizes().items():
+            sizes[var] = max(sizes.get(var, 0), size)
+    base, nxt = {}, 0
+    for var in sorted(sizes):  # line-aligned, sorted layout
+        base[var] = nxt
+        nxt += -(-sizes[var] // per_line)
+
+    def vertex_lines(g):
+        k = int(np.searchsorted(schedule.offsets, g, side="right")) - 1
+        kern, i = kernels[k], g - int(schedule.offsets[k])
+        touched, written = set(), set()
+        for var in kern.all_vars:
+            touched.update(base[var] + int(e) // per_line for e in kern.reads_of(var, i))
+            lines = {base[var] + int(e) // per_line for e in kern.writes_of(var, i)}
+            touched |= lines
+            written |= lines
+        return sorted(touched), written
+
+    w_out, s_false = [], []
+    for wlist in schedule.s_partitions:
+        writers = {}
+        for w, verts in enumerate(wlist):
+            if verts.shape[0] == 0:
+                continue
+            stack, hist, hits, n = [], np.zeros(len(_BUCKETS) + 2, np.int64), 0, 0
+            for g in verts.tolist():
+                lines, written = vertex_lines(g)
+                for line in written:
+                    writers.setdefault(line, set()).add(w)
+                for line in lines:
+                    n += 1
+                    if line in stack:
+                        d = stack.index(line)
+                        stack.remove(line)
+                        hits += d < capacity_lines
+                        hist[1 + int(np.searchsorted(_BUCKETS, d, side="right"))] += 1
+                    else:
+                        hist[0] += 1
+                    stack.insert(0, line)
+            w_out.append((hist.tolist(), len(stack), hits / n if n else 0.0))
+        s_false.append(sum(len(ws) >= 2 for ws in writers.values()))
+    return w_out, s_false
+
+
+@pytest.mark.parametrize("cid", (1, 3, 5))
+def test_profile_matches_brute_replay(cid, lap2d_nd):
+    fl, kernels, report = profiled(cid, lap2d_nd)
+    w_out, s_false = brute_replay(fl.schedule, kernels, capacity_lines=16)
+    assert [
+        (w.histogram.tolist(), w.working_set, w.hit_rate)
+        for w in report.w_partitions
+    ] == w_out
+    assert [s.false_shared_lines for s in report.s_partitions] == s_false
+
+
+# ----------------------------------------------------------------------
 # measured reuse vs the inspector's estimate (Table 1)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cid", (1, 2, 3, 4, 6))

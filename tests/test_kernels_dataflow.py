@@ -18,6 +18,8 @@ from repro.kernels import (
     SpILU0,
     SpMVCSC,
     SpMVCSR,
+    SpMVSymLower,
+    SpTRSVBackwardCSR,
     SpTRSVCSC,
     SpTRSVCSR,
     SpTRSVCSRFromLU,
@@ -32,8 +34,10 @@ def all_kernels(a):
         SpTRSVCSR(low),
         SpTRSVCSC(low_csc),
         SpTRSVCSRFromLU(a),
+        SpTRSVBackwardCSR(low),
         SpMVCSR(a),
         SpMVCSC(a.to_csc()),
+        SpMVSymLower(low_csc),
         SpIC0(low_csc),
         SpILU0(a),
         DScalCSR(a),
@@ -47,9 +51,11 @@ def kernels(lap2d_nd):
 
 
 def test_maps_match_per_iteration_accessors(kernels):
+    """Map slices equal the accessors element for element, *in order*:
+    the cache-fidelity machine builds its per-thread access stream from
+    the maps, in the order a thread calling the accessors would touch."""
     for k in kernels:
         n = k.n_iterations
-        probe = [0, 1, n // 2, n - 1]
         for var in set(k.read_vars) | set(k.write_vars):
             for kind in ("read", "write"):
                 getter = k.reads_of if kind == "read" else k.writes_of
@@ -57,10 +63,9 @@ def test_maps_match_per_iteration_accessors(kernels):
                     k.read_map(var) if kind == "read" else k.write_map(var)
                 )
                 assert indptr.shape == (n + 1,), (k.name, var, kind)
-                for i in probe:
-                    from_map = np.sort(indices[indptr[i] : indptr[i + 1]])
-                    direct = np.sort(getter(var, i))
-                    assert np.array_equal(from_map, direct), (
+                for i in range(n):
+                    from_map = indices[indptr[i] : indptr[i + 1]]
+                    assert np.array_equal(from_map, getter(var, i)), (
                         k.name,
                         var,
                         kind,

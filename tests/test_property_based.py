@@ -5,8 +5,8 @@ Random sparse structures drive the three load-bearing properties:
 1. every scheduler emits *valid* schedules on arbitrary DAG/F shapes,
 2. executing any valid schedule is numerically equivalent to the
    sequential reference,
-3. structural invariants of the substrate (levels/slack, LRU, transpose
-   round-trips) hold for arbitrary inputs.
+3. structural invariants of the substrate (levels/slack, LRU pricing,
+   transpose round-trips) hold for arbitrary inputs.
 """
 
 import numpy as np
@@ -40,6 +40,20 @@ def lower_matrices(draw):
     density = draw(st.floats(min_value=1.0, max_value=6.0))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     return random_lower_triangular(n, density, seed=seed)
+
+
+@st.composite
+def line_streams(draw):
+    """``(lines, streams, calls)``: up to 3 thread streams of line ids,
+    each cut into coalescing loads at random points."""
+    lines = draw(
+        st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200)
+    )
+    n = len(lines)
+    breaks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    n_streams = draw(st.integers(min_value=1, max_value=3))
+    streams = np.arange(n) * n_streams // n
+    return np.array(lines), streams, np.cumsum(breaks) * 3 + streams
 
 
 @st.composite
@@ -187,18 +201,27 @@ class TestSubstrateInvariants:
 
     @SETTINGS
     @given(
-        st.lists(
-            st.integers(min_value=0, max_value=30), min_size=1, max_size=200
-        ),
-        st.integers(min_value=1, max_value=8),
+        line_streams(),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=16),
     )
-    def test_lru_never_exceeds_capacity(self, accesses, cap):
-        from repro.runtime import LRUCache
+    def test_stack_distance_verdicts_match_oracle(self, stream, l1_lines, llc_lines):
+        """L1/LLC/DRAM verdicts priced from stack distances equal the
+        per-access OrderedDict replay, coalescing loads included."""
+        from repro.runtime import CacheConfig
+        from repro.runtime.cache import cache_levels
 
-        c = LRUCache(cap)
-        for line in accesses:
-            c.access(line)
-            assert len(c.lines) <= cap
+        from .cache_oracle import OracleThreadCache
+
+        lines, streams, calls = stream
+        cfg = CacheConfig(l1_lines=l1_lines, llc_lines=llc_lines)
+        oracles = {}
+        expected = []
+        for c in np.unique(calls):
+            sel = calls == c
+            oracle = oracles.setdefault(int(streams[sel][0]), OracleThreadCache(cfg))
+            expected.extend(oracle.load(lines[sel].tolist()))
+        assert cache_levels(lines, streams, calls, cfg).tolist() == expected
 
     @SETTINGS
     @given(lower_matrices())
