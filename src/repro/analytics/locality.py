@@ -3,9 +3,11 @@
 The inspector's ``compute_reuse`` (Sec. 2.2, used for the Fig. 3 packing
 decision) *estimates* data reuse from variable sizes. This module
 *measures* it: the profiler replays the exact cache-line access stream a
-schedule induces — per w-partition, in executed (packed) order, built
-from the same per-iteration access maps the inspector joins — and
-derives:
+schedule induces — per w-partition, in executed (packed) order, the
+distinct lines of each iteration, built from the access stream the
+sanitizer and the cache-fidelity machine share
+(:func:`repro.obs.memtrace.collect_access_stream`) under their one line
+layout (:func:`repro.runtime.cache.line_layout`) — and derives:
 
 * **reuse-distance histograms** per w-partition (exact LRU stack
   distances over cache lines from the offline dominance count of
@@ -43,7 +45,8 @@ import numpy as np
 from ..kernels.base import Kernel, internal_var
 from ..obs import current as current_recorder
 from ..obs import names
-from ..runtime.cache import stack_distances
+from ..obs.memtrace import AccessStream, collect_access_stream
+from ..runtime.cache import CacheConfig, stack_distances
 from ..schedule.schedule import FusedSchedule
 
 __all__ = [
@@ -247,61 +250,20 @@ class LocalityReport:
 # ----------------------------------------------------------------------
 # access-stream assembly (line granularity, executed order)
 # ----------------------------------------------------------------------
-def _line_layout(
-    kernels: list[Kernel], line_bytes: int, elem_bytes: int = 8
-) -> tuple[dict[str, int], int]:
-    """Line-aligned base line-id of every variable; returns total lines.
-
-    Variables are laid out back to back, each starting on a fresh cache
-    line (as separate float64 allocations would), so two variables never
-    share a line and ``line(var, elem) = base[var] + elem * 8 // line_bytes``.
-    """
-    per_line = max(1, line_bytes // elem_bytes)
-    sizes: dict[str, int] = {}
-    for k in kernels:
-        for var, size in k.var_sizes().items():
-            sizes[var] = max(sizes.get(var, 0), size)
-    base: dict[str, int] = {}
-    next_line = 0
-    for var in sorted(sizes):
-        base[var] = next_line
-        next_line += (sizes[var] + per_line - 1) // per_line
-    return base, next_line
-
-
 def _vertex_lines(
-    kernels: list[Kernel],
-    offsets: np.ndarray,
-    base: dict[str, int],
-    line_bytes: int,
+    stream: AccessStream, line_elems: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-vertex accessed cache lines, deduped within the vertex.
 
     Returns ``(indptr, lines, written)`` where ``lines[indptr[g]:
     indptr[g+1]]`` are the distinct lines vertex ``g`` touches, in
     ascending order, and ``written`` marks lines the vertex writes. One
-    lexsort of every access-map entry by ``(vertex, line)``.
+    lexsort of the access stream by ``(vertex, line)``.
     """
-    per_line = max(1, line_bytes // 8)
-    n_vertices = int(offsets[-1])
-    gids = [np.empty(0, dtype=np.int64)]
-    lines = [np.empty(0, dtype=np.int64)]
-    writes = [np.empty(0, dtype=bool)]
-    for ki, kern in enumerate(kernels):
-        iters = np.arange(kern.n_iterations, dtype=np.int64) + int(offsets[ki])
-        for var in kern.all_vars:
-            for m, is_write in zip(kern.access_maps(var), (False, True)):
-                if m is None:
-                    continue
-                indptr, idx = m
-                gids.append(np.repeat(iters, np.diff(indptr)))
-                lines.append(base[var] + np.asarray(idx, dtype=np.int64) // per_line)
-                writes.append(np.full(idx.shape[0], is_write))
-    gid = np.concatenate(gids)
-    line = np.concatenate(lines)
-    write = np.concatenate(writes)
-    order = np.lexsort((line, gid))
-    gid, line, write = gid[order], line[order], write[order]
+    n_vertices = stream.n_vertices
+    line = stream.lines(line_elems)
+    order = np.lexsort((line, stream.gid))
+    gid, line, write = stream.gid[order], line[order], stream.write[order]
     first = np.ones(gid.shape[0], dtype=bool)
     first[1:] = (gid[1:] != gid[:-1]) | (line[1:] != line[:-1])
     starts = np.flatnonzero(first)
@@ -396,51 +358,33 @@ def _replay(
     )
 
 
-def _measured_reuse(kernels: list[Kernel]) -> float:
+def _measured_reuse(stream: AccessStream) -> float:
     """The paper's reuse metric from *observed* element footprints.
 
     ``2 * |common| / max(|footprint1|, |footprint2|)`` over distinct
-    non-internal ``(variable, element)`` accesses of the first kernel
-    pair — the measured analogue of
+    non-internal ``(variable, element)`` accesses of loops 0 and 1 —
+    the measured analogue of
     :func:`repro.fusion.inspector.compute_reuse`. Footprints are
     boolean masks over ``var_id * stride + element``.
     """
-    if len(kernels) < 2:
-        return 0.0
-    pair = kernels[:2]
-    var_ids = {
-        v: i for i, v in enumerate(sorted({v for k in pair for v in k.all_vars}))
-    }
-    accesses = [
-        [
-            (var_ids[var], np.asarray(m[1], dtype=np.int64))
-            for var in kern.all_vars
-            if not internal_var(var)
-            for m in kern.access_maps(var)
-            if m is not None
-        ]
-        for kern in pair
-    ]
-    stride = 1 + max(
-        (int(idx.max()) for acc in accesses for _, idx in acc if idx.shape[0]),
-        default=0,
-    )
-    f1, f2 = (np.zeros(len(var_ids) * stride, dtype=bool) for _ in pair)
-    for f, acc in zip((f1, f2), accesses):
-        for vid, idx in acc:
-            f[vid * stride + idx] = True
+    internal = np.array([internal_var(v) for v in stream.var_names], dtype=bool)
+    stride = int(stream.elem.max(initial=0)) + 1
+    key = stream.var * stride + stream.elem
+    shared = ~internal[stream.var]
+    f1 = np.zeros(len(stream.var_names) * stride, dtype=bool)
+    f2 = np.zeros_like(f1)
+    f1[key[shared & (stream.loop == 0)]] = True
+    f2[key[shared & (stream.loop == 1)]] = True
     denom = max(np.count_nonzero(f1), np.count_nonzero(f2))
     if denom == 0:
         return 0.0
-    common = np.count_nonzero(f1 & f2)
-    return 2.0 * common / denom
+    return 2.0 * np.count_nonzero(f1 & f2) / denom
 
 
 def profile_locality(
     schedule: FusedSchedule,
     kernels: list[Kernel],
     *,
-    line_bytes: int = 64,
     capacity_lines: int = 512,
     counterfactual: bool = True,
     dags=None,
@@ -449,8 +393,10 @@ def profile_locality(
 ) -> LocalityReport:
     """Measure the locality a schedule actually induces.
 
-    ``capacity_lines`` models a private cache (default 512 lines = 32 KiB
-    of 64-byte lines, an L1d). With ``counterfactual=True`` the schedule
+    Lines follow :func:`repro.runtime.cache.line_layout` at the
+    :class:`~repro.runtime.cache.CacheConfig` line size (64 bytes).
+    ``capacity_lines`` models a private cache (default 512 lines = 32 KiB,
+    an L1d). With ``counterfactual=True`` the schedule
     is re-packed the other way (interleaved <-> separated) and replayed,
     so :attr:`LocalityReport.packing_gap` quantifies the packing
     decision; *dags*/*inter* are reused when given and recomputed via
@@ -458,17 +404,15 @@ def profile_locality(
     emitted as registered ``locality.*`` counters.
     """
     t0 = time.perf_counter()
+    line_elems = CacheConfig().line_elems
     rec = current_recorder()
     with rec.span(
         "locality.profile",
         packing=schedule.packing,
         vertices=schedule.n_vertices,
     ) as span:
-        offsets = schedule.offsets
-        base, _ = _line_layout(kernels, line_bytes)
-        indptr, all_lines, written = _vertex_lines(
-            kernels, offsets, base, line_bytes
-        )
+        stream = collect_access_stream(schedule, kernels)
+        indptr, all_lines, written = _vertex_lines(stream, line_elems)
         w_parts, s_parts, n_acc, hit_rate, mean_d, distinct = _replay(
             schedule, indptr, all_lines, written, capacity_lines
         )
@@ -506,13 +450,13 @@ def profile_locality(
                 )
         report = LocalityReport(
             packing=schedule.packing,
-            line_bytes=line_bytes,
+            line_bytes=8 * line_elems,  # float64 elements
             capacity_lines=capacity_lines,
             n_accesses=n_acc,
             distinct_lines=distinct,
             hit_rate=hit_rate,
             mean_reuse_distance=mean_d,
-            measured_reuse=_measured_reuse(kernels),
+            measured_reuse=_measured_reuse(stream),
             estimated_reuse=float(est if est is not None else 0.0),
             counterfactual_packing=cf_packing,
             counterfactual_hit_rate=cf_hit,

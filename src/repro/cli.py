@@ -516,7 +516,6 @@ def _cmd_locality(args) -> int:
         report = profile_locality(
             fl.schedule,
             kernels,
-            line_bytes=args.line_bytes,
             capacity_lines=args.capacity_lines,
             dags=fl.dags,
             inter=fl.inter,
@@ -797,12 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler",
         default="ico",
         choices=("ico", "joint-wavefront", "joint-lbc", "joint-dagp", "joint-hdagg"),
-    )
-    sp.add_argument(
-        "--line-bytes",
-        type=int,
-        default=64,
-        help="modeled cache-line size (default 64)",
     )
     sp.add_argument(
         "--capacity-lines",

@@ -115,23 +115,11 @@ class Kernel(abc.ABC):
         """Allocate per-executor scratch (per-thread in threaded runs)."""
         return None
 
-    #: True when :meth:`run_batch` can execute any iteration set at once
-    #: (requires an empty intra-DAG — no loop-carried dependence).
-    supports_batch: bool = False
-
-    def run_batch(self, iters: np.ndarray, state: State, scratch: Any = None) -> None:
-        """Execute the independent iterations *iters* in one vectorized
-        call. Only valid when :attr:`supports_batch`; the default falls
-        back to per-iteration execution."""
-        for i in np.asarray(iters).tolist():
-            self.run_iteration(i, state, scratch)
-
     #: True when :meth:`run_level_batch` can execute a set of *mutually
     #: independent* iterations (one intra-DAG level, or any independent
-    #: set) in one vectorized call. Unlike :attr:`supports_batch` this
-    #: does NOT require an empty intra-DAG — it is how kernels with
-    #: loop-carried dependences join the compiled-plan fast path
-    #: (:mod:`repro.runtime.plan`).
+    #: set) in one vectorized call. It does not require an empty
+    #: intra-DAG — it is how kernels with loop-carried dependences join
+    #: the compiled-plan fast path (:mod:`repro.runtime.plan`).
     supports_level_batch: bool = False
 
     def precompute_level(self, iters: np.ndarray) -> Any:

@@ -41,7 +41,6 @@ class DScalCSR(Kernel):
     """
 
     name = "DSCAL-CSR"
-    supports_batch = True
     supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, a_var="Ax", s_var="Sx"):
@@ -71,18 +70,6 @@ class DScalCSR(Kernel):
         di = 1.0 / np.sqrt(ax[self._diag_pos[i]])
         dj = 1.0 / np.sqrt(ax[self._diag_pos[cols]])
         state[self.s_var][lo:hi] = ax[lo:hi] * di * dj
-
-    def run_batch(self, iters, state: State, scratch=None) -> None:
-        from ..utils.arrays import multi_range
-
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.a.indptr[iters]
-        counts = self.a.indptr[iters + 1] - starts
-        gather = multi_range(starts, counts)
-        ax = state[self.a_var]
-        di = np.repeat(1.0 / np.sqrt(ax[self._diag_pos[iters]]), counts)
-        dj = 1.0 / np.sqrt(ax[self._diag_pos[self.a.indices[gather]]])
-        state[self.s_var][gather] = ax[gather] * di * dj
 
     def precompute_level(self, iters: np.ndarray):
         from ..utils.arrays import multi_range
@@ -162,7 +149,6 @@ class DScalCSC(Kernel):
     """
 
     name = "DSCAL-CSC"
-    supports_batch = True
     supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, a_var="Alow", s_var="Slow"):
@@ -199,18 +185,6 @@ class DScalCSC(Kernel):
         dj = 1.0 / np.sqrt(ax[self._diag_pos[j]])
         di = 1.0 / np.sqrt(ax[self._diag_pos[rows]])
         state[self.s_var][lo:hi] = ax[lo:hi] * dj * di
-
-    def run_batch(self, iters, state: State, scratch=None) -> None:
-        from ..utils.arrays import multi_range
-
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.low.indptr[iters]
-        counts = self.low.indptr[iters + 1] - starts
-        gather = multi_range(starts, counts)
-        ax = state[self.a_var]
-        dj = np.repeat(1.0 / np.sqrt(ax[self._diag_pos[iters]]), counts)
-        di = 1.0 / np.sqrt(ax[self._diag_pos[self.low.indices[gather]]])
-        state[self.s_var][gather] = ax[gather] * dj * di
 
     def precompute_level(self, iters: np.ndarray):
         from ..utils.arrays import multi_range

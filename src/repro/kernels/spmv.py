@@ -42,7 +42,6 @@ class SpMVCSR(Kernel):
     """
 
     name = "SpMV-CSR"
-    supports_batch = True
     supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, a_var="Ax", x_var="x", y_var="y", add_var=None):
@@ -72,20 +71,6 @@ class SpMVCSR(Kernel):
         if self.add_var is not None:
             acc += state[self.add_var][i]
         state[self.y_var][i] = acc
-
-    def run_batch(self, iters, state: State, scratch=None) -> None:
-        from ..utils.arrays import multi_range, segment_sums
-
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.a.indptr[iters]
-        counts = self.a.indptr[iters + 1] - starts
-        gather = multi_range(starts, counts)
-        cols = self.a.indices[gather]
-        prods = state[self.a_var][gather] * state[self.x_var][cols]
-        out = segment_sums(prods, counts)
-        if self.add_var is not None:
-            out = out + state[self.add_var][iters]
-        state[self.y_var][iters] = out
 
     def precompute_level(self, iters: np.ndarray):
         from ..utils.arrays import multi_range, segment_boundaries
@@ -208,7 +193,6 @@ class SpMVCSC(Kernel):
 
     name = "SpMV-CSC"
     needs_atomic = True
-    supports_batch = True
     supports_level_batch = True
 
     def __init__(self, a: CSCMatrix, *, a_var="Ax", x_var="x", y_var="y"):
@@ -241,19 +225,6 @@ class SpMVCSC(Kernel):
         if rows.shape[0]:
             state[self.y_var][rows] += state[self.a_var][lo:hi] * state[self.x_var][j]
 
-    def run_batch(self, iters, state: State, scratch=None) -> None:
-        from ..utils.arrays import multi_range
-
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.a.indptr[iters]
-        counts = self.a.indptr[iters + 1] - starts
-        gather = multi_range(starts, counts)
-        rows = self.a.indices[gather]
-        xj = np.repeat(state[self.x_var][iters], counts)
-        # unbuffered accumulation: overlapping rows within the batch sum
-        # correctly (the vectorized analogue of the paper's Atomic)
-        np.add.at(state[self.y_var], rows, state[self.a_var][gather] * xj)
-
     def precompute_level(self, iters: np.ndarray):
         from ..utils.arrays import multi_range
 
@@ -271,6 +242,8 @@ class SpMVCSC(Kernel):
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         p = precomp if precomp is not None else self.precompute_level(iters)
         xj = np.repeat(state[self.x_var][iters], p["counts"])
+        # unbuffered accumulation: overlapping rows within the batch sum
+        # correctly (the vectorized analogue of the paper's Atomic)
         np.add.at(
             state[self.y_var], p["rows"], state[self.a_var][p["gather"]] * xj
         )

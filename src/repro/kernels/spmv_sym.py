@@ -40,7 +40,7 @@ class SpMVSymLower(Kernel):
 
     name = "SpMV-sym-lower"
     needs_atomic = True
-    supports_batch = True
+    supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, a_var="Alow", x_var="x", y_var="y"):
         if not low.is_square or not low.is_lower_triangular():
@@ -85,26 +85,39 @@ class SpMVSymLower(Kernel):
         if rows.shape[0]:
             y[rows] += off * x[j]
 
-    def run_batch(self, iters, state: State, scratch=None) -> None:
-        from ..utils.arrays import multi_range, segment_sums
+    def precompute_level(self, iters: np.ndarray):
+        from ..utils.arrays import multi_range, segment_boundaries
 
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         lo = self.low.indptr[iters]
-        hi = self.low.indptr[iters + 1]
-        counts = hi - lo - 1  # strict-lower entries per column
+        counts = self.low.indptr[iters + 1] - lo - 1  # strict-lower entries
         gather = multi_range(lo + 1, counts)
-        rows = self.low.indices[gather]
-        vals = state[self.a_var][gather]
+        reduce_starts, nonempty = segment_boundaries(counts)
+        return {
+            "diag": lo,
+            "gather": gather,
+            "rows": self.low.indices[gather],
+            "counts": counts,
+            "reduce_starts": reduce_starts,
+            "nonempty": nonempty,
+        }
+
+    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+        from ..utils.arrays import segment_sums_at
+
+        iters = np.asarray(iters, dtype=INDEX_DTYPE)
+        p = precomp if precomp is not None else self.precompute_level(iters)
+        a = state[self.a_var]
         x = state[self.x_var]
         y = state[self.y_var]
-        diag = state[self.a_var][lo]
-        xj = np.repeat(x[iters], counts)
+        vals = a[p["gather"]]
         # gather half: y[j] += diag*x[j] + sum(off * x[rows])
-        np.add.at(
-            y, iters, diag * x[iters] + segment_sums(vals * x[rows], counts)
+        off = segment_sums_at(
+            vals * x[p["rows"]], iters.shape[0], p["reduce_starts"], p["nonempty"]
         )
+        np.add.at(y, iters, a[p["diag"]] * x[iters] + off)
         # scatter half: y[rows] += off * x[j]
-        np.add.at(y, rows, vals * xj)
+        np.add.at(y, p["rows"], vals * np.repeat(x[iters], p["counts"]))
 
     def run_reference(self, state: State) -> None:
         low = CSCMatrix(

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..kernels.base import Kernel
+from ..runtime.cache import line_layout
 from ..schedule.schedule import FusedSchedule, ScheduleError
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range
@@ -98,8 +99,11 @@ _KIND_LABEL = {
 class AccessStream:
     """Flat element-granular access stream of a whole fused program.
 
-    One entry per declared ``(vertex, variable, element, kind)`` access;
-    entries are in no particular order until a consumer sorts them.
+    One entry per declared ``(vertex, variable, element, kind)`` access:
+    the one walk of the kernels' access maps shared by the sanitizer,
+    the cache-fidelity machine and the locality profiler. Entries are in
+    no particular order until a consumer sorts them; within one
+    ``(gid, slot)`` they keep map order.
     """
 
     var: np.ndarray  #: variable id (index into :attr:`var_names`)
@@ -107,12 +111,24 @@ class AccessStream:
     gid: np.ndarray  #: global vertex id (program order)
     kind: np.ndarray  #: READ / WRITE / UPDATE
     loop: np.ndarray  #: loop (kernel) index of the vertex
-    var_names: tuple[str, ...]
+    #: map slice within the iteration: ``read_vars`` then ``write_vars``,
+    #: each in declaration order (one coalescing load per slice)
+    slot: np.ndarray
+    write: np.ndarray  #: True for entries of a write map
+    var_names: tuple[str, ...]  #: sorted
+    var_sizes: tuple[int, ...]  #: element count per variable
     n_vertices: int
 
     @property
     def n_accesses(self) -> int:
         return int(self.var.shape[0])
+
+    def lines(self, line_elems: int) -> np.ndarray:
+        """Cache line of every entry under
+        :func:`repro.runtime.cache.line_layout`."""
+        base = line_layout(dict(zip(self.var_names, self.var_sizes)), line_elems)
+        var_base = np.array([base[v] for v in self.var_names], dtype=np.int64)
+        return var_base[self.var] + self.elem // line_elems
 
 
 @dataclass
@@ -252,56 +268,48 @@ def collect_access_stream(
     """Assemble the element-granular access stream of *kernels*.
 
     Walks each kernel's memoized access maps
-    (:meth:`~repro.kernels.base.Kernel.access_maps`); accesses of a
-    variable kind declared in ``atomic_update_vars`` enter the stream as
-    UPDATE entries.
+    (:meth:`~repro.kernels.base.Kernel.access_maps`), one slot per
+    ``read_vars`` then ``write_vars`` entry; accesses of a variable kind
+    declared in ``atomic_update_vars`` enter the stream as UPDATE
+    entries.
     """
     offsets = schedule.offsets
+    sizes: dict[str, int] = {}
+    for kern in kernels:
+        for var, size in kern.var_sizes().items():
+            sizes[var] = max(int(size), sizes.get(var, 0))
     var_names = tuple(sorted({v for k in kernels for v in k.all_vars}))
     var_id = {v: i for i, v in enumerate(var_names)}
-    vs: list[np.ndarray] = []
-    es: list[np.ndarray] = []
-    gs: list[np.ndarray] = []
-    ks: list[np.ndarray] = []
-    ls: list[np.ndarray] = []
+    meta: list[tuple[int, int, int, int, bool]] = []  # per map slice
+    elems = [np.empty(0, dtype=np.int64)]
+    gids = [np.empty(0, dtype=np.int64)]
     for ki, kern in enumerate(kernels):
         upd = getattr(kern, "atomic_update_vars", {})
-        iters = np.arange(kern.n_iterations, dtype=np.int64)
-        for var in kern.all_vars:
-            rmap, wmap = kern.access_maps(var)
-            for kind_name, m in (("read", rmap), ("write", wmap)):
-                if m is None:
-                    continue
-                indptr, idx = m
-                if idx.shape[0] == 0:
-                    continue
-                gids = int(offsets[ki]) + np.repeat(iters, np.diff(indptr))
-                if kind_name in upd.get(var, ()):
-                    kind = UPDATE
-                else:
-                    kind = READ if kind_name == "read" else WRITE
-                n = idx.shape[0]
-                vs.append(np.full(n, var_id[var], dtype=np.int64))
-                es.append(np.asarray(idx, dtype=np.int64))
-                gs.append(gids.astype(np.int64))
-                ks.append(np.full(n, kind, dtype=np.int8))
-                ls.append(np.full(n, ki, dtype=np.int64))
-    if vs:
-        var = np.concatenate(vs)
-        elem = np.concatenate(es)
-        gid = np.concatenate(gs)
-        kind = np.concatenate(ks)
-        loop = np.concatenate(ls)
-    else:
-        var = elem = gid = loop = np.empty(0, dtype=np.int64)
-        kind = np.empty(0, dtype=np.int8)
+        iters = np.arange(kern.n_iterations, dtype=np.int64) + int(offsets[ki])
+        slices = [(v, False) for v in kern.read_vars]
+        slices += [(v, True) for v in kern.write_vars]
+        for slot, (var, is_write) in enumerate(slices):
+            indptr, idx = kern.access_maps(var)[is_write]
+            kind = WRITE if is_write else READ
+            if ("write" if is_write else "read") in upd.get(var, ()):
+                kind = UPDATE
+            meta.append((var_id[var], kind, ki, slot, is_write))
+            elems.append(np.asarray(idx, dtype=np.int64))
+            gids.append(np.repeat(iters, np.diff(indptr)))
+    # one row per column (var, kind, loop, slot, write), one entry per access
+    counts = [e.shape[0] for e in elems[1:]]
+    table = np.repeat(np.array(meta, dtype=np.int64).reshape(-1, 5).T, counts, axis=1)
+    var, kind, loop, slot, write = table
     return AccessStream(
         var=var,
-        elem=elem,
-        gid=gid,
-        kind=kind,
+        elem=np.concatenate(elems),
+        gid=np.concatenate(gids),
+        kind=kind.astype(np.int8),
         loop=loop,
+        slot=slot,
+        write=write.astype(bool),
         var_names=var_names,
+        var_sizes=tuple(sizes.get(v, 0) for v in var_names),
         n_vertices=schedule.n_vertices,
     )
 
@@ -385,8 +393,8 @@ def execution_coordinates(
 
     ``t`` is the dispatch index under the named executor: within the
     vertex's w-partition for ``"iter"``, within its s-partition for
-    ``"plan"``. Vertices sharing a ``t`` are concurrent (one level or
-    batch step).
+    ``"plan"``. Vertices sharing a ``t`` are concurrent (one level
+    step).
     """
     sp, wp, pos = schedule.assignment()
     sp = sp.astype(np.int64)
@@ -409,7 +417,7 @@ def execution_coordinates(
         if step.kind == "scalar":
             tt[gids] = np.arange(t, t + gids.shape[0])
             t += gids.shape[0]
-        else:  # "level" / "batch": one concurrent dispatch
+        else:  # "level": one concurrent dispatch
             tt[gids] = t
             t += 1
         next_t[step.s] = t

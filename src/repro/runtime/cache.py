@@ -7,13 +7,13 @@ owns a private L1 and an LLC slice, both fully-associative LRU over
 64-byte lines, and every element access costs the latency of the level
 that hits.
 
-Address space: every state variable gets a disjoint base so that element
-``i`` of variable ``v`` lives on line ``(base_v + i) // 8`` (8 doubles per
-line). This is deliberately simple — no associativity, no prefetch — but
-it prices exactly the two effects sparse fusion optimizes: *temporal*
-reuse across kernels (interleaved packing keeps shared lines hot) and
-*spatial* reuse within a kernel (separated packing streams consecutive
-rows/columns).
+Address space (:func:`line_layout`): every state variable starts on a
+fresh line, in name order, so element ``i`` of variable ``v`` lives on
+line ``base_v + i // 8`` (8 doubles per line). This is deliberately
+simple — no associativity, no prefetch — but it prices exactly the two
+effects sparse fusion optimizes: *temporal* reuse across kernels
+(interleaved packing keeps shared lines hot) and *spatial* reuse within
+a kernel (separated packing streams consecutive rows/columns).
 
 Nothing is replayed access by access. A fully-associative LRU cache of
 ``c`` lines hits an access exactly when its *stack distance* — the
@@ -25,9 +25,11 @@ those arrays (:func:`cache_levels`).
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
-__all__ = ["CacheConfig", "stack_distances", "variable_bases", "cache_levels"]
+__all__ = ["CacheConfig", "stack_distances", "line_layout", "cache_levels"]
 
 #: :func:`cache_levels` verdicts
 L1, LLC, DRAM = 0, 1, 2
@@ -129,17 +131,19 @@ def stack_distances(keys: np.ndarray) -> np.ndarray:
     return dist
 
 
-def variable_bases(sizes: dict[str, int]) -> dict[str, int]:
-    """Disjoint element-offset base of every variable in *sizes*.
+def line_layout(sizes: Mapping[str, int], line_elems: int) -> dict[str, int]:
+    """First cache line of every variable in *sizes*.
 
-    Variables are laid out in the mapping's order, each followed by an
-    8-element pad so that no two variables share a line.
+    Variables are laid out in name order, each starting on a fresh line
+    (as separate allocations would), so no two variables share a line
+    and element ``e`` of ``var`` lives on line
+    ``base[var] + e // line_elems``.
     """
     bases: dict[str, int] = {}
     nxt = 0
-    for var, size in sizes.items():
+    for var in sorted(sizes):
         bases[var] = nxt
-        nxt += int(size) + 8
+        nxt += -(-int(sizes[var]) // line_elems)
     return bases
 
 

@@ -40,8 +40,9 @@ import numpy as np
 from ..kernels.base import Kernel
 from ..obs import current as current_recorder
 from ..obs import names
+from ..obs.memtrace import collect_access_stream
 from ..schedule.schedule import FusedSchedule
-from .cache import DRAM, L1, LLC, CacheConfig, cache_levels, variable_bases
+from .cache import DRAM, L1, LLC, CacheConfig, cache_levels
 
 __all__ = ["MachineConfig", "MachineReport", "SimulatedMachine"]
 
@@ -215,8 +216,10 @@ class SimulatedMachine:
     ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
         """Cache-fidelity memory cycles per (s-partition, thread).
 
-        Each thread's element-line stream is built from the kernels'
-        access maps: s-partitions in order, then the thread's
+        Each thread's line stream is the program's
+        :func:`~repro.obs.memtrace.collect_access_stream` under
+        :func:`~repro.runtime.cache.line_layout`, stably sorted by
+        ``(rank, slot)``: s-partitions in order, then the thread's
         w-partitions (``w % n_threads == thread``) ascending, then each
         w-partition's vertices in packed order, and within an iteration
         every ``read_vars`` then ``write_vars`` map slice in map order
@@ -226,34 +229,18 @@ class SimulatedMachine:
         """
         cfg = self.config
         cc = cfg.cache
-        sizes: dict[str, int] = {}
-        for k in kernels:
-            for var, size in k.var_sizes().items():
-                sizes[var] = max(size, sizes.get(var, 0))
-        bases = variable_bases(sizes)
+        stream = collect_access_stream(schedule, kernels)
         sp, wp, pos = schedule.assignment()
         thread = wp % cfg.n_threads
         rank = np.empty(schedule.n_vertices, dtype=np.int64)  # in thread order
         rank[np.lexsort((pos, wp, sp, thread))] = np.arange(schedule.n_vertices)
-
-        # every map slice, tagged with its vertex and its slot in the
-        # iteration (reads first, then writes, in declaration order)
-        gids, slots, lines = ([np.empty(0, dtype=np.int64)] for _ in range(3))
-        for ki, kern in enumerate(kernels):
-            iters = np.arange(kern.n_iterations) + int(schedule.offsets[ki])
-            loads = [(v, 0) for v in kern.read_vars] + [(v, 1) for v in kern.write_vars]
-            for slot, (var, kind) in enumerate(loads):
-                indptr, idx = kern.access_maps(var)[kind]
-                gids.append(np.repeat(iters, np.diff(indptr)))
-                slots.append(np.full(idx.shape[0], slot))
-                lines.append((bases[var] + idx) // cc.line_elems)
-        n_slots = max([len(k.read_vars) + len(k.write_vars) for k in kernels], default=1)
-        gid = np.concatenate(gids)
-        call = rank[gid] * n_slots + np.concatenate(slots)
+        n_slots = int(stream.slot.max(initial=0)) + 1
+        call = rank[stream.gid] * n_slots + stream.slot
         order = np.argsort(call, kind="stable")
-        order = order[sp[gid[order]] >= 0]  # unscheduled vertices never run
-        gid = gid[order]
-        levels = cache_levels(np.concatenate(lines)[order], thread[gid], call[order], cc)
+        order = order[sp[stream.gid[order]] >= 0]  # unscheduled vertices never run
+        gid = stream.gid[order]
+        lines = stream.lines(cc.line_elems)[order]
+        levels = cache_levels(lines, thread[gid], call[order], cc)
 
         n_cells = schedule.n_spartitions * cfg.n_threads
         counts = np.bincount(

@@ -39,7 +39,7 @@ so ascending level order satisfies them and same-level iterations form
 an antichain; (d) every other dependence comes from an earlier
 s-partition, and s-partitions stay sequential.
 
-Choosing ``min_batch``: every level or batch step pays a fixed dispatch
+Choosing ``min_batch``: every level step pays a fixed dispatch
 cost (index-array handling and ufunc dispatch — several microseconds
 regardless of size), while each scalar iteration pays only a Python
 call. Below roughly 4 iterations the dispatch dominates and batching
@@ -84,9 +84,8 @@ class PlanStep:
     """One dispatch of the compiled plan.
 
     ``kind`` is ``"level"`` (vectorized antichain via
-    ``run_level_batch``), ``"batch"`` (dependence-free ``run_batch``) or
-    ``"scalar"`` (per-iteration loop, preserving packed order). A step
-    may span every w-partition of its s-partition.
+    ``run_level_batch``) or ``"scalar"`` (per-iteration loop, preserving
+    packed order). A step may span every w-partition of its s-partition.
     """
 
     kind: str
@@ -94,8 +93,8 @@ class PlanStep:
     iters: np.ndarray
     precomp: Any = None
     #: s-partition of the dispatch; the dependence sanitizer uses it to
-    #: model plan-executor happens-before, where one level/batch step is
-    #: a concurrent unit
+    #: model plan-executor happens-before, where one level step is a
+    #: concurrent unit
     s: int = 0
 
 
@@ -113,7 +112,6 @@ class ExecutionPlan:
     steps: list[PlanStep]
     kernels: list[Kernel]
     n_level_steps: int = 0
-    n_batch_steps: int = 0
     n_scalar_iterations: int = 0
     n_batched_iterations: int = 0
     compile_seconds: float = 0.0
@@ -152,10 +150,9 @@ def compile_plan(
     level_capable = np.array(
         [getattr(k, "supports_level_batch", False) for k in kernels], dtype=bool
     )
-    batch_capable = [getattr(k, "supports_batch", False) for k in kernels]
 
     steps: list[PlanStep] = []
-    n_level = n_batch = n_scalar_iters = n_batched_iters = 0
+    n_level = n_scalar_iters = n_batched_iters = 0
     with rec.span("plan.compile", vertices=schedule.n_vertices):
         # Every scheduled vertex in schedule order: s-partitions, then
         # their w-partitions concatenated (legality: module docstring).
@@ -198,10 +195,6 @@ def compile_plan(
                 steps.append(PlanStep("level", k, iters, precomp, s=s))
                 n_level += 1
                 n_batched_iters += hi - lo
-            elif big and batch_capable[k]:
-                steps.append(PlanStep("batch", k, iters, s=s))
-                n_batch += 1
-                n_batched_iters += hi - lo
             else:
                 steps.append(PlanStep("scalar", k, iters, s=s))
                 n_scalar_iters += hi - lo
@@ -215,7 +208,6 @@ def compile_plan(
         steps=steps,
         kernels=list(kernels),
         n_level_steps=n_level,
-        n_batch_steps=n_batch,
         n_scalar_iterations=n_scalar_iters,
         n_batched_iterations=n_batched_iters,
         compile_seconds=compile_seconds,
@@ -269,8 +261,8 @@ def execute_schedule_planned(
 
     With ``sanitize=True`` the dynamic dependence sanitizer
     (:func:`repro.obs.memtrace.sanitize_schedule`) checks every memory
-    dependence under the plan's happens-before model — one level/batch
-    step is a concurrent unit — before anything runs.
+    dependence under the plan's happens-before model — one level step is
+    a concurrent unit — before anything runs.
     """
     if sanitize:
         from ..obs.memtrace import sanitize_schedule
@@ -297,8 +289,6 @@ def execute_schedule_planned(
                 kern.run_level_batch(
                     step.iters, state, step.precomp, scratches[step.loop]
                 )
-            elif step.kind == "batch":
-                kern.run_batch(step.iters, state, scratches[step.loop])
             else:
                 scratch = scratches[step.loop]
                 for i in step.iters.tolist():

@@ -48,7 +48,7 @@ def test_batch_matches_loop(low, rng):
     ref = {v: a.copy() for v, a in st.items()}
     run_all(k, ref)
     k.setup(st)
-    k.run_batch(rng.permutation(k.n_iterations), st)
+    k.run_level_batch(rng.permutation(k.n_iterations), st)
     assert np.allclose(st["y"], ref["y"])
 
 

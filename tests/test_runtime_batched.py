@@ -1,5 +1,6 @@
-"""Vectorized batch paths: the kernels' ``run_batch`` (dispatched by the
-compiled plan's ``batch`` steps) and the array helpers behind them."""
+"""Vectorized batch paths of the dependence-free kernels: their
+``run_level_batch`` over a whole loop (one compiled-plan ``level`` step
+per s-partition) and the array helpers behind them."""
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class TestRunBatch:
         for i in range(k.n_iterations):
             k.run_iteration(i, ref)
         iters = rng.permutation(k.n_iterations)
-        k.run_batch(iters, st)
+        k.run_level_batch(iters, st)
         assert np.allclose(st["y"], ref["y"])
 
     def test_spmv_csr_batch_with_empty_rows(self, rng):
@@ -63,7 +64,7 @@ class TestRunBatch:
         st["Ax"][:] = e.data
         st["x"][:] = rng.random(e.n_cols)
         st["c"][:] = rng.random(e.n_rows)
-        k.run_batch(np.arange(k.n_iterations), st)
+        k.run_level_batch(np.arange(k.n_iterations), st)
         assert np.allclose(st["y"], e.to_dense() @ st["x"] + st["c"])
 
     def test_spmv_csc_batch_equals_loop(self, lap2d_nd, rng):
@@ -73,7 +74,7 @@ class TestRunBatch:
         st["Ax"][:] = csc.data
         st["x"][:] = rng.random(csc.n_cols)
         k.setup(st)
-        k.run_batch(np.arange(k.n_iterations), st)
+        k.run_level_batch(np.arange(k.n_iterations), st)
         assert np.allclose(st["y"], lap2d_nd.to_dense() @ st["x"])
 
     def test_dscal_batch_equals_loop(self, lap2d_nd):
@@ -82,17 +83,17 @@ class TestRunBatch:
         st["Ax"][:] = lap2d_nd.data
         ref = {v: a.copy() for v, a in st.items()}
         k.run_reference(ref)
-        k.run_batch(np.arange(k.n_iterations), st)
+        k.run_level_batch(np.arange(k.n_iterations), st)
         assert np.allclose(st["Sx"], ref["Sx"])
 
-    def test_default_run_batch_falls_back(self, lap2d_nd, rng):
-        from repro.kernels import SpTRSVCSR
+    def test_default_run_level_batch_falls_back(self, lap2d_nd, rng):
+        from repro.kernels import Kernel, SpTRSVCSR
 
         low = lap2d_nd.lower_triangle()
         k = SpTRSVCSR(low)
-        assert not k.supports_batch
         st = allocate_state([k])
         st["Lx"][:] = low.data
         st["b"][:] = rng.random(low.n_rows)
-        k.run_batch(np.arange(k.n_iterations), st)  # sequential fallback
+        # the base-class default runs the iterations one by one, in order
+        Kernel.run_level_batch(k, np.arange(k.n_iterations), st)
         assert np.allclose(np.tril(low.to_dense()) @ st["x"], st["b"])

@@ -1,6 +1,6 @@
-"""Cache-model unit tests: stack distances, the padded address layout,
-two-level pricing, and exactness of cache-fidelity simulation against
-the per-access oracle replay in :mod:`tests.cache_oracle`."""
+"""Cache-model unit tests: stack distances, the line-aligned address
+layout, two-level pricing, and exactness of cache-fidelity simulation
+against the per-access oracle replay in :mod:`tests.cache_oracle`."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import fuse
+from repro.analytics import profile_locality
 from repro.fusion import build_combination
 from repro.runtime import CacheConfig, MachineConfig, SimulatedMachine, stack_distances
-from repro.runtime.cache import DRAM, L1, LLC, cache_levels, variable_bases
+from repro.runtime.cache import DRAM, L1, LLC, cache_levels, line_layout
 
 from .cache_oracle import OracleThreadCache
 
@@ -73,9 +74,9 @@ class TestLRU:
 
 class TestAddressSpace:
     def test_disjoint_bases(self):
-        bases = variable_bases({"x": 100, "y": 50})
-        assert bases == {"x": 0, "y": 108}  # mapping order, 8-element pad
-        assert (bases["x"] + 99) // 8 < bases["y"] // 8  # no shared line
+        bases = line_layout({"y": 50, "x": 100}, 8)
+        assert bases == {"x": 0, "y": 13}  # name order, line-aligned
+        assert bases["x"] + 99 // 8 < bases["y"]  # no shared line
 
 
 class TestThreadCache:
@@ -152,7 +153,7 @@ def oracle_memory(schedule, kernels, cfg):
     for k in kernels:
         for var, size in k.var_sizes().items():
             sizes[var] = max(size, sizes.get(var, 0))
-    bases = dict(zip(sizes, np.cumsum([0] + [n + 8 for n in sizes.values()])))
+    bases = line_layout(sizes, cc.line_elems)
     caches = [OracleThreadCache(cc) for _ in range(cfg.n_threads)]
     seen = [set() for _ in range(cfg.n_threads)]
     lat = cc.latencies
@@ -168,7 +169,7 @@ def oracle_memory(schedule, kernels, cfg):
                 loads = [(var, kern.reads_of(var, i)) for var in kern.read_vars]
                 loads += [(var, kern.writes_of(var, i)) for var in kern.write_vars]
                 for var, idx in loads:
-                    lines = ((bases[var] + idx) // cc.line_elems).tolist()
+                    lines = (bases[var] + idx // cc.line_elems).tolist()
                     seen[th].update(lines)
                     for level in caches[th].load(lines):
                         counts[level] += 1
@@ -214,3 +215,19 @@ def test_simulate_cache_matches_oracle(fused_combos, cid, n_threads, cache):
     if cache == "tiny":
         assert stats["misses"] > n_cold  # capacity misses: the LLC evicted
         assert stats["llc_hits"] > 0
+
+
+@pytest.mark.parametrize("cid", [1, 3, 4, 6])
+def test_machine_and_profiler_share_one_layout(band_small, cid):
+    """With variable sizes off the line grid, the machine's stream
+    touches exactly the profiler's distinct lines: on one thread with an
+    LLC larger than the footprint, every DRAM access is a first touch."""
+    kernels, _ = build_combination(cid, band_small, seed=cid)
+    assert any(n % 8 for k in kernels for n in k.var_sizes().values())
+    schedule = fuse(kernels, 4).schedule
+    cfg = MachineConfig(1, cache=CacheConfig(llc_lines=1 << 30))
+    rep = SimulatedMachine(cfg).simulate(schedule, kernels, fidelity="cache")
+    loc = profile_locality(
+        schedule, kernels, counterfactual=False, estimated_reuse=0.0
+    )
+    assert rep.cache_stats["misses"] == loc.distinct_lines
