@@ -268,6 +268,11 @@ SMOKE_FLOORS: dict[str, list[tuple[str, float, str]]] = {
             "per-vertex seed",
         ),
         ("all_warm_cache_hit", 1.0, "schedule cache must hit on warm fuse()"),
+        (
+            "all_warm_below_vec",
+            1.0,
+            "warm (cache-hit) inspector must beat cold vectorized scheduling",
+        ),
     ],
 }
 

@@ -26,6 +26,7 @@ from ..kernels.base import Kernel, internal_var
 from ..obs import current as current_recorder
 from ..obs import names
 from ..sparse.base import INDEX_DTYPE
+from ..utils.arrays import multi_range
 
 __all__ = ["build_inter_dep", "compute_reuse", "shared_variables"]
 
@@ -41,18 +42,6 @@ def shared_variables(k1: Kernel, k2: Kernel) -> list[str]:
             f"internal variables shared across kernels: {sorted(internal)}"
         )
     return sorted(both)
-
-
-def _multi_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``range(starts[i], starts[i]+counts[i])`` vectorized."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    reps = np.repeat(np.arange(starts.shape[0], dtype=INDEX_DTYPE), counts)
-    offs = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return starts[reps] + offs
 
 
 def _join_maps(
@@ -78,7 +67,7 @@ def _join_maps(
     starts = np.searchsorted(le, relems, side="left")
     ends = np.searchsorted(le, relems, side="right")
     counts = ends - starts
-    out_left = li[_multi_range(starts, counts)]
+    out_left = li[multi_range(starts, counts)]
     out_right = np.repeat(ri, counts)
     return np.stack([out_left, out_right], axis=1)
 

@@ -71,8 +71,9 @@ class InterDep:
 
     @classmethod
     def from_edges(cls, n_second: int, n_first: int, edges) -> "InterDep":
-        """Build from ``(producer_j, consumer_i)`` pairs."""
-        edges = np.asarray(list(edges), dtype=INDEX_DTYPE).reshape(-1, 2)
+        """Build from ``(producer_j, consumer_i)`` pairs, given as an
+        ``(m, 2)`` array or a sequence of pairs."""
+        edges = np.asarray(edges, dtype=INDEX_DTYPE).reshape(-1, 2)
         if edges.size == 0:
             return cls.empty(n_second, n_first)
         j, i = edges[:, 0], edges[:, 1]

@@ -31,8 +31,20 @@ import numpy as np
 
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
+from ..utils.arrays import multi_range
 
-__all__ = ["Kernel", "State", "make_state", "internal_var"]
+__all__ = [
+    "Kernel",
+    "State",
+    "make_state",
+    "internal_var",
+    "empty_map",
+    "identity_map",
+    "slice_map",
+    "map_from_counts",
+    "map_from_ranges",
+    "map_from_pairs",
+]
 
 State = dict[str, np.ndarray]
 """Execution state: variable name -> 1-D float64 array."""
@@ -188,8 +200,12 @@ class Kernel(abc.ABC):
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         """Full iteration->written-elements map as ``(indptr, indices)``.
 
-        The generic implementation loops over iterations; kernels override
-        with vectorized builders where the map is just a matrix slice.
+        The generic implementation calls :meth:`writes_of` once per
+        iteration. It is the default for new kernels and the oracle the
+        dataflow tests compare against; every shipped kernel overrides
+        both maps with whole-array builders (see :func:`map_from_counts`
+        and :func:`map_from_pairs`), so no per-iteration Python runs
+        between a sparsity pattern and the inspector's ``F`` join.
         """
         return _build_map(self, var, kind="write")
 
@@ -234,6 +250,65 @@ class Kernel(abc.ABC):
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n_iterations})"
+
+
+def empty_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map of a variable none of *n* iterations touches."""
+    return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY_INDEX
+
+
+def identity_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration ``i`` touches element ``i`` only."""
+    return np.arange(n + 1, dtype=INDEX_DTYPE), np.arange(n, dtype=INDEX_DTYPE)
+
+
+def slice_map(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration ``i`` touches storage positions ``indptr[i]:indptr[i+1]``
+    (its own row or column of a compressed matrix)."""
+    return (
+        np.array(indptr, dtype=INDEX_DTYPE),
+        np.arange(indptr[-1], dtype=INDEX_DTYPE),
+    )
+
+
+def map_from_counts(
+    counts: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map whose iteration ``i`` owns the next ``counts[i]`` *indices*.
+
+    *indices* must already be grouped by iteration, each group in the
+    order the iteration's accessor returns it.
+    """
+    indptr = np.zeros(counts.shape[0] + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.asarray(indices, dtype=INDEX_DTYPE)
+
+
+def map_from_ranges(
+    group_ptr: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map whose iteration ``i`` touches the element ranges
+    ``range(starts[g], starts[g] + counts[g])`` for ``g`` in
+    ``group_ptr[i]:group_ptr[i + 1]``, concatenated in that order."""
+    ends = np.zeros(counts.shape[0] + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=ends[1:])
+    return ends[group_ptr], multi_range(starts, counts)
+
+
+def map_from_pairs(
+    n: int, iters: np.ndarray, elems: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map from unordered ``(iteration, element)`` pairs.
+
+    Each iteration's elements come out sorted and duplicate-free — the
+    order of a per-iteration ``np.unique`` — via one ``lexsort`` and an
+    adjacent-duplicate drop.
+    """
+    order = np.lexsort((elems, iters))
+    it, el = iters[order], elems[order]
+    keep = np.ones(it.shape[0], dtype=bool)
+    keep[1:] = (it[1:] != it[:-1]) | (el[1:] != el[:-1])
+    return map_from_counts(np.bincount(it[keep], minlength=n), el[keep])
 
 
 def _build_map(kernel: Kernel, var: str, *, kind: str) -> tuple[np.ndarray, np.ndarray]:

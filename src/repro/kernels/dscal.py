@@ -20,7 +20,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
-from .base import Kernel, State
+from .base import Kernel, State, empty_map, map_from_pairs, slice_map
 
 __all__ = ["DScalCSR", "DScalCSC"]
 
@@ -126,11 +126,15 @@ class DScalCSR(Kernel):
             return np.arange(lo, hi, dtype=INDEX_DTYPE)
         return _EMPTY
 
+    def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
+        if var == self.a_var:
+            return _own_and_diagonals(self.a.indptr, self.a.indices, self._diag_pos)
+        return empty_map(self.n_iterations)
+
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_iterations
         if var == self.s_var:
-            return self.a.indptr.copy(), np.arange(self.a.nnz, dtype=INDEX_DTYPE)
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return slice_map(self.a.indptr)
+        return empty_map(self.n_iterations)
 
     def iteration_costs(self) -> np.ndarray:
         return self.a.row_nnz().astype(VALUE_DTYPE)
@@ -241,14 +245,32 @@ class DScalCSC(Kernel):
             return np.arange(lo, hi, dtype=INDEX_DTYPE)
         return _EMPTY
 
+    def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
+        if var == self.a_var:
+            return _own_and_diagonals(
+                self.low.indptr, self.low.indices, self._diag_pos
+            )
+        return empty_map(self.n_iterations)
+
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_iterations
         if var == self.s_var:
-            return self.low.indptr.copy(), np.arange(self.low.nnz, dtype=INDEX_DTYPE)
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return slice_map(self.low.indptr)
+        return empty_map(self.n_iterations)
 
     def iteration_costs(self) -> np.ndarray:
         return self.low.col_nnz().astype(VALUE_DTYPE)
 
     def flop_count(self) -> float:
         return float(2 * self.low.nnz + self.low.n_cols)
+
+
+def _own_and_diagonals(indptr, indices, diag_pos) -> tuple[np.ndarray, np.ndarray]:
+    """Read map of a scaling loop: iteration ``i`` reads its own entries
+    and the diagonal entry of every index in its row (column)."""
+    n = indptr.shape[0] - 1
+    owner = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(indptr))
+    return map_from_pairs(
+        n,
+        np.concatenate([owner, owner]),
+        np.concatenate([np.arange(indptr[-1], dtype=INDEX_DTYPE), diag_pos[indices]]),
+    )

@@ -20,7 +20,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
-from .base import Kernel, State
+from .base import Kernel, State, empty_map, map_from_ranges, slice_map
 
 __all__ = ["SpIC0"]
 
@@ -73,14 +73,10 @@ class SpIC0(Kernel):
         self._row_cols = k[order]
         self._row_pos = pos[order]
         # Update-tail start within each source column: for pair (j, k) the
-        # update touches column-k entries with row >= j.
-        starts = np.empty(self._row_cols.shape[0], dtype=INDEX_DTYPE)
-        for t in range(self._row_cols.shape[0]):
-            kk = self._row_cols[t]
-            jj = _row_of(self._row_ptr, t)
-            klo, khi = low.indptr[kk], low.indptr[kk + 1]
-            starts[t] = klo + np.searchsorted(low.indices[klo:khi], jj)
-        self._tail_starts = starts
+        # update touches column-k entries with row >= j, and L[j, k] itself
+        # is the first of them (sorted column k), so the tail starts at
+        # the pair's own data position.
+        self._tail_starts = self._row_pos
         self._costs = None
         self._key_arr: np.ndarray | None = None
 
@@ -261,26 +257,31 @@ class SpIC0(Kernel):
         return _EMPTY
 
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_iterations
         if var == self.l_var:
-            return self.low.indptr.copy(), np.arange(self.low.nnz, dtype=INDEX_DTYPE)
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return slice_map(self.low.indptr)
+        return empty_map(self.n_iterations)
 
     def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_iterations
         if var == self.a_var:
-            return self.low.indptr.copy(), np.arange(self.low.nnz, dtype=INDEX_DTYPE)
+            return slice_map(self.low.indptr)
         if var == self.l_var:
-            from .base import _build_map
-
-            return _build_map(self, var, kind="read")
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            # Column j reads the update tail of every k in its row list.
+            # Each tail starts at L[j, k] (so the multipliers are covered),
+            # tails of distinct columns are disjoint, and the row list is
+            # sorted by k: the concatenation is already what reads_of's
+            # np.unique returns.
+            return map_from_ranges(self._row_ptr, self._tail_starts, self._tails())
+        return empty_map(self.n_iterations)
 
     # -- costs ----------------------------------------------------------
+    def _tails(self) -> np.ndarray:
+        """Update-tail length of every (j, k) pair, in row-list order."""
+        return self.low.indptr[self._row_cols + 1] - self._tail_starts
+
     def iteration_costs(self) -> np.ndarray:
         if self._costs is None:
             n = self.n_iterations
-            tails = self.low.indptr[self._row_cols + 1] - self._tail_starts
+            tails = self._tails()
             update = np.zeros(n, dtype=VALUE_DTYPE)
             rows = np.repeat(
                 np.arange(n, dtype=INDEX_DTYPE), np.diff(self._row_ptr)
@@ -292,12 +293,8 @@ class SpIC0(Kernel):
     def flop_count(self) -> float:
         # 2 flops per update entry, 1 sqrt per column, 1 divide per
         # off-diagonal.
-        tails = self.low.indptr[self._row_cols + 1] - self._tail_starts
+        tails = self._tails()
         return float(
             2 * tails.sum() + self.n_iterations + (self.low.nnz - self.n_iterations)
         )
 
-
-def _row_of(row_ptr: np.ndarray, t: int) -> int:
-    """Row index owning flat position *t* of a row-structure CSR."""
-    return int(np.searchsorted(row_ptr, t, side="right") - 1)

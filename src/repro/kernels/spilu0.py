@@ -22,7 +22,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csr import CSRMatrix
-from .base import Kernel, State
+from .base import Kernel, State, empty_map, map_from_ranges, slice_map
 
 __all__ = ["SpILU0"]
 
@@ -219,20 +219,31 @@ class SpILU0(Kernel):
         return _EMPTY
 
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_iterations
         if var == self.lu_var:
-            return self.a.indptr.copy(), np.arange(self.a.nnz, dtype=INDEX_DTYPE)
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return slice_map(self.a.indptr)
+        return empty_map(self.n_iterations)
 
     def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_iterations
         if var == self.a_var:
-            return self.a.indptr.copy(), np.arange(self.a.nnz, dtype=INDEX_DTYPE)
+            return slice_map(self.a.indptr)
         if var == self.lu_var:
-            from .base import _build_map
+            from ..utils.arrays import multi_range
 
-            return _build_map(self, var, kind="read")
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            # Row i reads row k from its diagonal on, for every
+            # strict-lower k of row i. Rows of distinct k are disjoint
+            # and row i lists k ascending, so the concatenation is
+            # already sorted and duplicate-free, as reads_of returns it.
+            starts = self.a.indptr[:-1]
+            n_lower = self._diag_pos - starts
+            ks = self.a.indices[multi_range(starts, n_lower)]
+            group_ptr = np.zeros(self.n_iterations + 1, dtype=INDEX_DTYPE)
+            np.cumsum(n_lower, out=group_ptr[1:])
+            return map_from_ranges(
+                group_ptr,
+                self._diag_pos[ks],
+                self.a.indptr[ks + 1] - self._diag_pos[ks],
+            )
+        return empty_map(self.n_iterations)
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:

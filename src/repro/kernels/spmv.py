@@ -21,7 +21,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
-from .base import Kernel, State
+from .base import Kernel, State, empty_map, identity_map, slice_map
 
 __all__ = ["SpMVCSR", "SpMVCSC"]
 
@@ -154,24 +154,18 @@ class SpMVCSR(Kernel):
     def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.a_var:
-            return self.a.indptr.copy(), np.arange(self.a.nnz, dtype=INDEX_DTYPE)
+            return slice_map(self.a.indptr)
         if var == self.x_var:
             return self.a.indptr.copy(), self.a.indices.copy()
         if var == self.add_var and self.add_var is not None:
-            return (
-                np.arange(n + 1, dtype=INDEX_DTYPE),
-                np.arange(n, dtype=INDEX_DTYPE),
-            )
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return identity_map(n)
+        return empty_map(n)
 
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.y_var:
-            return (
-                np.arange(n + 1, dtype=INDEX_DTYPE),
-                np.arange(n, dtype=INDEX_DTYPE),
-            )
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return identity_map(n)
+        return empty_map(n)
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
@@ -294,21 +288,18 @@ class SpMVCSC(Kernel):
     def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.a_var:
-            return self.a.indptr.copy(), np.arange(self.a.nnz, dtype=INDEX_DTYPE)
+            return slice_map(self.a.indptr)
         if var == self.x_var:
-            return (
-                np.arange(n + 1, dtype=INDEX_DTYPE),
-                np.arange(n, dtype=INDEX_DTYPE),
-            )
+            return identity_map(n)
         if var == self.y_var:
             return self.a.indptr.copy(), self.a.indices.copy()
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+        return empty_map(n)
 
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.y_var:
             return self.a.indptr.copy(), self.a.indices.copy()
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+        return empty_map(n)
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
-from .base import Kernel, State
+from .base import Kernel, State, empty_map, slice_map
 
 __all__ = ["SpMVSymLower"]
 
@@ -169,15 +169,15 @@ class SpMVSymLower(Kernel):
         n = self.n_iterations
         if var == self.y_var:
             return self.low.indptr.copy(), self.low.indices.copy()
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+        return empty_map(n)
 
     def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.a_var:
-            return self.low.indptr.copy(), np.arange(self.low.nnz, dtype=INDEX_DTYPE)
+            return slice_map(self.low.indptr)
         if var in (self.x_var, self.y_var):
             return self.low.indptr.copy(), self.low.indices.copy()
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+        return empty_map(n)
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:

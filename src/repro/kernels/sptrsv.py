@@ -23,7 +23,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
-from .base import Kernel, State
+from .base import Kernel, State, empty_map, identity_map, map_from_counts, slice_map
 
 __all__ = ["SpTRSVCSR", "SpTRSVCSC", "SpTRSVCSRFromLU"]
 
@@ -161,32 +161,25 @@ class SpTRSVCSR(Kernel):
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.x_var:
-            return (
-                np.arange(n + 1, dtype=INDEX_DTYPE),
-                np.arange(n, dtype=INDEX_DTYPE),
-            )
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return identity_map(n)
+        return empty_map(n)
 
     def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.l_var:
-            return self.low.indptr.copy(), np.arange(self.low.nnz, dtype=INDEX_DTYPE)
+            return slice_map(self.low.indptr)
         if var == self.b_var:
-            return (
-                np.arange(n + 1, dtype=INDEX_DTYPE),
-                np.arange(n, dtype=INDEX_DTYPE),
-            )
+            return identity_map(n)
         if var == self.x_var:
             # Strictly-lower columns of each row.
             rows = np.repeat(
                 np.arange(n, dtype=INDEX_DTYPE), self.low.row_nnz()
             )
             mask = self.low.indices < rows
-            counts = np.bincount(rows[mask], minlength=n)
-            indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-            np.cumsum(counts, out=indptr[1:])
-            return indptr, self.low.indices[mask]
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return map_from_counts(
+                np.bincount(rows[mask], minlength=n), self.low.indices[mask]
+            )
+        return empty_map(n)
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
@@ -335,29 +328,22 @@ class SpTRSVCSC(Kernel):
     def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.l_var:
-            return self.low.indptr.copy(), np.arange(self.low.nnz, dtype=INDEX_DTYPE)
+            return slice_map(self.low.indptr)
         if var in (self.b_var, self.acc_var):
-            return (
-                np.arange(n + 1, dtype=INDEX_DTYPE),
-                np.arange(n, dtype=INDEX_DTYPE),
-            )
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return identity_map(n)
+        return empty_map(n)
 
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.x_var:
-            return (
-                np.arange(n + 1, dtype=INDEX_DTYPE),
-                np.arange(n, dtype=INDEX_DTYPE),
-            )
+            return identity_map(n)
         if var == self.acc_var:
             cols = np.repeat(np.arange(n, dtype=INDEX_DTYPE), self.low.col_nnz())
             mask = self.low.indices > cols
-            counts = np.bincount(cols[mask], minlength=n)
-            indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-            np.cumsum(counts, out=indptr[1:])
-            return indptr, self.low.indices[mask]
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return map_from_counts(
+                np.bincount(cols[mask], minlength=n), self.low.indices[mask]
+            )
+        return empty_map(n)
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
@@ -387,12 +373,12 @@ class SpTRSVCSRFromLU(Kernel):
         self.lu_var = lu_var
         self.b_var = b_var
         self.x_var = x_var
-        # position of the diagonal inside each row (first entry >= i)
-        n = a.n_rows
-        self._diag_off = np.empty(n, dtype=INDEX_DTYPE)
-        for i in range(n):
-            lo, hi = a.indptr[i], a.indptr[i + 1]
-            self._diag_off[i] = lo + np.searchsorted(a.indices[lo:hi], i)
+        # position of the diagonal inside each row (first entry >= i):
+        # the row start plus the row's strict-lower count
+        rows = np.repeat(np.arange(a.n_rows, dtype=INDEX_DTYPE), a.row_nnz())
+        self._diag_off = a.indptr[:-1] + np.bincount(
+            rows[a.indices < rows], minlength=a.n_rows
+        )
         self._dag: DAG | None = None
 
     @property
@@ -486,14 +472,27 @@ class SpTRSVCSRFromLU(Kernel):
             return np.array([i], dtype=INDEX_DTYPE)
         return _EMPTY
 
+    def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
+        n = self.n_iterations
+        if var in (self.lu_var, self.x_var):
+            # Row i's strict-lower entries: their positions (lu_var) or
+            # their columns (x_var), in storage order.
+            from ..utils.arrays import multi_range
+
+            counts = self._diag_off - self.a.indptr[:-1]
+            pos = multi_range(self.a.indptr[:-1], counts)
+            if var == self.lu_var:
+                return map_from_counts(counts, pos)
+            return map_from_counts(counts, self.a.indices[pos])
+        if var == self.b_var:
+            return identity_map(n)
+        return empty_map(n)
+
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_iterations
         if var == self.x_var:
-            return (
-                np.arange(n + 1, dtype=INDEX_DTYPE),
-                np.arange(n, dtype=INDEX_DTYPE),
-            )
-        return np.zeros(n + 1, dtype=INDEX_DTYPE), _EMPTY
+            return identity_map(n)
+        return empty_map(n)
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:

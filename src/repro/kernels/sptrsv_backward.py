@@ -23,7 +23,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csr import CSRMatrix
-from .base import Kernel, State
+from .base import Kernel, State, empty_map, map_from_counts
 
 __all__ = ["SpTRSVBackwardCSR"]
 
@@ -57,6 +57,8 @@ class SpTRSVBackwardCSR(Kernel):
         self.b_var = b_var
         self.x_var = x_var
         self.acc_var = f"_acc.{x_var}"
+        #: row j handled by each iteration k, in k order
+        self._rows = np.arange(n - 1, -1, -1, dtype=INDEX_DTYPE)
         self._dag: DAG | None = None
 
     # -- iteration <-> row mapping ---------------------------------------
@@ -178,6 +180,33 @@ class SpTRSVBackwardCSR(Kernel):
         if var == self.acc_var:
             return self.low.indices[lo : hi - 1]
         return _EMPTY
+
+    def _row_ranges(self, drop_last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Storage positions of row ``j`` per iteration ``k``, in k order,
+        without the row's last *drop_last* entries (1 drops the diagonal)."""
+        from ..utils.arrays import multi_range
+
+        counts = self.low.row_nnz()[self._rows] - drop_last
+        return counts, multi_range(self.low.indptr[self._rows], counts)
+
+    def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
+        if var == self.l_var:
+            return map_from_counts(*self._row_ranges(0))
+        if var in (self.b_var, self.acc_var):
+            return self._own_row_map()
+        return empty_map(self.n_iterations)
+
+    def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
+        if var == self.x_var:
+            return self._own_row_map()
+        if var == self.acc_var:
+            counts, pos = self._row_ranges(1)
+            return map_from_counts(counts, self.low.indices[pos])
+        return empty_map(self.n_iterations)
+
+    def _own_row_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Iteration ``k`` touches element ``j = n - 1 - k`` only."""
+        return map_from_counts(np.ones_like(self._rows), self._rows.copy())
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:

@@ -164,14 +164,16 @@ class CSCMatrix:
         )
 
     # ------------------------------------------------------------------
+    def _diagonal_hits(self) -> np.ndarray:
+        """Mask over ``data``: True where the entry lies on the diagonal."""
+        cols = np.repeat(np.arange(self.n_cols, dtype=INDEX_DTYPE), self.col_nnz())
+        return self.indices == cols
+
     def diagonal(self) -> np.ndarray:
         """Return the main diagonal as a dense vector (zeros where absent)."""
         out = np.zeros(min(self.n_rows, self.n_cols), dtype=VALUE_DTYPE)
-        for j in range(out.shape[0]):
-            rows, vals = self.col(j)
-            pos = np.searchsorted(rows, j)
-            if pos < rows.shape[0] and rows[pos] == j:
-                out[j] = vals[pos]
+        hit = self._diagonal_hits()
+        out[self.indices[hit]] = self.data[hit]
         return out
 
     def diagonal_positions(self) -> np.ndarray:
@@ -183,13 +185,12 @@ class CSCMatrix:
         """
         if not self.is_square:
             raise ValueError("diagonal_positions requires a square matrix")
-        pos = np.empty(self.n_cols, dtype=INDEX_DTYPE)
-        for j in range(self.n_cols):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            p = lo + np.searchsorted(self.indices[lo:hi], j)
-            if p >= hi or self.indices[p] != j:
-                raise ValueError(f"column {j} has no stored diagonal entry")
-            pos[j] = p
+        pos = np.nonzero(self._diagonal_hits())[0].astype(INDEX_DTYPE)
+        if pos.shape[0] < self.n_cols:
+            has = np.zeros(self.n_cols, dtype=bool)
+            has[self.indices[pos]] = True
+            missing = int(np.argmin(has))
+            raise ValueError(f"column {missing} has no stored diagonal entry")
         return pos
 
     def lower_triangle(self, *, strict: bool = False) -> "CSCMatrix":

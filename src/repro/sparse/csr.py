@@ -192,14 +192,16 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # Structure queries used by kernels and inspectors
     # ------------------------------------------------------------------
+    def _diagonal_hits(self) -> np.ndarray:
+        """Mask over ``data``: True where the entry lies on the diagonal."""
+        rows = np.repeat(np.arange(self.n_rows, dtype=INDEX_DTYPE), self.row_nnz())
+        return self.indices == rows
+
     def diagonal(self) -> np.ndarray:
         """Return the main diagonal as a dense vector (zeros where absent)."""
         out = np.zeros(min(self.n_rows, self.n_cols), dtype=VALUE_DTYPE)
-        for i in range(out.shape[0]):
-            cols, vals = self.row(i)
-            pos = np.searchsorted(cols, i)
-            if pos < cols.shape[0] and cols[pos] == i:
-                out[i] = vals[pos]
+        hit = self._diagonal_hits()
+        out[self.indices[hit]] = self.data[hit]
         return out
 
     def diagonal_positions(self) -> np.ndarray:
@@ -211,13 +213,12 @@ class CSRMatrix:
         """
         if not self.is_square:
             raise ValueError("diagonal_positions requires a square matrix")
-        pos = np.empty(self.n_rows, dtype=INDEX_DTYPE)
-        for i in range(self.n_rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            p = lo + np.searchsorted(self.indices[lo:hi], i)
-            if p >= hi or self.indices[p] != i:
-                raise ValueError(f"row {i} has no stored diagonal entry")
-            pos[i] = p
+        pos = np.nonzero(self._diagonal_hits())[0].astype(INDEX_DTYPE)
+        if pos.shape[0] < self.n_rows:
+            has = np.zeros(self.n_rows, dtype=bool)
+            has[self.indices[pos]] = True
+            missing = int(np.argmin(has))
+            raise ValueError(f"row {missing} has no stored diagonal entry")
         return pos
 
     def lower_triangle(self, *, strict: bool = False) -> "CSRMatrix":

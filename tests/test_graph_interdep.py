@@ -70,3 +70,33 @@ def test_transposed_views_consistent():
         for i in f.consumers(j):
             rebuilt.add((j, int(i)))
     assert rebuilt == edges
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        np.array([[2, 1], [0, 0], [1, 2], [0, 2], [2, 1]]),
+        np.array([[2, 1], [0, 0], [1, 2], [0, 2], [2, 1]], dtype=np.int32),
+        [(2, 1), (0, 0), (1, 2), (0, 2), (2, 1)],
+        [[2, 1], [0, 0], [1, 2], [0, 2], [2, 1]],
+    ],
+    ids=["ndarray", "int32-ndarray", "tuples", "lists"],
+)
+def test_from_edges_input_forms_agree(edges):
+    """An (m, 2) array and a sequence of pairs give the same CSR: rows
+    sorted by consumer, producers sorted within a row, duplicates gone."""
+    f = InterDep.from_edges(3, 3, edges)
+    assert f.row_indptr.tolist() == [0, 1, 2, 4]
+    assert f.row_indices.tolist() == [0, 2, 0, 1]
+    assert f.row_indptr.dtype == f.row_indices.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "edges", [[], (), np.empty((0, 2), dtype=np.int64), np.empty(0)],
+    ids=["list", "tuple", "array-0x2", "array-0"],
+)
+def test_from_edges_empty_inputs(edges):
+    f = InterDep.from_edges(3, 4, edges)
+    assert f.nnz == 0
+    assert f.row_indptr.tolist() == [0, 0, 0, 0]
+    assert f.row_indices.tolist() == []

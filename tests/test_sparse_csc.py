@@ -76,6 +76,26 @@ class TestStructure:
         # sorted lower CSC: diagonal leads every column
         assert np.array_equal(pos, low.indptr[:-1])
 
+    def test_diagonal_positions_names_first_missing_column(self):
+        dense = np.eye(8) * 2.0 + np.eye(8, k=-1)
+        dense[5, 5] = 0.0
+        a = CSCMatrix.from_dense(dense)
+        with pytest.raises(ValueError, match=r"^column 5 has no stored diagonal"):
+            a.diagonal_positions()
+
+    def test_diagonal_positions_general_pattern(self):
+        dense = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
+        a = CSCMatrix.from_dense(dense)
+        assert np.array_equal(a.data[a.diagonal_positions()], [2, 3, 4])
+
+    def test_diagonal_zero_where_absent(self):
+        dense = np.eye(7) * 3.0 + np.eye(7, k=1)
+        dense[5, 5] = 0.0
+        a = CSCMatrix.from_dense(dense)
+        assert np.array_equal(a.diagonal(), [3, 3, 3, 3, 3, 0, 3])
+        tall = CSCMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 0.0], [4.0, 2.0]]))
+        assert np.array_equal(tall.diagonal(), [1, 0])
+
     def test_lower_triangle(self, lap2d_small):
         lowc = lap2d_small.to_csc().lower_triangle()
         assert lowc.is_lower_triangular()

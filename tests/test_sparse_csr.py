@@ -121,6 +121,29 @@ class TestStructure:
         with pytest.raises(ValueError, match="no stored diagonal"):
             a.diagonal_positions()
 
+    def test_diagonal_positions_names_first_missing_row(self):
+        dense = np.eye(8) * 2.0 + np.eye(8, k=1)
+        dense[3, 3] = 0.0
+        dense[6, 6] = 0.0
+        a = CSRMatrix.from_dense(dense)
+        with pytest.raises(ValueError, match=r"^row 3 has no stored diagonal"):
+            a.diagonal_positions()
+
+    def test_diagonal_zero_where_absent(self):
+        dense = np.eye(6) * 2.0 + np.eye(6, k=-1)
+        dense[3, 3] = 0.0
+        a = CSRMatrix.from_dense(dense)
+        assert np.array_equal(a.diagonal(), [2, 2, 2, 0, 2, 2])
+        wide = CSRMatrix.from_dense(np.array([[1.0, 0.0, 5.0], [0.0, 0.0, 7.0]]))
+        assert np.array_equal(wide.diagonal(), [1, 0])
+
+    def test_diagonal_positions_match_per_row_search(self, lap2d_nd):
+        pos = lap2d_nd.diagonal_positions()
+        assert pos.dtype == np.int64
+        for i in range(lap2d_nd.n_rows):
+            lo, hi = lap2d_nd.indptr[i], lap2d_nd.indptr[i + 1]
+            assert pos[i] == lo + np.searchsorted(lap2d_nd.indices[lo:hi], i)
+
     def test_triangles_partition_matrix(self, lap2d_small):
         a = lap2d_small
         low = a.lower_triangle(strict=True).to_dense()
