@@ -13,14 +13,16 @@ under both executors:
   s-partition at a time.
 
 Reported per matrix: wall seconds per executor (best of ``--reps``
-repeats on a fresh state each time), plan compile seconds, and the
-speedup of ``plan`` over ``iter``. The results JSON additionally stores
-the inspector + plan-compile ``stage_breakdown`` and the plan-cache
-counters, proving repeated executions skip compilation
+repeats on a fresh state each time), plan compile seconds, the speedup
+of ``plan`` over ``iter``, and the step counts (dispatches) of the fused
+plan and of the unfused ParSy plan of the same loops. The results JSON
+additionally stores the inspector + plan-compile ``stage_breakdown`` and
+the plan-cache counters, proving repeated executions skip compilation
 (``plan.cache_hits`` > 0).
 
 ``--smoke`` runs one tiny matrix with few reps — the CI guardrail mode;
-CI fails when ``plan`` is slower than ``iter`` (with 10% headroom).
+CI fails when ``plan`` is slower than ``iter`` (with 10% headroom) or
+when the fused plan needs more steps than the unfused one.
 
 pytest-benchmark: one planned execution (post-compile) of the fused
 SpTRSV→SpMV schedule at small scale.
@@ -35,6 +37,7 @@ import time
 import numpy as np
 
 from repro import fuse
+from repro.baselines.unfused import parsy_schedule
 from repro.fusion import build_combination
 from repro.obs import recording, stage_breakdown
 from repro.runtime import execute_schedule, execute_schedule_planned, plan_for
@@ -62,22 +65,28 @@ def _run_once(executor, schedule, kernels, state, min_batch):
     return time.perf_counter() - t0
 
 
-def _time_executors(schedule, kernels, state, *, reps, min_batch):
+def _time_executors(schedule, kernels, state, *, reps, min_batch, n_threads):
     """Best-of-*reps* wall seconds per executor, fresh state per rep.
 
     The plan is compiled before timing (under a recorder, so compile
     time and cache hits land in the returned diagnostics) — executions
     after the first always cache-hit, which is the amortized regime the
-    solver loops run in.
+    solver loops run in. The diagnostics also count the steps of this
+    plan and of the unfused ParSy plan over *n_threads*.
     """
     with recording() as rec:
-        plan_for(schedule, kernels, min_batch=min_batch)
+        plan = plan_for(schedule, kernels, min_batch=min_batch)
         for _ in range(reps):
             plan_for(schedule, kernels, min_batch=min_batch)
+    unfused = plan_for(
+        parsy_schedule(kernels, n_threads), kernels, min_batch=min_batch
+    )
     diags = {
         "plan_compile_seconds": rec.counter("plan.compile_seconds"),
         "plan_cache_hits": rec.counter("plan.cache_hits"),
         "plan_cache_misses": rec.counter("plan.cache_misses"),
+        "plan_steps": plan.n_steps,
+        "unfused_plan_steps": unfused.n_steps,
     }
     seconds = {}
     for ex in EXECUTORS:
@@ -95,7 +104,12 @@ def bench_combo3(a, *, n_threads, reps, min_batch):
     with recording() as rec:
         fl = fuse(kernels, n_threads, validate=False)
     seconds, diags = _time_executors(
-        fl.schedule, kernels, state, reps=reps, min_batch=min_batch
+        fl.schedule,
+        kernels,
+        state,
+        reps=reps,
+        min_batch=min_batch,
+        n_threads=n_threads,
     )
     return seconds, diags, stage_breakdown(rec)
 
@@ -115,7 +129,12 @@ def bench_gs_chain(a, *, n_threads, reps, min_batch, unroll=2):
     state["b"][:] = rng.random(a.n_rows)
     state[x_in][:] = rng.random(a.n_rows)
     seconds, diags = _time_executors(
-        fl.schedule, kernels, state, reps=reps, min_batch=min_batch
+        fl.schedule,
+        kernels,
+        state,
+        reps=reps,
+        min_batch=min_batch,
+        n_threads=n_threads,
     )
     return seconds, diags, stage_breakdown(rec)
 
@@ -151,6 +170,8 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
                 "plan_compile_seconds": diags["plan_compile_seconds"],
                 "plan_cache_hits": diags["plan_cache_hits"],
                 "plan_cache_misses": diags["plan_cache_misses"],
+                "plan_steps": diags["plan_steps"],
+                "unfused_plan_steps": diags["unfused_plan_steps"],
                 "stage_breakdown": stages,
                 "min_batch": min_batch,
             }
@@ -162,7 +183,9 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
                     f"plan {seconds['plan'] * 1e3:8.1f}ms  "
                     f"({row['speedup_plan_vs_iter']:.1f}x vs iter, "
                     f"compile {diags['plan_compile_seconds'] * 1e3:.1f}ms, "
-                    f"{int(diags['plan_cache_hits'])} cache hits)"
+                    f"{int(diags['plan_cache_hits'])} cache hits, "
+                    f"{diags['plan_steps']} steps vs "
+                    f"{diags['unfused_plan_steps']} unfused)"
                 )
 
     summary = {
@@ -170,6 +193,9 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
             [r["speedup_plan_vs_iter"] for r in rows]
         ),
         "all_cache_hits_positive": all(r["plan_cache_hits"] > 0 for r in rows),
+        "all_fused_steps_within_unfused": all(
+            r["plan_steps"] <= r["unfused_plan_steps"] for r in rows
+        ),
     }
     if verbose:
         print(
@@ -217,7 +243,21 @@ def main(argv=None) -> int:
         if not payload["summary"]["all_cache_hits_positive"]:
             print("FAIL: plan cache never hit on repeated executions")
             return 1
-        print("smoke OK: plan within tolerance of iter and cache hits recorded")
+        longer = [
+            r for r in payload["rows"] if r["plan_steps"] > r["unfused_plan_steps"]
+        ]
+        for r in longer:
+            print(
+                f"FAIL: {r['matrix']} {r['workload']}: fused plan has "
+                f"{r['plan_steps']} steps, unfused ParSy plan "
+                f"{r['unfused_plan_steps']}"
+            )
+        if longer:
+            return 1
+        print(
+            "smoke OK: plan within tolerance of iter, cache hits recorded, "
+            "fused plans no longer than unfused"
+        )
         return 0
     path = save_results("executor_plans", payload)
     print(f"results written to {path}")

@@ -114,7 +114,9 @@ def _ico_row(matrix, combo: int, name: str, reps: int) -> dict:
         "ner_seed": ner(seed, baseline, res.executor_seconds),
         "ner_vec": ner(vec, baseline, res.executor_seconds),
         "ner_warm": ner(warm, baseline, res.executor_seconds),
-        "stage_breakdown": measure_stage_breakdown(kernels),
+        "stage_breakdown": measure_stage_breakdown(
+            build_combination(combo, matrix)[0]
+        ),
     }
 
 

@@ -98,6 +98,10 @@ def measure_stage_breakdown(
 ) -> dict[str, float]:
     """Per-stage inspector seconds for fusing *kernels* (one fresh run).
 
+    Pass kernels nothing has inspected yet: DAGs, access maps and the
+    ``F`` join are memoized on the kernel objects, so a second
+    inspection of the same objects skips those stages.
+
     Runs :func:`repro.fuse` under a dedicated
     :class:`~repro.obs.Recorder` and returns span-name -> total seconds
     (inter-DAG join, LBC head partitioning, pairing, merging, slack

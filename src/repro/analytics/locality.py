@@ -48,6 +48,7 @@ from ..obs import names
 from ..obs.memtrace import AccessStream, collect_access_stream
 from ..runtime.cache import CacheConfig, stack_distances
 from ..schedule.schedule import FusedSchedule
+from ..utils.arrays import distinct
 
 __all__ = [
     "WPartitionLocality",
@@ -60,12 +61,6 @@ __all__ = [
 #: histogram bucket upper bounds (lines); last bucket is open-ended,
 #: -1 collects cold (first-touch) accesses
 _BUCKETS = (4, 16, 64, 256, 1024, 4096)
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of *x* (a sort plus run heads)."""
-    x = np.sort(x)
-    return x[np.r_[True, x[1:] != x[:-1]]] if x.shape[0] else x
 
 
 def _segment_stats(
@@ -299,7 +294,7 @@ def _replay(
     # segments: the non-empty w-partitions, in (s, w) order
     n_w = int(wp.max(initial=0)) + 1
     sw_key = (sp * n_w + wp)[entry_gid[order]]
-    seg_keys = _distinct(sw_key)
+    seg_keys = distinct(sw_key)
     seg = np.searchsorted(seg_keys, sw_key)
     seg_s = seg_keys // n_w
     n_seg = seg_keys.shape[0]
@@ -331,10 +326,10 @@ def _replay(
     s_acc = np.bincount(seg_s, weights=n_acc, minlength=n_sp)
     s_hits = np.bincount(seg_s, weights=hits, minlength=n_sp)
     s_key = seg_s[seg] * span + stream
-    s_ws = np.bincount(_distinct(s_key) // span, minlength=n_sp)
+    s_ws = np.bincount(distinct(s_key) // span, minlength=n_sp)
     w_entry = written[order]
-    writer_lines = _distinct(s_key[w_entry] * n_seg + seg[w_entry]) // n_seg
-    shared = _distinct(writer_lines[1:][writer_lines[1:] == writer_lines[:-1]])
+    writer_lines = distinct(s_key[w_entry] * n_seg + seg[w_entry]) // n_seg
+    shared = distinct(writer_lines[1:][writer_lines[1:] == writer_lines[:-1]])
     s_false = np.bincount(shared // span, minlength=n_sp)
     s_parts = [
         SPartitionLocality(

@@ -259,6 +259,11 @@ SMOKE_FLOORS: dict[str, list[tuple[str, float, str]]] = {
             "per-iteration oracle",
         ),
         ("all_cache_hits_positive", 1.0, "plan cache must hit on repeats"),
+        (
+            "all_fused_steps_within_unfused",
+            1.0,
+            "fused plans must need no more steps than unfused ParSy plans",
+        ),
     ],
     "bench_inspector": [
         (

@@ -86,7 +86,23 @@ def build_inter_dep(
     k2 writes) and output (both write) dependencies over every shared
     variable. Redundant edges (already implied transitively) are harmless
     and retained — dedup only removes exact duplicates.
+
+    Memoized on *k2* like its :meth:`~repro.kernels.base.Kernel.access_maps`:
+    ``F`` depends only on the two kernels' immutable sparsity structure,
+    so the inspector and the plan compiler share one join per pair. The
+    cache key holds *k1* itself, so its ``id`` cannot be recycled.
     """
+    cache = k2.__dict__.setdefault("_inter_deps", {})
+    key = (k1, include_anti, include_output)
+    f = cache.get(key)
+    if f is None:
+        f = cache[key] = _join(k1, k2, include_anti, include_output)
+    return f
+
+
+def _join(
+    k1: Kernel, k2: Kernel, include_anti: bool, include_output: bool
+) -> InterDep:
     rec = current_recorder()
     with rec.span("inspector.join", k1=k1.name, k2=k2.name) as sp:
         pairs = []

@@ -157,10 +157,10 @@ class Kernel(abc.ABC):
 
         *iters* must be an antichain of the intra-DAG (no dependence
         between any two of them) whose predecessors have all executed —
-        exactly what one s-partition ∩ level set of a valid schedule
-        provides. *precomp* is the value returned by
-        :meth:`precompute_level` for the same *iters*. The default falls
-        back to per-iteration execution.
+        exactly what one intra level of a compiled plan step provides.
+        *precomp* is the value returned by :meth:`precompute_level` for
+        the same *iters*. The default falls back to per-iteration
+        execution.
         """
         for i in np.asarray(iters).tolist():
             self.run_iteration(i, state, scratch)

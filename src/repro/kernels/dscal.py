@@ -20,6 +20,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
+from ..utils.arrays import multi_range
 from .base import Kernel, State, empty_map, map_from_pairs, slice_map
 
 __all__ = ["DScalCSR", "DScalCSC"]
@@ -72,8 +73,6 @@ class DScalCSR(Kernel):
         state[self.s_var][lo:hi] = ax[lo:hi] * di * dj
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.a.indptr[iters]
         counts = self.a.indptr[iters + 1] - starts
@@ -191,8 +190,6 @@ class DScalCSC(Kernel):
         state[self.s_var][lo:hi] = ax[lo:hi] * dj * di
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.low.indptr[iters]
         counts = self.low.indptr[iters + 1] - starts

@@ -20,6 +20,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
+from ..utils.arrays import multi_range
 from .base import Kernel, State, empty_map, map_from_ranges, slice_map
 
 __all__ = ["SpIC0"]
@@ -135,8 +136,6 @@ class SpIC0(Kernel):
         return self._key_arr
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         indptr, indices = self.low.indptr, self.low.indices
         starts = indptr[iters]

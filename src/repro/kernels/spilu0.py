@@ -22,6 +22,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csr import CSRMatrix
+from ..utils.arrays import multi_range
 from .base import Kernel, State, empty_map, map_from_ranges, slice_map
 
 __all__ = ["SpILU0"]
@@ -111,8 +112,6 @@ class SpILU0(Kernel):
         return self._key_arr
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         indptr, indices, diag_pos = self.a.indptr, self.a.indices, self._diag_pos
         starts = indptr[iters]
@@ -227,8 +226,6 @@ class SpILU0(Kernel):
         if var == self.a_var:
             return slice_map(self.a.indptr)
         if var == self.lu_var:
-            from ..utils.arrays import multi_range
-
             # Row i reads row k from its diagonal on, for every
             # strict-lower k of row i. Rows of distinct k are disjoint
             # and row i lists k ascending, so the concatenation is

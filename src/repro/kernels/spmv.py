@@ -21,6 +21,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
+from ..utils.arrays import multi_range, segment_boundaries, segment_sums_at
 from .base import Kernel, State, empty_map, identity_map, slice_map
 
 __all__ = ["SpMVCSR", "SpMVCSC"]
@@ -73,8 +74,6 @@ class SpMVCSR(Kernel):
         state[self.y_var][i] = acc
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range, segment_boundaries
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.a.indptr[iters]
         counts = self.a.indptr[iters + 1] - starts
@@ -88,8 +87,6 @@ class SpMVCSR(Kernel):
         }
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
-        from ..utils.arrays import segment_sums_at
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         p = precomp if precomp is not None else self.precompute_level(iters)
         out = segment_sums_at(
@@ -220,8 +217,6 @@ class SpMVCSC(Kernel):
             state[self.y_var][rows] += state[self.a_var][lo:hi] * state[self.x_var][j]
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.a.indptr[iters]
         counts = self.a.indptr[iters + 1] - starts

@@ -19,6 +19,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
+from ..utils.arrays import multi_range, segment_boundaries, segment_sums_at
 from .base import Kernel, State, empty_map, slice_map
 
 __all__ = ["SpMVSymLower"]
@@ -86,8 +87,6 @@ class SpMVSymLower(Kernel):
             y[rows] += off * x[j]
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range, segment_boundaries
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         lo = self.low.indptr[iters]
         counts = self.low.indptr[iters + 1] - lo - 1  # strict-lower entries
@@ -103,8 +102,6 @@ class SpMVSymLower(Kernel):
         }
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
-        from ..utils.arrays import segment_sums_at
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         p = precomp if precomp is not None else self.precompute_level(iters)
         a = state[self.a_var]

@@ -23,6 +23,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
+from ..utils.arrays import multi_range, segment_boundaries, segment_sums_at
 from .base import Kernel, State, empty_map, identity_map, map_from_counts, slice_map
 
 __all__ = ["SpTRSVCSR", "SpTRSVCSC", "SpTRSVCSRFromLU"]
@@ -82,8 +83,6 @@ class SpTRSVCSR(Kernel):
         x[i] = acc / lx[hi - 1]
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range, segment_boundaries
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.low.indptr[iters]
         counts = self.low.indptr[iters + 1] - starts - 1  # off-diagonals
@@ -98,8 +97,6 @@ class SpTRSVCSR(Kernel):
         }
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
-        from ..utils.arrays import segment_sums_at
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         p = precomp if precomp is not None else self.precompute_level(iters)
         lx = state[self.l_var]
@@ -247,8 +244,6 @@ class SpTRSVCSC(Kernel):
             acc[rows] += lx[lo + 1 : hi] * xj
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.low.indptr[iters]
         counts = self.low.indptr[iters + 1] - starts - 1  # sub-diagonals
@@ -401,8 +396,6 @@ class SpTRSVCSRFromLU(Kernel):
         )
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range, segment_boundaries
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.a.indptr[iters]
         counts = self._diag_off[iters] - starts  # strict-lower entries
@@ -416,8 +409,6 @@ class SpTRSVCSRFromLU(Kernel):
         }
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
-        from ..utils.arrays import segment_sums_at
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         p = precomp if precomp is not None else self.precompute_level(iters)
         lu = state[self.lu_var]
@@ -477,8 +468,6 @@ class SpTRSVCSRFromLU(Kernel):
         if var in (self.lu_var, self.x_var):
             # Row i's strict-lower entries: their positions (lu_var) or
             # their columns (x_var), in storage order.
-            from ..utils.arrays import multi_range
-
             counts = self._diag_off - self.a.indptr[:-1]
             pos = multi_range(self.a.indptr[:-1], counts)
             if var == self.lu_var:

@@ -23,6 +23,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csr import CSRMatrix
+from ..utils.arrays import multi_range
 from .base import Kernel, State, empty_map, map_from_counts
 
 __all__ = ["SpTRSVBackwardCSR"]
@@ -101,8 +102,6 @@ class SpTRSVBackwardCSR(Kernel):
             acc[cols] += lx[lo : hi - 1] * xj
 
     def precompute_level(self, iters: np.ndarray):
-        from ..utils.arrays import multi_range
-
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         rows = self.low.n_rows - 1 - iters
         starts = self.low.indptr[rows]
@@ -184,8 +183,6 @@ class SpTRSVBackwardCSR(Kernel):
     def _row_ranges(self, drop_last: int) -> tuple[np.ndarray, np.ndarray]:
         """Storage positions of row ``j`` per iteration ``k``, in k order,
         without the row's last *drop_last* entries (1 drops the diagonal)."""
-        from ..utils.arrays import multi_range
-
         counts = self.low.row_nnz()[self._rows] - drop_last
         return counts, multi_range(self.low.indptr[self._rows], counts)
 

@@ -21,12 +21,15 @@ executors:
 * ``"iter"`` — one dispatch per iteration (packed order within the
   w-partition);
 * ``"plan"`` — one dispatch per compiled
-  :class:`~repro.runtime.plan.PlanStep`, numbered per s-partition
-  (a step may span several w-partitions): a level batch's members are
+  :class:`~repro.runtime.plan.PlanStep`, numbered per plan phase (a
+  step may span several w-partitions): a level batch's members are
   concurrent, so the level-batching legality argument in
   docs/performance.md is checked dynamically here, not just argued.
+  ``s`` is the step's happens-before phase: its s-partition in an
+  unmerged plan, its own index in a plan whose steps merge across
+  s-partitions (only a schedule that meets its contract is merged).
 
-The rule keeps requiring ``w(u) = w(v)`` inside one s-partition, so a
+The rule keeps requiring ``w(u) = w(v)`` inside one phase, so a
 dependence between two w-partitions of the same s-partition is reported
 even when the plan happens to order it.
 
@@ -61,7 +64,7 @@ import numpy as np
 
 from ..kernels.base import Kernel
 from ..runtime.cache import line_layout
-from ..schedule.schedule import FusedSchedule, ScheduleError
+from ..schedule.schedule import FusedSchedule, ScheduleError, happens_before
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range
 from . import names
@@ -391,10 +394,14 @@ def execution_coordinates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-vertex ``(s, w, t)`` happens-before coordinates.
 
-    ``t`` is the dispatch index under the named executor: within the
-    vertex's w-partition for ``"iter"``, within its s-partition for
-    ``"plan"``. Vertices sharing a ``t`` are concurrent (one level
-    step).
+    ``s`` is the sequential phase: the s-partition for ``"iter"``, the
+    phase of the vertex's plan step for ``"plan"``
+    (:attr:`~repro.runtime.plan.PlanStep.s` — the s-partition in an
+    unmerged plan, the step's own index in a merged one). ``w`` is the
+    schedule's w-partition under both. ``t`` is the dispatch index
+    within the vertex's phase: per iteration in the w-partition for
+    ``"iter"``, per plan step for ``"plan"``. Vertices sharing a ``t``
+    are concurrent (one level step).
     """
     sp, wp, pos = schedule.assignment()
     sp = sp.astype(np.int64)
@@ -409,11 +416,13 @@ def execution_coordinates(
 
     offsets = schedule.offsets
     plan = plan_for(schedule, kernels, min_batch=min_batch)
+    phase = np.full(schedule.n_vertices, -1, dtype=np.int64)
     tt = np.zeros(schedule.n_vertices, dtype=np.int64)
-    next_t = [0] * schedule.n_spartitions
+    next_t: dict[int, int] = {}
     for step in plan.steps:
-        t = next_t[step.s]
+        t = next_t.get(step.s, 0)
         gids = np.asarray(step.iters, dtype=np.int64) + int(offsets[step.loop])
+        phase[gids] = step.s
         if step.kind == "scalar":
             tt[gids] = np.arange(t, t + gids.shape[0])
             t += gids.shape[0]
@@ -421,7 +430,7 @@ def execution_coordinates(
             tt[gids] = t
             t += 1
         next_t[step.s] = t
-    return sp, wp, tt
+    return phase, wp, tt
 
 
 # ----------------------------------------------------------------------
@@ -470,9 +479,7 @@ def sanitize_schedule(
         stream = collect_access_stream(schedule, kernels)
         pairs = derive_dependence_pairs(stream)
         u, v = pairs.u_gid, pairs.v_gid
-        ordered = (sp[u] < sp[v]) | (
-            (sp[u] == sp[v]) & (wp[u] == wp[v]) & (tt[u] < tt[v])
-        )
+        ordered = happens_before(sp, wp, tt, u, v)
         bad = np.nonzero(~ordered)[0]
         violations: list[Violation] = []
         if bad.size:

@@ -42,6 +42,7 @@ PLAN_COMPILE_SECONDS = "plan.compile_seconds"
 PLAN_LEVEL_STEPS = "plan.level_steps"
 PLAN_CACHE_HITS = "plan.cache_hits"
 PLAN_CACHE_MISSES = "plan.cache_misses"
+PLAN_STEPS_MERGED = "plan.steps_merged"
 
 # -- executors (wall clock) -------------------------------------------
 EXECUTOR_ITERATIONS = "executor.iterations"
@@ -104,6 +105,10 @@ REGISTRY: dict[str, tuple[str, str]] = {
     PLAN_LEVEL_STEPS: ("1", "level-batched steps in compiled plans"),
     PLAN_CACHE_HITS: ("1", "memoized-plan hits on schedule.meta"),
     PLAN_CACHE_MISSES: ("1", "plan compilations (cache misses)"),
+    PLAN_STEPS_MERGED: (
+        "1",
+        "(s-partition, loop, level) groups folded into a step of another",
+    ),
     EXECUTOR_ITERATIONS: ("1", "iterations executed (any executor)"),
     EXECUTOR_BATCHED_ITERATIONS: ("1", "iterations executed vectorized"),
     EXECUTOR_SCALAR_ITERATIONS: ("1", "iterations executed scalar"),

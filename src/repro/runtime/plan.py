@@ -14,7 +14,16 @@ pays interpreter cost per iteration. This module compiles a
   execute as one vectorized
   :meth:`~repro.kernels.base.Kernel.run_level_batch` call. One stable
   ``lexsort`` over ``(s, loop, level)`` does the whole regrouping.
-* Per level, the kernel's :meth:`~repro.kernels.base.Kernel.precompute_level`
+* The (s-partition, loop, level) groups then **merge across
+  s-partitions**: every group of one (loop, level) joins one step, and
+  the steps run in a dependence order that follows the schedule. This
+  executor pays a fixed Python cost per step and has no barriers to
+  save, so s-partition boundaries would otherwise multiply its
+  dispatches; merged, each loop runs one step per intra level — the
+  same count as an unfused plan — while the schedule still sets the
+  order inside each step and the interleaving of the loops wherever
+  that costs no extra step.
+* Per step, the kernel's :meth:`~repro.kernels.base.Kernel.precompute_level`
   builds the concatenated gather/scatter index arrays and
   ``np.add.reduceat`` segment boundaries up front, so executing the plan
   does no index arithmetic at all — only gathers, segment reductions and
@@ -23,8 +32,9 @@ pays interpreter cost per iteration. This module compiles a
   repeated executions of the same schedule — Gauss-Seidel sweeps,
   preconditioner applications inside a Krylov loop, benchmark reps —
   skip compilation entirely. Counters ``plan.cache_hits`` /
-  ``plan.cache_misses`` and the ``plan.compile_seconds`` counter under
-  :mod:`repro.obs` make the amortization visible.
+  ``plan.cache_misses`` / ``plan.steps_merged`` and the
+  ``plan.compile_seconds`` counter under :mod:`repro.obs` make the
+  amortization visible.
 
 Legality of the regrouping (see docs/performance.md for the full
 argument): (a) w-partitions of one s-partition are mutually independent
@@ -32,20 +42,26 @@ by the :func:`~repro.schedule.schedule.validate_schedule` dependence
 rule, so their union is free of cross-w dependences and regrouping it is
 the same argument as regrouping one w-partition, over a larger set;
 (b) inter-loop dependences only flow from a lower to a higher loop
-index, because the inspector builds ``F`` for ordered loop pairs only,
-so running complete loop groups in ascending program order satisfies
-them; (c) intra-loop dependences always increase the intra-DAG level,
-so ascending level order satisfies them and same-level iterations form
-an antichain; (d) every other dependence comes from an earlier
-s-partition, and s-partitions stay sequential.
+index, because the inspector builds ``F`` for ordered loop pairs only
+(flow, anti and output dependences alike); (c) intra-loop dependences
+always increase the intra-DAG level, so same-level iterations of one
+loop form an antichain; (d) merging: by (b) and (c) no dependence joins
+two groups of one (loop, level), and the graph of (loop, level) keys is
+acyclic, so running each key as one step, in any topological order of
+that graph, satisfies every intra and ``F`` edge. That holds whatever
+the schedule, so merging a broken schedule would hide its fault: the
+merge runs only when the schedule meets its (s, w, position) contract
+on every such edge, checked over the same edge arrays. A schedule that
+breaks it compiles to the unmerged groups in s-partition order, and the
+plan sanitizer reports the fault with the schedule's s/w coordinates.
 
 Choosing ``min_batch``: every level step pays a fixed dispatch
 cost (index-array handling and ufunc dispatch — several microseconds
 regardless of size), while each scalar iteration pays only a Python
 call. Below roughly 4 iterations the dispatch dominates and batching
 *loses*; past a few dozen the per-element amortization wins by an order
-of magnitude. Groups and levels smaller than ``min_batch`` therefore run
-scalar, in packed order. Raise it on machines with slow ufunc dispatch
+of magnitude. Steps smaller than ``min_batch`` therefore run scalar, in
+packed order. Raise it on machines with slow ufunc dispatch
 or for schedules whose levels are mostly tiny (deep, narrow DAGs); lower
 it to 2 when levels are rare but the kernel's batch path is cheap (pure
 gathers, no scatter). ``min_batch=1`` forces vectorization everywhere
@@ -59,6 +75,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any
 
 import numpy as np
@@ -66,7 +83,8 @@ import numpy as np
 from ..kernels.base import Kernel, State
 from ..obs import current as current_recorder
 from ..obs import names
-from ..schedule.schedule import FusedSchedule
+from ..schedule.schedule import FusedSchedule, happens_before
+from ..utils.arrays import distinct
 
 __all__ = [
     "PlanStep",
@@ -85,16 +103,18 @@ class PlanStep:
 
     ``kind`` is ``"level"`` (vectorized antichain via
     ``run_level_batch``) or ``"scalar"`` (per-iteration loop, preserving
-    packed order). A step may span every w-partition of its s-partition.
+    packed order). A step may span several w-partitions and, in a merged
+    plan, several s-partitions.
     """
 
     kind: str
     loop: int
     iters: np.ndarray
     precomp: Any = None
-    #: s-partition of the dispatch; the dependence sanitizer uses it to
-    #: model plan-executor happens-before, where one level step is a
-    #: concurrent unit
+    #: happens-before phase of the dispatch: its s-partition in an
+    #: unmerged plan, its own step index in a merged one. The dependence
+    #: sanitizer uses it to model plan-executor happens-before, where
+    #: one level step is a concurrent unit
     s: int = 0
 
 
@@ -102,9 +122,13 @@ class PlanStep:
 class ExecutionPlan:
     """A schedule compiled into a flat list of vectorized dispatches.
 
-    Barriers are implicit: steps are emitted in s-partition order and the
-    (sequential-faithful) executor runs them in sequence, so every
-    cross-s-partition dependence is satisfied by construction.
+    There are no barriers: the (sequential-faithful) executor runs the
+    steps in list order. In a merged plan that order is a dependence
+    order of the steps, so every intra and ``F`` edge runs from an
+    earlier step to a later one; an unmerged plan emits its steps in
+    s-partition order, so every cross-s-partition dependence is
+    satisfied by construction. ``n_steps_merged`` counts the
+    (s-partition, loop, level) groups folded into another group's step.
     """
 
     loop_counts: tuple[int, ...]
@@ -114,6 +138,7 @@ class ExecutionPlan:
     n_level_steps: int = 0
     n_scalar_iterations: int = 0
     n_batched_iterations: int = 0
+    n_steps_merged: int = 0
     compile_seconds: float = 0.0
     meta: dict = field(default_factory=dict)
 
@@ -130,9 +155,12 @@ def compile_plan(
 ) -> ExecutionPlan:
     """Compile *schedule* + *kernels* into an :class:`ExecutionPlan`.
 
-    Emits one step per (s-partition, loop, intra-DAG level). Groups and
-    levels smaller than ``min_batch`` run scalar in packed order (see
-    the module docstring for the tradeoff).
+    Starts from one group per (s-partition, loop, intra-DAG level). When
+    the schedule meets its dependence contract, the groups merge across
+    s-partitions into one step per (loop, level) (:func:`_merge_groups`);
+    otherwise the groups are the steps. Steps smaller than ``min_batch``
+    run scalar in packed order (see the module docstring for the
+    tradeoff).
     """
     if len(kernels) != len(schedule.loop_counts):
         raise ValueError(
@@ -152,8 +180,8 @@ def compile_plan(
     )
 
     steps: list[PlanStep] = []
-    n_level = n_scalar_iters = n_batched_iters = 0
-    with rec.span("plan.compile", vertices=schedule.n_vertices):
+    n_level = n_scalar_iters = n_batched_iters = n_merged = 0
+    with rec.span("plan.compile", vertices=schedule.n_vertices) as span:
         # Every scheduled vertex in schedule order: s-partitions, then
         # their w-partitions concatenated (legality: module docstring).
         parts = [v for wlist in schedule.s_partitions for v in wlist]
@@ -162,35 +190,61 @@ def compile_plan(
             if parts
             else np.empty(0, dtype=np.int64)
         )
-        s_of = np.repeat(
-            np.arange(schedule.n_spartitions, dtype=np.int64),
-            [sum(v.shape[0] for v in wlist) for wlist in schedule.s_partitions],
-        )
+        sizes = np.array([v.shape[0] for v in parts], dtype=np.int64)
+        widths = [len(wlist) for wlist in schedule.s_partitions]
+        s_of = np.repeat(np.repeat(np.arange(len(widths)), widths), sizes)
         loops = np.searchsorted(offsets, verts, side="right") - 1
-        # (s, loop) groups of a level-batchable loop with at least
-        # min_batch iterations split into intra-DAG levels; every other
+        src, dst = _dependence_edges(kernels, offsets)
+        mergeable = verts.shape[0] > 0 and _meets_contract(
+            schedule.n_vertices, verts, s_of, sizes, src, dst
+        )
+        # Level-batchable loops split into intra-DAG levels; every other
         # group runs whole, so its level key stays 0.
-        group = s_of * len(kernels) + loops
-        leveled = level_capable[loops] & (np.bincount(group)[group] >= min_batch)
-        level = np.zeros_like(verts)
-        for k in np.unique(loops[leveled]).tolist():
-            sel = leveled & (loops == k)
-            level[sel] = kernels[k].intra_dag().levels()[verts[sel] - offsets[k]]
+        leveled = level_capable[loops]
+        levels = [
+            kern.intra_dag().levels()
+            if capable
+            else np.zeros(kern.n_iterations, dtype=np.int64)
+            for kern, capable in zip(kernels, level_capable)
+        ]
+        level = np.where(leveled, np.concatenate(levels)[verts], 0)
         # Stable: packed order survives within each (s, loop, level) run.
         order = np.lexsort((level, loops, s_of))
         verts, s_of, loops, level, leveled = (
             x[order] for x in (verts, s_of, loops, level, leveled)
         )
-        cuts = np.flatnonzero(
-            (np.diff(s_of) != 0) | (np.diff(loops) != 0) | (np.diff(level) != 0)
-        ) + 1
-        bounds = [0, *cuts.tolist(), verts.shape[0]] if verts.shape[0] else []
+        first = np.ones(verts.shape[0], dtype=bool)
+        first[1:] = (np.diff(s_of) != 0) | (np.diff(loops) != 0) | (
+            np.diff(level) != 0
+        )
+        group = np.cumsum(first) - 1
+        starts = np.flatnonzero(first)
+        if mergeable:
+            group_of = np.empty(schedule.n_vertices, dtype=np.int64)
+            group_of[verts] = group
+            step_of, n_steps = _merge_groups(
+                src,
+                dst,
+                group_of,
+                loops[starts],
+                np.where(leveled[starts], level[starts], -1),
+            )
+            n_merged = starts.shape[0] - n_steps
+            # Stable: within a step, its groups keep schedule order.
+            phase = step_of[group]
+            order = np.argsort(phase, kind="stable")
+            verts, loops, leveled, phase = (
+                x[order] for x in (verts, loops, leveled, phase)
+            )
+            first[1:] = phase[1:] != phase[:-1]
+        else:
+            phase = s_of
+        bounds = [*np.flatnonzero(first).tolist(), verts.shape[0]]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             k = int(loops[lo])
             iters = verts[lo:hi] - int(offsets[k])
-            s = int(s_of[lo])
-            big = hi - lo >= min_batch
-            if big and leveled[lo]:
+            s = int(phase[lo])
+            if hi - lo >= min_batch and leveled[lo]:
                 precomp = kernels[k].precompute_level(iters)
                 steps.append(PlanStep("level", k, iters, precomp, s=s))
                 n_level += 1
@@ -198,10 +252,12 @@ def compile_plan(
             else:
                 steps.append(PlanStep("scalar", k, iters, s=s))
                 n_scalar_iters += hi - lo
+        span.set(steps=len(steps), merged=n_merged)
     compile_seconds = time.perf_counter() - t0
     if rec.enabled:
         rec.count(names.PLAN_COMPILE_SECONDS, compile_seconds)
         rec.count(names.PLAN_LEVEL_STEPS, n_level)
+        rec.count(names.PLAN_STEPS_MERGED, n_merged)
     return ExecutionPlan(
         loop_counts=tuple(schedule.loop_counts),
         min_batch=min_batch,
@@ -210,8 +266,134 @@ def compile_plan(
         n_level_steps=n_level,
         n_scalar_iterations=n_scalar_iters,
         n_batched_iterations=n_batched_iters,
+        n_steps_merged=n_merged,
         compile_seconds=compile_seconds,
     )
+
+
+def _dependence_edges(
+    kernels: list[Kernel], offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global ``(src, dst)`` vertex arrays of every intra-DAG edge and
+    every ``F`` edge between ordered loop pairs.
+
+    ``F`` comes from :func:`~repro.fusion.inspector.build_inter_dep`,
+    memoized on the consumer kernel, so a plan compiled after
+    :func:`~repro.fusion.fused.fuse` re-uses the inspector's join.
+    """
+    from ..fusion.inspector import build_inter_dep
+
+    src: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    dst: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    for k, kern in enumerate(kernels):
+        dag = kern.intra_dag()
+        if dag.n_edges:
+            src.append(
+                np.repeat(np.arange(offsets[k], offsets[k + 1]), np.diff(dag.indptr))
+            )
+            dst.append(dag.indices + offsets[k])
+    for b in range(1, len(kernels)):
+        for a in range(b):
+            f = build_inter_dep(kernels[a], kernels[b])
+            if f.nnz:  # F[i, j]: producer j of loop a, consumer i of loop b
+                src.append(f.row_indices + offsets[a])
+                dst.append(
+                    np.repeat(
+                        np.arange(offsets[b], offsets[b + 1]), np.diff(f.row_indptr)
+                    )
+                )
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _meets_contract(
+    n_vertices: int,
+    verts: np.ndarray,
+    s_of: np.ndarray,
+    sizes: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> bool:
+    """True when every vertex is scheduled once and every edge meets the
+    schedule's (s, w, position) contract (:func:`happens_before`).
+
+    *verts* lists the schedule's w-partitions back to back (*sizes*
+    long each), so a w-partition's global index stands in for ``w`` and
+    a vertex's index in *verts* for its position.
+    """
+    if verts.shape[0] != n_vertices:
+        return False
+    sp = np.full(n_vertices, -1, dtype=np.int64)
+    sp[verts] = s_of
+    if np.any(sp < 0):
+        return False
+    wp = np.empty_like(sp)
+    wp[verts] = np.repeat(np.arange(sizes.shape[0]), sizes)
+    pos = np.empty_like(sp)
+    pos[verts] = np.arange(n_vertices)
+    return bool(np.all(happens_before(sp, wp, pos, src, dst)))
+
+
+def _merge_groups(
+    src: np.ndarray,
+    dst: np.ndarray,
+    group_of: np.ndarray,
+    loops: np.ndarray,
+    levels: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Step index of every group, and the number of steps.
+
+    Groups ``0..G-1`` come in schedule order; vertex ``v`` is in group
+    ``group_of[v]``, group ``g`` holds loop ``loops[g]``'s intra level
+    ``levels[g]`` (``-1``: not split by level), and ``src[e] -> dst[e]``
+    are the vertex dependence edges. Every group of one
+    (loop, intra level) *key* joins one step: a level is an antichain
+    and ``F`` only runs from a lower to a higher loop, so no edge joins
+    two groups of one key, and the key graph is acyclic (ascending
+    (loop, level) is one topological order). The steps are the keys in a
+    topological order that follows the schedule: among the keys whose
+    predecessors have all been emitted, the one the schedule reaches
+    first goes next. So a schedule's interleaving of loops survives
+    wherever it costs no extra step, and every loop runs exactly one
+    step per intra level — the fewest any legal plan can have.
+
+    Only level-split groups have a (loop, level) key; a group of a loop
+    without level batching runs whole and is its own key.
+    """
+    n_groups = loops.shape[0]
+    code = np.where(
+        levels >= 0,
+        loops * (int(levels.max()) + 1) + levels,
+        -1 - np.arange(n_groups),
+    )
+    _, first, key_of = np.unique(code, return_index=True, return_inverse=True)
+    n_keys = first.shape[0]
+    # number keys by first appearance in schedule order
+    rank = np.empty(n_keys, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(n_keys)
+    key_of = rank[key_of]
+    vertex_key = key_of[group_of]
+    pairs = distinct(vertex_key[src] * n_keys + vertex_key[dst])
+    u, v = np.divmod(pairs, n_keys)
+    cross = u != v
+    succs: list[list[int]] = [[] for _ in range(n_keys)]
+    n_preds = [0] * n_keys
+    for a, b in zip(u[cross].tolist(), v[cross].tolist()):
+        succs[a].append(b)
+        n_preds[b] += 1
+    ready = [k for k in range(n_keys) if not n_preds[k]]
+    order: list[int] = []
+    while ready:
+        k = heappop(ready)
+        order.append(k)
+        for b in succs[k]:
+            n_preds[b] -= 1
+            if not n_preds[b]:
+                heappush(ready, b)
+    if len(order) < n_keys:  # impossible while F only runs forward
+        raise RuntimeError("dependence cycle between plan steps")
+    step_of = np.empty(n_keys, dtype=np.int64)
+    step_of[order] = np.arange(n_keys)
+    return step_of[key_of], n_keys
 
 
 def plan_for(

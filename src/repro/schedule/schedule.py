@@ -33,6 +33,7 @@ __all__ = [
     "FusedSchedule",
     "ScheduleError",
     "validate_schedule",
+    "happens_before",
     "concatenate_schedules",
 ]
 
@@ -201,9 +202,7 @@ def validate_schedule(
     def check_edges(src: np.ndarray, dst: np.ndarray, label: str) -> None:
         if src.size == 0:
             return
-        ok_s = sp[src] < sp[dst]
-        same = (sp[src] == sp[dst]) & (wp[src] == wp[dst]) & (pos[src] < pos[dst])
-        bad = ~(ok_s | same)
+        bad = ~happens_before(sp, wp, pos, src, dst)
         if np.any(bad):
             i = int(np.nonzero(bad)[0][0])
             raise ScheduleError(
@@ -222,6 +221,25 @@ def validate_schedule(
                 continue
             edges = f.edge_list()  # (producer_j, consumer_i)
             check_edges(edges[:, 0] + off[a], edges[:, 1] + off[b], f"inter {a}->{b}")
+
+
+def happens_before(
+    sp: np.ndarray,
+    wp: np.ndarray,
+    pos: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> np.ndarray:
+    """Mask of the edges ``src -> dst`` that per-vertex ``(s, w, pos)``
+    coordinates order: ``s(u) < s(v)``, or the same w-partition of the
+    same s-partition with ``pos(u) < pos(v)``.
+
+    The one dependence rule of :func:`validate_schedule`, the plan
+    compiler's merge precondition and the dynamic sanitizer (which
+    passes executor dispatch indices as *pos*).
+    """
+    su, sv = sp[src], sp[dst]
+    return (su < sv) | ((su == sv) & (wp[src] == wp[dst]) & (pos[src] < pos[dst]))
 
 
 def concatenate_schedules(parts: list[FusedSchedule]) -> FusedSchedule:

@@ -7,11 +7,22 @@ import numpy as np
 from ..sparse.base import INDEX_DTYPE
 
 __all__ = [
+    "distinct",
     "multi_range",
     "segment_sums",
     "segment_boundaries",
     "segment_sums_at",
 ]
+
+
+def distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of *x* (a sort plus run heads).
+
+    Several times faster than ``np.unique`` on the integer keys used
+    here, whose NumPy 2 implementation hashes.
+    """
+    x = np.sort(x)
+    return x[np.r_[True, x[1:] != x[:-1]]] if x.shape[0] else x
 
 
 def multi_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -70,7 +81,13 @@ def segment_sums_at(
     reduce_starts: np.ndarray,
     nonempty: np.ndarray,
 ) -> np.ndarray:
-    """:func:`segment_sums` with boundaries from :func:`segment_boundaries`."""
+    """:func:`segment_sums` with boundaries from :func:`segment_boundaries`.
+
+    When no segment is empty, ``np.add.reduceat`` alone is the result —
+    bitwise the masked assignment, without the zeroed output array.
+    """
+    if reduce_starts.shape[0] == n_segments:
+        return np.add.reduceat(values, reduce_starts)
     out = np.zeros(n_segments, dtype=values.dtype)
     if reduce_starts.shape[0]:
         out[nonempty] = np.add.reduceat(values, reduce_starts)

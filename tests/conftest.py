@@ -60,6 +60,28 @@ def matrix_zoo(lap2d_small, lap2d_nd, lap3d_nd, band_small, rand_spd_nd):
     ]
 
 
+@pytest.fixture(scope="session")
+def dependence_edges():
+    """``edges(fused) -> (src, dst)``: global vertex ids of every
+    intra-DAG and ``F`` edge of a :class:`~repro.fusion.FusedLoops`."""
+
+    def edges(fl):
+        off = fl.schedule.offsets
+        src = [np.empty(0, dtype=np.int64)]
+        dst = [np.empty(0, dtype=np.int64)]
+        for k, dag in enumerate(fl.dags):
+            e = dag.edge_list()
+            src.append(e[:, 0] + off[k])
+            dst.append(e[:, 1] + off[k])
+        for (a, b), f in fl.inter.items():
+            e = f.edge_list()  # (producer_j, consumer_i)
+            src.append(e[:, 0] + off[a])
+            dst.append(e[:, 1] + off[b])
+        return np.concatenate(src), np.concatenate(dst)
+
+    return edges
+
+
 @pytest.fixture
 def rng():
     """Fresh deterministic RNG per test."""

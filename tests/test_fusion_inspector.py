@@ -126,3 +126,23 @@ class TestReuseRatio:
         assert compute_reuse(k_csr, k2) == pytest.approx(
             compute_reuse(k_csc, k2)
         )
+
+
+def test_one_join_per_kernel_pair(lap2d_small):
+    """fuse() and the plan compiler share one memoized F per loop pair."""
+    from repro import fuse
+    from repro.obs import recording
+    from repro.runtime import allocate_state, execute_schedule_planned
+    from repro.solvers import build_gs_chain
+
+    kernels, _, _ = build_gs_chain(lap2d_small, 2)
+    state = allocate_state(kernels)
+    for values in state.values():
+        values[:] = 1.0
+    with recording() as rec:
+        fl = fuse(kernels, 4)
+        execute_schedule_planned(fl.schedule, kernels, state)
+    joins = [sp for sp in rec.spans if sp.name == "inspector.join"]
+    n = len(kernels)
+    assert len(joins) == n * (n - 1) // 2
+    assert build_inter_dep(kernels[0], kernels[1]) is fl.inter[(0, 1)]

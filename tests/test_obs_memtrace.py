@@ -16,8 +16,9 @@ from repro.obs.memtrace import (
     derive_dependence_pairs,
     execution_coordinates,
 )
-from repro.runtime import execute_schedule, execute_schedule_planned
+from repro.runtime import execute_schedule, execute_schedule_planned, plan_for
 from repro.schedule import ScheduleError, validate_schedule
+from repro.schedule.schedule import happens_before
 
 EXECUTORS = ("iter", "plan")
 
@@ -201,15 +202,28 @@ def test_same_loop_updates_generate_no_pairs(lap2d_nd):
 # executor coordinate models
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_execution_coordinates_match_assignment(executor, lap2d_nd):
+def test_execution_coordinates_follow_executor_phases(
+    executor, lap2d_nd, dependence_edges
+):
+    """``w`` is the schedule's under both models; ``s`` is the
+    s-partition under ``iter`` and the plan step's phase under ``plan``;
+    either way every dependence is happens-before ordered."""
     kernels, _ = build_combination(1, lap2d_nd, seed=1)
     fl = fuse(kernels, 6)
     sp, wp, tt = execution_coordinates(fl.schedule, kernels, executor)
     esp, ewp, _ = fl.schedule.assignment()
-    np.testing.assert_array_equal(sp, esp)
     np.testing.assert_array_equal(wp, ewp)
+    if executor == "iter":
+        np.testing.assert_array_equal(sp, esp)
+    else:
+        offsets = fl.schedule.offsets
+        for step in plan_for(fl.schedule, kernels).steps:
+            assert np.all(sp[step.iters + offsets[step.loop]] == step.s)
     assert tt.shape == sp.shape
     assert (tt >= 0).all()
+    src, dst = dependence_edges(fl)
+    assert np.all(sp[src] <= sp[dst])
+    assert np.all(happens_before(sp, wp, tt, src, dst))
 
 
 def test_incomplete_schedule_rejected(lap2d_nd):

@@ -15,6 +15,9 @@ import pytest
 from repro import fuse
 from repro.fusion import COMBINATIONS, build_combination
 from repro.kernels import SpTRSVCSR, internal_var
+from repro.kernels import spmv as kernels_spmv
+from repro.kernels import spmv_sym as kernels_spmv_sym
+from repro.kernels import sptrsv as kernels_sptrsv
 from repro.runtime import (
     allocate_state,
     compile_plan,
@@ -22,8 +25,12 @@ from repro.runtime import (
     execute_schedule_planned,
     plan_for,
 )
+from repro.baselines.unfused import parsy_schedule
 from repro.obs import recording
 from repro.schedule import FusedSchedule
+from repro.solvers import build_gs_chain
+from repro.solvers.pcg import build_ic0_preconditioner
+from repro.utils.arrays import segment_boundaries, segment_sums_at
 
 
 def _run_both(schedule, kernels, state, **plan_kwargs):
@@ -95,51 +102,58 @@ class TestEquivalence:
 
 
 class TestSPartitionSteps:
-    """Steps span whole s-partitions: one per (s, loop, intra-DAG level)."""
+    """Plan steps of a valid schedule merge across s-partitions: one
+    step per (loop, intra-DAG level) wherever the dependences allow."""
 
     @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
-    def test_every_step_lies_in_one_spartition(self, cid, lap3d_nd):
+    def test_steps_hold_one_loop_level_each(self, cid, lap3d_nd, dependence_edges):
         kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
         fl = fuse(kernels, 8)
-        sp, wp, _ = fl.schedule.assignment()
         offsets = fl.schedule.offsets
         plan = compile_plan(fl.schedule, kernels)
-        spans_w = False
-        for step in plan.steps:
+        step_of = np.full(fl.schedule.n_vertices, -1)
+        for i, step in enumerate(plan.steps):
+            levels = kernels[step.loop].intra_dag().levels()[step.iters]
+            assert np.unique(levels).shape[0] == 1, i
             gids = step.iters + offsets[step.loop]
-            assert np.all(sp[gids] == step.s)
-            spans_w |= np.unique(wp[gids]).shape[0] > 1
-        # merging happened: some step covers several w-partitions
-        assert spans_w
-        # steps come in s-partition order, each iteration exactly once
-        assert all(a.s <= b.s for a, b in zip(plan.steps, plan.steps[1:]))
-        covered = np.concatenate(
-            [step.iters + offsets[step.loop] for step in plan.steps]
-        )
-        assert np.array_equal(np.sort(covered), np.arange(fl.schedule.n_vertices))
+            assert np.all(step_of[gids] == -1), "iteration in two steps"
+            step_of[gids] = i
+        assert np.all(step_of >= 0), "iteration in no step"
+        src, dst = dependence_edges(fl)
+        assert np.all(step_of[src] < step_of[dst])
+        # a merged plan's happens-before phases are its step indices
+        assert [step.s for step in plan.steps] == list(range(plan.n_steps))
 
     @pytest.mark.parametrize("min_batch", [2, 4, 16])
-    @pytest.mark.parametrize("cid", [1, 4, 5])
-    def test_level_steps_per_spartition_and_loop(self, cid, min_batch, lap3d_nd):
+    @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
+    def test_level_steps_meet_lower_bound(self, cid, min_batch, lap3d_nd):
+        """One step per intra level of every loop — the fewest any legal
+        plan can have — and never more steps than the unfused plan."""
         kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
         fl = fuse(kernels, 8)
-        sched = fl.schedule
-        offsets = sched.offsets
-        sp, _, _ = sched.assignment()
-        plan = compile_plan(sched, kernels, min_batch=min_batch)
-        got: dict[tuple[int, int], int] = {}
-        for step in plan.steps:
-            if step.kind == "level":
-                key = (step.s, step.loop)
-                got[key] = got.get(key, 0) + 1
+        plan = compile_plan(fl.schedule, kernels, min_batch=min_batch)
         for k, kern in enumerate(kernels):
             assert kern.supports_level_batch
-            levels = kern.intra_dag().levels()
-            loop_sp = sp[offsets[k] : offsets[k + 1]]
-            for s in range(sched.n_spartitions):
-                _, sizes = np.unique(levels[loop_sp == s], return_counts=True)
-                expected = int(np.sum(sizes >= min_batch))
-                assert got.get((s, k), 0) == expected, (s, k)
+            sizes = np.bincount(kern.intra_dag().levels())
+            mine = [step for step in plan.steps if step.loop == k]
+            assert len(mine) == sizes.shape[0], k
+            n_level = sum(step.kind == "level" for step in mine)
+            assert n_level == int(np.sum(sizes >= min_batch)), k
+        unfused = compile_plan(
+            parsy_schedule(kernels, 8), kernels, min_batch=min_batch
+        )
+        assert plan.n_steps <= unfused.n_steps
+
+    def test_solver_plans_no_longer_than_unfused(self, lap3d_nd):
+        """The Gauss-Seidel chunk and the IC0 preconditioner: the fused
+        plan needs no more dispatches than the unfused ParSy plan."""
+        gs, _, _ = build_gs_chain(lap3d_nd, 2)
+        pcg = build_ic0_preconditioner(lap3d_nd)[0].kernels
+        for kernels in (gs, pcg):
+            fused = plan_for(fuse(kernels, 8).schedule, kernels)
+            unfused = plan_for(parsy_schedule(kernels, 8), kernels)
+            assert fused.n_steps <= unfused.n_steps
+            assert fused.n_steps_merged > 0
 
     def test_same_s_cross_w_dependence_still_flagged(self):
         """A dependence between two w-partitions of one s-partition
@@ -166,6 +180,59 @@ class TestSPartitionSteps:
         # plan dispatch numbers are per s-partition: distinct and ordered
         _, _, tt = execution_coordinates(sched, [kern], "plan")
         assert np.array_equal(np.sort(tt), np.arange(kern.n_iterations))
+
+
+def _masked_segment_sums(values, n_segments, reduce_starts, nonempty):
+    """``segment_sums_at`` without its all-segments-non-empty shortcut."""
+    out = np.zeros(n_segments, dtype=values.dtype)
+    if reduce_starts.shape[0]:
+        out[nonempty] = np.add.reduceat(values, reduce_starts)
+    return out
+
+
+class TestDenseReduceat:
+    """Level steps whose rows all have entries reduce with a bare
+    ``np.add.reduceat``; outputs stay bitwise those of the masked sum."""
+
+    @staticmethod
+    def _run(schedule, kernels, state, plan):
+        st = {k: v.copy() for k, v in state.items()}
+        execute_schedule_planned(schedule, kernels, st, plan=plan)
+        return st
+
+    @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
+    def test_plan_outputs_bitwise_unchanged(self, cid, lap3d_nd, monkeypatch):
+        kernels, state = build_combination(cid, lap3d_nd, seed=cid)
+        fl = fuse(kernels, 8)
+        plan = compile_plan(fl.schedule, kernels, min_batch=1)
+        fast = self._run(fl.schedule, kernels, state, plan)
+        for mod in (kernels_sptrsv, kernels_spmv, kernels_spmv_sym):
+            monkeypatch.setattr(mod, "segment_sums_at", _masked_segment_sums)
+        masked = self._run(fl.schedule, kernels, state, plan)
+        for var in fast:
+            assert np.array_equal(fast[var], masked[var]), var
+
+    def test_gs_chain_bitwise_unchanged(self, lap3d_nd, monkeypatch, rng):
+        kernels, _, _ = build_gs_chain(lap3d_nd, 2)
+        state = allocate_state(kernels)
+        for values in state.values():
+            values[:] = rng.uniform(0.5, 1.5, values.shape[0])
+        fl = fuse(kernels, 8)
+        plan = compile_plan(fl.schedule, kernels)
+        fast = self._run(fl.schedule, kernels, state, plan)
+        for mod in (kernels_sptrsv, kernels_spmv):
+            monkeypatch.setattr(mod, "segment_sums_at", _masked_segment_sums)
+        masked = self._run(fl.schedule, kernels, state, plan)
+        for var in fast:
+            assert np.array_equal(fast[var], masked[var]), var
+
+    def test_segment_sums_at_without_empty_segments(self, rng):
+        counts = rng.integers(1, 5, size=40)
+        values = rng.random(int(counts.sum()))
+        reduce_starts, nonempty = segment_boundaries(counts)
+        got = segment_sums_at(values, counts.shape[0], reduce_starts, nonempty)
+        want = _masked_segment_sums(values, counts.shape[0], reduce_starts, nonempty)
+        assert np.array_equal(got, want)
 
 
 class TestDegenerateSchedules:

@@ -12,8 +12,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import fuse
-from repro.kernels import SpMVCSC, SpTRSVCSR
+from repro.kernels import SpMVCSC, SpTRSVCSR, internal_var
 from repro.obs import sanitize_schedule
+from repro.runtime import (
+    allocate_state,
+    execute_schedule,
+    execute_schedule_planned,
+    plan_for,
+)
 from repro.schedule import ScheduleError, validate_schedule
 from repro.sparse import random_lower_triangular
 
@@ -122,3 +128,43 @@ def test_commutative_spmv_fusion_sanitizes_clean(low, r):
         assert sanitize_schedule(
             fl.schedule, [k1, k2], executor=executor
         ).clean
+
+
+@SETTINGS
+@given(
+    low=lower_matrices(),
+    r=st.integers(min_value=2, max_value=8),
+    spmv=st.booleans(),
+    min_batch=st.sampled_from([1, 2, 4]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_merged_plans_sanitize_clean_and_match_iter(low, r, spmv, min_batch, seed):
+    """Merged TRSV-TRSV and TRSV-SpMV plans: clean under the plan
+    sanitizer, and equal to the per-iteration oracle within the pinned
+    tolerance."""
+    if spmv:
+        kernels = [
+            SpTRSVCSR(low, l_var="Lx", b_var="b", x_var="y"),
+            SpMVCSC(low.to_csc(), a_var="Ax", x_var="y", y_var="z"),
+        ]
+    else:
+        kernels = trsv_chain(low)
+    fl = fuse(kernels, r)
+    plan = plan_for(fl.schedule, kernels, min_batch=min_batch)
+    assert [step.s for step in plan.steps] == list(range(plan.n_steps))
+    assert sanitize_schedule(
+        fl.schedule, kernels, executor="plan", min_batch=min_batch
+    ).clean
+
+    rng = np.random.default_rng(seed)
+    state = allocate_state(kernels)
+    state["Lx"][:] = low.data
+    state["b"][:] = rng.uniform(-1.0, 1.0, low.n_rows)
+    if spmv:
+        state["Ax"][:] = low.to_csc().data
+    expected = {v: a.copy() for v, a in state.items()}
+    execute_schedule(fl.schedule, kernels, expected)
+    execute_schedule_planned(fl.schedule, kernels, state, min_batch=min_batch)
+    for var, ref in expected.items():
+        if not internal_var(var):
+            assert np.allclose(state[var], ref, atol=1e-12), var
