@@ -20,9 +20,16 @@ additionally stores the inspector + plan-compile ``stage_breakdown`` and
 the plan-cache counters, proving repeated executions skip compilation
 (``plan.cache_hits`` > 0).
 
+The summary also records whether a warm run skips plan compile: fuse +
+planned execution of SpTRSV→SpMV on the first matrix, twice, each time
+with a fresh :class:`~repro.schedule.cache.ScheduleCache` on one shared
+directory (as two processes would); the second run must load its plan
+from the cache's plan store.
+
 ``--smoke`` runs one tiny matrix with few reps — the CI guardrail mode;
-CI fails when ``plan`` is slower than ``iter`` (with 10% headroom) or
-when the fused plan needs more steps than the unfused one.
+CI fails when ``plan`` is slower than ``iter`` (with 10% headroom), when
+the fused plan needs more steps than the unfused one, or when the warm
+run compiles a plan.
 
 pytest-benchmark: one planned execution (post-compile) of the fused
 SpTRSV→SpMV schedule at small scale.
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -41,6 +49,7 @@ from repro.baselines.unfused import parsy_schedule
 from repro.fusion import build_combination
 from repro.obs import recording, stage_breakdown
 from repro.runtime import execute_schedule, execute_schedule_planned, plan_for
+from repro.schedule import ScheduleCache
 from repro.solvers import build_gs_chain
 from repro.solvers.gauss_seidel import gs_split
 
@@ -139,6 +148,26 @@ def bench_gs_chain(a, *, n_threads, reps, min_batch, unroll=2):
     return seconds, diags, stage_breakdown(rec)
 
 
+def warm_plan_compiles(a, *, n_threads, min_batch):
+    """Plan compilations in the second of two fuse + planned runs of
+    SpTRSV→SpMV whose fresh caches share one directory (0 when the
+    second run loads the stored plan)."""
+    with tempfile.TemporaryDirectory(prefix="plan-store-") as cache_dir:
+        for _ in range(2):
+            kernels, state = build_combination(3, a, seed=3)
+            with recording() as rec:
+                fl = fuse(
+                    kernels,
+                    n_threads,
+                    cache=ScheduleCache(directory=cache_dir),
+                    validate=False,
+                )
+                execute_schedule_planned(
+                    fl.schedule, kernels, state, min_batch=min_batch
+                )
+    return int(rec.counter("plan.cache_misses"))
+
+
 def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
     if smoke:
         from repro.sparse import apply_ordering, laplacian_2d
@@ -188,6 +217,9 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
                     f"{diags['unfused_plan_steps']} unfused)"
                 )
 
+    warm_compiles = warm_plan_compiles(
+        suite[0].matrix, n_threads=n_threads, min_batch=min_batch
+    )
     summary = {
         "geomean_speedup_plan_vs_iter": geomean(
             [r["speedup_plan_vs_iter"] for r in rows]
@@ -196,6 +228,7 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
         "all_fused_steps_within_unfused": all(
             r["plan_steps"] <= r["unfused_plan_steps"] for r in rows
         ),
+        "warm_run_skips_plan_compile": warm_compiles == 0,
     }
     if verbose:
         print(
@@ -254,9 +287,12 @@ def main(argv=None) -> int:
             )
         if longer:
             return 1
+        if not payload["summary"]["warm_run_skips_plan_compile"]:
+            print("FAIL: a fresh cache on a populated directory compiled a plan")
+            return 1
         print(
             "smoke OK: plan within tolerance of iter, cache hits recorded, "
-            "fused plans no longer than unfused"
+            "fused plans no longer than unfused, warm run loaded its plan"
         )
         return 0
     path = save_results("executor_plans", payload)

@@ -264,6 +264,12 @@ SMOKE_FLOORS: dict[str, list[tuple[str, float, str]]] = {
             1.0,
             "fused plans must need no more steps than unfused ParSy plans",
         ),
+        (
+            "warm_run_skips_plan_compile",
+            1.0,
+            "a fresh cache on a populated directory must load, not compile, "
+            "its plan",
+        ),
     ],
     "bench_inspector": [
         (

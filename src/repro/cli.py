@@ -149,7 +149,7 @@ def _start_recording(args):
 
 
 def _pipeline_summary(rec) -> str:
-    """One-line NER health readout: inspector / plan-compile / cache."""
+    """One-line NER health readout: inspector / plan-compile / caches."""
     counters = rec.counters
     inspector = counters.get("inspector.seconds", 0.0)
     plan = sum(s.seconds for s in rec.spans if s.name == "plan.compile")
@@ -160,6 +160,10 @@ def _pipeline_summary(rec) -> str:
         if hits or misses
         else "schedule cache off"
     )
+    plan_hits = int(counters.get("plan.store_hits", 0))
+    plan_misses = int(counters.get("plan.store_misses", 0))
+    if plan_hits or plan_misses:
+        cache += f", plan store {plan_hits} hit / {plan_misses} miss"
     return (
         f"pipeline    inspector {inspector * 1e3:.1f} ms, "
         f"plan compile {plan * 1e3:.1f} ms, {cache}"

@@ -28,7 +28,12 @@ from ..schedule.dagp import dagp_schedule
 from ..schedule.hdagg import hdagg_schedule
 from ..schedule.ico import ico_schedule
 from ..schedule.lbc import lbc_schedule
-from ..schedule.schedule import FusedSchedule, validate_schedule
+from ..schedule.schedule import (
+    PLAN_STORE_KEY,
+    RUNTIME_META_KEYS,
+    FusedSchedule,
+    validate_schedule,
+)
 from ..schedule.wavefront import wavefront_schedule
 from .inspector import build_inter_dep, compute_reuse
 
@@ -170,6 +175,9 @@ def fuse(
         A :class:`repro.schedule.cache.ScheduleCache`; when ``None`` the
         process-wide default (``set_default_cache``) is consulted. On a
         pattern-fingerprint hit the scheduling stage is skipped entirely.
+        The cache is also bound to the returned schedule (a runtime-only
+        ``meta`` entry), so :func:`repro.runtime.plan.plan_for` stores its
+        compiled plans there and a later process skips plan compile.
     scheduler_kwargs:
         Forwarded to the scheduler (e.g. LBC's ``initial_cut``).
 
@@ -221,6 +229,9 @@ def fuse(
                     )
             if cache is not None:
                 cache.put(key, sched)
+        if cache is not None:
+            # plan_for stores and finds this schedule's compiled plans here
+            sched.meta[PLAN_STORE_KEY] = cache
     inspector_seconds = inspect_span.seconds
     rec.count(names.INSPECTOR_SECONDS, inspector_seconds)
     fused = FusedLoops(
@@ -319,6 +330,6 @@ def repack_schedule(
         )
     repacked = _repack(schedule, dags, inter, packing)
     repacked.meta.update(
-        {k: v for k, v in schedule.meta.items() if k != "_execution_plans"}
+        {k: v for k, v in schedule.meta.items() if k not in RUNTIME_META_KEYS}
     )
     return repacked

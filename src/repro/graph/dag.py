@@ -111,8 +111,11 @@ class DAG:
 
     @classmethod
     def from_edges(cls, n: int, edges, weights=None) -> "DAG":
-        """Build from an iterable of ``(u, v)`` pairs (u before v)."""
-        edges = np.asarray(list(edges), dtype=INDEX_DTYPE).reshape(-1, 2)
+        """Build from ``(u, v)`` pairs (u before v), given as an
+        ``(m, 2)`` array or an iterable of pairs."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edges = np.asarray(edges, dtype=INDEX_DTYPE).reshape(-1, 2)
         if edges.size == 0:
             return cls.empty(n, weights)
         order = np.lexsort((edges[:, 1], edges[:, 0]))

@@ -42,6 +42,8 @@ PLAN_COMPILE_SECONDS = "plan.compile_seconds"
 PLAN_LEVEL_STEPS = "plan.level_steps"
 PLAN_CACHE_HITS = "plan.cache_hits"
 PLAN_CACHE_MISSES = "plan.cache_misses"
+PLAN_STORE_HITS = "plan.store_hits"
+PLAN_STORE_MISSES = "plan.store_misses"
 PLAN_STEPS_MERGED = "plan.steps_merged"
 
 # -- executors (wall clock) -------------------------------------------
@@ -105,6 +107,8 @@ REGISTRY: dict[str, tuple[str, str]] = {
     PLAN_LEVEL_STEPS: ("1", "level-batched steps in compiled plans"),
     PLAN_CACHE_HITS: ("1", "memoized-plan hits on schedule.meta"),
     PLAN_CACHE_MISSES: ("1", "plan compilations (cache misses)"),
+    PLAN_STORE_HITS: ("1", "plans loaded from the schedule cache's plan store"),
+    PLAN_STORE_MISSES: ("1", "plan-store lookups that fell through to compile"),
     PLAN_STEPS_MERGED: (
         "1",
         "(s-partition, loop, level) groups folded into a step of another",

@@ -16,25 +16,33 @@ pays interpreter cost per iteration. This module compiles a
   ``lexsort`` over ``(s, loop, level)`` does the whole regrouping.
 * The (s-partition, loop, level) groups then **merge across
   s-partitions**: every group of one (loop, level) joins one step, and
-  the steps run in a dependence order that follows the schedule. This
-  executor pays a fixed Python cost per step and has no barriers to
-  save, so s-partition boundaries would otherwise multiply its
-  dispatches; merged, each loop runs one step per intra level — the
-  same count as an unfused plan — while the schedule still sets the
-  order inside each step and the interleaving of the loops wherever
-  that costs no extra step.
+  the steps run in ascending (loop, level) order. This executor pays a
+  fixed Python cost per step and has no barriers to save, so s-partition
+  boundaries would otherwise multiply its dispatches; merged, each loop
+  runs one step per intra level — the same count as an unfused plan —
+  while the schedule still sets the order inside each step.
 * Per step, the kernel's :meth:`~repro.kernels.base.Kernel.precompute_level`
   builds the concatenated gather/scatter index arrays and
   ``np.add.reduceat`` segment boundaries up front, so executing the plan
   does no index arithmetic at all — only gathers, segment reductions and
   scatters.
-* The plan is memoized on ``schedule.meta`` (:func:`plan_for`), so
-  repeated executions of the same schedule — Gauss-Seidel sweeps,
-  preconditioner applications inside a Krylov loop, benchmark reps —
-  skip compilation entirely. Counters ``plan.cache_hits`` /
-  ``plan.cache_misses`` / ``plan.steps_merged`` and the
-  ``plan.compile_seconds`` counter under :mod:`repro.obs` make the
-  amortization visible.
+* :func:`plan_for` looks for a plan in three places, in order: the
+  memo on ``schedule.meta``, so repeated executions of the same schedule
+  — Gauss-Seidel sweeps, preconditioner applications inside a Krylov
+  loop, benchmark reps — skip compilation entirely; then the
+  :class:`~repro.schedule.cache.ScheduleCache` that
+  :func:`~repro.fusion.fuse` bound to the schedule, whose plan entries
+  persist across processes; and only then :func:`compile_plan`, whose
+  result goes into both. A stored plan holds no kernel objects: per step
+  its kind, loop, phase and iterations plus the ``precompute_level``
+  arrays, which depend on sparsity patterns only. On load it is bound to
+  the caller's kernels and used only if every vertex appears exactly
+  once and every intra-DAG and ``F`` edge runs to a later step (or to a
+  later position of the same scalar step); otherwise it is recompiled
+  and overwritten. Counters ``plan.cache_hits`` / ``plan.cache_misses``
+  (compilations) / ``plan.store_hits`` / ``plan.store_misses`` /
+  ``plan.steps_merged``, the ``plan.compile_seconds`` counter and the
+  ``plan.compile`` / ``plan.load`` spans make the amortization visible.
 
 Legality of the regrouping (see docs/performance.md for the full
 argument): (a) w-partitions of one s-partition are mutually independent
@@ -46,9 +54,9 @@ index, because the inspector builds ``F`` for ordered loop pairs only
 (flow, anti and output dependences alike); (c) intra-loop dependences
 always increase the intra-DAG level, so same-level iterations of one
 loop form an antichain; (d) merging: by (b) and (c) no dependence joins
-two groups of one (loop, level), and the graph of (loop, level) keys is
-acyclic, so running each key as one step, in any topological order of
-that graph, satisfies every intra and ``F`` edge. That holds whatever
+two groups of one (loop, level), and every edge runs to a higher loop
+or a higher level, so running each key as one step, in ascending
+(loop, level) order, satisfies every intra and ``F`` edge. That holds whatever
 the schedule, so merging a broken schedule would hide its fault: the
 merge runs only when the schedule meets its (s, w, position) contract
 on every such edge, checked over the same edge arrays. A schedule that
@@ -75,7 +83,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Any
 
 import numpy as np
@@ -83,8 +90,13 @@ import numpy as np
 from ..kernels.base import Kernel, State
 from ..obs import current as current_recorder
 from ..obs import names
-from ..schedule.schedule import FusedSchedule, happens_before
-from ..utils.arrays import distinct
+from ..schedule.cache import PLAN_FORMAT, plan_key
+from ..schedule.schedule import (
+    PLAN_MEMO_KEY,
+    PLAN_STORE_KEY,
+    FusedSchedule,
+    happens_before,
+)
 
 __all__ = [
     "PlanStep",
@@ -92,9 +104,9 @@ __all__ = [
     "compile_plan",
     "plan_for",
     "execute_schedule_planned",
+    "PLAN_STORE_KEY",
 ]
 
-_PLAN_CACHE_KEY = "_execution_plans"
 
 
 @dataclass
@@ -129,6 +141,7 @@ class ExecutionPlan:
     s-partition order, so every cross-s-partition dependence is
     satisfied by construction. ``n_steps_merged`` counts the
     (s-partition, loop, level) groups folded into another group's step.
+    ``compile_seconds`` is 0 for a plan loaded from the plan store.
     """
 
     loop_counts: tuple[int, ...]
@@ -157,8 +170,9 @@ def compile_plan(
 
     Starts from one group per (s-partition, loop, intra-DAG level). When
     the schedule meets its dependence contract, the groups merge across
-    s-partitions into one step per (loop, level) (:func:`_merge_groups`);
-    otherwise the groups are the steps. Steps smaller than ``min_batch``
+    s-partitions into one step per (loop, level), run in ascending
+    (loop, level) order; otherwise the groups are the steps, in
+    s-partition order. Steps smaller than ``min_batch``
     run scalar in packed order (see the module docstring for the
     tradeoff).
     """
@@ -208,37 +222,25 @@ def compile_plan(
             for kern, capable in zip(kernels, level_capable)
         ]
         level = np.where(leveled, np.concatenate(levels)[verts], 0)
-        # Stable: packed order survives within each (s, loop, level) run.
-        order = np.lexsort((level, loops, s_of))
-        verts, s_of, loops, level, leveled = (
-            x[order] for x in (verts, s_of, loops, level, leveled)
+        if mergeable:
+            # One step per (loop, level), in ascending (loop, level): a
+            # dependence order by legality (b) and (c). A loop without
+            # level batching keeps one step per s-partition.
+            key = np.where(leveled, level, s_of)
+            order = np.lexsort((key, loops))
+        else:
+            key = level
+            order = np.lexsort((level, loops, s_of))
+        # Stable: within a step, vertices keep schedule order.
+        verts, s_of, loops, key, leveled = (
+            x[order] for x in (verts, s_of, loops, key, leveled)
         )
         first = np.ones(verts.shape[0], dtype=bool)
-        first[1:] = (np.diff(s_of) != 0) | (np.diff(loops) != 0) | (
-            np.diff(level) != 0
-        )
-        group = np.cumsum(first) - 1
-        starts = np.flatnonzero(first)
-        if mergeable:
-            group_of = np.empty(schedule.n_vertices, dtype=np.int64)
-            group_of[verts] = group
-            step_of, n_steps = _merge_groups(
-                src,
-                dst,
-                group_of,
-                loops[starts],
-                np.where(leveled[starts], level[starts], -1),
-            )
-            n_merged = starts.shape[0] - n_steps
-            # Stable: within a step, its groups keep schedule order.
-            phase = step_of[group]
-            order = np.argsort(phase, kind="stable")
-            verts, loops, leveled, phase = (
-                x[order] for x in (verts, loops, leveled, phase)
-            )
-            first[1:] = phase[1:] != phase[:-1]
-        else:
-            phase = s_of
+        step_edge = (np.diff(loops) != 0) | (np.diff(key) != 0)
+        group_edge = step_edge | (np.diff(s_of) != 0)
+        first[1:] = step_edge if mergeable else group_edge
+        n_merged = int(group_edge.sum() - first[1:].sum())
+        phase = np.cumsum(first) - 1 if mergeable else s_of
         bounds = [*np.flatnonzero(first).tolist(), verts.shape[0]]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             k = int(loops[lo])
@@ -333,96 +335,208 @@ def _meets_contract(
     return bool(np.all(happens_before(sp, wp, pos, src, dst)))
 
 
-def _merge_groups(
-    src: np.ndarray,
-    dst: np.ndarray,
-    group_of: np.ndarray,
-    loops: np.ndarray,
-    levels: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Step index of every group, and the number of steps.
-
-    Groups ``0..G-1`` come in schedule order; vertex ``v`` is in group
-    ``group_of[v]``, group ``g`` holds loop ``loops[g]``'s intra level
-    ``levels[g]`` (``-1``: not split by level), and ``src[e] -> dst[e]``
-    are the vertex dependence edges. Every group of one
-    (loop, intra level) *key* joins one step: a level is an antichain
-    and ``F`` only runs from a lower to a higher loop, so no edge joins
-    two groups of one key, and the key graph is acyclic (ascending
-    (loop, level) is one topological order). The steps are the keys in a
-    topological order that follows the schedule: among the keys whose
-    predecessors have all been emitted, the one the schedule reaches
-    first goes next. So a schedule's interleaving of loops survives
-    wherever it costs no extra step, and every loop runs exactly one
-    step per intra level — the fewest any legal plan can have.
-
-    Only level-split groups have a (loop, level) key; a group of a loop
-    without level batching runs whole and is its own key.
-    """
-    n_groups = loops.shape[0]
-    code = np.where(
-        levels >= 0,
-        loops * (int(levels.max()) + 1) + levels,
-        -1 - np.arange(n_groups),
-    )
-    _, first, key_of = np.unique(code, return_index=True, return_inverse=True)
-    n_keys = first.shape[0]
-    # number keys by first appearance in schedule order
-    rank = np.empty(n_keys, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(n_keys)
-    key_of = rank[key_of]
-    vertex_key = key_of[group_of]
-    pairs = distinct(vertex_key[src] * n_keys + vertex_key[dst])
-    u, v = np.divmod(pairs, n_keys)
-    cross = u != v
-    succs: list[list[int]] = [[] for _ in range(n_keys)]
-    n_preds = [0] * n_keys
-    for a, b in zip(u[cross].tolist(), v[cross].tolist()):
-        succs[a].append(b)
-        n_preds[b] += 1
-    ready = [k for k in range(n_keys) if not n_preds[k]]
-    order: list[int] = []
-    while ready:
-        k = heappop(ready)
-        order.append(k)
-        for b in succs[k]:
-            n_preds[b] -= 1
-            if not n_preds[b]:
-                heappush(ready, b)
-    if len(order) < n_keys:  # impossible while F only runs forward
-        raise RuntimeError("dependence cycle between plan steps")
-    step_of = np.empty(n_keys, dtype=np.int64)
-    step_of[order] = np.arange(n_keys)
-    return step_of[key_of], n_keys
-
-
 def plan_for(
     schedule: FusedSchedule,
     kernels: list[Kernel],
     *,
     min_batch: int = 4,
 ) -> ExecutionPlan:
-    """Memoized :func:`compile_plan`: cached on ``schedule.meta``.
+    """The compiled plan of *schedule* on *kernels*, compiled at most once.
 
-    The cache key is the identity of the kernel objects plus
-    ``min_batch``; the plan holds strong references to its kernels, so
-    an ``id()`` can never be recycled while its cache entry is alive.
-    Counters ``plan.cache_hits`` / ``plan.cache_misses`` record the
-    amortization.
+    Looks in three places, in order:
+
+    1. the memo on ``schedule.meta``, keyed by the identity of the kernel
+       objects plus ``min_batch`` (the plan holds strong references to its
+       kernels, so an ``id()`` can never be recycled while its entry is
+       alive);
+    2. the plan store: the :class:`~repro.schedule.cache.ScheduleCache`
+       :func:`~repro.fusion.fuse` bound to the schedule, under
+       :func:`~repro.schedule.cache.plan_key`. A stored plan is bound to
+       *kernels* and used only if it passes :func:`_plan_order_holds`;
+    3. :func:`compile_plan`, whose plan is memoized and put into the store.
+
+    Counters: ``plan.cache_hits`` (memo), ``plan.store_hits`` /
+    ``plan.store_misses`` (store, when one is bound) and
+    ``plan.cache_misses`` (compilations).
     """
-    cache = schedule.meta.setdefault(_PLAN_CACHE_KEY, {})
+    memo = schedule.meta.setdefault(PLAN_MEMO_KEY, {})
     key = (tuple(id(k) for k in kernels), int(min_batch))
     rec = current_recorder()
-    plan = cache.get(key)
+    plan = memo.get(key)
     if plan is not None:
         if rec.enabled:
             rec.count(names.PLAN_CACHE_HITS)
         return plan
-    if rec.enabled:
-        rec.count(names.PLAN_CACHE_MISSES)
-    plan = compile_plan(schedule, kernels, min_batch=min_batch)
-    cache[key] = plan
+    store = schedule.meta.get(PLAN_STORE_KEY)
+    stored_as = None
+    if store is not None:
+        with rec.span("plan.load"):
+            stored_as = plan_key(schedule, kernels, min_batch)
+            if stored_as is not None:
+                plan = store.get_plan(
+                    stored_as,
+                    lambda record: _bind_plan(record, schedule, kernels, min_batch),
+                )
+        if rec.enabled:
+            rec.count(
+                names.PLAN_STORE_MISSES if plan is None else names.PLAN_STORE_HITS
+            )
+    if plan is None:
+        if rec.enabled:
+            rec.count(names.PLAN_CACHE_MISSES)
+        plan = compile_plan(schedule, kernels, min_batch=min_batch)
+        if stored_as is not None:
+            try:
+                header, arrays = _plan_record(plan)
+            except TypeError:  # a precomp the record cannot hold: not stored
+                pass
+            else:
+                store.put_plan(stored_as, header, arrays)
+    memo[key] = plan
     return plan
+
+
+def _plan_record(plan: ExecutionPlan) -> tuple[dict, list[np.ndarray]]:
+    """``(header, arrays)`` holding *plan* without its kernel objects.
+
+    The header's JSON skeleton refers to arrays by index: a step is
+    ``[kind, loop, s, iters, precomp]``, and a ``precomp`` tree keeps its
+    dicts, lists and ``None`` with every ndarray leaf replaced by its
+    index. Any other leaf raises ``TypeError``.
+    """
+    arrays: list[np.ndarray] = []
+
+    def skeleton(node):
+        if isinstance(node, np.ndarray) and not node.dtype.hasobject:
+            arrays.append(node)
+            return len(arrays) - 1
+        if node is None:
+            return None
+        if isinstance(node, dict) and all(isinstance(k, str) for k in node):
+            return {k: skeleton(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [skeleton(v) for v in node]
+        raise TypeError(f"cannot store a {type(node).__name__} in a plan")
+
+    header = {
+        "plan_format": PLAN_FORMAT,
+        "counts": [
+            plan.n_level_steps,
+            plan.n_scalar_iterations,
+            plan.n_batched_iterations,
+            plan.n_steps_merged,
+        ],
+        "steps": [
+            [st.kind, st.loop, st.s, skeleton(st.iters), skeleton(st.precomp)]
+            for st in plan.steps
+        ],
+    }
+    return header, arrays
+
+
+def _bind_plan(
+    record: tuple[dict, list[np.ndarray]],
+    schedule: FusedSchedule,
+    kernels: list[Kernel],
+    min_batch: int,
+) -> ExecutionPlan | None:
+    """The plan a :func:`_plan_record` record holds, bound to *kernels*,
+    or ``None`` when the record is malformed or its order is illegal."""
+    header, arrays = record
+
+    def tree(node):
+        if type(node) is int:
+            return arrays[node]
+        if node is None:
+            return None
+        if type(node) is dict:
+            return {k: tree(v) for k, v in node.items()}
+        if type(node) is list:
+            return [tree(v) for v in node]
+        raise TypeError(f"unexpected {type(node).__name__} in a plan record")
+
+    try:
+        if header["plan_format"] != PLAN_FORMAT:
+            return None
+        steps = [
+            PlanStep(kind, loop, arrays[iters], tree(precomp), s=s)
+            for kind, loop, s, iters, precomp in header["steps"]
+        ]
+        n_level, n_scalar, n_batched, n_merged = header["counts"]
+        if not _plan_order_holds(
+            schedule, kernels, steps, min_batch, n_level, n_scalar, n_batched
+        ):
+            return None
+    except (KeyError, IndexError, TypeError, ValueError):
+        return None
+    return ExecutionPlan(
+        loop_counts=tuple(schedule.loop_counts),
+        min_batch=min_batch,
+        steps=steps,
+        kernels=list(kernels),
+        n_level_steps=n_level,
+        n_scalar_iterations=n_scalar,
+        n_batched_iterations=n_batched,
+        n_steps_merged=n_merged,
+    )
+
+
+def _plan_order_holds(
+    schedule: FusedSchedule,
+    kernels: list[Kernel],
+    steps: list[PlanStep],
+    min_batch: int,
+    n_level: int,
+    n_scalar: int,
+    n_batched: int,
+) -> bool:
+    """True when *steps* execute *schedule*'s vertices legally on
+    *kernels*: each kind and loop is valid and the header counts match,
+    every vertex appears exactly once, and every intra-DAG and ``F`` edge
+    runs to a later step or to a later position of the same scalar step.
+    """
+    if [k.n_iterations for k in kernels] != list(schedule.loop_counts):
+        return False
+    n_vertices = schedule.n_vertices
+    if not steps:
+        return n_vertices == 0 and n_level == n_scalar == n_batched == 0
+    capable = [getattr(k, "supports_level_batch", False) for k in kernels]
+    loops = np.array([st.loop for st in steps], dtype=np.int64)
+    if loops.min() < 0 or loops.max() >= len(kernels):
+        return False
+    level = np.array([st.kind == "level" for st in steps])
+    if not all(
+        st.kind == "scalar" or (st.kind == "level" and capable[st.loop])
+        for st in steps
+    ):
+        return False
+    iters = [st.iters for st in steps]
+    if any(it.ndim != 1 or it.dtype.kind not in "iu" for it in iters):
+        return False
+    sizes = np.array([it.shape[0] for it in iters], dtype=np.int64)
+    if (
+        int(level.sum()) != n_level
+        or int(sizes[level].sum()) != n_batched
+        or int(sizes[~level].sum()) != n_scalar
+        or np.any(sizes[level] < min_batch)
+        or int(sizes.sum()) != n_vertices
+    ):
+        return False
+    loop_of = np.repeat(loops, sizes)
+    local = np.concatenate(iters).astype(np.int64)
+    counts = np.asarray(schedule.loop_counts, dtype=np.int64)
+    if np.any(local < 0) or np.any(local >= counts[loop_of]):
+        return False
+    verts = local + schedule.offsets[loop_of]
+    step_of = np.full(n_vertices, -1, dtype=np.int64)
+    step_of[verts] = np.repeat(np.arange(len(steps)), sizes)
+    if np.any(step_of < 0):  # n slots, n vertices: some vertex repeats
+        return False
+    pos = np.empty(n_vertices, dtype=np.int64)
+    pos[verts] = np.arange(n_vertices)
+    src, dst = _dependence_edges(kernels, schedule.offsets)
+    a, b = step_of[src], step_of[dst]
+    return bool(np.all((a < b) | ((a == b) & ~level[a] & (pos[src] < pos[dst]))))
 
 
 def execute_schedule_planned(

@@ -13,6 +13,7 @@ from .cache import (
     KEY_SCHEMA,
     ScheduleCache,
     get_default_cache,
+    plan_key,
     schedule_key,
     set_default_cache,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "ScheduleCache",
     "KEY_SCHEMA",
     "schedule_key",
+    "plan_key",
     "get_default_cache",
     "set_default_cache",
 ]

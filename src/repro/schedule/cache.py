@@ -1,29 +1,50 @@
-"""Pattern-keyed schedule cache: memoized LBC/ICO inspector results.
+"""Pattern-keyed inspection cache: schedules and compiled plans.
 
 The paper's reuse contract is that "the fused schedule can be reused as
-long as the sparsity patterns of A and L do not change". The schedulers
-are pure functions of (DAG patterns, inter-dependence patterns, vertex
-costs, scheduling parameters), so their results can be memoized on a
-content fingerprint of exactly those inputs: a warm hit skips LBC window
-growing and the whole ICO pipeline and costs one hash of the structure
-arrays. :func:`repro.fusion.fuse` consults the cache between the
-inspector's DAG construction and the scheduling stage.
+long as the sparsity patterns of A and L do not change". Everything the
+inspector-executor derives before the first execution is a pure function
+of patterns and parameters, so it can be memoized on a content
+fingerprint of exactly those inputs. One :class:`ScheduleCache` holds two
+entry kinds under one :data:`KEY_SCHEMA`, in one directory, with the same
+two tiers:
+
+* **Schedules** (:func:`schedule_key`). The key covers what the
+  schedulers read: DAG ``indptr``/``indices``, InterDep rows, vertex
+  weights, loop pairing and every scheduler parameter. A warm hit skips
+  LBC window growing and the whole ICO pipeline;
+  :func:`repro.fusion.fuse` consults the cache between the inspector's
+  DAG construction and the scheduling stage.
+* **Compiled plans** (:func:`plan_key`), stored by
+  :func:`repro.runtime.plan.plan_for` as kernel-free records: per step its
+  kind, loop, phase ``s``, iterations and ``precompute_level`` arrays,
+  plus the plan's header counts. A warm hit skips plan compile — the
+  intra-DAG ``levels()`` passes, the step merge and every
+  ``precompute_level``. The key hashes the schedule's *own content*
+  (loop counts, s/w sizes, vertex arrays), ``min_batch``, and every
+  kernel's class, variable names and operand pattern. The schedule key is
+  not enough: a plan reads kernel patterns the scheduling problem does
+  not cover. ``F`` for SpMV→SpTRSV is diagonal whatever ``A`` is, so two
+  different ``A`` patterns share a schedule key, but SpMV's gather
+  indices come from ``A``. Hashing the schedule's content means an edited
+  ``schedule.copy()`` never resolves to the original's plan.
 
 Two tiers:
 
-* an in-memory LRU (:class:`ScheduleCache`), for repeated ``fuse`` calls
-  in one process — e.g. the unrolled Gauss-Seidel chunks, which fuse the
-  same pattern dozens of times per solve;
-* an optional on-disk store (``directory=``) reusing
-  :mod:`repro.schedule.serialize`, so the inspection cost is paid once
-  *across* processes. The cache key doubles as the stored pattern
-  fingerprint, so a stale or corrupted file fails closed (treated as a
-  miss) instead of yielding a schedule for the wrong pattern.
+* an in-memory LRU per entry kind, for repeated lookups in one process —
+  e.g. the unrolled Gauss-Seidel chunks, which fuse the same pattern
+  dozens of times per solve;
+* an optional on-disk store (``directory=``), so inspection is paid once
+  *across* processes. Schedules reuse :mod:`repro.schedule.serialize`'s
+  ``.npz`` format; plans use its single-read array file
+  (:func:`~repro.schedule.serialize.save_arrays`). The key doubles as the
+  stored fingerprint, so a stale or corrupted file fails closed (treated
+  as a miss, recomputed and overwritten) instead of yielding a result for
+  the wrong pattern. A plan record that loads must also pass
+  :func:`repro.runtime.plan.plan_for`'s order check before it is used.
 
-On-disk caching is safe exactly when the key inputs capture everything
-the scheduler reads: DAG ``indptr``/``indices``, InterDep rows, vertex
-weights, loop pairing, and every scheduler parameter. Anything else
-(matrix *values*, right-hand sides) never influences a schedule.
+Anything outside the keys (matrix *values*, right-hand sides) never
+influences a schedule or a plan: every shipped ``precompute_level``
+builds index arrays from the pattern alone.
 """
 
 from __future__ import annotations
@@ -32,23 +53,29 @@ import hashlib
 import json
 from collections import OrderedDict
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
+from ..sparse.base import INDEX_DTYPE
 from .schedule import FusedSchedule
 from .serialize import (
     ScheduleFormatError,
+    load_arrays,
     load_schedule,
     pattern_fingerprint,
+    save_arrays,
     save_schedule,
 )
 
 __all__ = [
     "ScheduleCache",
     "schedule_key",
+    "plan_key",
     "get_default_cache",
     "set_default_cache",
     "KEY_SCHEMA",
+    "PLAN_FORMAT",
 ]
 
 #: Version of the key derivation itself. Bump whenever the *semantics*
@@ -59,6 +86,11 @@ __all__ = [
 #: dynamic-sanitizer era; kernels declare commutative updates that the
 #: inspector's access maps now expose.)
 KEY_SCHEMA = 2
+
+#: Version of the stored plan record: what :mod:`repro.runtime.plan`
+#: writes per step and how ``compile_plan`` groups and orders steps. It
+#: is hashed into every :func:`plan_key` and checked on load.
+PLAN_FORMAT = 1
 
 
 def schedule_key(dags, inter, scheduler, r, reuse_ratio, params=None) -> str:
@@ -89,12 +121,64 @@ def schedule_key(dags, inter, scheduler, r, reuse_ratio, params=None) -> str:
     return h.hexdigest()
 
 
+def plan_key(schedule: FusedSchedule, kernels, min_batch: int) -> str | None:
+    """Content fingerprint of one plan compilation, or ``None`` when a
+    kernel has no sparse operand to fingerprint (such plans are not
+    stored).
+
+    SHA-256 over :data:`KEY_SCHEMA`, :data:`PLAN_FORMAT`, ``min_batch``,
+    the schedule's loop counts, s/w sizes and vertex arrays, and per
+    kernel its class, read/write variable names (they wire up ``F``) and
+    the :func:`pattern_fingerprint` of its matrix (``kernel.a`` or
+    ``kernel.low``), from which its intra-DAG and ``precompute_level``
+    arrays derive.
+    """
+    operands = [_operand(k) for k in kernels]
+    if any(op is None for op in operands):
+        return None
+    h = hashlib.sha256()
+    h.update(pattern_fingerprint(*operands).encode())
+    parts = [v for wlist in schedule.s_partitions for v in wlist]
+    h.update(np.array([v.shape[0] for v in parts], dtype=np.int64).tobytes())
+    if parts:
+        h.update(np.concatenate(parts).astype(INDEX_DTYPE, copy=False).tobytes())
+    spec = {
+        "schema": KEY_SCHEMA,
+        "plan_format": PLAN_FORMAT,
+        "loops": [int(n) for n in schedule.loop_counts],
+        "widths": [len(wlist) for wlist in schedule.s_partitions],
+        "min_batch": int(min_batch),
+        "kernels": [
+            [
+                f"{type(k).__module__}.{type(k).__qualname__}",
+                list(k.read_vars),
+                list(k.write_vars),
+            ]
+            for k in kernels
+        ],
+    }
+    h.update(json.dumps(spec, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _operand(kernel):
+    for attr in ("a", "low"):
+        op = getattr(kernel, attr, None)
+        if op is not None and hasattr(op, "indptr"):
+            return op
+    return None
+
+
 class ScheduleCache:
-    """LRU schedule memo with an optional on-disk tier.
+    """LRU memo of schedules and plan records, with an optional on-disk
+    tier.
 
     ``get``/``put`` always copy (:meth:`FusedSchedule.copy`): callers
     mutate schedule ``meta`` (compiled execution plans, scheduler tags),
-    and a cached entry must stay pristine.
+    and a cached entry must stay pristine. ``get_plan``/``put_plan`` hold
+    plan records ``(header, arrays)``; loaded arrays are read-only.
+    ``hits``/``misses``/``disk_hits`` count schedule lookups only; plan
+    lookups count in ``plan_hits``/``plan_misses``/``plan_disk_hits``.
     """
 
     def __init__(self, maxsize: int = 64, directory=None):
@@ -105,12 +189,19 @@ class ScheduleCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._mem: OrderedDict[str, FusedSchedule] = OrderedDict()
+        self._plans: OrderedDict[str, tuple] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
+        self.plan_hits = 0
+        self.plan_misses = 0
+        self.plan_disk_hits = 0
 
     def _path(self, key: str) -> Path:
         return self.directory / f"sched-{key}.npz"
+
+    def _plan_path(self, key: str) -> Path:
+        return self.directory / f"plan-{key}.bin"
 
     def get(self, key: str) -> FusedSchedule | None:
         """Cached schedule for *key*, or ``None`` (counted as a miss)."""
@@ -125,7 +216,7 @@ class ScheduleCache:
             except (FileNotFoundError, OSError, ScheduleFormatError):
                 sched = None
             if sched is not None:
-                self._remember(key, sched)
+                self._remember(self._mem, key, sched)
                 self.hits += 1
                 self.disk_hits += 1
                 return sched.copy()
@@ -134,19 +225,52 @@ class ScheduleCache:
 
     def put(self, key: str, schedule: FusedSchedule) -> None:
         """Memoize *schedule* under *key* (and persist when on disk)."""
-        self._remember(key, schedule.copy())
+        self._remember(self._mem, key, schedule.copy())
         if self.directory is not None:
             save_schedule(self._path(key), schedule, fingerprint=key)
 
-    def _remember(self, key: str, schedule: FusedSchedule) -> None:
-        self._mem[key] = schedule
-        self._mem.move_to_end(key)
-        while len(self._mem) > self.maxsize:
-            self._mem.popitem(last=False)
+    def get_plan(self, key: str, bind: Callable[[tuple], Any]) -> Any:
+        """``bind(record)`` for the plan record under *key*, or ``None``.
+
+        *bind* turns a ``(header, arrays)`` record into a usable plan, or
+        returns ``None`` when the record fails its checks; a rejected
+        record is dropped from memory and the lookup counts as a miss,
+        exactly like a missing, truncated or corrupted file.
+        """
+        record = self._plans.get(key)
+        from_disk = record is None and self.directory is not None
+        if from_disk:
+            try:
+                record = load_arrays(self._plan_path(key), expect_fingerprint=key)
+            except (OSError, ScheduleFormatError):
+                record = None
+        plan = bind(record) if record is not None else None
+        if plan is None:
+            self._plans.pop(key, None)
+            self.plan_misses += 1
+            return None
+        self._remember(self._plans, key, record)
+        self.plan_hits += 1
+        self.plan_disk_hits += from_disk
+        return plan
+
+    def put_plan(self, key: str, header: dict, arrays: list[np.ndarray]) -> None:
+        """Memoize a plan record under *key* (and persist when on disk,
+        replacing any entry there)."""
+        self._remember(self._plans, key, (header, arrays))
+        if self.directory is not None:
+            save_arrays(self._plan_path(key), header, arrays, fingerprint=key)
+
+    def _remember(self, mem: OrderedDict, key: str, entry) -> None:
+        mem[key] = entry
+        mem.move_to_end(key)
+        while len(mem) > self.maxsize:
+            mem.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop the in-memory tier (on-disk files are left in place)."""
+        """Drop the in-memory tiers (on-disk files are left in place)."""
         self._mem.clear()
+        self._plans.clear()
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -158,6 +282,10 @@ class ScheduleCache:
             "misses": self.misses,
             "disk_hits": self.disk_hits,
             "entries": len(self._mem),
+            "plan_hits": self.plan_hits,
+            "plan_misses": self.plan_misses,
+            "plan_disk_hits": self.plan_disk_hits,
+            "plan_entries": len(self._plans),
         }
 
 

@@ -35,7 +35,19 @@ __all__ = [
     "validate_schedule",
     "happens_before",
     "concatenate_schedules",
+    "PLAN_MEMO_KEY",
+    "PLAN_STORE_KEY",
+    "RUNTIME_META_KEYS",
 ]
+
+#: ``meta`` key of the compiled-plan memo (:func:`repro.runtime.plan.plan_for`).
+PLAN_MEMO_KEY = "_execution_plans"
+#: ``meta`` key of the :class:`~repro.schedule.cache.ScheduleCache` that
+#: :func:`repro.fusion.fuse` bound for storing this schedule's plans.
+PLAN_STORE_KEY = "_plan_store"
+#: ``meta`` keys that belong to one in-process schedule object: neither
+#: is serialized, and :meth:`FusedSchedule.copy` drops both.
+RUNTIME_META_KEYS = (PLAN_MEMO_KEY, PLAN_STORE_KEY)
 
 
 class ScheduleError(AssertionError):
@@ -139,9 +151,13 @@ class FusedSchedule:
         Compiled execution plans (:mod:`repro.runtime.plan`) memoized in
         ``meta`` are *not* carried over: a copy exists to be modified,
         and a stale plan compiled against the original vertex order
-        would silently execute the wrong schedule.
+        would silently execute the wrong schedule. Nor is the plan store
+        ``fuse`` bound (:data:`RUNTIME_META_KEYS`), so a copy compiles
+        its plans afresh.
         """
-        meta = {k: v for k, v in self.meta.items() if k != "_execution_plans"}
+        meta = {
+            k: v for k, v in self.meta.items() if k not in RUNTIME_META_KEYS
+        }
         return FusedSchedule(
             self.loop_counts,
             [[v.copy() for v in wlist] for wlist in self.s_partitions],

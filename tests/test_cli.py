@@ -50,6 +50,18 @@ class TestCommands:
         fp = pattern_fingerprint(*(k.intra_dag() for k in kernels))
         load_schedule(p, expect_fingerprint=fp)
 
+    def test_health_line_reports_plan_store(self, tmp_path, capsys):
+        from repro.schedule import get_default_cache, set_default_cache
+
+        previous = get_default_cache()
+        argv = ["fuse", "--matrix", "lap2d:8", "--combo", "3"]
+        try:
+            for expect in ("0 hit / 1 miss", "1 hit / 0 miss"):
+                assert main(argv + ["--inspector-cache", str(tmp_path)]) == 0
+                assert f"plan store {expect}" in capsys.readouterr().out
+        finally:
+            set_default_cache(previous)
+
     def test_compare(self, capsys):
         rc = main(
             ["compare", "--matrix", "lap2d:8", "--combo", "3", "--threads", "4"]

@@ -17,6 +17,15 @@ class TestConstruction:
         g = DAG.from_edges(3, [(0, 1), (0, 1), (1, 2)])
         assert g.n_edges == 2
 
+    def test_from_edges_array_and_pairs_agree(self):
+        pairs = [(2, 3), (0, 1), (0, 2), (1, 3), (0, 1)]
+        arr = np.array(pairs, dtype=np.int64)
+        for edges in (arr, pairs, iter(pairs), ((u, v) for u, v in pairs)):
+            g = DAG.from_edges(4, edges)
+            assert g.indptr.tolist() == [0, 2, 3, 4, 4]
+            assert g.indices.tolist() == [1, 2, 3, 3]
+        assert arr.tolist() == [list(p) for p in pairs]  # input untouched
+
     def test_empty(self):
         g = DAG.empty(5)
         assert g.n_edges == 0 and not g.has_edges
