@@ -30,7 +30,7 @@ def wavefront_profiles(a):
     g1, g2 = dags
     unfused = [int(w.shape[0]) for w in g1.wavefronts()]
     unfused += [int(w.shape[0]) for w in g2.wavefronts()]
-    joint = build_joint_dag(g1, g2, inter[(0, 1)])
+    joint = build_joint_dag(dags, inter)
     joint_series = [int(w.shape[0]) for w in joint.wavefronts()]
     return unfused, joint_series
 

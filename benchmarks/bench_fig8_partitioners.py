@@ -40,7 +40,7 @@ def build_dags(a):
     # joint DAG has ~3x the edges of the SpTRSV DAG, which the full-A
     # pattern F reproduces.
     f = InterDep.from_csr_pattern(a)
-    return g_trsv, build_joint_dag(g_spmv, g_trsv, f)
+    return g_trsv, build_joint_dag([g_spmv, g_trsv], {(0, 1): f})
 
 
 def timed(fn):

@@ -55,7 +55,7 @@ def main() -> None:
     print(f"LBC unfused (Fig. 2c) — {unfused.n_spartitions} s-partitions:")
     print(render(unfused, N))
 
-    joint = build_joint_dag(g1, g2, f)
+    joint = build_joint_dag([g1, g2], inter)
     joint_sched = lbc_schedule(joint, R)
     joint2 = type(unfused)((N, N), joint_sched.s_partitions)
     validate_schedule(joint2, [g1, g2], inter)

@@ -1,12 +1,11 @@
 """Trace the full pipeline for TRSV -> SpMV (Table 1 combination 3).
 
-Records the inspector + ICO run with a :class:`repro.obs.Recorder`,
-executes the fused schedule on real threads (worker spans land on their
-own trace rows), then writes:
+Records the inspector + ICO run and one compiled-plan execution with a
+:class:`repro.obs.Recorder`, then writes:
 
 * ``trace_pipeline.json``  — unified Perfetto trace: live inspector/ICO
-  spans plus the simulated executor timeline. Open it at
-  https://ui.perfetto.dev.
+  and plan spans plus the simulated executor timeline, one row per
+  thread. Open it at https://ui.perfetto.dev.
 * ``trace_pipeline.jsonl`` — the machine-readable span/counter/event log.
 
 Run:  python examples/trace_pipeline.py
@@ -17,7 +16,7 @@ import numpy as np
 from repro import MachineConfig, fuse
 from repro.kernels import SpMVCSC, SpTRSVCSR
 from repro.obs import export_jsonl, export_perfetto, format_summary, recording
-from repro.runtime import ThreadedExecutor
+from repro.runtime import execute_schedule_planned
 from repro.sparse import apply_ordering, laplacian_3d
 
 N_THREADS = 8
@@ -29,14 +28,14 @@ def main() -> None:
     k_trsv = SpTRSVCSR(low, l_var="Lx", b_var="x0", x_var="y")
     k_spmv = SpMVCSC(a.to_csc(), a_var="Ax", x_var="y", y_var="z")
 
-    # -- record inspector + ICO + a threaded execution -------------------
+    # -- record inspector + ICO + a plan execution -----------------------
     with recording() as rec:
         fused = fuse([k_trsv, k_spmv], N_THREADS)
         state = fused.allocate_state()
         state["Lx"][:] = low.data
         state["Ax"][:] = a.to_csc().data
         state["x0"][:] = np.random.default_rng(0).random(a.n_rows)
-        ThreadedExecutor(N_THREADS).execute(fused.schedule, fused.kernels, state)
+        execute_schedule_planned(fused.schedule, fused.kernels, state)
 
     # -- console: where did the time go? ----------------------------------
     print(format_summary(rec, title=f"TRSV->SpMV pipeline, n={a.n_rows}"))

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..graph.dag import DAG
 from ..graph.interdep import InterDep
 from ..graph.joint import build_joint_dag
@@ -22,7 +20,6 @@ from ..obs import current as current_recorder
 from ..obs import names
 from ..runtime.executor import allocate_state, execute_schedule, run_reference
 from ..runtime.machine import MachineConfig, MachineReport, SimulatedMachine
-from ..runtime.threaded import ThreadedExecutor
 from ..schedule.cache import ScheduleCache, get_default_cache, schedule_key
 from ..schedule.dagp import dagp_schedule
 from ..schedule.hdagg import hdagg_schedule
@@ -71,11 +68,6 @@ class FusedLoops:
     def execute(self, state: State) -> State:
         """Run the fused code sequentially-faithfully (numerics oracle)."""
         return execute_schedule(self.schedule, self.kernels, state)
-
-    def execute_threaded(self, state: State, n_threads: int | None = None) -> State:
-        """Run the fused code on real threads (GIL-bound; correctness demo)."""
-        executor = ThreadedExecutor(n_threads or self.n_threads)
-        return executor.execute(self.schedule, self.kernels, state)
 
     def reference(self, state: State) -> State:
         """Run the unfused sequential reference of all loops."""
@@ -252,7 +244,6 @@ def fuse(
 def _schedule_joint(name, dags, inter, n_threads, reuse, *, chordalize=False, **kwargs):
     """Fused baselines: scheduler on the explicit joint DAG.
 
-    Multi-loop joint DAGs are built by folding loops in program order.
     All fused approaches use sparse fusion's packing (as in the paper's
     setup): the joint scheduler fixes (s, w) placement; vertices within a
     w-partition are re-packed separated/interleaved by the reuse ratio.
@@ -263,7 +254,7 @@ def _schedule_joint(name, dags, inter, n_threads, reuse, *, chordalize=False, **
     component-based and does not *need* chordality, so this is off by
     default and enabled by the inspection-cost experiments (Figs. 7–8).
     """
-    joint = _build_joint_multi(dags, inter)
+    joint = build_joint_dag(dags, inter)
     if chordalize and name == "joint-lbc":
         from ..graph.chordal import ChordalizationError
         from ..graph.chordal import chordalize as _chordalize
@@ -278,25 +269,6 @@ def _schedule_joint(name, dags, inter, n_threads, reuse, *, chordalize=False, **
     repacked.meta.update(sched.meta)
     repacked.meta["joint"] = True
     return repacked
-
-
-def _build_joint_multi(dags, inter):
-    """Joint DAG of >= 2 loops: union of intra edges and all F edges."""
-    offsets = np.zeros(len(dags) + 1, dtype=np.int64)
-    np.cumsum([d.n for d in dags], out=offsets[1:])
-    edges = []
-    for k, d in enumerate(dags):
-        if d.n_edges:
-            edges.append(d.edge_list() + int(offsets[k]))
-    for (a, b), f in inter.items():
-        if f.nnz:
-            e = f.edge_list().copy()
-            e[:, 0] += int(offsets[a])
-            e[:, 1] += int(offsets[b])
-            edges.append(e)
-    all_edges = np.concatenate(edges, axis=0) if edges else np.empty((0, 2))
-    weights = np.concatenate([d.weights for d in dags])
-    return DAG.from_edges(int(offsets[-1]), all_edges, weights)
 
 
 def _repack(sched, dags, inter, packing):

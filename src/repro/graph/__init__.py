@@ -9,14 +9,12 @@
 from .chordal import ChordalizationError, chordalize
 from .dag import DAG
 from .interdep import InterDep
-from .joint import build_joint_dag, joint_vertex_ids, split_joint_vertex
+from .joint import build_joint_dag
 
 __all__ = [
     "DAG",
     "InterDep",
     "build_joint_dag",
-    "joint_vertex_ids",
-    "split_joint_vertex",
     "chordalize",
     "ChordalizationError",
 ]

@@ -1,8 +1,8 @@
 """Joint-DAG construction (the substrate of the fused baselines).
 
-The three fused baselines the paper compares against (fused wavefront,
-fused LBC, fused DAGP) all operate on the *joint DAG*: the union of the
-two kernels' DAGs plus the inter-kernel edges of ``F``. Sparse fusion
+The fused baselines the paper compares against (fused wavefront, fused
+LBC, fused DAGP) all operate on the *joint DAG*: the union of the
+kernels' DAGs plus the inter-kernel edges of every ``F``. Sparse fusion
 itself deliberately never materializes this graph (Sec. 3.2: "The
 joint-DAG does not need to be explicitly created"); building it here is
 what makes the inspection-time comparison of Fig. 8 meaningful.
@@ -12,72 +12,40 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparse.base import INDEX_DTYPE
 from .dag import DAG
 from .interdep import InterDep
 
-__all__ = ["build_joint_dag", "split_joint_vertex", "joint_vertex_ids"]
+__all__ = ["build_joint_dag"]
 
 
-def joint_vertex_ids(n_first: int, n_second: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex ids of the two loops inside the joint DAG.
+def build_joint_dag(
+    dags: list[DAG], inter: dict[tuple[int, int], InterDep]
+) -> DAG:
+    """Joint DAG of >= 2 loops: union of intra edges and all ``F`` edges.
 
-    First-loop iterations keep their ids ``0..n_first-1``; second-loop
-    iteration ``i`` becomes ``n_first + i``. Returns the two id arrays.
+    Loop ``k``'s iteration ``i`` becomes vertex ``offsets[k] + i`` (the
+    :class:`~repro.schedule.schedule.FusedSchedule` numbering) and
+    ``inter[(a, b)]`` contributes the edges from loop ``a`` to loop
+    ``b``. Successor slices are sorted and weights are concatenated in
+    loop order.
     """
-    return (
-        np.arange(n_first, dtype=INDEX_DTYPE),
-        n_first + np.arange(n_second, dtype=INDEX_DTYPE),
-    )
-
-
-def split_joint_vertex(v: int, n_first: int) -> tuple[int, int]:
-    """Map a joint-DAG vertex back to ``(loop_index, iteration)``.
-
-    ``loop_index`` is 0 for the first loop and 1 for the second.
-    """
-    if v < n_first:
-        return 0, v
-    return 1, v - n_first
-
-
-def build_joint_dag(g1: DAG, g2: DAG, f: InterDep) -> DAG:
-    """Union of ``g1``, ``g2`` (shifted by ``g1.n``) and the ``F`` edges.
-
-    The result is naturally topologically ordered because intra edges
-    satisfy ``u < v`` within each loop and every ``F`` edge goes from the
-    first loop to the second.
-    """
-    if f.n_first != g1.n or f.n_second != g2.n:
-        raise ValueError(
-            f"F has shape ({f.n_second}, {f.n_first}), "
-            f"expected ({g2.n}, {g1.n})"
-        )
-    n1, n2 = g1.n, g2.n
-    n = n1 + n2
-    # Per-source successor counts: g1 edges + F consumers for first-loop
-    # vertices, shifted g2 edges for second-loop vertices.
-    counts = np.zeros(n, dtype=INDEX_DTYPE)
-    counts[:n1] = np.diff(g1.indptr) + np.diff(f.col_indptr)
-    counts[n1:] = np.diff(g2.indptr)
-    indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=INDEX_DTYPE)
-    # Fill first-loop successor slices: intra targets then F consumers
-    # (shifted); both sub-lists are sorted and intra targets (< n1) precede
-    # all shifted consumers (>= n1), so slices stay sorted.
-    write = indptr[:n1].copy()
-    for j in range(n1):
-        lo, hi = g1.indptr[j], g1.indptr[j + 1]
-        m = hi - lo
-        indices[write[j] : write[j] + m] = g1.indices[lo:hi]
-        w = write[j] + m
-        flo, fhi = f.col_indptr[j], f.col_indptr[j + 1]
-        fm = fhi - flo
-        indices[w : w + fm] = f.col_indices[flo:fhi] + n1
-    # Second-loop slices: shifted intra targets.
-    base = indptr[n1]
-    if g2.n_edges:
-        indices[base : base + g2.n_edges] = g2.indices + n1
-    weights = np.concatenate([g1.weights, g2.weights])
-    return DAG(n, indptr, indices, weights, check=False)
+    offsets = np.zeros(len(dags) + 1, dtype=np.int64)
+    np.cumsum([d.n for d in dags], out=offsets[1:])
+    edges = []
+    for k, d in enumerate(dags):
+        if d.n_edges:
+            edges.append(d.edge_list() + int(offsets[k]))
+    for (a, b), f in inter.items():
+        if f.n_first != dags[a].n or f.n_second != dags[b].n:
+            raise ValueError(
+                f"F{(a, b)} has shape ({f.n_second}, {f.n_first}), "
+                f"expected ({dags[b].n}, {dags[a].n})"
+            )
+        if f.nnz:
+            e = f.edge_list().copy()
+            e[:, 0] += int(offsets[a])
+            e[:, 1] += int(offsets[b])
+            edges.append(e)
+    all_edges = np.concatenate(edges, axis=0) if edges else np.empty((0, 2))
+    weights = np.concatenate([d.weights for d in dags])
+    return DAG.from_edges(int(offsets[-1]), all_edges, weights)

@@ -71,18 +71,14 @@ class Kernel(abc.ABC):
     #: Human-readable kernel name, e.g. ``"SpTRSV-CSR"``.
     name: str = "kernel"
 
-    #: True for scatter kernels whose accumulations need atomicity when
-    #: concurrent w-partitions overlap on an element (the paper's
-    #: ``Atomic`` annotation); the threaded executor serializes these.
-    needs_atomic: bool = False
-
-    #: Per-variable commutative-update declaration: variable name ->
+    #: Per-variable commutative-update declaration, the one place a
+    #: kernel states the paper's ``Atomic`` annotation: variable name ->
     #: access kinds (``"read"``/``"write"``) that form a commutative
-    #: read-modify-write accumulation (``y[rows] += ...`` under the
-    #: paper's ``Atomic`` annotation). Two such accesses of the *same*
-    #: kernel commute, so the dynamic dependence sanitizer
-    #: (:mod:`repro.obs.memtrace`) requires no ordering between them.
-    #: Consuming reads and exclusive writes must never be declared here.
+    #: read-modify-write accumulation (``y[rows] += ...``). Two such
+    #: accesses of the *same* kernel commute, so the dynamic dependence
+    #: sanitizer (:mod:`repro.obs.memtrace`) requires no ordering between
+    #: them. Consuming reads and exclusive writes must never be declared
+    #: here.
     atomic_update_vars: dict[str, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -124,7 +120,8 @@ class Kernel(abc.ABC):
         where possible); includes the effect of :meth:`setup`."""
 
     def make_scratch(self) -> Any:
-        """Allocate per-executor scratch (per-thread in threaded runs)."""
+        """Allocate one run's scratch: the ``iter`` and ``plan`` executors
+        make it once per run and pass it to every call of this kernel."""
         return None
 
     #: True when :meth:`run_level_batch` can execute a set of *mutually

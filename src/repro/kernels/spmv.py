@@ -183,7 +183,6 @@ class SpMVCSC(Kernel):
     """
 
     name = "SpMV-CSC"
-    needs_atomic = True
     supports_level_batch = True
 
     def __init__(self, a: CSCMatrix, *, a_var="Ax", x_var="x", y_var="y"):

@@ -40,7 +40,6 @@ class SpMVSymLower(Kernel):
     """
 
     name = "SpMV-sym-lower"
-    needs_atomic = True
     supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, a_var="Alow", x_var="x", y_var="y"):

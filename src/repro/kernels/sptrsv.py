@@ -197,7 +197,6 @@ class SpTRSVCSC(Kernel):
     """
 
     name = "SpTRSV-CSC"
-    needs_atomic = True
     supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, l_var="Lx", b_var="b", x_var="x"):

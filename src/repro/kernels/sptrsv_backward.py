@@ -41,7 +41,6 @@ class SpTRSVBackwardCSR(Kernel):
     """
 
     name = "SpTRSV-backward-CSR"
-    needs_atomic = True
     supports_level_batch = True
 
     def __init__(self, low: CSRMatrix, *, l_var="Lx", b_var="b", x_var="x"):
@@ -58,6 +57,9 @@ class SpTRSVBackwardCSR(Kernel):
         self.b_var = b_var
         self.x_var = x_var
         self.acc_var = f"_acc.{x_var}"
+        # the push `acc[cols] += ...` commutes between rows; the
+        # consuming read `acc[j]` stays a plain read
+        self.atomic_update_vars = {self.acc_var: ("write",)}
         #: row j handled by each iteration k, in k order
         self._rows = np.arange(n - 1, -1, -1, dtype=INDEX_DTYPE)
         self._dag: DAG | None = None

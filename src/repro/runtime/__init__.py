@@ -12,15 +12,13 @@ from .plan import (
 )
 from .profiling import ScheduleProfile, format_profile, profile_schedule
 from .metrics import (
-    average_memory_latency,
     barrier_reduction,
     fusion_edge_growth,
     gflops,
     ner,
     potential_gain,
 )
-from .threaded import ThreadedExecutor
-from .trace import export_chrome_trace, simulated_trace_events
+from .trace import simulated_trace_events
 
 __all__ = [
     "CacheConfig",
@@ -36,16 +34,13 @@ __all__ = [
     "MachineConfig",
     "MachineReport",
     "SimulatedMachine",
-    "ThreadedExecutor",
     "gflops",
     "potential_gain",
-    "average_memory_latency",
     "ner",
     "fusion_edge_growth",
     "barrier_reduction",
     "ScheduleProfile",
     "profile_schedule",
     "format_profile",
-    "export_chrome_trace",
     "simulated_trace_events",
 ]

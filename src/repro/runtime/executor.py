@@ -3,14 +3,18 @@
 Two executors share the same contract — given a valid schedule, the final
 state must equal the unfused sequential reference:
 
-* :func:`execute_schedule` — runs iterations one at a time in schedule
-  order (s-partitions in sequence; within an s-partition, w-partitions
-  back to back; within a w-partition, the packed order). Any *valid*
-  schedule executed this way is equivalent to some legal parallel
-  interleaving, so this is the numerical oracle for schedulers.
-* :class:`ThreadedExecutor` in :mod:`repro.runtime.threaded` — runs
-  w-partitions on real threads with a barrier per s-partition (GIL-bound,
-  for correctness demonstration only; see DESIGN.md §2).
+* ``iter`` — :func:`execute_schedule` here runs iterations one at a time
+  in schedule order (s-partitions in sequence; within an s-partition,
+  w-partitions back to back; within a w-partition, the packed order).
+  Any *valid* schedule executed this way is equivalent to some legal
+  parallel interleaving, so this is the numerical oracle for schedulers.
+* ``plan`` — :func:`repro.runtime.plan.execute_schedule_planned` runs a
+  compiled plan of vectorized level steps (the fast executor).
+
+Neither runs w-partitions on real threads. The dependence sanitizer
+(:func:`repro.obs.memtrace.sanitize_schedule`) proves a schedule
+race-free with its w-partitions concurrent, against each executor's
+happens-before order.
 
 Both variants of the paper's fused transformation (Fig. 3) collapse to
 the same execution here: *separated* and *interleaved* differ only in
@@ -19,8 +23,6 @@ already encodes.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..kernels.base import Kernel, State, make_state
 from ..obs import current as current_recorder
@@ -88,9 +90,7 @@ def execute_schedule(
     for kern in kernels:
         kern.setup(state)
     scratches = [k.make_scratch() for k in kernels]
-    loop_of = np.zeros(max(1, schedule.n_vertices), dtype=np.int64)
-    for k in range(len(kernels)):
-        loop_of[offsets[k] : offsets[k + 1]] = k
+    loop_of = schedule.loop_of()
     rec = current_recorder()
     with rec.span(
         "executor.run", executor="sequential", vertices=schedule.n_vertices

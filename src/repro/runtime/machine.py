@@ -292,7 +292,6 @@ class SimulatedMachine:
             sequential implementation (MKL's ``dcsrilu0``).
         """
         cfg = self.config
-        offsets = schedule.offsets
         costs = np.concatenate([k.iteration_costs() for k in kernels])
         n_sp = schedule.n_spartitions
         comp = np.zeros((n_sp, cfg.n_threads))
@@ -306,9 +305,7 @@ class SimulatedMachine:
             mem_hit, mem_miss, cache_stats = self._price_memory(schedule, kernels)
             mem = mem_hit + mem_miss
 
-        loop_of = np.zeros(schedule.n_vertices, dtype=np.int64)
-        for k in range(len(kernels)):
-            loop_of[offsets[k] : offsets[k + 1]] = k
+        loop_of = schedule.loop_of()
 
         for s, wlist in enumerate(schedule.s_partitions):
             for w, verts in enumerate(wlist):

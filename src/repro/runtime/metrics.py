@@ -5,7 +5,8 @@ These are the quantities on the axes of the paper's figures:
 * :func:`gflops` — Fig. 5 / Fig. 10 (theoretical flops over simulated
   seconds; the flop count is computed once per kernel combination and
   matrix and shared by every implementation, as in the paper),
-* :func:`average_memory_latency` / :func:`potential_gain` — Fig. 6,
+* :func:`potential_gain` — Fig. 6 (the figure's memory latency is
+  ``MachineReport.avg_memory_latency``),
 * :func:`ner` — Fig. 7's "number of executor runs to amortize the
   inspector",
 * :func:`fusion_edge_growth` — the §4.2 statistic "the average number of
@@ -13,8 +14,6 @@ These are the quantities on the axes of the paper's figures:
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..graph.dag import DAG
 from ..graph.interdep import InterDep
@@ -24,7 +23,6 @@ from .machine import MachineConfig, MachineReport
 __all__ = [
     "gflops",
     "potential_gain",
-    "average_memory_latency",
     "ner",
     "fusion_edge_growth",
     "barrier_reduction",
@@ -46,11 +44,6 @@ def gflops(kernels: list[Kernel], report: MachineReport) -> float:
 def potential_gain(report: MachineReport, config: MachineConfig) -> float:
     """VTune-style OpenMP potential gain of a simulated execution."""
     return report.potential_gain(config.n_threads, config.barrier_cycles)
-
-
-def average_memory_latency(report: MachineReport) -> float:
-    """Average simulated cycles per element access (cache fidelity)."""
-    return report.avg_memory_latency
 
 
 def ner(inspector_time: float, baseline_time: float, executor_time: float) -> float:

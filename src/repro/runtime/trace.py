@@ -1,33 +1,27 @@
-"""Chrome-trace export of simulated executions.
+"""Chrome-trace events of simulated executions.
 
-Writes a ``chrome://tracing`` / Perfetto-compatible JSON timeline of a
+Builds the ``chrome://tracing`` / Perfetto-compatible timeline of a
 schedule on the simulated machine: one row per thread, one slice per
 w-partition (labelled by s-partition, kernel mix, and cost), barrier
 markers, and **attribution counter tracks** — per-s-partition
 compute / memory / wait / barrier cycle totals (plus an idle-fraction
 track) sampled from the :class:`~repro.runtime.machine.MachineReport`
-accounting tables. Drop the file into https://ui.perfetto.dev to *see*
-the load imbalance and synchronization structure the paper's plots
-aggregate into single numbers.
+accounting tables. Load the written trace into https://ui.perfetto.dev
+to *see* the load imbalance and synchronization structure the paper's
+plots aggregate into single numbers.
 
-:func:`simulated_trace_events` is the reusable core: it returns the raw
-``traceEvents`` list so :mod:`repro.obs.exporters` can merge the
-simulated executor timeline (slices and counter tracks alike) with live
-inspector spans into one unified trace.
+:func:`simulated_trace_events` returns the raw ``traceEvents`` list;
+:func:`repro.obs.exporters.export_perfetto` (``schedule=``) writes it,
+merged with any live inspector spans, as one unified trace file.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-
-import numpy as np
 
 from ..kernels.base import Kernel
 from ..schedule.schedule import FusedSchedule
 from .machine import MachineConfig, MachineReport, SimulatedMachine
 
-__all__ = ["export_chrome_trace", "simulated_trace_events"]
+__all__ = ["simulated_trace_events"]
 
 
 def simulated_trace_events(
@@ -56,10 +50,7 @@ def simulated_trace_events(
     cfg = config or MachineConfig()
     if report is None:
         report = SimulatedMachine(cfg).simulate(schedule, kernels, fidelity=fidelity)
-    offsets = schedule.offsets
-    loop_of = np.zeros(max(1, schedule.n_vertices), dtype=np.int64)
-    for k in range(len(kernels)):
-        loop_of[offsets[k] : offsets[k + 1]] = k
+    loop_of = schedule.loop_of()
 
     def us(cycles: float) -> float:
         return cycles / (cfg.clock_ghz * 1e3)
@@ -196,36 +187,3 @@ def simulated_trace_events(
             )
     return events, us(report.total_cycles)
 
-
-def export_chrome_trace(
-    path,
-    schedule: FusedSchedule,
-    kernels: list[Kernel],
-    config: MachineConfig | None = None,
-    *,
-    fidelity: str = "flat",
-) -> Path:
-    """Simulate *schedule* and write its thread timeline to *path*.
-
-    Returns the written path. Timestamps are simulated microseconds.
-    ``otherData.executor_attribution`` carries the compute / memory /
-    wait / barrier totals of the run.
-    """
-    cfg = config or MachineConfig()
-    report = SimulatedMachine(cfg).simulate(schedule, kernels, fidelity=fidelity)
-    events, total_us = simulated_trace_events(
-        schedule, kernels, cfg, fidelity=fidelity, report=report
-    )
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "schedule": schedule.meta.get("scheduler", "unknown"),
-            "total_simulated_us": total_us,
-            "threads": cfg.n_threads,
-            "executor_attribution": report.attribution(),
-        },
-    }
-    path = Path(path)
-    path.write_text(json.dumps(payload))
-    return path

@@ -106,6 +106,13 @@ class FusedSchedule:
         """Number of w-partitions per s-partition."""
         return [len(s) for s in self.s_partitions]
 
+    def loop_of(self) -> np.ndarray:
+        """Loop index of every global vertex id, as one array."""
+        return np.repeat(
+            np.arange(len(self.loop_counts), dtype=INDEX_DTYPE),
+            np.asarray(self.loop_counts, dtype=INDEX_DTYPE),
+        )
+
     def vertex_loop(self, v: int) -> int:
         """Loop index owning global vertex *v*."""
         off = self.offsets

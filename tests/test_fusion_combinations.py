@@ -7,7 +7,8 @@ import pytest
 from repro import fuse
 from repro.fusion import COMBINATIONS, build_combination
 from repro.kernels import internal_var
-from repro.runtime import ThreadedExecutor
+from repro.obs import sanitize_schedule
+from repro.runtime import execute_schedule_planned
 
 SCHEDULERS = ("ico", "joint-wavefront", "joint-lbc", "joint-dagp")
 
@@ -39,10 +40,17 @@ def test_fused_execution_matches_reference(cid, scheduler, lap2d_nd):
 
 @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
 def test_threaded_execution_matches_reference(cid, band_small):
+    """Running the w-partitions of each s-partition on concurrent
+    threads cannot race: the sanitizer finds every dependence ordered
+    under both executor models' happens-before. The plan executor's
+    result matches the reference."""
     kernels, state = build_combination(cid, band_small, seed=cid)
     ref = reference_of(kernels, state)
     fl = fuse(kernels, 4)
-    ThreadedExecutor(4).execute(fl.schedule, kernels, state)
+    for executor in ("iter", "plan"):
+        rep = sanitize_schedule(fl.schedule, kernels, executor=executor)
+        assert rep.clean, (cid, rep.summary())
+    execute_schedule_planned(fl.schedule, kernels, state)
     for var in output_vars(kernels):
         assert np.allclose(state[var], ref[var], atol=1e-9), (cid, var)
 

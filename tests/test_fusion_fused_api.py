@@ -6,34 +6,21 @@ import pytest
 
 from repro import fuse
 from repro.fusion import build_combination
-from repro.fusion.fused import _build_joint_multi, inspect_loops
-from repro.graph import DAG, InterDep
+from repro.fusion.fused import inspect_loops
+from repro.graph import DAG, InterDep, build_joint_dag
 from repro.schedule import validate_schedule
 
 
 class TestJointMulti:
-    def test_two_loop_joint_matches_builder(self, lap2d_nd):
-        kernels, _ = build_combination(1, lap2d_nd)
-        dags, inter, _ = inspect_loops(kernels)
-        from repro.graph import build_joint_dag
-
-        j1 = _build_joint_multi(dags, inter)
-        j2 = build_joint_dag(dags[0], dags[1], inter[(0, 1)])
-        assert j1.n == j2.n
-        assert j1.n_edges == j2.n_edges
-        e1 = set(map(tuple, j1.edge_list().tolist()))
-        e2 = set(map(tuple, j2.edge_list().tolist()))
-        assert e1 == e2
-
     def test_three_loop_joint(self):
         g = DAG.from_edges(3, [(0, 1)])
         dags = [g, DAG.empty(2), DAG.empty(2)]
         inter = {
-            (0, 1): InterDep.identity(2),
+            (0, 1): InterDep.from_edges(2, 3, [(0, 0), (1, 1)]),
             (1, 2): InterDep.from_edges(2, 2, [(0, 1)]),
             (0, 2): InterDep.from_edges(2, 3, [(2, 0)]),
         }
-        joint = _build_joint_multi(dags, inter)
+        joint = build_joint_dag(dags, inter)
         assert joint.n == 7
         edges = set(map(tuple, joint.edge_list().tolist()))
         assert (0, 1) in edges      # intra loop 0

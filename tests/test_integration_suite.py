@@ -88,20 +88,3 @@ def test_simulated_ordering_stable_across_runs(lap3d_nd):
     r2 = compare_implementations(kernels, 8, cfg)
     for name in r1:
         assert r1[name].executor_seconds == r2[name].executor_seconds, name
-
-
-def test_threaded_stress_repeated_runs(band_small):
-    """Hammer the threaded executor for race flakiness (deep DAG, CSC
-    scatter kernel with the atomic lock path)."""
-    kernels, state = build_combination(4, band_small, seed=5)
-    fl = fuse(kernels, 4)
-    ref = {v: a.copy() for v, a in state.items()}
-    fl.execute(ref)
-    from repro.runtime import ThreadedExecutor
-
-    ex = ThreadedExecutor(4)
-    for trial in range(5):
-        st = {v: a.copy() for v, a in state.items()}
-        ex.execute(fl.schedule, kernels, st)
-        for var in output_vars(kernels):
-            assert np.array_equal(st[var], ref[var]), (trial, var)

@@ -5,7 +5,8 @@ import pytest
 
 from repro import fuse
 from repro.kernels import SpTRSVBackwardCSR, SpTRSVCSR
-from repro.runtime import allocate_state
+from repro.obs import sanitize_schedule
+from repro.runtime import allocate_state, execute_schedule_planned
 from repro.schedule import validate_schedule
 from repro.sparse import ic0_csc, random_lower_triangular
 
@@ -78,8 +79,9 @@ def test_fused_forward_backward_solve(l_factor, lap2d_nd, rng):
 
 
 def test_threaded_execution(l_factor, rng):
-    from repro.runtime import ThreadedExecutor
-
+    """Concurrent w-partitions push into the same accumulator element:
+    the declared atomic keeps the sanitizer clean under both executor
+    models, and the plan executor matches the ``iter`` oracle."""
     fwd = SpTRSVCSR(l_factor, l_var="Lx", b_var="r", x_var="w")
     bwd = SpTRSVBackwardCSR(l_factor, l_var="Lx", b_var="w", x_var="z")
     fl = fuse([fwd, bwd], 4)
@@ -88,8 +90,11 @@ def test_threaded_execution(l_factor, rng):
     st["r"][:] = rng.random(l_factor.n_rows)
     ref = {v: a.copy() for v, a in st.items()}
     fl.execute(ref)
-    ThreadedExecutor(4).execute(fl.schedule, fl.kernels, st)
+    execute_schedule_planned(fl.schedule, fl.kernels, st)
     assert np.allclose(st["z"], ref["z"])
+    for executor in ("iter", "plan"):
+        rep = sanitize_schedule(fl.schedule, fl.kernels, executor=executor)
+        assert rep.clean, rep.summary()
 
 
 def test_rejects_non_lower(lap2d_nd):

@@ -87,9 +87,11 @@ class TestCSC:
         run_all(k, st, order)
         assert np.allclose(st["y"], lap2d_nd.to_dense() @ st["x"])
 
-    def test_needs_atomic(self, lap2d_nd):
-        assert SpMVCSC(lap2d_nd.to_csc()).needs_atomic
-        assert not SpMVCSR(lap2d_nd).needs_atomic
+    def test_atomic_update_vars(self, lap2d_nd):
+        assert SpMVCSC(lap2d_nd.to_csc()).atomic_update_vars == {
+            "y": ("read", "write")
+        }
+        assert not SpMVCSR(lap2d_nd).atomic_update_vars
 
     def test_write_overlap_declared(self, lap2d_nd):
         """Every scattered element appears in writes_of — the generic

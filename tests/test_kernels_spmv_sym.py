@@ -5,7 +5,8 @@ import pytest
 
 from repro import fuse
 from repro.kernels import SpMVSymLower, SpTRSVCSR, internal_var
-from repro.runtime import ThreadedExecutor, allocate_state
+from repro.obs import sanitize_schedule
+from repro.runtime import allocate_state, execute_schedule_planned
 
 
 def run_all(kernel, state, order=None):
@@ -77,7 +78,7 @@ def test_write_overlap_declared(low):
     k = SpMVSymLower(low)
     j = 3
     assert np.array_equal(np.sort(k.writes_of("y", j)), np.sort(k._touched(j)))
-    assert k.needs_atomic
+    assert k.atomic_update_vars == {"y": ("read", "write")}
 
 
 def test_fused_with_trsv(low, lap2d_nd, rng):
@@ -93,12 +94,16 @@ def test_fused_with_trsv(low, lap2d_nd, rng):
     fl.reference(ref)
     fl.execute(st)
     assert np.allclose(st["z"], ref["z"])
-    # threaded too (atomic lock path)
+    # the plan executor too; concurrent w-partitions may update the same
+    # y element, which the sanitizer accepts only as a declared atomic
     st2 = {v: a.copy() for v, a in st.items()}
     st2["z"][:] = 0
     st2["x"][:] = 0
-    ThreadedExecutor(4).execute(fl.schedule, fl.kernels, st2)
+    execute_schedule_planned(fl.schedule, fl.kernels, st2)
     assert np.allclose(st2["z"], ref["z"])
+    for executor in ("iter", "plan"):
+        rep = sanitize_schedule(fl.schedule, fl.kernels, executor=executor)
+        assert rep.clean, rep.summary()
 
 
 def test_rejects_non_lower(lap2d_nd):

@@ -110,7 +110,9 @@ class TestCSC:
         assert np.all(st[k.acc_var] == 0.0)
 
     def test_is_atomic_kernel(self, low):
-        assert SpTRSVCSC(low.to_csc()).needs_atomic
+        # the scatter into the accumulator commutes; its read does not
+        k = SpTRSVCSC(low.to_csc())
+        assert k.atomic_update_vars == {k.acc_var: ("write",)}
 
     def test_rejects_missing_diagonal(self):
         mat = CSRMatrix.from_dense(np.array([[0.0, 0.0], [1.0, 1.0]])).to_csc()

@@ -17,10 +17,22 @@ from repro.obs.memtrace import (
     execution_coordinates,
 )
 from repro.runtime import execute_schedule, execute_schedule_planned, plan_for
-from repro.schedule import ScheduleError, validate_schedule
+from repro.schedule import (
+    ScheduleError,
+    lbc_schedule,
+    validate_schedule,
+    wavefront_schedule,
+)
 from repro.schedule.schedule import happens_before
+from repro.solvers import build_gs_chain
+from repro.solvers.pcg import build_ic0_preconditioner
+from repro.sparse import apply_ordering, laplacian_2d, laplacian_3d
+
+from .test_kernels_dataflow import all_kernels
 
 EXECUTORS = ("iter", "plan")
+STANDALONE = {"lbc": lbc_schedule, "wavefront": wavefront_schedule}
+SHIPPED_KERNELS = [type(k).__name__ for k in all_kernels(laplacian_2d(3))]
 
 
 def corrupt_across_barrier(schedule):
@@ -51,6 +63,50 @@ def test_suite_schedules_sanitize_clean(cid, scheduler, lap2d_nd):
         assert rep.n_accesses > 0
         assert rep.n_pairs > 0  # real dependences were checked, not vacuous
         assert rep.executor == executor
+
+
+def assert_sanitizes_clean(schedule, kernels, dags, inter):
+    """Statically valid, and clean under both executor models."""
+    validate_schedule(schedule, dags, inter)
+    for executor in EXECUTORS:
+        rep = sanitize_schedule(schedule, kernels, executor=executor)
+        assert rep.clean, (executor, rep.summary())
+
+
+@pytest.fixture(scope="module")
+def lap2d_14_nd():
+    a, _ = apply_ordering(laplacian_2d(14), "nd")
+    return a
+
+
+@pytest.mark.parametrize("scheduler", sorted(STANDALONE))
+@pytest.mark.parametrize(
+    "index", range(len(SHIPPED_KERNELS)), ids=SHIPPED_KERNELS
+)
+def test_every_shipped_kernel_sanitizes_clean(index, scheduler, lap2d_14_nd):
+    kern = all_kernels(lap2d_14_nd)[index]
+    dag = kern.intra_dag()
+    schedule = STANDALONE[scheduler](dag, 6)
+    assert_sanitizes_clean(schedule, [kern], [dag], {})
+
+
+def test_pcg_preconditioner_sanitizes_clean():
+    """Forward + backward solve over the IC0 factor, as PCG ships it."""
+    a, _ = apply_ordering(laplacian_3d(8), "nd")
+    fl, _ = build_ic0_preconditioner(a, 8)
+    assert_sanitizes_clean(fl.schedule, fl.kernels, fl.dags, fl.inter)
+    # the declared push does not exempt the accumulator's consuming read
+    bad = corrupt_across_barrier(fl.schedule)
+    for executor in EXECUTORS:
+        rep = sanitize_schedule(bad, fl.kernels, executor=executor)
+        assert any(v.var == "_acc.z" for v in rep.violations), executor
+
+
+def test_gs_chain_sanitizes_clean(lap2d_14_nd):
+    """Two unrolled Gauss-Seidel sweeps: four fused loops."""
+    kernels, _, _ = build_gs_chain(lap2d_14_nd, 2)
+    fl = fuse(kernels, 6)
+    assert_sanitizes_clean(fl.schedule, kernels, fl.dags, fl.inter)
 
 
 def test_sanitize_matches_static_oracle_on_zoo(matrix_zoo):

@@ -191,29 +191,3 @@ class TestThreadSafety:
                 parent = by_id[s.parent_id]
                 assert parent.thread_id == s.thread_id
                 assert s.depth == parent.depth + 1
-
-    def test_threaded_executor_records_per_thread_wpartitions(self, lap2d_nd):
-        import numpy as np
-
-        from repro import fuse
-        from repro.fusion import build_combination
-        from repro.runtime import ThreadedExecutor, run_reference
-
-        kernels, state = build_combination(3, lap2d_nd)
-        fl = fuse(kernels, 4)
-        expected = {v: a.copy() for v, a in state.items()}
-        run_reference(kernels, expected)
-        with recording() as rec:
-            ThreadedExecutor(4).execute(fl.schedule, kernels, state)
-        names = [s.name for s in rec.spans]
-        n_wparts = sum(len(wl) for wl in fl.schedule.s_partitions)
-        assert names.count("executor.wpartition") == n_wparts
-        assert names.count("executor.spartition") == fl.schedule.n_spartitions
-        assert names.count("executor.run") == 1
-        assert rec.counter("executor.iterations") == fl.schedule.n_vertices
-        # worker spans are roots of their own thread's stack
-        for s in rec.spans:
-            if s.name == "executor.wpartition":
-                assert s.depth == 0 and s.parent_id is None
-        # and the run still computes the right answer
-        assert np.allclose(state["z"], expected["z"])

@@ -1,17 +1,12 @@
-"""Executor tests: sequential-faithful and threaded."""
+"""Executor tests: the sequential-faithful ``iter`` oracle."""
 
 import numpy as np
 import pytest
 
 from repro import fuse
 from repro.fusion import build_combination
-from repro.kernels import SpMVCSR, SpTRSVCSR, internal_var
-from repro.runtime import (
-    ThreadedExecutor,
-    allocate_state,
-    execute_schedule,
-    run_reference,
-)
+from repro.kernels import SpMVCSR
+from repro.runtime import allocate_state, execute_schedule, run_reference
 from repro.schedule import FusedSchedule
 
 
@@ -48,47 +43,8 @@ def test_run_reference_order(lap2d_nd):
     assert np.allclose(l_dense @ state["y"], state["b"])
 
 
-def test_threaded_equals_sequential_on_all_zoo(matrix_zoo):
-    for name, mat in matrix_zoo:
-        kernels, state = build_combination(1, mat, seed=3)
-        fl = fuse(kernels, 4)
-        st_seq = {v: a.copy() for v, a in state.items()}
-        fl.execute(st_seq)
-        st_thr = {v: a.copy() for v, a in state.items()}
-        ThreadedExecutor(4).execute(fl.schedule, kernels, st_thr)
-        for var in st_seq:
-            if internal_var(var):
-                continue
-            assert np.array_equal(st_seq[var], st_thr[var]), (name, var)
-
-
-def test_threaded_rejects_bad_thread_count():
-    with pytest.raises(ValueError):
-        ThreadedExecutor(0)
-
-
-def test_threaded_propagates_worker_exception(lap2d_nd):
-    kernels, state = build_combination(5, lap2d_nd)
-    state["Ax"][lap2d_nd.diagonal_positions()[0]] = 0.0  # ILU0 zero pivot
-    fl = fuse(kernels, 2, validate=False)
-    with pytest.raises(ValueError, match="pivot"):
-        ThreadedExecutor(2).execute(fl.schedule, kernels, state)
-
-
 def test_allocate_state_zeroed(lap2d_nd):
     k = SpMVCSR(lap2d_nd)
     st = allocate_state([k])
     assert all(np.all(a == 0) for a in st.values())
 
-
-def test_scratch_passed_per_thread(lap3d_nd, rng):
-    """IC0 under threads: per-thread scratch must not corrupt results
-    (exercised by running many times to give races a chance)."""
-    kernels, state = build_combination(4, lap3d_nd, seed=1)
-    fl = fuse(kernels, 4)
-    expected = {v: a.copy() for v, a in state.items()}
-    run_reference(kernels, expected)
-    for trial in range(3):
-        st = {v: a.copy() for v, a in state.items()}
-        ThreadedExecutor(4).execute(fl.schedule, kernels, st)
-        assert np.array_equal(st["Lx"], expected["Lx"]), trial

@@ -89,6 +89,38 @@ class TestEquivalence:
         for var in st1:
             assert np.array_equal(st1[var], st2[var]), var
 
+    def test_equals_iter_on_zoo(self, matrix_zoo):
+        """Every structural regime: the CSR solves of combo 1 agree with
+        the ``iter`` oracle to tight tolerance (reduction association
+        order only); combo 6's DSCAL + SpIC0 agree bitwise."""
+        for name, mat in matrix_zoo:
+            for cid, bitwise in ((1, False), (6, True)):
+                kernels, state = build_combination(cid, mat, seed=3)
+                fl = fuse(kernels, 4)
+                st1, st2 = _run_both(fl.schedule, kernels, state)
+                for var in st1:
+                    if internal_var(var):
+                        continue
+                    if bitwise:
+                        assert np.array_equal(st1[var], st2[var]), (name, var)
+                    else:
+                        assert np.allclose(
+                            st1[var], st2[var], rtol=1e-13, atol=1e-13
+                        ), (name, var)
+
+    def test_kernel_error_propagates(self, lap2d_nd):
+        """An ILU0 zero pivot raises out of the plan executor on both
+        the batched and the scalar step paths."""
+        kernels, state = build_combination(5, lap2d_nd)
+        state["Ax"][lap2d_nd.diagonal_positions()[0]] = 0.0
+        fl = fuse(kernels, 2, validate=False)
+        for min_batch in (4, 1):
+            st = {v: a.copy() for v, a in state.items()}
+            with pytest.raises(ValueError, match="pivot"):
+                execute_schedule_planned(
+                    fl.schedule, kernels, st, min_batch=min_batch
+                )
+
     def test_planned_deterministic_across_runs(self, lap3d_nd):
         """Two planned executions of the same plan are bitwise equal."""
         kernels, state = build_combination(3, lap3d_nd, seed=5)

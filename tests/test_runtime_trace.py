@@ -1,4 +1,4 @@
-"""Chrome-trace export tests."""
+"""Simulated executor timeline: the Chrome-trace events and their file."""
 
 import json
 
@@ -7,8 +7,9 @@ import pytest
 
 from repro import fuse
 from repro.fusion import build_combination
+from repro.obs import Recorder, export_perfetto
 from repro.runtime import MachineConfig, SimulatedMachine
-from repro.runtime.trace import export_chrome_trace, simulated_trace_events
+from repro.runtime.trace import simulated_trace_events
 from repro.schedule import FusedSchedule
 
 
@@ -18,13 +19,19 @@ def fused(lap2d_nd):
     return fuse(kernels, 4), kernels
 
 
+def written_events(path, schedule, kernels, config=None):
+    """The simulated executor's events as written to a trace file."""
+    p = export_perfetto(
+        Recorder(), path, schedule=schedule, kernels=kernels, config=config
+    )
+    return [e for e in json.loads(p.read_text())["traceEvents"] if "cat" in e]
+
+
 def test_trace_structure(tmp_path, fused):
     fl, kernels = fused
-    p = export_chrome_trace(
+    events = written_events(
         tmp_path / "trace.json", fl.schedule, kernels, MachineConfig(n_threads=4)
     )
-    data = json.loads(p.read_text())
-    events = data["traceEvents"]
     assert events, "no events"
     slices = [e for e in events if e["cat"] == "wpartition"]
     barriers = [e for e in events if e["cat"] == "barrier"]
@@ -38,8 +45,7 @@ def test_trace_structure(tmp_path, fused):
 
 def test_trace_timestamps_monotone_per_spartition(tmp_path, fused):
     fl, kernels = fused
-    p = export_chrome_trace(tmp_path / "t.json", fl.schedule, kernels)
-    events = json.loads(p.read_text())["traceEvents"]
+    events = written_events(tmp_path / "t.json", fl.schedule, kernels)
     slices = sorted(
         (e for e in events if e["cat"] == "wpartition"),
         key=lambda e: e["args"]["s_partition"],
@@ -53,8 +59,7 @@ def test_trace_timestamps_monotone_per_spartition(tmp_path, fused):
 
 def test_trace_iteration_totals(tmp_path, fused):
     fl, kernels = fused
-    p = export_chrome_trace(tmp_path / "t.json", fl.schedule, kernels)
-    events = json.loads(p.read_text())["traceEvents"]
+    events = written_events(tmp_path / "t.json", fl.schedule, kernels)
     total = sum(
         e["args"]["iterations"] for e in events if e["cat"] == "wpartition"
     )
