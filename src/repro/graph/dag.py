@@ -315,14 +315,11 @@ class DAG:
         """
         if self._wavefronts is None:
             lv = self.levels()
+            # Stable: each level's vertices stay in ascending order.
             order = np.argsort(lv, kind="stable")
             sorted_lv = lv[order]
             boundaries = np.nonzero(np.diff(sorted_lv))[0] + 1
-            self._wavefronts = (
-                [np.sort(g) for g in np.split(order, boundaries)]
-                if self.n
-                else []
-            )
+            self._wavefronts = np.split(order, boundaries) if self.n else []
         return self._wavefronts
 
     def slack_numbers(self) -> np.ndarray:

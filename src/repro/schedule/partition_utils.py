@@ -211,6 +211,8 @@ def chunk_by_cost(verts: np.ndarray, weights: np.ndarray, n_chunks: int) -> list
     if verts.shape[0] == 0:
         return []
     n_chunks = max(1, min(n_chunks, verts.shape[0]))
+    if n_chunks == 1:  # one thread or one vertex: nothing to balance
+        return [verts]
     w = weights[verts]
     cum = np.cumsum(w)
     total = cum[-1]

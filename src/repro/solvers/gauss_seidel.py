@@ -32,6 +32,7 @@ from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..baselines.unfused import parsy_schedule
 from ..schedule.schedule import FusedSchedule
 from ..sparse.csr import CSRMatrix
+from ..utils.arrays import checked_vector
 
 __all__ = [
     "GSResult",
@@ -135,7 +136,9 @@ def gauss_seidel(
         raise ValueError(f"unknown executor {executor!r}")
     if not a.is_square:
         raise ValueError("Gauss-Seidel requires a square matrix")
-    b = np.asarray(b, dtype=np.float64)
+    b = checked_vector("b", b, a.n_rows)
+    if x0 is not None:
+        x0 = checked_vector("x0", x0, a.n_rows)
     kernels, x_in, x_out = build_gs_chain(a, unroll)
     low, e = gs_split(a)
     cfg = machine or MachineConfig(n_threads=n_threads)

@@ -1,10 +1,14 @@
 """Reference incomplete factorizations (sequential, validated).
 
 These are the *golden* sequential implementations of zero-fill incomplete
-Cholesky (IC0) and incomplete LU (ILU0). The schedulable kernels in
-:mod:`repro.kernels.spic0` / :mod:`repro.kernels.spilu0` must agree with
-these bit-for-bit when executed through any valid schedule; tests enforce
-that, plus agreement with dense factorizations on patterns without fill.
+Cholesky (IC0) and incomplete LU (ILU0): the oracles tests compare
+against, not a production path. No shipped solver runs them; the IC0-PCG
+preconditioner factors with the schedulable :class:`~repro.kernels.SpIC0`
+kernel on the plan executor (:func:`repro.solvers.build_ic0_preconditioner`).
+The kernels in :mod:`repro.kernels.spic0` / :mod:`repro.kernels.spilu0`
+must agree with these bit-for-bit when executed through any valid
+schedule; tests enforce that, plus agreement with dense factorizations on
+patterns without fill.
 """
 
 from __future__ import annotations

@@ -7,12 +7,26 @@ import numpy as np
 from ..sparse.base import INDEX_DTYPE
 
 __all__ = [
+    "checked_vector",
     "distinct",
     "multi_range",
     "segment_sums",
     "segment_boundaries",
     "segment_sums_at",
 ]
+
+
+def checked_vector(name: str, v, n: int) -> np.ndarray:
+    """A float64 copy of the argument *name*, which must have shape ``(n,)``.
+
+    Raises ``ValueError`` naming the argument and the expected length, so
+    a wrong-length vector fails before any work starts rather than as a
+    NumPy broadcast error deep inside a solve.
+    """
+    out = np.array(v, dtype=np.float64)
+    if out.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {out.shape}")
+    return out
 
 
 def distinct(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import recording
 from repro.solvers import build_gs_chain, gauss_seidel, gs_split
 from repro.sparse import laplacian_2d
 
@@ -91,3 +92,15 @@ def test_gs_rejects_rectangular():
     a = CSRMatrix.from_dense(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         gauss_seidel(a, np.ones(2))
+
+
+@pytest.mark.parametrize("arg", ["b", "x0"])
+def test_gs_rejects_wrong_length_vector(lap2d_nd, arg):
+    n = lap2d_nd.n_rows
+    kwargs = {"b": np.ones(n), "x0": np.zeros(n)}
+    kwargs[arg] = kwargs[arg][:-1]
+    with recording() as rec, pytest.raises(
+        ValueError, match=rf"{arg} must have shape \({n},\)"
+    ):
+        gauss_seidel(lap2d_nd, kwargs.pop("b"), **kwargs)
+    assert rec.spans == []  # rejected before any inspection ran

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import recording
 from repro.solvers import build_ic0_preconditioner, pcg_ic0
 from repro.sparse import apply_ordering, laplacian_2d
 
@@ -87,3 +88,63 @@ def test_pcg_metadata(lap2d_nd, rng):
         res.meta["applications"] * res.meta["per_application_seconds"]
     )
     assert res.setup_seconds > 0
+
+
+def test_preconditioner_factor_matches_reference_bitwise(matrix_zoo):
+    """The SpIC0 plan factor is the reference ic0_csc factor, bit for bit."""
+    from repro.sparse import ic0_csc
+
+    for name, a in matrix_zoo:
+        _, state = build_ic0_preconditioner(a, 4)
+        expect = ic0_csc(a).to_csr().data
+        assert np.array_equal(state["Lx"], expect), name
+
+
+def test_preconditioner_factor_runs_scalar_on_deep_narrow_dag(band_small):
+    """Every level of a banded DAG holds one column, below min_batch, so
+    the factorization runs as scalar steps only."""
+    with recording() as rec:
+        build_ic0_preconditioner(band_small, 4)
+    assert rec.counter("executor.scalar_iterations") == band_small.n_rows
+    assert rec.counter("executor.level_count") == 0
+
+
+def test_preconditioner_factor_batches_wide_levels(lap3d_nd):
+    with recording() as rec:
+        build_ic0_preconditioner(lap3d_nd, 4)
+    batched = rec.counter("executor.batched_iterations")
+    scalar = rec.counter("executor.scalar_iterations")
+    assert batched + scalar == lap3d_nd.n_rows
+    assert batched > scalar
+    assert rec.counter("executor.level_count") > 0
+
+
+def test_pcg_reports_ic0_breakdown():
+    from repro.sparse import CSRMatrix
+
+    indefinite = CSRMatrix.from_dense(
+        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+    )
+    with pytest.raises(ValueError, match="IC0 breakdown"):
+        pcg_ic0(indefinite, np.ones(3))
+
+
+def test_pcg_leaves_caller_x0_untouched(lap2d_nd, rng):
+    b = rng.random(lap2d_nd.n_rows)
+    x0 = np.zeros(lap2d_nd.n_rows)
+    res = pcg_ic0(lap2d_nd, b, tol=1e-8, max_iters=200, x0=x0)
+    assert res.converged
+    assert res.x is not x0
+    assert not np.any(x0)
+
+
+@pytest.mark.parametrize("arg", ["b", "x0"])
+def test_pcg_rejects_wrong_length_vector(lap2d_nd, arg):
+    n = lap2d_nd.n_rows
+    kwargs = {"b": np.ones(n), "x0": np.zeros(n)}
+    kwargs[arg] = kwargs[arg][:-1]
+    with recording() as rec, pytest.raises(
+        ValueError, match=rf"{arg} must have shape \({n},\)"
+    ):
+        pcg_ic0(lap2d_nd, kwargs.pop("b"), **kwargs)
+    assert rec.spans == []  # rejected before any inspection ran
