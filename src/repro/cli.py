@@ -607,6 +607,14 @@ def _cmd_bench_diff(args) -> int:
     return 1 if has_regressions(rows) else 0
 
 
+def _min_batch(text: str) -> int:
+    """``--min-batch`` value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     p = argparse.ArgumentParser(
@@ -659,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sp.add_argument(
                 "--min-batch",
-                type=int,
+                type=_min_batch,
                 default=4,
                 help="group size below which iterations run scalar "
                 "(see repro.runtime.plan for the tradeoff)",
@@ -776,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--min-batch",
-        type=int,
+        type=_min_batch,
         default=4,
         help="batch threshold for the plan model",
     )

@@ -111,10 +111,18 @@ def inspect_loops(
 
     The reuse ratio of a multi-loop program is that of the first pair,
     matching the paper's pairwise processing.
+
+    A loop whose intra-DAG has the same edges as an earlier loop's shares
+    that DAG's structural analyses (:meth:`~repro.graph.dag.DAG.share_analyses`),
+    so levels, heights and wavefronts are computed once per pattern —
+    lazily, by whichever scheduler or plan compile asks first. Counter:
+    ``inspector.shared_dag_analyses``.
     """
     rec = current_recorder()
-    with rec.span("inspector.intra_dags", loops=len(kernels)):
+    with rec.span("inspector.intra_dags", loops=len(kernels)) as sp:
         dags = [k.intra_dag() for k in kernels]
+        n_shared = _share_analyses(dags)
+        sp.set(shared=n_shared)
     inter: dict[tuple[int, int], InterDep] = {}
     with rec.span("inspector.inter_dep") as sp:
         for a in range(len(kernels)):
@@ -133,7 +141,28 @@ def inspect_loops(
     rec.count(names.INSPECTOR_VERTICES, sum(d.n for d in dags))
     rec.count(names.INSPECTOR_INTRA_EDGES, sum(d.n_edges for d in dags))
     rec.count(names.INSPECTOR_INTER_EDGES, sum(f.nnz for f in inter.values()))
+    rec.count(names.INSPECTOR_SHARED_DAG_ANALYSES, n_shared)
     return dags, inter, reuse
+
+
+def _share_analyses(dags: list[DAG]) -> int:
+    """Link every DAG to the first earlier one of the same structure;
+    return how many loops were linked.
+
+    The lookup table lives for this call only: there is no process-wide
+    registry of patterns.
+    """
+    firsts: dict[tuple[int, int], list[DAG]] = {}
+    n_shared = 0
+    for dag in dags:
+        peers = firsts.setdefault((dag.n, dag.n_edges), [])
+        match = next((p for p in peers if p is dag or p.same_structure(dag)), None)
+        if match is None:
+            peers.append(dag)
+        else:
+            dag.share_analyses(match)
+            n_shared += 1
+    return n_shared
 
 
 def fuse(

@@ -26,13 +26,26 @@ from ..utils.arrays import multi_range
 
 __all__ = ["DAG"]
 
+#: The memo slots :meth:`DAG.share_analyses` pools: all structural.
+_ANALYSES = (
+    "_pred_indptr",
+    "_pred_indices",
+    "_topo",
+    "_levels",
+    "_heights",
+    "_wavefronts",
+    "_slack",
+)
+
 
 class DAG:
     """A directed acyclic graph over ``n`` loop iterations.
 
     Successors are stored in CSR-style arrays (``indptr``, ``indices``);
     predecessors, levels, and heights are computed lazily and cached —
-    schedulers query them repeatedly.
+    schedulers query them repeatedly. Those analyses depend on the edges
+    only, so DAGs of one pattern can compute them once between them
+    (:meth:`share_analyses`); weights stay per DAG.
 
     Attributes
     ----------
@@ -57,6 +70,7 @@ class DAG:
         "_topo",
         "_wavefronts",
         "_slack",
+        "_twin",
     )
 
     def __init__(self, n: int, indptr, indices, weights=None, *, check: bool = True):
@@ -94,6 +108,7 @@ class DAG:
         self._topo = None
         self._wavefronts = None
         self._slack = None
+        self._twin = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -184,6 +199,8 @@ class DAG:
 
     def predecessor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of the predecessor (transposed) adjacency."""
+        if self._pred_indptr is None and self._twin is not None:
+            self._pred_indptr, self._pred_indices = self._twin.predecessor_arrays()
         if self._pred_indptr is None:
             counts = np.bincount(self.indices, minlength=self.n)
             indptr = np.zeros(self.n + 1, dtype=INDEX_DTYPE)
@@ -230,6 +247,9 @@ class DAG:
         """
         if self._topo is not None:
             return self._topo
+        if self._twin is not None:
+            self._topo = self._twin.topological_order()
+            return self._topo
         if self.is_naturally_ordered():
             self._topo = np.arange(self.n, dtype=INDEX_DTYPE)
             return self._topo
@@ -257,13 +277,21 @@ class DAG:
         wavefront of the classic wavefront-parallel execution.
         """
         if self._levels is None:
-            self._levels = self._longest_path(reverse=False)
+            self._levels = (
+                self._twin.levels()
+                if self._twin is not None
+                else self._longest_path(reverse=False)
+            )
         return self._levels
 
     def heights(self) -> np.ndarray:
         """``height(v)``: longest path (in edges) from *v* to a sink."""
         if self._heights is None:
-            self._heights = self._longest_path(reverse=True)
+            self._heights = (
+                self._twin.heights()
+                if self._twin is not None
+                else self._longest_path(reverse=True)
+            )
         return self._heights
 
     def _longest_path(self, *, reverse: bool) -> np.ndarray:
@@ -313,6 +341,8 @@ class DAG:
         compiler and the metrics all ask repeatedly. Callers must not
         mutate the returned arrays.
         """
+        if self._wavefronts is None and self._twin is not None:
+            self._wavefronts = self._twin.wavefronts()
         if self._wavefronts is None:
             lv = self.levels()
             # Stable: each level's vertices stay in ascending order.
@@ -336,11 +366,50 @@ class DAG:
         """
         if self.n == 0:
             return np.empty(0, dtype=INDEX_DTYPE)
+        if self._slack is None and self._twin is not None:
+            self._slack = self._twin.slack_numbers()
         if self._slack is None:
             self._slack = (
                 (self.n_wavefronts - 1) - self.levels() - self.heights()
             )
         return self._slack
+
+    def same_structure(self, other: "DAG") -> bool:
+        """True when *other* has exactly this DAG's vertices and edges."""
+        return (
+            self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def share_analyses(self, other: "DAG") -> None:
+        """Compute the structural analyses of *self* and *other* once.
+
+        Predecessor arrays, topological order, levels, heights,
+        wavefronts and slack depend on the edges alone, so a DAG of the
+        same structure — e.g. the intra-DAGs of two loops over one
+        sparsity pattern — can answer them for both. Nothing is computed
+        here: each memo stays lazy, and whichever DAG asks first fills it
+        for the other. Memos either one already holds are pooled, and
+        weights stay per DAG. Raises ``ValueError`` unless
+        :meth:`same_structure` holds.
+        """
+        a, b = self._root(), other._root()
+        if a is b:
+            return
+        if not a.same_structure(b):
+            raise ValueError("share_analyses needs DAGs of the same structure")
+        for slot in _ANALYSES:
+            if getattr(b, slot) is None:
+                setattr(b, slot, getattr(a, slot))
+        # Only roots are linked, so the links form a forest: no cycles.
+        a._twin = b
+
+    def _root(self) -> "DAG":
+        dag = self
+        while dag._twin is not None:
+            dag = dag._twin
+        return dag
 
     # ------------------------------------------------------------------
     # Transformations
@@ -352,16 +421,19 @@ class DAG:
         swaps levels with heights, reverses any topological order, and
         leaves the per-vertex slack unchanged (``SN`` is symmetric in
         ``l`` and ``height``). Wavefronts are left to be rebuilt lazily
-        from the carried levels.
+        from the carried levels. A DAG sharing its analyses carries the
+        shared memos; the result shares nothing.
         """
         indptr, indices = self.predecessor_arrays()
         out = DAG(self.n, indptr.copy(), indices.copy(), self.weights, check=False)
+        # the root of a sharing group holds every memo any member holds
+        memo = self._root()
         out._pred_indptr = self.indptr
         out._pred_indices = self.indices
-        out._levels = self._heights
-        out._heights = self._levels
-        out._topo = None if self._topo is None else self._topo[::-1].copy()
-        out._slack = self._slack
+        out._levels = memo._heights
+        out._heights = memo._levels
+        out._topo = None if memo._topo is None else memo._topo[::-1].copy()
+        out._slack = memo._slack
         return out
 
     def induced_subgraph(self, vertices: np.ndarray) -> tuple["DAG", np.ndarray]:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
-from ..utils.arrays import multi_range
+from ..utils.arrays import multi_range, split_sizes
 
 __all__ = [
     "Kernel",
@@ -134,14 +134,28 @@ class Kernel(abc.ABC):
     def precompute_level(self, iters: np.ndarray) -> Any:
         """Build the reusable per-level precomputation for *iters*.
 
-        Called once at plan-compile time with the iterations of one
-        level batch; whatever it returns is handed back verbatim to
-        every subsequent :meth:`run_level_batch` call for that level
-        (typically concatenated gather/scatter index arrays and
-        ``np.add.reduceat`` segment boundaries). The default returns
-        ``None``.
+        Whatever it returns for the iterations of one level batch is
+        handed back verbatim to every :meth:`run_level_batch` call for
+        that level (typically concatenated gather/scatter index arrays
+        and ``np.add.reduceat`` segment boundaries). The plan compiler
+        reaches it through :meth:`precompute_levels`. The default
+        returns ``None``.
         """
         return None
+
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
+        """:meth:`precompute_level` of several level batches in one call.
+
+        *iters* concatenates the batches' iterations and *sizes* gives
+        their lengths; the result holds one precomputation per batch, in
+        order, equal to what :meth:`precompute_level` returns for it.
+        The plan compiler calls this once per loop with all of the loop's
+        level steps. The default loops over :meth:`precompute_level`;
+        kernels whose precomputation is a gather over the pattern
+        override it with one pass over all batches, split per batch, and
+        then define :meth:`precompute_level` as the one-batch case.
+        """
+        return [self.precompute_level(part) for part in split_sizes(iters, sizes)]
 
     def run_level_batch(
         self,

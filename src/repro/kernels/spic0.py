@@ -20,7 +20,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
-from ..utils.arrays import multi_range
+from ..utils.arrays import group_sums, multi_range, split_sizes
 from .base import Kernel, State, empty_map, map_from_ranges, slice_map
 
 __all__ = ["SpIC0"]
@@ -136,6 +136,9 @@ class SpIC0(Kernel):
         return self._key_arr
 
     def precompute_level(self, iters: np.ndarray):
+        return self.precompute_levels(iters, [len(iters)])[0]
+
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         indptr, indices = self.low.indptr, self.low.indices
         starts = indptr[iters]
@@ -158,15 +161,31 @@ class SpIC0(Kernel):
         pos = np.searchsorted(keys, cand)
         safe = np.minimum(pos, max(keys.shape[0] - 1, 0))
         ok = (pos < keys.shape[0]) & (keys[safe] == cand)
-        return {
-            "colranges": multi_range(starts, counts),
-            "diag": starts,
-            "offdiag": multi_range(starts + 1, counts - 1),
-            "off_counts": counts - 1,
-            "tgt": pos[ok].astype(INDEX_DTYPE),
-            "src": src[ok],
-            "ljk": ljk[ok],
-        }
+        # per-step shares of the per-column, per-pair and kept outputs
+        col_sizes = group_sums(counts, sizes)
+        kept = group_sums(ok, group_sums(tails, group_sums(tcounts, sizes)))
+        return [
+            {
+                "colranges": cr,
+                "diag": d,
+                "offdiag": od,
+                "off_counts": oc,
+                "tgt": t,
+                "src": sr,
+                "ljk": lj,
+            }
+            for cr, d, od, oc, t, sr, lj in zip(
+                split_sizes(multi_range(starts, counts), col_sizes),
+                split_sizes(starts, sizes),
+                split_sizes(
+                    multi_range(starts + 1, counts - 1), col_sizes - sizes
+                ),
+                split_sizes(counts - 1, sizes),
+                split_sizes(pos[ok].astype(INDEX_DTYPE), kept),
+                split_sizes(src[ok], kept),
+                split_sizes(ljk[ok], kept),
+            )
+        ]
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)

@@ -22,7 +22,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import multi_range
+from ..utils.arrays import group_sums, multi_range, split_sizes
 from .base import Kernel, State, empty_map, map_from_ranges, slice_map
 
 __all__ = ["SpILU0"]
@@ -112,6 +112,9 @@ class SpILU0(Kernel):
         return self._key_arr
 
     def precompute_level(self, iters: np.ndarray):
+        return self.precompute_levels(iters, [len(iters)])[0]
+
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         indptr, indices, diag_pos = self.a.indptr, self.a.indices, self._diag_pos
         starts = indptr[iters]
@@ -119,12 +122,20 @@ class SpILU0(Kernel):
         nlower = diag_pos[iters] - starts
         keys = self._pattern_keys()
         n = self.a.n_cols
-        steps = []
-        # Step-sweep: elimination step s of every level row together. The
-        # sweep length is the largest strict-lower count in the level, not
-        # n, so dense levels stay cheap.
+        step_of = np.repeat(np.arange(len(sizes)), sizes)
+        out = [
+            {"rowranges": rr, "steps": []}
+            for rr in split_sizes(
+                multi_range(starts, counts), group_sums(counts, sizes)
+            )
+        ]
+        # Step-sweep: elimination step s of every level row together, for
+        # all levels at once. A level's sweep length is the largest
+        # strict-lower count among its rows, not n, so dense levels stay
+        # cheap; a level joins step s while some row of it is active.
         for s in range(int(nlower.max()) if nlower.shape[0] else 0):
-            act = iters[nlower > s]
+            active = nlower > s
+            act = iters[active]
             likpos = indptr[act] + s
             ks = indices[likpos]
             piv = diag_pos[ks]
@@ -137,16 +148,21 @@ class SpILU0(Kernel):
             pos = np.searchsorted(keys, cand)
             safe = np.minimum(pos, max(keys.shape[0] - 1, 0))
             ok = (pos < keys.shape[0]) & (keys[safe] == cand)
-            steps.append(
-                {
-                    "likpos": likpos,
-                    "pivot": piv,
-                    "tgt": pos[ok].astype(INDEX_DTYPE),
-                    "src": src[ok],
-                    "lik": lik_exp[ok],
-                }
-            )
-        return {"rowranges": multi_range(starts, counts), "steps": steps}
+            n_act = np.bincount(step_of[active], minlength=len(sizes))
+            kept = group_sums(ok, group_sums(tcount, n_act))
+            for level, lp, pv, tg, sr, lk in zip(
+                out,
+                split_sizes(likpos, n_act),
+                split_sizes(piv, n_act),
+                split_sizes(pos[ok].astype(INDEX_DTYPE), kept),
+                split_sizes(src[ok], kept),
+                split_sizes(lik_exp[ok], kept),
+            ):
+                if lp.shape[0]:
+                    level["steps"].append(
+                        {"likpos": lp, "pivot": pv, "tgt": tg, "src": sr, "lik": lk}
+                    )
+        return out
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)

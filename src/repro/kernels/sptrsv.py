@@ -23,7 +23,13 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import multi_range, segment_boundaries, segment_sums_at
+from ..utils.arrays import (
+    group_sums,
+    multi_range,
+    segment_boundaries_split,
+    segment_sums_at,
+    split_sizes,
+)
 from .base import Kernel, State, empty_map, identity_map, map_from_counts, slice_map
 
 __all__ = ["SpTRSVCSR", "SpTRSVCSC", "SpTRSVCSRFromLU"]
@@ -83,18 +89,29 @@ class SpTRSVCSR(Kernel):
         x[i] = acc / lx[hi - 1]
 
     def precompute_level(self, iters: np.ndarray):
+        return self.precompute_levels(iters, [len(iters)])[0]
+
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.low.indptr[iters]
         counts = self.low.indptr[iters + 1] - starts - 1  # off-diagonals
         gather = multi_range(starts, counts)
-        reduce_starts, nonempty = segment_boundaries(counts)
-        return {
-            "gather": gather,
-            "cols": self.low.indices[gather],
-            "diag": self.low.indptr[iters + 1] - 1,
-            "reduce_starts": reduce_starts,
-            "nonempty": nonempty,
-        }
+        per_step = group_sums(counts, sizes)
+        return [
+            {
+                "gather": g,
+                "cols": c,
+                "diag": d,
+                "reduce_starts": rs,
+                "nonempty": ne,
+            }
+            for g, c, d, (rs, ne) in zip(
+                split_sizes(gather, per_step),
+                split_sizes(self.low.indices[gather], per_step),
+                split_sizes(self.low.indptr[iters + 1] - 1, sizes),
+                segment_boundaries_split(counts, sizes),
+            )
+        ]
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
@@ -243,16 +260,23 @@ class SpTRSVCSC(Kernel):
             acc[rows] += lx[lo + 1 : hi] * xj
 
     def precompute_level(self, iters: np.ndarray):
+        return self.precompute_levels(iters, [len(iters)])[0]
+
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.low.indptr[iters]
         counts = self.low.indptr[iters + 1] - starts - 1  # sub-diagonals
         gather = multi_range(starts + 1, counts)
-        return {
-            "diag": starts,
-            "gather": gather,
-            "rows": self.low.indices[gather],
-            "counts": counts,
-        }
+        per_step = group_sums(counts, sizes)
+        return [
+            {"diag": d, "gather": g, "rows": r, "counts": c}
+            for d, g, r, c in zip(
+                split_sizes(starts, sizes),
+                split_sizes(gather, per_step),
+                split_sizes(self.low.indices[gather], per_step),
+                split_sizes(counts, sizes),
+            )
+        ]
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
@@ -395,17 +419,22 @@ class SpTRSVCSRFromLU(Kernel):
         )
 
     def precompute_level(self, iters: np.ndarray):
+        return self.precompute_levels(iters, [len(iters)])[0]
+
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.a.indptr[iters]
         counts = self._diag_off[iters] - starts  # strict-lower entries
         gather = multi_range(starts, counts)
-        reduce_starts, nonempty = segment_boundaries(counts)
-        return {
-            "gather": gather,
-            "cols": self.a.indices[gather],
-            "reduce_starts": reduce_starts,
-            "nonempty": nonempty,
-        }
+        per_step = group_sums(counts, sizes)
+        return [
+            {"gather": g, "cols": c, "reduce_starts": rs, "nonempty": ne}
+            for g, c, (rs, ne) in zip(
+                split_sizes(gather, per_step),
+                split_sizes(self.a.indices[gather], per_step),
+                segment_boundaries_split(counts, sizes),
+            )
+        ]
 
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)

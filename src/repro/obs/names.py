@@ -27,6 +27,7 @@ INSPECTOR_VERTICES = "inspector.vertices"
 INSPECTOR_INTRA_EDGES = "inspector.intra_edges"
 INSPECTOR_INTER_EDGES = "inspector.inter_edges"
 INSPECTOR_JOIN_EDGES = "inspector.join_edges"
+INSPECTOR_SHARED_DAG_ANALYSES = "inspector.shared_dag_analyses"
 
 # -- schedulers --------------------------------------------------------
 ICO_VERTICES = "ico.vertices"
@@ -96,6 +97,10 @@ REGISTRY: dict[str, tuple[str, str]] = {
     INSPECTOR_INTRA_EDGES: ("1", "intra-DAG dependence edges"),
     INSPECTOR_INTER_EDGES: ("1", "inter-kernel (F-matrix) edges"),
     INSPECTOR_JOIN_EDGES: ("1", "edges produced by one inter-DAG join"),
+    INSPECTOR_SHARED_DAG_ANALYSES: (
+        "1",
+        "loops whose intra-DAG analyses an earlier same-pattern loop's DAG computes",
+    ),
     ICO_VERTICES: ("1", "vertices entering ICO"),
     ICO_MERGED_SPARTITIONS: ("1", "s-partitions removed by ICO merging"),
     ICO_SPARTITIONS: ("1", "s-partitions in the final ICO schedule"),

@@ -21,11 +21,20 @@ pays interpreter cost per iteration. This module compiles a
   boundaries would otherwise multiply its dispatches; merged, each loop
   runs one step per intra level — the same count as an unfused plan —
   while the schedule still sets the order inside each step.
-* Per step, the kernel's :meth:`~repro.kernels.base.Kernel.precompute_level`
-  builds the concatenated gather/scatter index arrays and
-  ``np.add.reduceat`` segment boundaries up front, so executing the plan
-  does no index arithmetic at all — only gathers, segment reductions and
-  scatters.
+* Per level step, the kernel's :meth:`~repro.kernels.base.Kernel.precompute_level`
+  result — the concatenated gather/scatter index arrays and
+  ``np.add.reduceat`` segment boundaries — is built up front, so
+  executing the plan does no index arithmetic at all — only gathers,
+  segment reductions and scatters. The compiler asks each loop for all
+  of its level steps at once through
+  :meth:`~repro.kernels.base.Kernel.precompute_levels`: the shipped
+  triangular solves and factorizations answer with one gather pass over
+  every step, split per step, instead of a dozen small passes.
+* The intra-DAG levels come from ``kern.intra_dag().levels()``. Loops
+  over one sparsity pattern share that memo with the DAG the inspector
+  linked them to (:meth:`~repro.graph.dag.DAG.share_analyses`), so a
+  fused pair over one pattern pays one levels pass between inspection
+  and compile.
 * :func:`plan_for` looks for a plan in three places, in order: the
   memo on ``schedule.meta``, so repeated executions of the same schedule
   — Gauss-Seidel sweeps, preconditioner applications inside a Krylov
@@ -73,8 +82,9 @@ packed order. Raise it on machines with slow ufunc dispatch
 or for schedules whose levels are mostly tiny (deep, narrow DAGs); lower
 it to 2 when levels are rare but the kernel's batch path is cheap (pure
 gathers, no scatter). ``min_batch=1`` forces vectorization everywhere
-and is mainly useful for testing the batch paths. Both the CLI
-(``--min-batch``) and the executor benchmark
+and is mainly useful for testing the batch paths; smaller values are
+rejected, since they would compile the same plan under another key.
+Both the CLI (``--min-batch``) and the executor benchmark
 (``benchmarks/bench_executor_plans.py --min-batch``) expose the knob so
 the crossover can be measured rather than guessed.
 """
@@ -176,6 +186,7 @@ def compile_plan(
     run scalar in packed order (see the module docstring for the
     tradeoff).
     """
+    _check_min_batch(min_batch)
     if len(kernels) != len(schedule.loop_counts):
         raise ValueError(
             f"{len(kernels)} kernels for {len(schedule.loop_counts)} loops"
@@ -242,18 +253,28 @@ def compile_plan(
         n_merged = int(group_edge.sum() - first[1:].sum())
         phase = np.cumsum(first) - 1 if mergeable else s_of
         bounds = [*np.flatnonzero(first).tolist(), verts.shape[0]]
+        level_steps: dict[int, list[PlanStep]] = {}
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             k = int(loops[lo])
             iters = verts[lo:hi] - int(offsets[k])
             s = int(phase[lo])
             if hi - lo >= min_batch and leveled[lo]:
-                precomp = kernels[k].precompute_level(iters)
-                steps.append(PlanStep("level", k, iters, precomp, s=s))
+                step = PlanStep("level", k, iters, s=s)
+                level_steps.setdefault(k, []).append(step)
                 n_level += 1
                 n_batched_iters += hi - lo
             else:
-                steps.append(PlanStep("scalar", k, iters, s=s))
+                step = PlanStep("scalar", k, iters, s=s)
                 n_scalar_iters += hi - lo
+            steps.append(step)
+        # One precompute pass per loop over all of its level steps.
+        for k, group in level_steps.items():
+            precomps = kernels[k].precompute_levels(
+                np.concatenate([st.iters for st in group]),
+                [st.iters.shape[0] for st in group],
+            )
+            for st, precomp in zip(group, precomps):
+                st.precomp = precomp
         span.set(steps=len(steps), merged=n_merged)
     compile_seconds = time.perf_counter() - t0
     if rec.enabled:
@@ -271,6 +292,13 @@ def compile_plan(
         n_steps_merged=n_merged,
         compile_seconds=compile_seconds,
     )
+
+
+def _check_min_batch(min_batch: int) -> None:
+    """Reject a ``min_batch`` below 1: every step size already meets 1,
+    so smaller values would only fork plan-store keys for one plan."""
+    if min_batch < 1:
+        raise ValueError(f"min_batch must be >= 1, got {min_batch}")
 
 
 def _dependence_edges(
@@ -359,6 +387,7 @@ def plan_for(
     ``plan.store_misses`` (store, when one is bound) and
     ``plan.cache_misses`` (compilations).
     """
+    _check_min_batch(min_batch)
     memo = schedule.meta.setdefault(PLAN_MEMO_KEY, {})
     key = (tuple(id(k) for k in kernels), int(min_batch))
     rec = current_recorder()

@@ -53,7 +53,7 @@ from ..obs import names
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range
 from .lbc import lbc_schedule
-from .partition_utils import UnionFind, group_by_roots, pack_components
+from .partition_utils import UnionFind, components_flat, pack_flat
 from .schedule import FusedSchedule
 
 __all__ = ["ico_schedule"]
@@ -413,8 +413,7 @@ class _IcoBuilder:
             # to producer loops; every dependence among them stays inside
             # one component, so component grouping is dependence-safe).
             verts = np.asarray(sorted(self.preamble), dtype=INDEX_DTYPE)
-            comps, costs = self._global_components(verts)
-            packed = pack_components(comps, costs, self.r)
+            packed = pack_flat(*self._global_components(verts), self.r)
             self.sp[self.sp >= 0] += 1
             self.n_sparts += 1
             loads = np.zeros(self.r)
@@ -455,7 +454,8 @@ class _IcoBuilder:
         self._g_pred = (pptr, src[order])
 
     def _global_components(self, verts: np.ndarray):
-        """Weakly-connected components among *verts* over all edges."""
+        """Weakly-connected components among *verts* over all edges, as
+        :func:`~repro.schedule.partition_utils.components_flat` arrays."""
         member = np.zeros(self.n_total, dtype=bool)
         member[verts] = True
         src, dst = self._g_edges
@@ -463,7 +463,7 @@ class _IcoBuilder:
         uf = UnionFind(self.n_total)
         uf.unite_edges(src[keep], dst[keep])
         roots = uf.find_many(verts)
-        return group_by_roots(verts, roots, self.weights)
+        return components_flat(verts, roots, self.weights)
 
     # ------------------------------------------------------------------
     # Step 2: merging + slack balancing
@@ -493,8 +493,9 @@ class _IcoBuilder:
         if not mask_a.any() or not mask_b.any():
             self._drop_empty(s if not mask_a.any() else s + 1)
             return True
-        width_a = np.unique(self.wp[mask_a]).shape[0]
-        width_b = np.unique(self.wp[mask_b]).shape[0]
+        used_a = np.unique(self.wp[mask_a])
+        used_b = np.unique(self.wp[mask_b])
+        width_a, width_b = used_a.shape[0], used_b.shape[0]
         # Cluster the w-partitions of both levels through the cross edges
         # (node ids: 0..r-1 -> level s, r..2r-1 -> level s+1), vectorized:
         # gather the unique (w_src, w_dst) pairs among edges s -> s+1.
@@ -507,8 +508,8 @@ class _IcoBuilder:
             )
             for pid in np.unique(pair_ids).tolist():
                 uf.union(pid // (2 * self.r), pid % (2 * self.r))
-        used = set(self.wp[mask_a].tolist())
-        used.update(self.r + w for w in self.wp[mask_b].tolist())
+        used = set(used_a.tolist())
+        used.update((self.r + used_b).tolist())
         roots = {uf.find(node) for node in used}
         n_clusters = len(roots)
         if n_clusters > self.r or n_clusters < max(width_a, width_b):

@@ -37,12 +37,7 @@ from ..obs import current as current_recorder
 from ..obs import names
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range
-from .partition_utils import (
-    UnionFind,
-    group_by_roots,
-    pack_components,
-    window_components,
-)
+from .partition_utils import UnionFind, components_flat, pack_flat, window_roots
 from .schedule import FusedSchedule
 
 __all__ = ["lbc_schedule"]
@@ -192,14 +187,13 @@ def _lbc_partitions(
 
         verts = np.concatenate(window)
         if retracted:
-            comps, costs = window_components(dag, verts, member, weights=weights)
+            roots = window_roots(dag, verts, member)
         else:
             # uf holds exactly the window's internal edges (every level's
             # predecessor edges were unioned on absorb): group its roots
             # directly instead of re-unioning the whole window.
             roots = uf.find_many(verts)
-            comps, costs = group_by_roots(verts, roots, weights)
-        s_partitions.append(pack_components(comps, costs, r))
+        s_partitions.append(pack_flat(*components_flat(verts, roots, weights), r))
         member[verts] = False
         lb = ub
 

@@ -18,14 +18,16 @@ import numpy as np
 
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE
-from ..utils.arrays import multi_range
+from ..utils.arrays import multi_range, split_sizes
 
 __all__ = [
     "UnionFind",
-    "group_by_roots",
+    "components_flat",
     "lpt_pack",
     "pack_components",
+    "pack_flat",
     "window_components",
+    "window_roots",
     "chunk_by_cost",
 ]
 
@@ -145,16 +147,19 @@ def lpt_pack(groups: list[np.ndarray], costs: list[float], n_bins: int) -> list[
     return out
 
 
-def group_by_roots(
+def components_flat(
     verts: np.ndarray, roots: np.ndarray, weights: np.ndarray | None = None
-):
-    """Group *verts* by union-find *roots* into sorted component arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Group *verts* by union-find *roots*, as flat arrays.
 
-    Components are ordered by the first occurrence (in *verts* order) of
-    any of their members — the same order a per-vertex dict walk produces
-    via insertion, which downstream LPT packing is sensitive to. With
-    *weights*, also returns the per-component cost list (one bulk
-    ``reduceat`` instead of one ``.sum()`` per component).
+    Returns ``(members, starts, costs)``: *verts* reordered component by
+    component, each component ascending, and ``starts[c]`` the offset of
+    component ``c`` in ``members``. Components are ordered by the first
+    occurrence (in *verts* order) of any of their members — the same
+    order a per-vertex dict walk produces via insertion, which
+    downstream LPT packing is sensitive to. ``costs`` holds each
+    component's weight sum (one bulk ``reduceat``), or ``None`` without
+    *weights*.
     """
     nv = verts.shape[0]
     uniq, inv = np.unique(roots, return_inverse=True)
@@ -162,15 +167,29 @@ def group_by_roots(
     np.minimum.at(first, inv, np.arange(nv, dtype=INDEX_DTYPE))
     rank = first[inv]
     order = np.lexsort((verts, rank))
-    vsort = verts[order]
-    bounds = np.nonzero(np.diff(rank[order]))[0] + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [nv]])
-    comps = [vsort[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    if weights is None:
-        return comps
-    costs = np.add.reduceat(weights[vsort], starts).tolist()
-    return comps, costs
+    members = verts[order]
+    head = np.ones(nv, dtype=bool)
+    head[1:] = np.diff(rank[order]) != 0
+    starts = np.flatnonzero(head)
+    costs = None if weights is None else np.add.reduceat(weights[members], starts)
+    return members, starts, costs
+
+
+def window_roots(dag: DAG, verts: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Union-find root of each of *verts* over the subgraph induced on
+    *verts*: two vertices share a root iff they are weakly connected.
+
+    ``member`` must be a boolean mask over all DAG vertices that is True
+    exactly on *verts* (passed in to avoid re-allocating per call).
+    """
+    uf = UnionFind(dag.n)
+    starts = dag.indptr[verts]
+    counts = dag.indptr[verts + 1] - starts
+    src = np.repeat(verts, counts)
+    dst = dag.indices[multi_range(starts, counts)]
+    keep = member[dst]
+    uf.unite_edges(src[keep], dst[keep])
+    return uf.find_many(verts)
 
 
 def window_components(
@@ -182,24 +201,18 @@ def window_components(
 ):
     """Weakly-connected components of the subgraph induced on *verts*.
 
-    ``member`` must be a boolean mask over all DAG vertices that is True
-    exactly on *verts* (passed in to avoid re-allocating per call).
     Returns each component as a sorted vertex array, in the same order as
-    the per-vertex reference (see :func:`group_by_roots`); with *weights*
-    returns ``(components, costs)``.
+    the per-vertex reference (see :func:`components_flat`); with
+    *weights* returns ``(components, costs)``. ``member`` is as for
+    :func:`window_roots`.
     """
-    nv = verts.shape[0]
-    if nv == 0:
+    if verts.shape[0] == 0:
         return [] if weights is None else ([], [])
-    uf = UnionFind(dag.n)
-    starts = dag.indptr[verts]
-    counts = dag.indptr[verts + 1] - starts
-    src = np.repeat(verts, counts)
-    dst = dag.indices[multi_range(starts, counts)]
-    keep = member[dst]
-    uf.unite_edges(src[keep], dst[keep])
-    roots = uf.find_many(verts)
-    return group_by_roots(verts, roots, weights)
+    members, starts, costs = components_flat(
+        verts, window_roots(dag, verts, member), weights
+    )
+    comps = np.split(members, starts[1:])
+    return comps if costs is None else (comps, costs.tolist())
 
 
 def chunk_by_cost(verts: np.ndarray, weights: np.ndarray, n_chunks: int) -> list[np.ndarray]:
@@ -231,8 +244,25 @@ def chunk_by_cost(verts: np.ndarray, weights: np.ndarray, n_chunks: int) -> list
 def pack_components(
     groups: list[np.ndarray], costs: list[float], n_bins: int
 ) -> list[np.ndarray]:
+    """:func:`pack_flat` of a list of sorted vertex groups."""
+    if not groups:
+        return []
+    sizes = np.array([g.shape[0] for g in groups], dtype=np.int64)
+    return pack_flat(
+        np.concatenate(groups),
+        np.cumsum(sizes) - sizes,
+        np.asarray(costs, dtype=np.float64),
+        n_bins,
+    )
+
+
+def pack_flat(
+    members: np.ndarray, starts: np.ndarray, costs: np.ndarray, n_bins: int
+) -> list[np.ndarray]:
     """Pack independent vertex groups into balanced bins, locality-aware.
 
+    The groups come flat, as from :func:`components_flat`: group ``g`` is
+    ``members[starts[g]:starts[g + 1]]``, sorted, with cost ``costs[g]``.
     Two regimes:
 
     * few, large groups (``len(groups) <= 4 * n_bins``) — LPT packing,
@@ -244,21 +274,22 @@ def pack_components(
       unit-stride access the kernels rely on (each thread would touch
       every ``n_bins``-th row).
     """
-    if len(groups) <= 4 * n_bins:
-        return lpt_pack(groups, costs, n_bins)
-    firsts = np.fromiter(
-        (g[0] for g in groups), dtype=INDEX_DTYPE, count=len(groups)
+    n_groups = starts.shape[0]
+    ends = np.append(starts[1:], members.shape[0])
+    if n_groups <= 4 * n_bins:
+        groups = [members[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        return lpt_pack(groups, costs.tolist(), n_bins)
+    # Groups in ascending first-vertex order, cut into contiguous
+    # cost-balanced runs; then one lexsort sorts every bin's vertices.
+    order = np.argsort(members[starts], kind="stable")
+    cum = np.cumsum(costs[order])
+    cuts = np.searchsorted(cum, float(cum[-1]) * np.arange(1, n_bins) / n_bins)
+    bounds = np.concatenate(
+        ([0], np.maximum.accumulate(np.minimum(cuts, n_groups)), [n_groups])
     )
-    order = np.argsort(firsts, kind="stable")
-    cum = np.cumsum(np.asarray(costs, dtype=np.float64)[order])
-    total = float(cum[-1]) if len(cum) else 0.0
-    bounds = [0]
-    for k in range(1, n_bins):
-        cut = int(np.searchsorted(cum, total * k / n_bins))
-        bounds.append(max(bounds[-1], min(cut, len(order))))
-    bounds.append(len(order))
-    out = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b > a:
-            out.append(np.sort(np.concatenate([groups[g] for g in order[a:b].tolist()])))
-    return out
+    group_bin = np.empty(n_groups, dtype=np.int64)
+    group_bin[order] = np.repeat(np.arange(n_bins), np.diff(bounds))
+    member_bin = np.repeat(group_bin, ends - starts)
+    packed = members[np.lexsort((members, member_bin))]
+    sizes = np.bincount(member_bin, minlength=n_bins)
+    return [b for b in split_sizes(packed, sizes) if b.shape[0]]

@@ -27,7 +27,7 @@ from ..kernels.base import Kernel, State
 from ..obs import current as current_recorder
 from ..obs import names
 from ..runtime.executor import allocate_state, execute_schedule
-from ..runtime.plan import execute_schedule_planned
+from ..runtime.plan import _check_min_batch, execute_schedule_planned
 from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..baselines.unfused import parsy_schedule
 from ..schedule.schedule import FusedSchedule
@@ -127,7 +127,7 @@ def gauss_seidel(
     compiled level-batched plan — compiled on the first sweep, cache-hit
     on every later one; see :mod:`repro.runtime.plan`) or ``"iter"``
     (per-iteration oracle). ``min_batch`` tunes the plan's vectorization
-    threshold.
+    threshold and must be at least 1.
     Convergence stops at relative residual *tol* or *max_iters* GS
     iterations; ``simulated_solve_seconds`` prices the executed chunks
     on the machine model.
@@ -136,6 +136,7 @@ def gauss_seidel(
         raise ValueError(f"unknown executor {executor!r}")
     if not a.is_square:
         raise ValueError("Gauss-Seidel requires a square matrix")
+    _check_min_batch(min_batch)
     b = checked_vector("b", b, a.n_rows)
     if x0 is not None:
         x0 = checked_vector("x0", x0, a.n_rows)

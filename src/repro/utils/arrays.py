@@ -9,10 +9,13 @@ from ..sparse.base import INDEX_DTYPE
 __all__ = [
     "checked_vector",
     "distinct",
+    "group_sums",
     "multi_range",
     "segment_sums",
     "segment_boundaries",
+    "segment_boundaries_split",
     "segment_sums_at",
+    "split_sizes",
 ]
 
 
@@ -56,6 +59,26 @@ def multi_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.asarray(starts, dtype=INDEX_DTYPE)[reps] + offs
 
 
+def split_sizes(x: np.ndarray, sizes) -> list[np.ndarray]:
+    """*x* cut into consecutive pieces (views) of the given *sizes*."""
+    ends = np.cumsum(sizes).tolist()
+    return [x[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+
+
+def group_sums(counts: np.ndarray, sizes) -> np.ndarray:
+    """Sums of *counts* over consecutive groups of the given *sizes*.
+
+    With per-item output counts and per-step item counts, this is each
+    step's share of a concatenated output — the *sizes* that
+    :func:`split_sizes` needs to cut that output back into steps.
+    """
+    ends = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ends[1:])
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    return np.diff(ends[bounds])
+
+
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum *values* in consecutive segments of the given lengths.
 
@@ -84,9 +107,30 @@ def segment_boundaries(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pay only the ``np.add.reduceat`` itself.
     """
     counts = np.asarray(counts)
+    return segment_boundaries_split(counts, [counts.shape[0]])[0]
+
+
+def segment_boundaries_split(
+    counts: np.ndarray, sizes
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`segment_boundaries` of consecutive groups of *counts*.
+
+    Group ``g`` is the next ``sizes[g]`` segments; its reduce starts
+    count from its own first element. One pass over all groups.
+    """
+    counts = np.asarray(counts)
     nonempty = counts > 0
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return starts[nonempty].astype(INDEX_DTYPE, copy=False), nonempty
+    ends = np.zeros(counts.shape[0] + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=ends[1:])
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    starts = ends[:-1] - np.repeat(ends[bounds[:-1]], sizes)
+    return list(
+        zip(
+            split_sizes(starts[nonempty], group_sums(nonempty, sizes)),
+            split_sizes(nonempty, sizes),
+        )
+    )
 
 
 def segment_sums_at(

@@ -146,3 +146,74 @@ def test_one_join_per_kernel_pair(lap2d_small):
     n = len(kernels)
     assert len(joins) == n * (n - 1) // 2
     assert build_inter_dep(kernels[0], kernels[1]) is fl.inter[(0, 1)]
+
+
+class TestSharedDagAnalyses:
+    """Loops over one sparsity pattern share their intra-DAG analyses."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """``(levels, heights)`` longest-path pass counts so far."""
+        from repro.graph import DAG
+
+        calls = []
+        orig = DAG._longest_path
+
+        def counted(self, *, reverse):
+            calls.append(reverse)
+            return orig(self, reverse=reverse)
+
+        monkeypatch.setattr(DAG, "_longest_path", counted)
+        return lambda: (calls.count(False), calls.count(True))
+
+    @pytest.mark.parametrize("cid", [1, 4, 5])
+    def test_one_levels_pass_per_pattern(self, cid, lap3d_nd, passes):
+        from repro import fuse
+        from repro.obs import recording
+        from repro.runtime import compile_plan
+
+        kernels, _ = COMBINATIONS[cid].build(lap3d_nd)
+        with recording() as rec:
+            fl = fuse(kernels, 4, cache=None)
+            compile_plan(fl.schedule, kernels)
+        assert rec.counter("inspector.shared_dag_analyses") == 1
+        assert passes() == (1, 1)
+        assert fl.dags[0].levels() is fl.dags[1].levels()
+
+    def test_other_patterns_share_nothing(self, lap3d_nd):
+        from repro.fusion.fused import inspect_loops
+        from repro.obs import recording
+
+        kernels, _ = COMBINATIONS[3].build(lap3d_nd)  # TRSV -> SpMV
+        with recording() as rec:
+            dags, _, _ = inspect_loops(kernels)
+        assert rec.counter("inspector.shared_dag_analyses") == 0
+        assert dags[0]._twin is None and dags[1]._twin is None
+
+    def test_combo4_loops_keep_their_weights(self, lap3d_nd):
+        from repro.fusion.fused import inspect_loops
+
+        kernels, _ = COMBINATIONS[4].build(lap3d_nd)  # SpIC0 -> SpTRSV-CSC
+        dags, _, _ = inspect_loops(kernels)
+        assert dags[0].levels() is dags[1].levels()
+        for dag, kern in zip(dags, kernels):
+            assert np.array_equal(dag.weights, kern.iteration_costs())
+        assert not np.array_equal(dags[0].weights, dags[1].weights)
+
+    def test_warm_fuse_and_plan_load_run_no_pass(self, lap3d_nd, tmp_path, passes):
+        """A schedule hit plus a stored plan computes no levels at all."""
+        from repro import fuse
+        from repro.runtime import execute_schedule_planned
+        from repro.schedule.cache import ScheduleCache
+
+        for cid in (1, 4, 5):
+            kernels, state = COMBINATIONS[cid].build(lap3d_nd)
+            fl = fuse(kernels, 4, cache=ScheduleCache(directory=tmp_path))
+            execute_schedule_planned(fl.schedule, kernels, state)
+        cold = passes()
+        for cid in (1, 4, 5):
+            kernels, state = COMBINATIONS[cid].build(lap3d_nd)
+            fl = fuse(kernels, 4, cache=ScheduleCache(directory=tmp_path))
+            execute_schedule_planned(fl.schedule, kernels, state)
+            assert fl.meta["cache"] == "hit"
+        assert passes() == cold

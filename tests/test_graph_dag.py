@@ -163,3 +163,106 @@ class TestTransforms:
         nx_g = diamond().to_networkx()
         assert nx_g.number_of_nodes() == 4
         assert nx_g.number_of_edges() == 4
+
+
+class TestSharedAnalyses:
+    """DAGs of one structure compute their structural analyses once."""
+
+    @staticmethod
+    def _pair(a, w2=None):
+        low = a.lower_triangle()
+        return DAG.from_lower_triangular(low), DAG.from_lower_triangular(low, w2)
+
+    def test_memos_computed_once_and_shared(self, lap2d_nd, monkeypatch):
+        calls = []
+        orig = DAG._longest_path
+        monkeypatch.setattr(
+            DAG,
+            "_longest_path",
+            lambda self, *, reverse: calls.append(reverse) or orig(self, reverse=reverse),
+        )
+        d1, d2 = self._pair(lap2d_nd)
+        d2.share_analyses(d1)
+        assert calls == []  # linking computes nothing
+        assert d2.levels() is d1.levels()
+        assert d1.heights() is d2.heights()
+        assert d1.wavefronts() is d2.wavefronts()
+        assert d2.slack_numbers() is d1.slack_numbers()
+        assert sorted(calls) == [False, True]
+
+    def test_existing_memos_are_pooled(self, lap2d_nd):
+        d1, d2 = self._pair(lap2d_nd)
+        lv = d2.levels()
+        d2.share_analyses(d1)
+        assert d1.levels() is lv
+
+    def test_weights_stay_per_dag(self, lap2d_nd):
+        d1, d2 = self._pair(lap2d_nd, np.arange(lap2d_nd.n_rows, dtype=float))
+        w1, w2 = d1.weights.copy(), d2.weights.copy()
+        d2.share_analyses(d1)
+        d1.levels()
+        assert np.array_equal(d1.weights, w1) and np.array_equal(d2.weights, w2)
+        assert not np.array_equal(w1, w2)
+
+    def test_same_schedule_as_unshared(self, lap3d_nd):
+        """Equal edges, different weights: sharing changes no schedule."""
+        from repro.schedule.ico import ico_schedule
+        from repro.schedule.lbc import lbc_schedule
+        from repro.fusion.inspector import build_inter_dep
+        from repro.kernels import SpTRSVCSR
+
+        low = lap3d_nd.lower_triangle()
+        rng = np.random.default_rng(4)
+        k1 = SpTRSVCSR(low, b_var="b", x_var="x")
+        k2 = SpTRSVCSR(low, b_var="x", x_var="z")
+        inter = {(0, 1): build_inter_dep(k1, k2)}
+        w1, w2 = rng.uniform(1, 5, (2, lap3d_nd.n_rows))
+
+        def schedules(share):
+            d1 = DAG.from_lower_triangular(low, w1)
+            d2 = DAG.from_lower_triangular(low, w2)
+            if share:
+                d2.share_analyses(d1)
+            return [
+                lbc_schedule(d, 4).s_partitions for d in (d1, d2)
+            ] + [ico_schedule([d1, d2], inter, r, 1.0).s_partitions for r in (1, 8)]
+
+        for got, want in zip(schedules(True), schedules(False)):
+            assert len(got) == len(want)
+            for gw, ww in zip(got, want):
+                assert len(gw) == len(ww)
+                assert all(np.array_equal(x, y) for x, y in zip(gw, ww))
+
+    def test_transpose_of_a_sharing_dag(self, lap2d_nd):
+        d1, d2 = self._pair(lap2d_nd)
+        d2.share_analyses(d1)
+        d1.levels()
+        d1.heights()
+        t = d2.transpose()
+        fresh = DAG.from_lower_triangular(lap2d_nd.lower_triangle()).transpose()
+        assert np.array_equal(t.levels(), d2.heights())
+        assert np.array_equal(t.heights(), d2.levels())
+        assert np.array_equal(t.levels(), fresh.levels())
+        assert np.array_equal(t.slack_numbers(), fresh.slack_numbers())
+        assert np.array_equal(t.topological_order(), d2.topological_order()[::-1])
+        assert np.array_equal(t.predecessor_arrays()[1], d2.indices)
+        assert t._twin is None
+
+    def test_links_in_both_directions_form_no_cycle(self, lap2d_nd):
+        """Loops fused in one order and then the other stay acyclic."""
+        d1, d2 = self._pair(lap2d_nd)
+        d2.share_analyses(d1)
+        d1.share_analyses(d2)
+        d3 = DAG.from_lower_triangular(lap2d_nd.lower_triangle())
+        d3.share_analyses(d2)
+        d1.share_analyses(d3)
+        for d in (d1, d2, d3):
+            assert np.array_equal(d.heights(), d3.heights())
+        assert d1.levels() is d2.levels() is d3.levels()
+
+    def test_rejects_another_structure(self, lap2d_nd):
+        d1 = DAG.from_lower_triangular(lap2d_nd.lower_triangle())
+        d2 = DAG.from_lower_triangular(laplacian_2d(12).lower_triangle())
+        assert not d1.same_structure(d2)
+        with pytest.raises(ValueError, match="same structure"):
+            d1.share_analyses(d2)

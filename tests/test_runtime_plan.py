@@ -448,3 +448,131 @@ class TestObsCounters:
         names = [s.name for s in rec.spans]
         assert "plan.compile" in names
         assert "executor.run" in names
+
+
+class TestBatchedPrecompute:
+    """compile_plan precomputes all of a loop's level steps in one
+    ``precompute_levels`` pass, equal to one ``precompute_level`` per step."""
+
+    @staticmethod
+    def _extra_patterns():
+        from .test_kernels_dataflow import MAP_PATTERNS
+
+        return [(name, make()) for name, make in MAP_PATTERNS.items()]
+
+    @pytest.mark.parametrize("min_batch", [1, 4])
+    def test_steps_equal_per_step_precompute(self, min_batch, matrix_zoo):
+        from .test_kernels_dataflow import all_kernels
+        from .test_plan_store import _trees_equal
+
+        checked = set()
+        for name, mat in [*matrix_zoo, *self._extra_patterns()]:
+            for kern in all_kernels(mat):
+                if not kern.supports_level_batch:
+                    continue
+                n = kern.n_iterations
+                sched = FusedSchedule((n,), [[np.arange(n, dtype=np.int64)]])
+                plan = compile_plan(sched, [kern], min_batch=min_batch)
+                for step in plan.steps:
+                    if step.kind == "level":
+                        want = kern.precompute_level(step.iters)
+                        assert _trees_equal(step.precomp, want), (name, kern.name)
+                        checked.add(kern.name)
+        assert len(checked) == 11
+
+    @pytest.mark.parametrize("min_batch", [1, 4])
+    def test_fused_plans_equal_per_step_precompute(self, min_batch, lap3d_nd):
+        from .test_plan_store import _trees_equal
+
+        for cid in sorted(COMBINATIONS):
+            kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
+            fl = fuse(kernels, 8)
+            plan = compile_plan(fl.schedule, kernels, min_batch=min_batch)
+            for step in plan.steps:
+                if step.kind == "level":
+                    want = kernels[step.loop].precompute_level(step.iters)
+                    assert _trees_equal(step.precomp, want), (cid, step.loop)
+
+    def test_arbitrary_batches_and_empty_ones(self, lap2d_nd, rng):
+        """Overrides split any batching, empty batches included."""
+        from .test_kernels_dataflow import all_kernels
+        from .test_plan_store import _trees_equal
+
+        for kern in all_kernels(lap2d_nd):
+            iters = rng.permutation(kern.n_iterations)[:90]
+            sizes = [0, 7, 1, 0, 30, 52, 0]
+            got = kern.precompute_levels(iters, sizes)
+            assert len(got) == len(sizes)
+            bounds = np.cumsum([0, *sizes])
+            for p, a, b in zip(got, bounds[:-1], bounds[1:]):
+                assert _trees_equal(p, kern.precompute_level(iters[a:b])), kern.name
+
+    def test_default_loops_over_precompute_level(self, lap2d_nd, monkeypatch):
+        from repro.kernels import SpTRSVBackwardCSR
+        from repro.kernels.base import Kernel
+
+        kern = SpTRSVBackwardCSR(lap2d_nd.lower_triangle())
+        assert type(kern).precompute_levels is Kernel.precompute_levels
+        seen = []
+        orig = kern.precompute_level
+        monkeypatch.setattr(
+            kern, "precompute_level", lambda iters: seen.append(iters) or orig(iters)
+        )
+        n = kern.n_iterations
+        sched = FusedSchedule((n,), [[np.arange(n, dtype=np.int64)]])
+        plan = compile_plan(sched, [kern], min_batch=1)
+        level = [st.iters for st in plan.steps if st.kind == "level"]
+        assert len(level) > 1
+        assert len(seen) == len(level)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, level))
+
+    @pytest.mark.parametrize("name", ["combo4", "combo5", "gs-chain"])
+    def test_stored_plan_runs_bitwise_equal_to_compiled(self, name, tmp_path):
+        """A plan stored by this compiler loads and runs bitwise equal to
+        a freshly compiled one."""
+        from .test_plan_store import (
+            _bitwise_equal,
+            _compiled_run,
+            _fuse_and_run,
+            _matrix,
+        )
+
+        a = _matrix()
+        _fuse_and_run(name, a, tmp_path)  # compiles and stores
+        _, state, cache = _fuse_and_run(name, a, tmp_path)
+        assert cache.stats["plan_disk_hits"] == 1
+        assert _bitwise_equal(state, _compiled_run(name, a))
+
+
+class TestMinBatchRejected:
+    """``min_batch < 1`` is rejected by name at every entry point; it
+    would compile the ``min_batch=1`` plan under another store key."""
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_compile_plan_and_plan_for(self, bad, lap2d_nd, tmp_path):
+        from repro.schedule.cache import ScheduleCache
+
+        kernels, state = build_combination(1, lap2d_nd)
+        fl = fuse(kernels, 4, cache=ScheduleCache(directory=tmp_path))
+        with pytest.raises(ValueError, match="min_batch"):
+            compile_plan(fl.schedule, kernels, min_batch=bad)
+        with pytest.raises(ValueError, match="min_batch"):
+            plan_for(fl.schedule, kernels, min_batch=bad)
+        with pytest.raises(ValueError, match="min_batch"):
+            execute_schedule_planned(fl.schedule, kernels, state, min_batch=bad)
+        assert not list(tmp_path.glob("plan-*.bin"))
+
+    def test_gauss_seidel(self, lap2d_nd, rng):
+        from repro.solvers import gauss_seidel
+
+        with pytest.raises(ValueError, match="min_batch"):
+            gauss_seidel(lap2d_nd, rng.random(lap2d_nd.n_rows), min_batch=0)
+
+    @pytest.mark.parametrize("command", ["fuse", "sanitize"])
+    def test_cli(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--matrix", "lap2d:6", "--min-batch", "0"])
+        assert exc.value.code == 2
+        assert "--min-batch" in capsys.readouterr().err
