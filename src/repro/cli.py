@@ -317,7 +317,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gs(args) -> int:
-    from .solvers import build_gs_chain, gauss_seidel
+    from .solvers import build_gs_chain, gauss_seidel, gauss_seidel_simulated
 
     a = _load(args)
     rng = np.random.default_rng(args.seed)
@@ -336,14 +336,21 @@ def _cmd_gs(args) -> int:
             min_batch=args.min_batch,
         )
     status = "converged" if res.converged else "NOT converged"
-    print(
-        f"{status} in {res.iterations} iterations "
-        f"(residual {res.residuals[-1]:.2e})"
+    residual = f" (residual {res.residuals[-1]:.2e})" if res.residuals else ""
+    print(f"{status} in {res.iterations} iterations{residual}")
+    sim = gauss_seidel_simulated(
+        a,
+        b,
+        iterations=res.iterations,
+        unroll=args.unroll,
+        method=args.method,
+        n_threads=args.threads,
     )
     print(
-        f"simulated solve {res.simulated_solve_seconds * 1e3:.2f} ms, "
-        f"inspector {res.inspector_seconds * 1e3:.1f} ms, "
-        f"{res.meta['chunks']} chunks of {2 * args.unroll} fused loops"
+        f"simulated solve {sim.simulated_solve_seconds * 1e3:.2f} ms "
+        f"({args.method} schedule, inspector {sim.inspector_seconds * 1e3:.1f} ms); "
+        f"{res.meta['chunks']} chunks of {2 * args.unroll} loops, "
+        f"schedule built in {res.inspector_seconds * 1e3:.1f} ms"
     )
     print(_pipeline_summary(rec))
     if args.doctor or args.trace or args.sanitize:

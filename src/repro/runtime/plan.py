@@ -73,20 +73,18 @@ breaks it compiles to the unmerged groups in s-partition order, and the
 plan sanitizer reports the fault with the schedule's s/w coordinates.
 
 Choosing ``min_batch``: every level step pays a fixed dispatch
-cost (index-array handling and ufunc dispatch — several microseconds
-regardless of size), while each scalar iteration pays only a Python
-call. Below roughly 4 iterations the dispatch dominates and batching
-*loses*; past a few dozen the per-element amortization wins by an order
-of magnitude. Steps smaller than ``min_batch`` therefore run scalar, in
-packed order. Raise it on machines with slow ufunc dispatch
-or for schedules whose levels are mostly tiny (deep, narrow DAGs); lower
-it to 2 when levels are rare but the kernel's batch path is cheap (pure
-gathers, no scatter). ``min_batch=1`` forces vectorization everywhere
-and is mainly useful for testing the batch paths; smaller values are
-rejected, since they would compile the same plan under another key.
-Both the CLI (``--min-batch``) and the executor benchmark
-(``benchmarks/bench_executor_plans.py --min-batch``) expose the knob so
-the crossover can be measured rather than guessed.
+cost (index-array handling and ufunc dispatch), while each scalar
+iteration pays one Python call. On the solvers' level plans
+(``lap3d:8``-nd, 2-vCPU Xeon VM) a CSR SpMV or SpTRSV step costs
+2.6–6.0 µs at any size up to 8 and a scalar iteration 1.7–3.5 µs, so
+batching loses at one iteration and wins from two; a whole
+Gauss-Seidel solve ran 13.6 ms at ``min_batch=1`` and 14.0 ms at 4
+(docs/performance.md has the measurements). Steps smaller than
+``min_batch`` run scalar, in packed order; the default stays 4.
+``min_batch=1`` forces vectorization everywhere and is mainly useful
+for testing the batch paths; smaller values are rejected, since they
+would compile the same plan under another key. The CLI and
+``benchmarks/bench_executor_plans.py`` take ``--min-batch``.
 """
 
 from __future__ import annotations

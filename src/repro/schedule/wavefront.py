@@ -13,9 +13,9 @@ import numpy as np
 
 from ..graph.dag import DAG
 from .partition_utils import chunk_by_cost
-from .schedule import FusedSchedule
+from .schedule import FusedSchedule, concatenate_schedules
 
-__all__ = ["wavefront_schedule"]
+__all__ = ["level_schedule", "wavefront_schedule"]
 
 
 def wavefront_schedule(dag: DAG, r: int) -> FusedSchedule:
@@ -32,3 +32,12 @@ def wavefront_schedule(dag: DAG, r: int) -> FusedSchedule:
     sched = FusedSchedule((dag.n,), s_partitions, packing="none")
     sched.meta["scheduler"] = "wavefront"
     return sched
+
+
+def level_schedule(kernels) -> FusedSchedule:
+    """Each loop's intra-DAG levels, loop after loop, on one thread: the
+    cheapest schedule of the (loop, level) steps every valid schedule of
+    *kernels* compiles to. The solvers and the IC0 factorization run it."""
+    return concatenate_schedules(
+        [wavefront_schedule(k.intra_dag(), 1) for k in kernels]
+    )

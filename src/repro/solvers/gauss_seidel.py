@@ -11,8 +11,9 @@ fusing more than two loops.
 The unrolled chain uses ping-pong variables ``x0 -> t1 -> x1 -> t2 ->
 ...`` so every cross-loop dependence is a clean flow dependence; after
 each chunk the solver copies ``x_m`` back into ``x0`` and re-executes
-the *same* schedule — the inspector is paid once and amortized across
-the whole solve, exactly the paper's iterative-solver argument.
+the *same* plan, compiled once per solve from the chain's
+:func:`~repro.schedule.wavefront.level_schedule` (no ICO); the fused
+schedules of the paper's Fig. 9 are priced by :func:`gauss_seidel_simulated`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fusion.fused import FusedLoops, fuse
+from ..fusion.fused import fuse
 from ..kernels import SpMVCSR, SpTRSVCSR
-from ..kernels.base import Kernel, State
+from ..kernels.base import Kernel
 from ..obs import current as current_recorder
 from ..obs import names
 from ..runtime.executor import allocate_state, execute_schedule
@@ -31,6 +32,7 @@ from ..runtime.plan import _check_min_batch, execute_schedule_planned
 from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..baselines.unfused import parsy_schedule
 from ..schedule.schedule import FusedSchedule
+from ..schedule.wavefront import level_schedule
 from ..sparse.csr import CSRMatrix
 from ..utils.arrays import checked_vector
 
@@ -99,9 +101,29 @@ class GSResult:
     method: str
     unroll: int
     inspector_seconds: float
-    simulated_solve_seconds: float
+    #: machine-model price; only :func:`gauss_seidel_simulated` sets it
+    simulated_solve_seconds: float | None = None
     schedule: FusedSchedule | None = None
     meta: dict = field(default_factory=dict)
+
+
+def _chain_schedule(
+    kernels: list[Kernel], method: str, n_threads: int, executor: str
+) -> tuple[FusedSchedule, float]:
+    """The schedule *executor* runs the unrolled chain on, and its
+    inspector seconds: the level schedule for ``"plan"``, the one
+    *method* picks for ``"iter"``."""
+    rec = current_recorder()
+    with rec.span("gs.schedule", method=method, executor=executor) as sp:
+        if executor == "plan":
+            sched = level_schedule(kernels)
+        elif method == "parsy":
+            sched = parsy_schedule(kernels, n_threads)
+        else:
+            scheduler = "ico" if method == "sparse-fusion" else method
+            fused = fuse(kernels, n_threads, scheduler=scheduler, validate=False)
+            return fused.schedule, fused.inspector_seconds
+    return sched, sp.seconds
 
 
 def gauss_seidel(
@@ -113,24 +135,25 @@ def gauss_seidel(
     unroll: int = 2,
     method: str = "sparse-fusion",
     n_threads: int = 8,
-    machine: MachineConfig | None = None,
     x0: np.ndarray | None = None,
     executor: str = "plan",
     min_batch: int = 4,
 ) -> GSResult:
     """Solve ``A x = b`` with backward GS (paper's Fig. 9 configuration).
 
-    ``method`` selects how the unrolled chain is scheduled:
-    ``"sparse-fusion"`` (ICO), ``"parsy"`` (unfused LBC per loop),
-    ``"joint-wavefront"`` / ``"joint-lbc"`` / ``"joint-dagp"``.
-    ``executor`` selects how each chunk runs: ``"plan"`` (default; the
-    compiled level-batched plan — compiled on the first sweep, cache-hit
-    on every later one; see :mod:`repro.runtime.plan`) or ``"iter"``
-    (per-iteration oracle). ``min_batch`` tunes the plan's vectorization
-    threshold and must be at least 1.
+    ``executor`` selects how each chunk runs: ``"plan"`` (default) runs
+    the compiled level-batched plan of the chain's
+    :func:`~repro.schedule.wavefront.level_schedule` — compiled on the
+    first sweep, cache-hit on every later one; see
+    :mod:`repro.runtime.plan` — and ``min_batch`` tunes its
+    vectorization threshold (at least 1). ``"iter"`` runs the
+    per-iteration oracle over the schedule ``method`` picks for
+    *n_threads*: ``"sparse-fusion"`` (ICO), ``"parsy"`` (unfused LBC per
+    loop), ``"joint-wavefront"`` / ``"joint-lbc"`` / ``"joint-dagp"``.
     Convergence stops at relative residual *tol* or *max_iters* GS
-    iterations; ``simulated_solve_seconds`` prices the executed chunks
-    on the machine model.
+    iterations; with no sweep run, ``x`` is a copy of *x0* (zeros when
+    it is not given). :func:`gauss_seidel_simulated` prices a solve on
+    the machine model.
     """
     if executor not in ("iter", "plan"):
         raise ValueError(f"unknown executor {executor!r}")
@@ -141,28 +164,12 @@ def gauss_seidel(
     if x0 is not None:
         x0 = checked_vector("x0", x0, a.n_rows)
     kernels, x_in, x_out = build_gs_chain(a, unroll)
-    low, e = gs_split(a)
-    cfg = machine or MachineConfig(n_threads=n_threads)
 
-    rec = current_recorder()
-    if method == "parsy":
-        with rec.span("gs.schedule", method=method) as sp:
-            sched = parsy_schedule(kernels, n_threads)
-        inspector = sp.seconds
-        fused = None
-    else:
-        scheduler = "ico" if method == "sparse-fusion" else method
-        with rec.span("gs.schedule", method=method):
-            fused = fuse(kernels, n_threads, scheduler=scheduler, validate=False)
-        sched = fused.schedule
-        inspector = fused.inspector_seconds
-
-    report = SimulatedMachine(cfg).simulate(sched, kernels, fidelity="flat")
-    chunk_seconds = report.seconds
+    sched, inspector = _chain_schedule(kernels, method, n_threads, executor)
 
     state = allocate_state(kernels)
-    state["Lx"][:] = low.data
-    state["Ex"][:] = e.data
+    state["Ex"][:] = kernels[0].a.data
+    state["Lx"][:] = kernels[1].low.data
     state["b"][:] = b
     if x0 is not None:
         state[x_in][:] = x0
@@ -172,6 +179,8 @@ def gauss_seidel(
     iterations = 0
     converged = False
     chunks = 0
+    x = state[x_in]
+    rec = current_recorder()
     with rec.span("gs.solve", method=method, unroll=unroll, executor=executor):
         while iterations < max_iters:
             if executor == "plan":
@@ -191,16 +200,15 @@ def gauss_seidel(
             state[x_in][:] = x
         rec.count(names.GS_CHUNKS, chunks)
     return GSResult(
-        x=state[x_out].copy(),
+        x=x.copy(),
         iterations=iterations,
         residuals=residuals,
         converged=converged,
         method=method,
         unroll=unroll,
         inspector_seconds=inspector,
-        simulated_solve_seconds=chunks * chunk_seconds,
         schedule=sched,
-        meta={"chunks": chunks, "chunk_seconds": chunk_seconds},
+        meta={"chunks": chunks},
     )
 
 
@@ -224,8 +232,8 @@ def gs_iterations_to_converge(
     low, e = gs_split(a)
     low_sp = low.to_scipy()
     e_sp = e.to_scipy()
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(a.n_rows) if x0 is None else np.asarray(x0, dtype=np.float64)
+    b = checked_vector("b", b, a.n_rows)
+    x = np.zeros(a.n_rows) if x0 is None else checked_vector("x0", x0, a.n_rows)
     b_norm = float(np.linalg.norm(b)) or 1.0
     a_sp = a.to_scipy()
     for it in range(1, max_iters + 1):
@@ -247,24 +255,17 @@ def gauss_seidel_simulated(
 ) -> GSResult:
     """Price a GS solve of *iterations* sweeps without executing it.
 
-    Builds the unrolled chain and its schedule exactly like
-    :func:`gauss_seidel`, simulates one chunk, and multiplies by the
-    number of chunks — the benchmarking path for Fig. 9 where executing
-    hundreds of Python sweeps per configuration would be prohibitive.
+    Builds the unrolled chain and the schedule *method* picks, exactly
+    as :func:`gauss_seidel` does for ``executor="iter"``, simulates one
+    chunk, and multiplies by the number of chunks — the benchmarking
+    path for Fig. 9 where executing hundreds of Python sweeps per
+    configuration would be prohibitive.
     ``x`` in the result is a zero vector (numerics are covered by
     :func:`gauss_seidel` and its tests).
     """
     kernels, _, _ = build_gs_chain(a, unroll)
     cfg = machine or MachineConfig(n_threads=n_threads)
-    if method == "parsy":
-        with current_recorder().span("gs.schedule", method=method) as sp:
-            sched = parsy_schedule(kernels, n_threads)
-        inspector = sp.seconds
-    else:
-        scheduler = "ico" if method == "sparse-fusion" else method
-        fused = fuse(kernels, n_threads, scheduler=scheduler, validate=False)
-        sched = fused.schedule
-        inspector = fused.inspector_seconds
+    sched, inspector = _chain_schedule(kernels, method, n_threads, "iter")
     chunk_seconds = SimulatedMachine(cfg).simulate(sched, kernels).seconds
     chunks = -(-iterations // unroll)  # ceil
     return GSResult(

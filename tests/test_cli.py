@@ -77,6 +77,12 @@ class TestCommands:
         assert rc == 0
         assert "converged" in capsys.readouterr().out
 
+    def test_gs_zero_iterations(self, capsys):
+        assert main(["gs", "--matrix", "lap2d:6", "--max-iters", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "NOT converged in 0 iterations\n" in out
+        assert "residual" not in out
+
     def test_natural_ordering_flag(self, capsys):
         assert main(["info", "--matrix", "lap2d:6", "--ordering", "natural"]) == 0
 

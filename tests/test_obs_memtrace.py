@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import fuse
-from repro.fusion import COMBINATIONS, build_combination
+from repro.fusion import COMBINATIONS, build_combination, inspect_loops
 from repro.obs import DependenceViolationError, sanitize_schedule
 from repro.obs.memtrace import (
     READ,
@@ -93,12 +93,13 @@ def test_every_shipped_kernel_sanitizes_clean(index, scheduler, lap2d_14_nd):
 def test_pcg_preconditioner_sanitizes_clean():
     """Forward + backward solve over the IC0 factor, as PCG ships it."""
     a, _ = apply_ordering(laplacian_3d(8), "nd")
-    fl, _ = build_ic0_preconditioner(a, 8)
-    assert_sanitizes_clean(fl.schedule, fl.kernels, fl.dags, fl.inter)
+    kernels, schedule, _ = build_ic0_preconditioner(a)
+    dags, inter, _ = inspect_loops(kernels)
+    assert_sanitizes_clean(schedule, kernels, dags, inter)
     # the declared push does not exempt the accumulator's consuming read
-    bad = corrupt_across_barrier(fl.schedule)
+    bad = corrupt_across_barrier(schedule)
     for executor in EXECUTORS:
-        rep = sanitize_schedule(bad, fl.kernels, executor=executor)
+        rep = sanitize_schedule(bad, kernels, executor=executor)
         assert any(v.var == "_acc.z" for v in rep.violations), executor
 
 

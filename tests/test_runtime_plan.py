@@ -28,9 +28,15 @@ from repro.runtime import (
 from repro.baselines.unfused import parsy_schedule
 from repro.obs import recording
 from repro.schedule import FusedSchedule
+from repro.schedule.wavefront import level_schedule
 from repro.solvers import build_gs_chain
 from repro.solvers.pcg import build_ic0_preconditioner
 from repro.utils.arrays import segment_boundaries, segment_sums_at
+
+
+def _step_sets(plan):
+    """Each step's kind, loop and iteration set, in plan order."""
+    return [(st.kind, st.loop, tuple(np.sort(st.iters))) for st in plan.steps]
 
 
 def _run_both(schedule, kernels, state, **plan_kwargs):
@@ -177,15 +183,18 @@ class TestSPartitionSteps:
         assert plan.n_steps <= unfused.n_steps
 
     def test_solver_plans_no_longer_than_unfused(self, lap3d_nd):
-        """The Gauss-Seidel chunk and the IC0 preconditioner: the fused
-        plan needs no more dispatches than the unfused ParSy plan."""
+        """The Gauss-Seidel chunk and the IC0 preconditioner: the level
+        plan the solvers ship runs the fused plan's steps, which are no
+        more dispatches than the unfused ParSy plan's."""
         gs, _, _ = build_gs_chain(lap3d_nd, 2)
-        pcg = build_ic0_preconditioner(lap3d_nd)[0].kernels
+        pcg, _, _ = build_ic0_preconditioner(lap3d_nd)
         for kernels in (gs, pcg):
+            shipped = plan_for(level_schedule(kernels), kernels)
             fused = plan_for(fuse(kernels, 8).schedule, kernels)
             unfused = plan_for(parsy_schedule(kernels, 8), kernels)
-            assert fused.n_steps <= unfused.n_steps
+            assert _step_sets(shipped) == _step_sets(fused)
             assert fused.n_steps_merged > 0
+            assert shipped.n_steps <= unfused.n_steps
 
     def test_same_s_cross_w_dependence_still_flagged(self):
         """A dependence between two w-partitions of one s-partition

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.obs import recording
-from repro.solvers import build_gs_chain, gauss_seidel, gs_split
+from repro.solvers import (
+    build_gs_chain,
+    gauss_seidel,
+    gauss_seidel_simulated,
+    gs_split,
+)
 from repro.sparse import laplacian_2d
 
 
@@ -78,12 +83,26 @@ def test_gs_with_initial_guess(rng):
 
 
 def test_gs_fusion_beats_parsy_simulated(lap3d_nd, rng):
-    """The Fig. 9 shape: fused GS is simulated-faster than unfused."""
+    """The Fig. 9 shape: fused GS is simulated-faster than unfused, over
+    the iterations the executed solve took."""
     b = rng.random(lap3d_nd.n_rows)
-    kw = dict(tol=1e-6, max_iters=200, unroll=4, n_threads=8)
-    fused = gauss_seidel(lap3d_nd, b, method="sparse-fusion", **kw)
-    parsy = gauss_seidel(lap3d_nd, b, method="parsy", **kw)
+    solved = gauss_seidel(lap3d_nd, b, tol=1e-6, max_iters=200, unroll=4)
+    assert solved.simulated_solve_seconds is None  # no pricing in a solve
+    kw = dict(iterations=solved.iterations, unroll=4, n_threads=8)
+    fused = gauss_seidel_simulated(lap3d_nd, b, method="sparse-fusion", **kw)
+    parsy = gauss_seidel_simulated(lap3d_nd, b, method="parsy", **kw)
     assert fused.simulated_solve_seconds < parsy.simulated_solve_seconds
+
+
+@pytest.mark.parametrize("x0", [None, "random"])
+def test_gs_zero_iterations_returns_initial_guess(lap2d_nd, rng, x0):
+    b = rng.random(lap2d_nd.n_rows)
+    guess = None if x0 is None else rng.random(lap2d_nd.n_rows)
+    r = gauss_seidel(lap2d_nd, b, max_iters=0, x0=guess)
+    assert r.iterations == 0 and r.residuals == [] and not r.converged
+    expect = np.zeros(lap2d_nd.n_rows) if guess is None else guess
+    assert np.array_equal(r.x, expect)
+    assert r.x is not guess
 
 
 def test_gs_rejects_rectangular():
