@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..graph.dag import DAG
+from ..graph.dag import DAG, share_pattern_analyses
 from ..graph.interdep import InterDep
 from ..graph.joint import build_joint_dag
 from ..kernels.base import Kernel, State
@@ -121,7 +121,7 @@ def inspect_loops(
     rec = current_recorder()
     with rec.span("inspector.intra_dags", loops=len(kernels)) as sp:
         dags = [k.intra_dag() for k in kernels]
-        n_shared = _share_analyses(dags)
+        n_shared = share_pattern_analyses(dags)
         sp.set(shared=n_shared)
     inter: dict[tuple[int, int], InterDep] = {}
     with rec.span("inspector.inter_dep") as sp:
@@ -143,26 +143,6 @@ def inspect_loops(
     rec.count(names.INSPECTOR_INTER_EDGES, sum(f.nnz for f in inter.values()))
     rec.count(names.INSPECTOR_SHARED_DAG_ANALYSES, n_shared)
     return dags, inter, reuse
-
-
-def _share_analyses(dags: list[DAG]) -> int:
-    """Link every DAG to the first earlier one of the same structure;
-    return how many loops were linked.
-
-    The lookup table lives for this call only: there is no process-wide
-    registry of patterns.
-    """
-    firsts: dict[tuple[int, int], list[DAG]] = {}
-    n_shared = 0
-    for dag in dags:
-        peers = firsts.setdefault((dag.n, dag.n_edges), [])
-        match = next((p for p in peers if p is dag or p.same_structure(dag)), None)
-        if match is None:
-            peers.append(dag)
-        else:
-            dag.share_analyses(match)
-            n_shared += 1
-    return n_shared
 
 
 def fuse(

@@ -24,7 +24,7 @@ from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from ..utils.arrays import multi_range
 
-__all__ = ["DAG"]
+__all__ = ["DAG", "share_pattern_analyses"]
 
 #: The memo slots :meth:`DAG.share_analyses` pools: all structural.
 _ANALYSES = (
@@ -471,3 +471,23 @@ class DAG:
     def validate_schedulable(self) -> None:
         """Raise unless the DAG is acyclic (delegates to topo sort)."""
         self.topological_order()
+
+
+def share_pattern_analyses(dags: list[DAG]) -> int:
+    """Link every DAG to the first earlier one of the same structure
+    (:meth:`DAG.share_analyses`); return how many DAGs were linked.
+
+    The lookup table lives for this call only: there is no process-wide
+    registry of patterns.
+    """
+    firsts: dict[tuple[int, int], list[DAG]] = {}
+    n_shared = 0
+    for dag in dags:
+        peers = firsts.setdefault((dag.n, dag.n_edges), [])
+        match = next((p for p in peers if p is dag or p.same_structure(dag)), None)
+        if match is None:
+            peers.append(dag)
+        else:
+            dag.share_analyses(match)
+            n_shared += 1
+    return n_shared

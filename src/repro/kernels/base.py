@@ -157,6 +157,22 @@ class Kernel(abc.ABC):
         """
         return [self.precompute_level(part) for part in split_sizes(iters, sizes)]
 
+    def bind_level(
+        self, iters: np.ndarray, precomp: Any, values: Mapping[str, np.ndarray]
+    ) -> Any:
+        """*precomp* extended with this step's gathers of read-only arrays.
+
+        *values* maps variable names to arrays no loop of the plan writes
+        (:meth:`repro.runtime.plan.ExecutionPlan.bind`). A kernel that
+        reads one of them in :meth:`run_level_batch` may return a *new*
+        precomputation that also carries the gathered values, so that
+        every later run of the step skips the gather; it must leave
+        *precomp* itself untouched, and :meth:`run_level_batch` must
+        still accept the unbound form. The default binds nothing and
+        returns *precomp*.
+        """
+        return precomp
+
     def run_level_batch(
         self,
         iters: np.ndarray,
@@ -170,8 +186,8 @@ class Kernel(abc.ABC):
         between any two of them) whose predecessors have all executed —
         exactly what one intra level of a compiled plan step provides.
         *precomp* is the value returned by :meth:`precompute_level` for
-        the same *iters*. The default falls back to per-iteration
-        execution.
+        the same *iters*, or :meth:`bind_level`'s extension of it. The
+        default falls back to per-iteration execution.
         """
         for i in np.asarray(iters).tolist():
             self.run_iteration(i, state, scratch)

@@ -86,17 +86,35 @@ class SpMVCSR(Kernel):
             "nonempty": nonempty,
         }
 
+    def bind_level(self, iters, precomp, values):
+        ax = values.get(self.a_var)
+        add = values.get(self.add_var) if self.add_var is not None else None
+        if ax is None and add is None:
+            return precomp
+        p = dict(precomp)
+        if ax is not None:
+            p["vals"] = ax[p["gather"]]
+        if add is not None:
+            p["addvals"] = add[iters]
+        return p
+
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         p = precomp if precomp is not None else self.precompute_level(iters)
+        vals = p.get("vals")
+        if vals is None:
+            vals = state[self.a_var][p["gather"]]
         out = segment_sums_at(
-            state[self.a_var][p["gather"]] * state[self.x_var][p["cols"]],
+            vals * state[self.x_var][p["cols"]],
             iters.shape[0],
             p["reduce_starts"],
             p["nonempty"],
         )
         if self.add_var is not None:
-            out = out + state[self.add_var][iters]
+            addvals = p.get("addvals")
+            if addvals is None:
+                addvals = state[self.add_var][iters]
+            out = out + addvals
         state[self.y_var][iters] = out
 
     def run_reference(self, state: State) -> None:

@@ -113,18 +113,33 @@ class SpTRSVCSR(Kernel):
             )
         ]
 
+    def bind_level(self, iters, precomp, values):
+        lx = values.get(self.l_var)
+        if lx is None:
+            return precomp
+        return {
+            **precomp,
+            "vals": lx[precomp["gather"]],
+            "dvals": lx[precomp["diag"]],
+        }
+
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         p = precomp if precomp is not None else self.precompute_level(iters)
-        lx = state[self.l_var]
+        vals = p.get("vals")
+        if vals is None:
+            lx = state[self.l_var]
+            vals, dvals = lx[p["gather"]], lx[p["diag"]]
+        else:
+            dvals = p["dvals"]
         x = state[self.x_var]
         sums = segment_sums_at(
-            lx[p["gather"]] * x[p["cols"]],
+            vals * x[p["cols"]],
             iters.shape[0],
             p["reduce_starts"],
             p["nonempty"],
         )
-        x[iters] = (state[self.b_var][iters] - sums) / lx[p["diag"]]
+        x[iters] = (state[self.b_var][iters] - sums) / dvals
 
     def run_reference(self, state: State) -> None:
         from scipy.sparse.linalg import spsolve_triangular

@@ -117,16 +117,31 @@ class SpTRSVBackwardCSR(Kernel):
             "counts": counts,
         }
 
+    def bind_level(self, iters, precomp, values):
+        lx = values.get(self.l_var)
+        if lx is None:
+            return precomp
+        return {
+            **precomp,
+            "vals": lx[precomp["gather"]],
+            "dvals": lx[precomp["diag"]],
+        }
+
     def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         p = precomp if precomp is not None else self.precompute_level(iters)
-        lx = state[self.l_var]
+        vals = p.get("vals")
+        if vals is None:
+            lx = state[self.l_var]
+            vals, dvals = lx[p["gather"]], lx[p["diag"]]
+        else:
+            dvals = p["dvals"]
         acc = state[self.acc_var]
         rows = p["rows"]
-        xj = (state[self.b_var][rows] - acc[rows]) / lx[p["diag"]]
+        xj = (state[self.b_var][rows] - acc[rows]) / dvals
         state[self.x_var][rows] = xj
         if p["gather"].shape[0]:
-            np.add.at(acc, p["cols"], lx[p["gather"]] * np.repeat(xj, p["counts"]))
+            np.add.at(acc, p["cols"], vals * np.repeat(xj, p["counts"]))
 
     def run_reference(self, state: State) -> None:
         from scipy.sparse.linalg import spsolve_triangular

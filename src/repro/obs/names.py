@@ -46,6 +46,7 @@ PLAN_CACHE_MISSES = "plan.cache_misses"
 PLAN_STORE_HITS = "plan.store_hits"
 PLAN_STORE_MISSES = "plan.store_misses"
 PLAN_STEPS_MERGED = "plan.steps_merged"
+PLAN_BOUND_STEPS = "plan.bound_steps"
 
 # -- executors (wall clock) -------------------------------------------
 EXECUTOR_ITERATIONS = "executor.iterations"
@@ -117,6 +118,10 @@ REGISTRY: dict[str, tuple[str, str]] = {
     PLAN_STEPS_MERGED: (
         "1",
         "(s-partition, loop, level) groups folded into a step of another",
+    ),
+    PLAN_BOUND_STEPS: (
+        "1",
+        "level steps given their read-only operand values by ExecutionPlan.bind",
     ),
     EXECUTOR_ITERATIONS: ("1", "iterations executed (any executor)"),
     EXECUTOR_BATCHED_ITERATIONS: ("1", "iterations executed vectorized"),

@@ -52,6 +52,15 @@ pays interpreter cost per iteration. This module compiles a
   (compilations) / ``plan.store_hits`` / ``plan.store_misses`` /
   ``plan.steps_merged``, the ``plan.compile_seconds`` counter and the
   ``plan.compile`` / ``plan.load`` spans make the amortization visible.
+* :meth:`ExecutionPlan.bind` goes one step further for a caller that
+  runs one plan many times over arrays no loop writes, as the solvers do
+  with their matrix values: it returns a new plan whose level steps
+  carry those arrays' gathered values
+  (:meth:`~repro.kernels.base.Kernel.bind_level`), so each run skips the
+  gathers. Binding fails closed: it refuses a variable some loop writes,
+  never touches the plan it starts from, and a bound plan is neither
+  memoized nor stored, and runs only against the very arrays it was
+  bound to. Counter ``plan.bound_steps``.
 
 Legality of the regrouping (see docs/performance.md for the full
 argument): (a) w-partitions of one s-partition are mutually independent
@@ -90,7 +99,7 @@ would compile the same plan under another key. The CLI and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -150,6 +159,8 @@ class ExecutionPlan:
     satisfied by construction. ``n_steps_merged`` counts the
     (s-partition, loop, level) groups folded into another group's step.
     ``compile_seconds`` is 0 for a plan loaded from the plan store.
+    ``bound`` maps each variable :meth:`bind` bound to the array its
+    steps' values were gathered from; it is empty for a compiled plan.
     """
 
     loop_counts: tuple[int, ...]
@@ -162,10 +173,49 @@ class ExecutionPlan:
     n_steps_merged: int = 0
     compile_seconds: float = 0.0
     meta: dict = field(default_factory=dict)
+    bound: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_steps(self) -> int:
         return len(self.steps)
+
+    def bind(self, state: State, variables: tuple[str, ...]) -> "ExecutionPlan":
+        """A new plan whose level steps carry the values of *variables*.
+
+        Every level step's precomputation is extended by its kernel's
+        :meth:`~repro.kernels.base.Kernel.bind_level` with the step's
+        gathers of ``state[name]`` for each name, so running the new plan
+        skips them. The caller promises those arrays do not change while
+        it runs the plan; the solvers make them read-only to keep that
+        promise. Raises ``ValueError`` when a loop of the plan writes one
+        of *variables*. This plan is left as it was, and the new one is for
+        the caller alone: it is not memoized and never stored, and
+        :func:`execute_schedule_planned` runs it only against a state
+        holding the same array objects.
+        """
+        for name in variables:
+            for k, kern in enumerate(self.kernels):
+                if name in kern.write_vars:
+                    raise ValueError(
+                        f"cannot bind {name!r}: loop {k} ({kern.name}) writes it"
+                    )
+        values = {name: state[name] for name in variables}
+        steps = [
+            replace(
+                st,
+                precomp=self.kernels[st.loop].bind_level(st.iters, st.precomp, values),
+            )
+            if st.kind == "level"
+            else st
+            for st in self.steps
+        ]
+        current_recorder().count(
+            names.PLAN_BOUND_STEPS,
+            sum(new.precomp is not old.precomp for new, old in zip(steps, self.steps)),
+        )
+        return replace(
+            self, steps=steps, meta=dict(self.meta), bound={**self.bound, **values}
+        )
 
 
 def compile_plan(
@@ -429,8 +479,11 @@ def _plan_record(plan: ExecutionPlan) -> tuple[dict, list[np.ndarray]]:
     The header's JSON skeleton refers to arrays by index: a step is
     ``[kind, loop, s, iters, precomp]``, and a ``precomp`` tree keeps its
     dicts, lists and ``None`` with every ndarray leaf replaced by its
-    index. Any other leaf raises ``TypeError``.
+    index. Any other leaf raises ``TypeError``, and so does a bound
+    plan: its steps hold values, which a pattern-keyed store must not.
     """
+    if plan.bound:
+        raise TypeError("a bound plan holds values and is never stored")
     arrays: list[np.ndarray] = []
 
     def skeleton(node):
@@ -580,7 +633,10 @@ def execute_schedule_planned(
     Semantics match :func:`repro.runtime.executor.execute_schedule` up to
     floating-point association order inside reductions (tests pin the
     tolerance; most kernels are bitwise-identical). Pass a prebuilt
-    *plan* to bypass the ``schedule.meta`` cache entirely.
+    *plan* to bypass the ``schedule.meta`` cache entirely; it must have
+    been compiled for loops of the kernels' trip counts, and a bound
+    plan (:meth:`ExecutionPlan.bind`) must run against a state holding
+    the arrays it was bound to. Either mismatch raises ``ValueError``.
 
     With ``sanitize=True`` the dynamic dependence sanitizer
     (:func:`repro.obs.memtrace.sanitize_schedule`) checks every memory
@@ -595,10 +651,8 @@ def execute_schedule_planned(
         ).raise_if_violations()
     if plan is None:
         plan = plan_for(schedule, kernels, min_batch=min_batch)
-    elif len(kernels) != len(plan.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(plan.loop_counts)} loops"
-        )
+    else:
+        _check_plan_fits(plan, kernels, state)
     for kern in kernels:
         kern.setup(state)
     scratches = [k.make_scratch() for k in kernels]
@@ -621,3 +675,25 @@ def execute_schedule_planned(
         rec.count(names.EXECUTOR_SCALAR_ITERATIONS, plan.n_scalar_iterations)
         rec.count(names.EXECUTOR_LEVEL_COUNT, plan.n_level_steps)
     return state
+
+
+def _check_plan_fits(
+    plan: ExecutionPlan, kernels: list[Kernel], state: State
+) -> None:
+    """Raise ``ValueError`` unless a caller's *plan* was compiled for
+    loops of *kernels*' trip counts and, when bound, for *state*'s arrays."""
+    if len(kernels) != len(plan.loop_counts):
+        raise ValueError(
+            f"{len(kernels)} kernels for {len(plan.loop_counts)} loops"
+        )
+    for k, (kern, count) in enumerate(zip(kernels, plan.loop_counts)):
+        if kern.n_iterations != count:
+            raise ValueError(
+                f"loop {k}: kernel has {kern.n_iterations} iterations, "
+                f"plan expects {count}"
+            )
+    for name, array in plan.bound.items():
+        if state.get(name) is not array:
+            raise ValueError(
+                f"plan is bound to another {name!r} array than the state holds"
+            )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.dag import DAG
+from ..graph.dag import DAG, share_pattern_analyses
 from .partition_utils import chunk_by_cost
 from .schedule import FusedSchedule, concatenate_schedules
 
@@ -37,7 +37,10 @@ def wavefront_schedule(dag: DAG, r: int) -> FusedSchedule:
 def level_schedule(kernels) -> FusedSchedule:
     """Each loop's intra-DAG levels, loop after loop, on one thread: the
     cheapest schedule of the (loop, level) steps every valid schedule of
-    *kernels* compiles to. The solvers and the IC0 factorization run it."""
-    return concatenate_schedules(
-        [wavefront_schedule(k.intra_dag(), 1) for k in kernels]
-    )
+    *kernels* compiles to. The solvers and the IC0 factorization run it.
+    Loops over one pattern share their DAG analyses
+    (:func:`~repro.graph.dag.share_pattern_analyses`), so levels are
+    computed once per pattern."""
+    dags = [k.intra_dag() for k in kernels]
+    share_pattern_analyses(dags)
+    return concatenate_schedules([wavefront_schedule(dag, 1) for dag in dags])

@@ -12,8 +12,10 @@ The unrolled chain uses ping-pong variables ``x0 -> t1 -> x1 -> t2 ->
 ...`` so every cross-loop dependence is a clean flow dependence; after
 each chunk the solver copies ``x_m`` back into ``x0`` and re-executes
 the *same* plan, compiled once per solve from the chain's
-:func:`~repro.schedule.wavefront.level_schedule` (no ICO); the fused
-schedules of the paper's Fig. 9 are priced by :func:`gauss_seidel_simulated`.
+:func:`~repro.schedule.wavefront.level_schedule` (no ICO) and bound to
+the matrix values and right-hand side, which no loop writes
+(:meth:`~repro.runtime.plan.ExecutionPlan.bind`); the fused schedules of
+the paper's Fig. 9 are priced by :func:`gauss_seidel_simulated`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..kernels.base import Kernel
 from ..obs import current as current_recorder
 from ..obs import names
 from ..runtime.executor import allocate_state, execute_schedule
-from ..runtime.plan import _check_min_batch, execute_schedule_planned
+from ..runtime.plan import _check_min_batch, execute_schedule_planned, plan_for
 from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..baselines.unfused import parsy_schedule
 from ..schedule.schedule import FusedSchedule
@@ -44,6 +46,10 @@ __all__ = [
     "gs_iterations_to_converge",
     "gs_split",
 ]
+
+#: State arrays of the unrolled chain that no loop writes: a plan solve
+#: binds them once and makes them read-only.
+_BOUND = ("Ex", "Lx", "b")
 
 
 def gs_split(a: CSRMatrix) -> tuple[CSRMatrix, CSRMatrix]:
@@ -143,8 +149,8 @@ def gauss_seidel(
 
     ``executor`` selects how each chunk runs: ``"plan"`` (default) runs
     the compiled level-batched plan of the chain's
-    :func:`~repro.schedule.wavefront.level_schedule` — compiled on the
-    first sweep, cache-hit on every later one; see
+    :func:`~repro.schedule.wavefront.level_schedule` — compiled once per
+    solve and bound to ``E``, ``lower(A)`` and *b*; see
     :mod:`repro.runtime.plan` — and ``min_batch`` tunes its
     vectorization threshold (at least 1). ``"iter"`` runs the
     per-iteration oracle over the schedule ``method`` picks for
@@ -173,6 +179,11 @@ def gauss_seidel(
     state["b"][:] = b
     if x0 is not None:
         state[x_in][:] = x0
+    if executor == "plan":
+        plan = plan_for(sched, kernels, min_batch=min_batch)
+        for name in _BOUND:
+            state[name].flags.writeable = False
+        plan = plan.bind(state, _BOUND)
 
     b_norm = float(np.linalg.norm(b)) or 1.0
     residuals: list[float] = []
@@ -184,9 +195,7 @@ def gauss_seidel(
     with rec.span("gs.solve", method=method, unroll=unroll, executor=executor):
         while iterations < max_iters:
             if executor == "plan":
-                execute_schedule_planned(
-                    sched, kernels, state, min_batch=min_batch
-                )
+                execute_schedule_planned(sched, kernels, state, plan=plan)
             else:
                 execute_schedule(sched, kernels, state)
             chunks += 1

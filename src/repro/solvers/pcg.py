@@ -10,7 +10,9 @@ The factorization and the preconditioner's forward/backward pair run as
 compiled plans (:mod:`repro.runtime.plan`) over
 :func:`~repro.schedule.wavefront.level_schedule`, so no ICO and no
 machine model runs inside a solve. The preconditioner's plan is compiled
-on the first application and cache-hit on every later one. The factor
+once per solve and bound to the factor's values
+(:meth:`~repro.runtime.plan.ExecutionPlan.bind`), which every
+application passes on. The factor
 matches the sequential reference :func:`~repro.sparse.factor.ic0_csc`
 bitwise.
 """
@@ -26,7 +28,7 @@ from ..kernels.base import Kernel, State
 from ..kernels.sptrsv_backward import SpTRSVBackwardCSR
 from ..obs import current as current_recorder
 from ..runtime.executor import allocate_state
-from ..runtime.plan import compile_plan, execute_schedule_planned
+from ..runtime.plan import compile_plan, execute_schedule_planned, plan_for
 from ..schedule.schedule import FusedSchedule
 from ..schedule.wavefront import level_schedule
 from ..sparse.csr import CSRMatrix
@@ -97,7 +99,8 @@ def pcg_ic0(
 
     Each preconditioner application runs the forward/backward SpTRSV
     pair of :func:`build_ic0_preconditioner` through its compiled level
-    plan. ``setup_seconds`` covers the factorization and the schedule;
+    plan, bound to the factor, which is read-only for the solve.
+    ``setup_seconds`` covers the factorization and the schedule;
     ``meta["applications"]`` counts the preconditioner applications.
     """
     if not a.is_square:
@@ -107,13 +110,16 @@ def pcg_ic0(
     with current_recorder().span("pcg.setup") as setup_span:
         kernels, schedule, state = build_ic0_preconditioner(a)
     setup_seconds = setup_span.seconds
+    plan = plan_for(schedule, kernels)
+    state["Lx"].flags.writeable = False
+    plan = plan.bind(state, ("Lx",))
 
     r = b - a.matvec(x)
     b_norm = float(np.linalg.norm(b)) or 1.0
 
     def apply_precond(res_vec: np.ndarray) -> np.ndarray:
         state["r"][:] = res_vec
-        execute_schedule_planned(schedule, kernels, state)
+        execute_schedule_planned(schedule, kernels, state, plan=plan)
         return state["z"].copy()
 
     z = apply_precond(r)

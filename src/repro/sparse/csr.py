@@ -46,7 +46,7 @@ class CSRMatrix:
         ``float64`` nonzero values, parallel to ``indices``.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_row_segments")
 
     def __init__(self, n_rows, n_cols, indptr, indices, data, *, check: bool = True):
         self.n_rows = int(n_rows)
@@ -60,6 +60,9 @@ class CSRMatrix:
             check_compressed_axes(
                 self.indptr, self.indices, self.data, self.n_rows, self.n_cols
             )
+        #: :meth:`matvec`'s ``(reduce starts, empty rows or None)``, built
+        #: on its first call; both depend on ``indptr`` alone
+        self._row_segments = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -262,16 +265,24 @@ class CSRMatrix:
         x = np.asarray(x, dtype=VALUE_DTYPE)
         if x.shape != (self.n_cols,):
             raise ValueError(f"x has shape {x.shape}, expected ({self.n_cols},)")
-        products = self.data * x[self.indices]
-        out = np.add.reduceat(
-            np.concatenate([products, [0.0]]),
-            np.minimum(self.indptr[:-1], products.shape[0]),
-        )[: self.n_rows]
-        # reduceat misbehaves for empty rows (repeats previous segment);
-        # zero them explicitly.
-        empty = np.diff(self.indptr) == 0
-        if np.any(empty):
-            out = out.copy()
+        if self._row_segments is None:
+            nnz = self.nnz
+            empty = np.flatnonzero(np.diff(self.indptr) == 0)
+            self._row_segments = (
+                np.minimum(self.indptr[:-1], nnz),
+                empty if empty.shape[0] else None,
+            )
+        starts, empty = self._row_segments
+        # One trailing zero keeps every reduce start in bounds; the last
+        # row's segment always ends with it, so its sum is the same
+        # whichever rows are empty.
+        nnz = self.nnz
+        products = np.empty(nnz + 1, dtype=VALUE_DTYPE)
+        np.multiply(self.data, x[self.indices], out=products[:nnz])
+        products[nnz] = 0.0
+        out = np.add.reduceat(products, starts)
+        if empty is not None:
+            # reduceat repeats the next element for an empty segment
             out[empty] = 0.0
         return out
 

@@ -168,6 +168,25 @@ class TestTransforms:
 class TestSharedAnalyses:
     """DAGs of one structure compute their structural analyses once."""
 
+    def test_level_schedule_links_same_pattern_loops(self, lap2d_nd, monkeypatch):
+        from repro.graph.dag import share_pattern_analyses
+        from repro.schedule.wavefront import level_schedule
+        from repro.solvers import build_gs_chain
+
+        calls = []
+        orig = DAG._longest_path
+        monkeypatch.setattr(
+            DAG,
+            "_longest_path",
+            lambda self, *, reverse: calls.append(self) or orig(self, reverse=reverse),
+        )
+        kernels, _, _ = build_gs_chain(lap2d_nd, 2)
+        level_schedule(kernels)
+        trsv = [kernels[1].intra_dag(), kernels[3].intra_dag()]
+        assert trsv[0].levels() is trsv[1].levels()
+        assert sum(dag in trsv for dag in calls) == 1  # one pass, two loops
+        assert share_pattern_analyses(trsv) == 1  # already linked: a no-op
+
     @staticmethod
     def _pair(a, w2=None):
         low = a.lower_triangle()

@@ -368,6 +368,19 @@ class TestMemoization:
         with pytest.raises(ValueError):
             execute_schedule_planned(bad, kernels, state)
 
+    def test_plan_for_other_loop_counts_rejected(self):
+        """A caller's plan compiled for a smaller loop must not run on a
+        larger one, which would leave the iterations it lacks unwritten."""
+        from repro.sparse import laplacian_2d
+
+        small = SpTRSVCSR(laplacian_2d(8).lower_triangle())
+        large = SpTRSVCSR(laplacian_2d(10).lower_triangle())
+        plan = plan_for(level_schedule([small]), [small])
+        sched = level_schedule([large])
+        state = allocate_state([large])
+        with pytest.raises(ValueError, match="loop 0: kernel has 100 iterations"):
+            execute_schedule_planned(sched, [large], state, plan=plan)
+
 
 class TestSolverIntegration:
     def test_gs_planned_sweeps_match_iter(self, lap2d_nd, rng):
@@ -402,9 +415,9 @@ class TestSolverIntegration:
         assert np.allclose(res.x, ref.x, atol=1e-10)
 
     def test_solvers_compile_once_per_solve(self, lap2d_nd, rng):
-        """Each solve compiles its fused plan once (the default executor)
-        and cache-hits it on every later preconditioner application or
-        sweep."""
+        """Each solve compiles its level plan once (the default executor)
+        and binds it; every preconditioner application or sweep then runs
+        the bound plan with no further memo lookup."""
         from repro.solvers import gauss_seidel, pcg_ic0
 
         b = rng.random(lap2d_nd.n_rows)
@@ -416,7 +429,8 @@ class TestSolverIntegration:
                 res = solve()
             assert res.converged
             assert rec.counter("plan.cache_misses") == 1
-            assert rec.counter("plan.cache_hits") > 0
+            assert rec.counter("plan.cache_hits") == 0
+            assert rec.counter("plan.bound_steps") > 0
 
     def test_gauss_seidel_rejects_unknown_executor(self, lap2d_nd, rng):
         from repro.solvers import gauss_seidel

@@ -174,6 +174,28 @@ class TestNumerics:
         y = a.matvec(np.ones(3))
         assert y.tolist() == [0.0, 7.0, 0.0]
 
+    def test_matvec_bitwise_equal_to_padded_reduceat(self, rng):
+        """The memoized row segments change no bit of the product: the
+        reference pads the products with one zero on every call and
+        zeroes empty rows afterwards."""
+        import scipy.sparse as sp
+
+        for seed in range(40):
+            n, m = int(rng.integers(0, 40)), int(rng.integers(1, 40))
+            a = CSRMatrix.from_scipy(
+                sp.random(n, m, density=rng.uniform(0, 0.7), random_state=seed)
+            )
+            a.data *= 10.0 ** rng.uniform(-6, 6, a.nnz)
+            x = rng.standard_normal(m)
+            products = a.data * x[a.indices]
+            ref = np.add.reduceat(
+                np.concatenate([products, [0.0]]),
+                np.minimum(a.indptr[:-1], a.nnz),
+            )[:n]
+            ref[np.diff(a.indptr) == 0] = 0.0
+            for _ in range(2):  # the first call memoizes the segments
+                assert a.matvec(x).tobytes() == ref.tobytes()
+
     def test_matvec_shape_check(self):
         a = CSRMatrix.from_dense(dense_fixture())
         with pytest.raises(ValueError, match="shape"):
