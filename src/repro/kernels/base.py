@@ -31,7 +31,7 @@ import numpy as np
 
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
-from ..utils.arrays import multi_range, split_sizes
+from ..utils.arrays import multi_range
 
 __all__ = [
     "Kernel",
@@ -124,38 +124,19 @@ class Kernel(abc.ABC):
         make it once per run and pass it to every call of this kernel."""
         return None
 
-    #: True when :meth:`run_level_batch` can execute a set of *mutually
-    #: independent* iterations (one intra-DAG level, or any independent
-    #: set) in one vectorized call. It does not require an empty
-    #: intra-DAG — it is how kernels with loop-carried dependences join
-    #: the compiled-plan fast path (:mod:`repro.runtime.plan`).
-    supports_level_batch: bool = False
-
-    def precompute_level(self, iters: np.ndarray) -> Any:
-        """Build the reusable per-level precomputation for *iters*.
-
-        Whatever it returns for the iterations of one level batch is
-        handed back verbatim to every :meth:`run_level_batch` call for
-        that level (typically concatenated gather/scatter index arrays
-        and ``np.add.reduceat`` segment boundaries). The plan compiler
-        reaches it through :meth:`precompute_levels`. The default
-        returns ``None``.
-        """
-        return None
-
     def precompute_levels(self, iters: np.ndarray, sizes) -> list:
-        """:meth:`precompute_level` of several level batches in one call.
+        """The reusable precomputation of several level steps of this loop.
 
-        *iters* concatenates the batches' iterations and *sizes* gives
-        their lengths; the result holds one precomputation per batch, in
-        order, equal to what :meth:`precompute_level` returns for it.
+        *iters* concatenates the steps' iterations and *sizes* gives their
+        lengths; the result holds one precomputation per step, in order.
         The plan compiler calls this once per loop with all of the loop's
-        level steps. The default loops over :meth:`precompute_level`;
-        kernels whose precomputation is a gather over the pattern
-        override it with one pass over all batches, split per batch, and
-        then define :meth:`precompute_level` as the one-batch case.
+        level steps and hands each step's entry back verbatim to every
+        :meth:`run_level_batch` call for that step. Shipped kernels answer
+        with one gather pass over all steps, split per step (concatenated
+        gather/scatter index arrays and ``np.add.reduceat`` segment
+        boundaries). The default has nothing to precompute.
         """
-        return [self.precompute_level(part) for part in split_sizes(iters, sizes)]
+        return [None] * len(sizes)
 
     def bind_level(
         self, iters: np.ndarray, precomp: Any, values: Mapping[str, np.ndarray]
@@ -177,7 +158,7 @@ class Kernel(abc.ABC):
         self,
         iters: np.ndarray,
         state: State,
-        precomp: Any = None,
+        precomp: Any,
         scratch: Any = None,
     ) -> None:
         """Execute the mutually independent iterations *iters* at once.
@@ -185,9 +166,9 @@ class Kernel(abc.ABC):
         *iters* must be an antichain of the intra-DAG (no dependence
         between any two of them) whose predecessors have all executed —
         exactly what one intra level of a compiled plan step provides.
-        *precomp* is the value returned by :meth:`precompute_level` for
-        the same *iters*, or :meth:`bind_level`'s extension of it. The
-        default falls back to per-iteration execution.
+        *precomp* is this step's entry of :meth:`precompute_levels`, or
+        :meth:`bind_level`'s extension of it. The default runs the
+        iterations one at a time, which is correct for any kernel.
         """
         for i in np.asarray(iters).tolist():
             self.run_iteration(i, state, scratch)

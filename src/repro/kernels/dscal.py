@@ -20,7 +20,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import multi_range
+from ..utils.arrays import group_sums, multi_range, split_sizes
 from .base import Kernel, State, empty_map, map_from_pairs, slice_map
 
 __all__ = ["DScalCSR", "DScalCSC"]
@@ -42,7 +42,6 @@ class DScalCSR(Kernel):
     """
 
     name = "DSCAL-CSR"
-    supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, a_var="Ax", s_var="Sx"):
         if not a.is_square:
@@ -72,25 +71,16 @@ class DScalCSR(Kernel):
         dj = 1.0 / np.sqrt(ax[self._diag_pos[cols]])
         state[self.s_var][lo:hi] = ax[lo:hi] * di * dj
 
-    def precompute_level(self, iters: np.ndarray):
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.a.indptr[iters]
-        counts = self.a.indptr[iters + 1] - starts
-        gather = multi_range(starts, counts)
-        return {
-            "gather": gather,
-            "own_diag": self._diag_pos[iters],
-            "col_diag": self._diag_pos[self.a.indices[gather]],
-            "counts": counts,
-        }
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
+        return _scaling_levels(
+            self.a.indptr, self.a.indices, self._diag_pos, iters, sizes, "col_diag"
+        )
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         ax = state[self.a_var]
-        di = np.repeat(1.0 / np.sqrt(ax[p["own_diag"]]), p["counts"])
-        dj = 1.0 / np.sqrt(ax[p["col_diag"]])
-        state[self.s_var][p["gather"]] = ax[p["gather"]] * di * dj
+        di = np.repeat(1.0 / np.sqrt(ax[precomp["own_diag"]]), precomp["counts"])
+        dj = 1.0 / np.sqrt(ax[precomp["col_diag"]])
+        state[self.s_var][precomp["gather"]] = ax[precomp["gather"]] * di * dj
 
     def run_reference(self, state: State) -> None:
         ax = state[self.a_var]
@@ -152,7 +142,6 @@ class DScalCSC(Kernel):
     """
 
     name = "DSCAL-CSC"
-    supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, a_var="Alow", s_var="Slow"):
         if not low.is_square or not low.is_lower_triangular():
@@ -189,25 +178,16 @@ class DScalCSC(Kernel):
         di = 1.0 / np.sqrt(ax[self._diag_pos[rows]])
         state[self.s_var][lo:hi] = ax[lo:hi] * dj * di
 
-    def precompute_level(self, iters: np.ndarray):
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.low.indptr[iters]
-        counts = self.low.indptr[iters + 1] - starts
-        gather = multi_range(starts, counts)
-        return {
-            "gather": gather,
-            "own_diag": self._diag_pos[iters],
-            "row_diag": self._diag_pos[self.low.indices[gather]],
-            "counts": counts,
-        }
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
+        return _scaling_levels(
+            self.low.indptr, self.low.indices, self._diag_pos, iters, sizes, "row_diag"
+        )
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         ax = state[self.a_var]
-        dj = np.repeat(1.0 / np.sqrt(ax[p["own_diag"]]), p["counts"])
-        di = 1.0 / np.sqrt(ax[p["row_diag"]])
-        state[self.s_var][p["gather"]] = ax[p["gather"]] * dj * di
+        dj = np.repeat(1.0 / np.sqrt(ax[precomp["own_diag"]]), precomp["counts"])
+        di = 1.0 / np.sqrt(ax[precomp["row_diag"]])
+        state[self.s_var][precomp["gather"]] = ax[precomp["gather"]] * dj * di
 
     def run_reference(self, state: State) -> None:
         ax = state[self.a_var]
@@ -271,3 +251,24 @@ def _own_and_diagonals(indptr, indices, diag_pos) -> tuple[np.ndarray, np.ndarra
         np.concatenate([owner, owner]),
         np.concatenate([np.arange(indptr[-1], dtype=INDEX_DTYPE), diag_pos[indices]]),
     )
+
+
+def _scaling_levels(indptr, indices, diag_pos, iters, sizes, other: str) -> list:
+    """Level-step precomputations of a scaling loop: per step, the
+    iterations' entries (``gather``), their own diagonals, the diagonals
+    of every index in their rows (columns) under the key *other*, and the
+    entry counts."""
+    iters = np.asarray(iters, dtype=INDEX_DTYPE)
+    starts = indptr[iters]
+    counts = indptr[iters + 1] - starts
+    gather = multi_range(starts, counts)
+    per_step = group_sums(counts, sizes)
+    return [
+        {"gather": g, "own_diag": d, other: o, "counts": c}
+        for g, d, o, c in zip(
+            split_sizes(gather, per_step),
+            split_sizes(diag_pos[iters], sizes),
+            split_sizes(diag_pos[indices[gather]], per_step),
+            split_sizes(counts, sizes),
+        )
+    ]

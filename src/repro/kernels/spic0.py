@@ -45,7 +45,6 @@ class SpIC0(Kernel):
     """
 
     name = "SpIC0-CSC"
-    supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, a_var="Alow", l_var="Lx"):
         if not low.is_square or not low.is_lower_triangular():
@@ -135,9 +134,6 @@ class SpIC0(Kernel):
             self._key_arr = cols * n + self.low.indices.astype(np.int64)
         return self._key_arr
 
-    def precompute_level(self, iters: np.ndarray):
-        return self.precompute_levels(iters, [len(iters)])[0]
-
     def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         indptr, indices = self.low.indptr, self.low.indices
@@ -187,20 +183,19 @@ class SpIC0(Kernel):
             )
         ]
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
         a = state[self.a_var]
         lx = state[self.l_var]
-        cr = p["colranges"]
+        cr = precomp["colranges"]
         lx[cr] = a[cr]
-        if p["tgt"].shape[0]:
+        if precomp["tgt"].shape[0]:
             # Triples are ordered (column, pair, tail position) — the
             # scalar accumulation order — and np.add.at is unbuffered, so
             # repeated targets accumulate bitwise-identically. Sources
             # live in earlier levels; no read/write overlap.
-            np.add.at(lx, p["tgt"], -(lx[p["ljk"]] * lx[p["src"]]))
-        pivots = lx[p["diag"]]
+            np.add.at(lx, precomp["tgt"], -(lx[precomp["ljk"]] * lx[precomp["src"]]))
+        pivots = lx[precomp["diag"]]
         bad = np.nonzero(pivots <= 0.0)[0]
         if bad.shape[0]:
             j = int(iters[bad[0]])
@@ -208,9 +203,9 @@ class SpIC0(Kernel):
                 f"IC0 breakdown at column {j}: pivot {pivots[bad[0]]} <= 0"
             )
         d = np.sqrt(pivots)
-        lx[p["diag"]] = d
-        if p["offdiag"].shape[0]:
-            lx[p["offdiag"]] /= np.repeat(d, p["off_counts"])
+        lx[precomp["diag"]] = d
+        if precomp["offdiag"].shape[0]:
+            lx[precomp["offdiag"]] /= np.repeat(d, precomp["off_counts"])
 
     def run_reference(self, state: State) -> None:
         from ..sparse.factor import ic0_csc

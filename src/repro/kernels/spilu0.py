@@ -49,7 +49,6 @@ class SpILU0(Kernel):
     """
 
     name = "SpILU0-CSR"
-    supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, a_var="Ax", lu_var="LUx"):
         if not a.is_square:
@@ -111,9 +110,6 @@ class SpILU0(Kernel):
             self._key_arr = rows * n + self.a.indices.astype(np.int64)
         return self._key_arr
 
-    def precompute_level(self, iters: np.ndarray):
-        return self.precompute_levels(iters, [len(iters)])[0]
-
     def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         indptr, indices, diag_pos = self.a.indptr, self.a.indices, self._diag_pos
@@ -164,13 +160,12 @@ class SpILU0(Kernel):
                     )
         return out
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
         lu = state[self.lu_var]
-        rr = p["rowranges"]
+        rr = precomp["rowranges"]
         lu[rr] = state[self.a_var][rr]
-        for st in p["steps"]:
+        for st in precomp["steps"]:
             piv = lu[st["pivot"]]
             bad = np.nonzero(piv == 0.0)[0]
             if bad.shape[0]:

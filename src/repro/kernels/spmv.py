@@ -21,7 +21,13 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import multi_range, segment_boundaries, segment_sums_at
+from ..utils.arrays import (
+    group_sums,
+    multi_range,
+    segment_boundaries_split,
+    segment_sums_at,
+    split_sizes,
+)
 from .base import Kernel, State, empty_map, identity_map, slice_map
 
 __all__ = ["SpMVCSR", "SpMVCSC"]
@@ -43,7 +49,6 @@ class SpMVCSR(Kernel):
     """
 
     name = "SpMV-CSR"
-    supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, a_var="Ax", x_var="x", y_var="y", add_var=None):
         self.a = a
@@ -73,18 +78,20 @@ class SpMVCSR(Kernel):
             acc += state[self.add_var][i]
         state[self.y_var][i] = acc
 
-    def precompute_level(self, iters: np.ndarray):
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.a.indptr[iters]
         counts = self.a.indptr[iters + 1] - starts
         gather = multi_range(starts, counts)
-        reduce_starts, nonempty = segment_boundaries(counts)
-        return {
-            "gather": gather,
-            "cols": self.a.indices[gather],
-            "reduce_starts": reduce_starts,
-            "nonempty": nonempty,
-        }
+        per_step = group_sums(counts, sizes)
+        return [
+            {"gather": g, "cols": c, "reduce_starts": rs, "nonempty": ne}
+            for g, c, (rs, ne) in zip(
+                split_sizes(gather, per_step),
+                split_sizes(self.a.indices[gather], per_step),
+                segment_boundaries_split(counts, sizes),
+            )
+        ]
 
     def bind_level(self, iters, precomp, values):
         ax = values.get(self.a_var)
@@ -98,20 +105,19 @@ class SpMVCSR(Kernel):
             p["addvals"] = add[iters]
         return p
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
-        vals = p.get("vals")
+        vals = precomp.get("vals")
         if vals is None:
-            vals = state[self.a_var][p["gather"]]
+            vals = state[self.a_var][precomp["gather"]]
         out = segment_sums_at(
-            vals * state[self.x_var][p["cols"]],
+            vals * state[self.x_var][precomp["cols"]],
             iters.shape[0],
-            p["reduce_starts"],
-            p["nonempty"],
+            precomp["reduce_starts"],
+            precomp["nonempty"],
         )
         if self.add_var is not None:
-            addvals = p.get("addvals")
+            addvals = precomp.get("addvals")
             if addvals is None:
                 addvals = state[self.add_var][iters]
             out = out + addvals
@@ -201,7 +207,6 @@ class SpMVCSC(Kernel):
     """
 
     name = "SpMV-CSC"
-    supports_level_batch = True
 
     def __init__(self, a: CSCMatrix, *, a_var="Ax", x_var="x", y_var="y"):
         self.a = a
@@ -233,26 +238,28 @@ class SpMVCSC(Kernel):
         if rows.shape[0]:
             state[self.y_var][rows] += state[self.a_var][lo:hi] * state[self.x_var][j]
 
-    def precompute_level(self, iters: np.ndarray):
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.a.indptr[iters]
         counts = self.a.indptr[iters + 1] - starts
         gather = multi_range(starts, counts)
-        return {
-            "gather": gather,
-            "rows": self.a.indices[gather],
-            "counts": counts,
-        }
+        per_step = group_sums(counts, sizes)
+        return [
+            {"gather": g, "rows": r, "counts": c}
+            for g, r, c in zip(
+                split_sizes(gather, per_step),
+                split_sizes(self.a.indices[gather], per_step),
+                split_sizes(counts, sizes),
+            )
+        ]
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
-        xj = np.repeat(state[self.x_var][iters], p["counts"])
+        xj = np.repeat(state[self.x_var][iters], precomp["counts"])
         # unbuffered accumulation: overlapping rows within the batch sum
         # correctly (the vectorized analogue of the paper's Atomic)
-        np.add.at(
-            state[self.y_var], p["rows"], state[self.a_var][p["gather"]] * xj
-        )
+        vals = state[self.a_var][precomp["gather"]]
+        np.add.at(state[self.y_var], precomp["rows"], vals * xj)
 
     def run_reference(self, state: State) -> None:
         mat = CSCMatrix(

@@ -19,7 +19,13 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
-from ..utils.arrays import multi_range, segment_boundaries, segment_sums_at
+from ..utils.arrays import (
+    group_sums,
+    multi_range,
+    segment_boundaries_split,
+    segment_sums_at,
+    split_sizes,
+)
 from .base import Kernel, State, empty_map, slice_map
 
 __all__ = ["SpMVSymLower"]
@@ -40,7 +46,6 @@ class SpMVSymLower(Kernel):
     """
 
     name = "SpMV-sym-lower"
-    supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, a_var="Alow", x_var="x", y_var="y"):
         if not low.is_square or not low.is_lower_triangular():
@@ -85,35 +90,46 @@ class SpMVSymLower(Kernel):
         if rows.shape[0]:
             y[rows] += off * x[j]
 
-    def precompute_level(self, iters: np.ndarray):
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         lo = self.low.indptr[iters]
         counts = self.low.indptr[iters + 1] - lo - 1  # strict-lower entries
         gather = multi_range(lo + 1, counts)
-        reduce_starts, nonempty = segment_boundaries(counts)
-        return {
-            "diag": lo,
-            "gather": gather,
-            "rows": self.low.indices[gather],
-            "counts": counts,
-            "reduce_starts": reduce_starts,
-            "nonempty": nonempty,
-        }
+        per_step = group_sums(counts, sizes)
+        return [
+            {
+                "diag": d,
+                "gather": g,
+                "rows": r,
+                "counts": c,
+                "reduce_starts": rs,
+                "nonempty": ne,
+            }
+            for d, g, r, c, (rs, ne) in zip(
+                split_sizes(lo, sizes),
+                split_sizes(gather, per_step),
+                split_sizes(self.low.indices[gather], per_step),
+                split_sizes(counts, sizes),
+                segment_boundaries_split(counts, sizes),
+            )
+        ]
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
         a = state[self.a_var]
         x = state[self.x_var]
         y = state[self.y_var]
-        vals = a[p["gather"]]
+        vals = a[precomp["gather"]]
         # gather half: y[j] += diag*x[j] + sum(off * x[rows])
         off = segment_sums_at(
-            vals * x[p["rows"]], iters.shape[0], p["reduce_starts"], p["nonempty"]
+            vals * x[precomp["rows"]],
+            iters.shape[0],
+            precomp["reduce_starts"],
+            precomp["nonempty"],
         )
-        np.add.at(y, iters, a[p["diag"]] * x[iters] + off)
+        np.add.at(y, iters, a[precomp["diag"]] * x[iters] + off)
         # scatter half: y[rows] += off * x[j]
-        np.add.at(y, p["rows"], vals * np.repeat(x[iters], p["counts"]))
+        np.add.at(y, precomp["rows"], vals * np.repeat(x[iters], precomp["counts"]))
 
     def run_reference(self, state: State) -> None:
         low = CSCMatrix(

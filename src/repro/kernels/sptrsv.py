@@ -50,7 +50,6 @@ class SpTRSVCSR(Kernel):
     """
 
     name = "SpTRSV-CSR"
-    supports_level_batch = True
 
     def __init__(self, low: CSRMatrix, *, l_var="Lx", b_var="b", x_var="x"):
         if not low.is_square or not low.is_lower_triangular():
@@ -88,9 +87,6 @@ class SpTRSVCSR(Kernel):
         acc = state[self.b_var][i] - np.dot(lx[lo : hi - 1], x[cols])
         x[i] = acc / lx[hi - 1]
 
-    def precompute_level(self, iters: np.ndarray):
-        return self.precompute_levels(iters, [len(iters)])[0]
-
     def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.low.indptr[iters]
@@ -123,21 +119,20 @@ class SpTRSVCSR(Kernel):
             "dvals": lx[precomp["diag"]],
         }
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
-        vals = p.get("vals")
+        vals = precomp.get("vals")
         if vals is None:
             lx = state[self.l_var]
-            vals, dvals = lx[p["gather"]], lx[p["diag"]]
+            vals, dvals = lx[precomp["gather"]], lx[precomp["diag"]]
         else:
-            dvals = p["dvals"]
+            dvals = precomp["dvals"]
         x = state[self.x_var]
         sums = segment_sums_at(
-            vals * x[p["cols"]],
+            vals * x[precomp["cols"]],
             iters.shape[0],
-            p["reduce_starts"],
-            p["nonempty"],
+            precomp["reduce_starts"],
+            precomp["nonempty"],
         )
         x[iters] = (state[self.b_var][iters] - sums) / dvals
 
@@ -229,7 +224,6 @@ class SpTRSVCSC(Kernel):
     """
 
     name = "SpTRSV-CSC"
-    supports_level_batch = True
 
     def __init__(self, low: CSCMatrix, *, l_var="Lx", b_var="b", x_var="x"):
         if not low.is_square or not low.is_lower_triangular():
@@ -274,9 +268,6 @@ class SpTRSVCSC(Kernel):
         if rows.shape[0]:
             acc[rows] += lx[lo + 1 : hi] * xj
 
-    def precompute_level(self, iters: np.ndarray):
-        return self.precompute_levels(iters, [len(iters)])[0]
-
     def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.low.indptr[iters]
@@ -293,18 +284,18 @@ class SpTRSVCSC(Kernel):
             )
         ]
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
         lx = state[self.l_var]
         acc = state[self.acc_var]
         # Same-level columns never read each other's accumulator slots
         # (that would be an intra-DAG edge), so finalizing every x first
         # and scattering afterwards is safe.
-        xj = (state[self.b_var][iters] - acc[iters]) / lx[p["diag"]]
+        xj = (state[self.b_var][iters] - acc[iters]) / lx[precomp["diag"]]
         state[self.x_var][iters] = xj
-        if p["gather"].shape[0]:
-            np.add.at(acc, p["rows"], lx[p["gather"]] * np.repeat(xj, p["counts"]))
+        if precomp["gather"].shape[0]:
+            vals = lx[precomp["gather"]]
+            np.add.at(acc, precomp["rows"], vals * np.repeat(xj, precomp["counts"]))
 
     def run_reference(self, state: State) -> None:
         from scipy.sparse.linalg import spsolve_triangular
@@ -397,7 +388,6 @@ class SpTRSVCSRFromLU(Kernel):
     """
 
     name = "SpTRSV-CSR-fromLU"
-    supports_level_batch = True
 
     def __init__(self, a: CSRMatrix, *, lu_var="LUx", b_var="b", x_var="x"):
         if not a.is_square:
@@ -433,9 +423,6 @@ class SpTRSVCSRFromLU(Kernel):
             lu[lo:di], state[self.x_var][cols]
         )
 
-    def precompute_level(self, iters: np.ndarray):
-        return self.precompute_levels(iters, [len(iters)])[0]
-
     def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         starts = self.a.indptr[iters]
@@ -451,16 +438,15 @@ class SpTRSVCSRFromLU(Kernel):
             )
         ]
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
         lu = state[self.lu_var]
         x = state[self.x_var]
         sums = segment_sums_at(
-            lu[p["gather"]] * x[p["cols"]],
+            lu[precomp["gather"]] * x[precomp["cols"]],
             iters.shape[0],
-            p["reduce_starts"],
-            p["nonempty"],
+            precomp["reduce_starts"],
+            precomp["nonempty"],
         )
         x[iters] = state[self.b_var][iters] - sums
 

@@ -23,7 +23,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import multi_range
+from ..utils.arrays import group_sums, multi_range, split_sizes
 from .base import Kernel, State, empty_map, map_from_counts
 
 __all__ = ["SpTRSVBackwardCSR"]
@@ -41,7 +41,6 @@ class SpTRSVBackwardCSR(Kernel):
     """
 
     name = "SpTRSV-backward-CSR"
-    supports_level_batch = True
 
     def __init__(self, low: CSRMatrix, *, l_var="Lx", b_var="b", x_var="x"):
         if not low.is_square or not low.is_lower_triangular():
@@ -103,19 +102,23 @@ class SpTRSVBackwardCSR(Kernel):
         if cols.shape[0]:
             acc[cols] += lx[lo : hi - 1] * xj
 
-    def precompute_level(self, iters: np.ndarray):
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
         iters = np.asarray(iters, dtype=INDEX_DTYPE)
         rows = self.low.n_rows - 1 - iters
         starts = self.low.indptr[rows]
         counts = self.low.indptr[rows + 1] - starts - 1  # strict-lower
         gather = multi_range(starts, counts)
-        return {
-            "rows": rows,
-            "diag": self.low.indptr[rows + 1] - 1,
-            "gather": gather,
-            "cols": self.low.indices[gather],
-            "counts": counts,
-        }
+        per_step = group_sums(counts, sizes)
+        return [
+            {"rows": r, "diag": d, "gather": g, "cols": c, "counts": n}
+            for r, d, g, c, n in zip(
+                split_sizes(rows, sizes),
+                split_sizes(self.low.indptr[rows + 1] - 1, sizes),
+                split_sizes(gather, per_step),
+                split_sizes(self.low.indices[gather], per_step),
+                split_sizes(counts, sizes),
+            )
+        ]
 
     def bind_level(self, iters, precomp, values):
         lx = values.get(self.l_var)
@@ -127,21 +130,19 @@ class SpTRSVBackwardCSR(Kernel):
             "dvals": lx[precomp["diag"]],
         }
 
-    def run_level_batch(self, iters, state: State, precomp=None, scratch=None) -> None:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        p = precomp if precomp is not None else self.precompute_level(iters)
-        vals = p.get("vals")
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
+        vals = precomp.get("vals")
         if vals is None:
             lx = state[self.l_var]
-            vals, dvals = lx[p["gather"]], lx[p["diag"]]
+            vals, dvals = lx[precomp["gather"]], lx[precomp["diag"]]
         else:
-            dvals = p["dvals"]
+            dvals = precomp["dvals"]
         acc = state[self.acc_var]
-        rows = p["rows"]
+        rows = precomp["rows"]
         xj = (state[self.b_var][rows] - acc[rows]) / dvals
         state[self.x_var][rows] = xj
-        if p["gather"].shape[0]:
-            np.add.at(acc, p["cols"], vals * np.repeat(xj, p["counts"]))
+        if precomp["gather"].shape[0]:
+            np.add.at(acc, precomp["cols"], vals * np.repeat(xj, precomp["counts"]))
 
     def run_reference(self, state: State) -> None:
         from scipy.sparse.linalg import spsolve_triangular

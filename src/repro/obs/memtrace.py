@@ -64,7 +64,12 @@ import numpy as np
 
 from ..kernels.base import Kernel
 from ..runtime.cache import line_layout
-from ..schedule.schedule import FusedSchedule, ScheduleError, happens_before
+from ..schedule.schedule import (
+    FusedSchedule,
+    ScheduleError,
+    check_loop_counts,
+    happens_before,
+)
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range
 from . import names
@@ -391,6 +396,7 @@ def execution_coordinates(
     executor: str = "iter",
     *,
     min_batch: int = 4,
+    plan=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-vertex ``(s, w, t)`` happens-before coordinates.
 
@@ -401,7 +407,9 @@ def execution_coordinates(
     schedule's w-partition under both. ``t`` is the dispatch index
     within the vertex's phase: per iteration in the w-partition for
     ``"iter"``, per plan step for ``"plan"``. Vertices sharing a ``t``
-    are concurrent (one level step).
+    are concurrent (one level step). The ``"plan"`` coordinates are
+    those of *plan* when given, else of ``plan_for(schedule, kernels,
+    min_batch=min_batch)``.
     """
     sp, wp, pos = schedule.assignment()
     sp = sp.astype(np.int64)
@@ -412,10 +420,13 @@ def execution_coordinates(
         raise ValueError(
             f"unknown executor {executor!r}; expected 'iter' or 'plan'"
         )
-    from ..runtime.plan import plan_for
+    if plan is None:
+        from ..runtime.plan import plan_for
 
+        plan = plan_for(schedule, kernels, min_batch=min_batch)
+    else:
+        check_loop_counts(kernels, plan.loop_counts, "plan")
     offsets = schedule.offsets
-    plan = plan_for(schedule, kernels, min_batch=min_batch)
     phase = np.full(schedule.n_vertices, -1, dtype=np.int64)
     tt = np.zeros(schedule.n_vertices, dtype=np.int64)
     next_t: dict[int, int] = {}
@@ -442,9 +453,17 @@ def sanitize_schedule(
     *,
     executor: str = "iter",
     min_batch: int = 4,
+    plan=None,
     max_violations: int = 50,
 ) -> SanitizeReport:
     """Shadow-execute *schedule* and check every memory dependence.
+
+    Under ``executor="plan"`` the happens-before model is that of *plan*
+    (an :class:`~repro.runtime.plan.ExecutionPlan` of *schedule* on
+    *kernels*) when one is given, as the plan executor does with the plan
+    it is about to run; otherwise it is that of the plan
+    :func:`~repro.runtime.plan.plan_for` finds or compiles at
+    *min_batch*.
 
     Returns a :class:`SanitizeReport`; call
     :meth:`SanitizeReport.raise_if_violations` (or pass
@@ -452,23 +471,14 @@ def sanitize_schedule(
     :class:`DependenceViolationError`. Reported violations are capped at
     *max_violations* (the count is exact either way).
     """
-    if len(kernels) != len(schedule.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(schedule.loop_counts)} loops"
-        )
-    for k, kern in enumerate(kernels):
-        if kern.n_iterations != schedule.loop_counts[k]:
-            raise ValueError(
-                f"loop {k}: kernel has {kern.n_iterations} iterations, "
-                f"schedule expects {schedule.loop_counts[k]}"
-            )
+    check_loop_counts(kernels, schedule.loop_counts)
     t0 = time.perf_counter()
     rec = current_recorder()
     with rec.span(
         "sanitize.run", executor=executor, vertices=schedule.n_vertices
     ) as span:
         sp, wp, tt = execution_coordinates(
-            schedule, kernels, executor, min_batch=min_batch
+            schedule, kernels, executor, min_batch=min_batch, plan=plan
         )
         if np.any(sp < 0):
             missing = np.nonzero(sp < 0)[0]

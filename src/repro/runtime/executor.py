@@ -27,7 +27,7 @@ from __future__ import annotations
 from ..kernels.base import Kernel, State, make_state
 from ..obs import current as current_recorder
 from ..obs import names
-from ..schedule.schedule import FusedSchedule
+from ..schedule.schedule import FusedSchedule, check_loop_counts
 
 __all__ = ["execute_schedule", "run_reference", "allocate_state"]
 
@@ -76,16 +76,7 @@ def execute_schedule(
         from ..obs.memtrace import sanitize_schedule
 
         sanitize_schedule(schedule, kernels, executor="iter").raise_if_violations()
-    if len(kernels) != len(schedule.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(schedule.loop_counts)} loops"
-        )
-    for k, kern in enumerate(kernels):
-        if kern.n_iterations != schedule.loop_counts[k]:
-            raise ValueError(
-                f"loop {k}: kernel has {kern.n_iterations} iterations, "
-                f"schedule expects {schedule.loop_counts[k]}"
-            )
+    check_loop_counts(kernels, schedule.loop_counts)
     offsets = schedule.offsets
     for kern in kernels:
         kern.setup(state)

@@ -8,12 +8,13 @@ pays interpreter cost per iteration. This module compiles a
 *once* into a flat, array-backed :class:`ExecutionPlan`:
 
 * Within every s-partition, the w-partitions are concatenated and the
-  iterations regrouped by loop (ascending program order); each
-  dependence-carrying group is split into **intra-DAG level sets** —
-  antichains whose members are mutually independent and may therefore
-  execute as one vectorized
-  :meth:`~repro.kernels.base.Kernel.run_level_batch` call. One stable
-  ``lexsort`` over ``(s, loop, level)`` does the whole regrouping.
+  iterations regrouped by loop (ascending program order); each group is
+  split into **intra-DAG level sets** — antichains whose members are
+  mutually independent and may therefore execute as one
+  :meth:`~repro.kernels.base.Kernel.run_level_batch` call (vectorized in
+  every shipped kernel; the default runs the set one iteration at a
+  time). One stable ``lexsort`` over ``(s, loop, level)`` does the whole
+  regrouping.
 * The (s-partition, loop, level) groups then **merge across
   s-partitions**: every group of one (loop, level) joins one step, and
   the steps run in ascending (loop, level) order. This executor pays a
@@ -21,15 +22,14 @@ pays interpreter cost per iteration. This module compiles a
   boundaries would otherwise multiply its dispatches; merged, each loop
   runs one step per intra level — the same count as an unfused plan —
   while the schedule still sets the order inside each step.
-* Per level step, the kernel's :meth:`~repro.kernels.base.Kernel.precompute_level`
-  result — the concatenated gather/scatter index arrays and
-  ``np.add.reduceat`` segment boundaries — is built up front, so
-  executing the plan does no index arithmetic at all — only gathers,
-  segment reductions and scatters. The compiler asks each loop for all
-  of its level steps at once through
-  :meth:`~repro.kernels.base.Kernel.precompute_levels`: the shipped
-  triangular solves and factorizations answer with one gather pass over
-  every step, split per step, instead of a dozen small passes.
+* Per level step, the kernel's precomputation — the concatenated
+  gather/scatter index arrays and ``np.add.reduceat`` segment
+  boundaries — is built up front, so executing the plan does no index
+  arithmetic at all — only gathers, segment reductions and scatters.
+  The compiler asks each loop for all of its level steps at once
+  through :meth:`~repro.kernels.base.Kernel.precompute_levels`, and
+  every shipped kernel answers with one gather pass over every step,
+  split per step, instead of a dozen small passes.
 * The intra-DAG levels come from ``kern.intra_dag().levels()``. Loops
   over one sparsity pattern share that memo with the DAG the inspector
   linked them to (:meth:`~repro.graph.dag.DAG.share_analyses`), so a
@@ -43,7 +43,7 @@ pays interpreter cost per iteration. This module compiles a
   :func:`~repro.fusion.fuse` bound to the schedule, whose plan entries
   persist across processes; and only then :func:`compile_plan`, whose
   result goes into both. A stored plan holds no kernel objects: per step
-  its kind, loop, phase and iterations plus the ``precompute_level``
+  its kind, loop, phase and iterations plus the ``precompute_levels``
   arrays, which depend on sparsity patterns only. On load it is bound to
   the caller's kernels and used only if every vertex appears exactly
   once and every intra-DAG and ``F`` edge runs to a later step (or to a
@@ -112,6 +112,7 @@ from ..schedule.schedule import (
     PLAN_MEMO_KEY,
     PLAN_STORE_KEY,
     FusedSchedule,
+    check_loop_counts,
     happens_before,
 )
 
@@ -235,22 +236,10 @@ def compile_plan(
     tradeoff).
     """
     _check_min_batch(min_batch)
-    if len(kernels) != len(schedule.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(schedule.loop_counts)} loops"
-        )
-    for k, kern in enumerate(kernels):
-        if kern.n_iterations != schedule.loop_counts[k]:
-            raise ValueError(
-                f"loop {k}: kernel has {kern.n_iterations} iterations, "
-                f"schedule expects {schedule.loop_counts[k]}"
-            )
+    check_loop_counts(kernels, schedule.loop_counts)
     rec = current_recorder()
     t0 = time.perf_counter()
     offsets = schedule.offsets
-    level_capable = np.array(
-        [getattr(k, "supports_level_batch", False) for k in kernels], dtype=bool
-    )
 
     steps: list[PlanStep] = []
     n_level = n_scalar_iters = n_batched_iters = n_merged = 0
@@ -271,31 +260,18 @@ def compile_plan(
         mergeable = verts.shape[0] > 0 and _meets_contract(
             schedule.n_vertices, verts, s_of, sizes, src, dst
         )
-        # Level-batchable loops split into intra-DAG levels; every other
-        # group runs whole, so its level key stays 0.
-        leveled = level_capable[loops]
-        levels = [
-            kern.intra_dag().levels()
-            if capable
-            else np.zeros(kern.n_iterations, dtype=np.int64)
-            for kern, capable in zip(kernels, level_capable)
-        ]
-        level = np.where(leveled, np.concatenate(levels)[verts], 0)
+        # Every loop splits into its intra-DAG levels.
+        level = np.concatenate([kern.intra_dag().levels() for kern in kernels])[verts]
         if mergeable:
             # One step per (loop, level), in ascending (loop, level): a
-            # dependence order by legality (b) and (c). A loop without
-            # level batching keeps one step per s-partition.
-            key = np.where(leveled, level, s_of)
-            order = np.lexsort((key, loops))
+            # dependence order by legality (b) and (c).
+            order = np.lexsort((level, loops))
         else:
-            key = level
             order = np.lexsort((level, loops, s_of))
         # Stable: within a step, vertices keep schedule order.
-        verts, s_of, loops, key, leveled = (
-            x[order] for x in (verts, s_of, loops, key, leveled)
-        )
+        verts, s_of, loops, level = (x[order] for x in (verts, s_of, loops, level))
         first = np.ones(verts.shape[0], dtype=bool)
-        step_edge = (np.diff(loops) != 0) | (np.diff(key) != 0)
+        step_edge = (np.diff(loops) != 0) | (np.diff(level) != 0)
         group_edge = step_edge | (np.diff(s_of) != 0)
         first[1:] = step_edge if mergeable else group_edge
         n_merged = int(group_edge.sum() - first[1:].sum())
@@ -306,7 +282,7 @@ def compile_plan(
             k = int(loops[lo])
             iters = verts[lo:hi] - int(offsets[k])
             s = int(phase[lo])
-            if hi - lo >= min_batch and leveled[lo]:
+            if hi - lo >= min_batch:
                 step = PlanStep("level", k, iters, s=s)
                 level_steps.setdefault(k, []).append(step)
                 n_level += 1
@@ -580,16 +556,12 @@ def _plan_order_holds(
     n_vertices = schedule.n_vertices
     if not steps:
         return n_vertices == 0 and n_level == n_scalar == n_batched == 0
-    capable = [getattr(k, "supports_level_batch", False) for k in kernels]
     loops = np.array([st.loop for st in steps], dtype=np.int64)
     if loops.min() < 0 or loops.max() >= len(kernels):
         return False
-    level = np.array([st.kind == "level" for st in steps])
-    if not all(
-        st.kind == "scalar" or (st.kind == "level" and capable[st.loop])
-        for st in steps
-    ):
+    if not all(st.kind in ("level", "scalar") for st in steps):
         return False
+    level = np.array([st.kind == "level" for st in steps])
     iters = [st.iters for st in steps]
     if any(it.ndim != 1 or it.dtype.kind not in "iu" for it in iters):
         return False
@@ -640,19 +612,20 @@ def execute_schedule_planned(
 
     With ``sanitize=True`` the dynamic dependence sanitizer
     (:func:`repro.obs.memtrace.sanitize_schedule`) checks every memory
-    dependence under the plan's happens-before model — one level step is
-    a concurrent unit — before anything runs.
+    dependence under the happens-before model of the very plan that is
+    about to run — one level step is a concurrent unit — before anything
+    runs.
     """
-    if sanitize:
-        from ..obs.memtrace import sanitize_schedule
-
-        sanitize_schedule(
-            schedule, kernels, executor="plan", min_batch=min_batch
-        ).raise_if_violations()
     if plan is None:
         plan = plan_for(schedule, kernels, min_batch=min_batch)
     else:
         _check_plan_fits(plan, kernels, state)
+    if sanitize:
+        from ..obs.memtrace import sanitize_schedule
+
+        sanitize_schedule(
+            schedule, kernels, executor="plan", plan=plan
+        ).raise_if_violations()
     for kern in kernels:
         kern.setup(state)
     scratches = [k.make_scratch() for k in kernels]
@@ -682,16 +655,7 @@ def _check_plan_fits(
 ) -> None:
     """Raise ``ValueError`` unless a caller's *plan* was compiled for
     loops of *kernels*' trip counts and, when bound, for *state*'s arrays."""
-    if len(kernels) != len(plan.loop_counts):
-        raise ValueError(
-            f"{len(kernels)} kernels for {len(plan.loop_counts)} loops"
-        )
-    for k, (kern, count) in enumerate(zip(kernels, plan.loop_counts)):
-        if kern.n_iterations != count:
-            raise ValueError(
-                f"loop {k}: kernel has {kern.n_iterations} iterations, "
-                f"plan expects {count}"
-            )
+    check_loop_counts(kernels, plan.loop_counts, "plan")
     for name, array in plan.bound.items():
         if state.get(name) is not array:
             raise ValueError(

@@ -16,10 +16,10 @@ two tiers:
   DAG construction and the scheduling stage.
 * **Compiled plans** (:func:`plan_key`), stored by
   :func:`repro.runtime.plan.plan_for` as kernel-free records: per step its
-  kind, loop, phase ``s``, iterations and ``precompute_level`` arrays,
+  kind, loop, phase ``s``, iterations and ``precompute_levels`` arrays,
   plus the plan's header counts. A warm hit skips plan compile — the
   intra-DAG ``levels()`` passes, the step merge and every
-  ``precompute_level``. The key hashes the schedule's *own content*
+  ``precompute_levels`` call. The key hashes the schedule's *own content*
   (loop counts, s/w sizes, vertex arrays), ``min_batch``, and every
   kernel's class, variable names and operand pattern. The schedule key is
   not enough: a plan reads kernel patterns the scheduling problem does
@@ -43,7 +43,7 @@ Two tiers:
   :func:`repro.runtime.plan.plan_for`'s order check before it is used.
 
 Anything outside the keys (matrix *values*, right-hand sides) never
-influences a schedule or a plan: every shipped ``precompute_level``
+influences a schedule or a plan: every shipped ``precompute_levels``
 builds index arrays from the pattern alone.
 """
 
@@ -130,7 +130,7 @@ def plan_key(schedule: FusedSchedule, kernels, min_batch: int) -> str | None:
     the schedule's loop counts, s/w sizes and vertex arrays, and per
     kernel its class, read/write variable names (they wire up ``F``) and
     the :func:`pattern_fingerprint` of its matrix (``kernel.a`` or
-    ``kernel.low``), from which its intra-DAG and ``precompute_level``
+    ``kernel.low``), from which its intra-DAG and ``precompute_levels``
     arrays derive.
     """
     operands = [_operand(k) for k in kernels]

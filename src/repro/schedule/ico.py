@@ -150,8 +150,8 @@ def _frontier_reduce(vals, counts, op, default):
 
     ``vals`` holds the concatenated neighbour attributes of a frontier,
     ``counts`` the per-vertex neighbour counts. Empty slots get
-    *default* (see :func:`repro.utils.arrays.segment_sums` for why the
-    reduction runs only at non-empty starts).
+    *default* (see :func:`repro.utils.arrays.segment_sums_at` for why
+    the reduction runs only at non-empty starts).
     """
     n = counts.shape[0]
     out = np.full(n, default, dtype=INDEX_DTYPE)
@@ -774,7 +774,7 @@ def _segment_reduce(values, indptr, indices, op, default, *, shift):
     starts = indptr[:-1]
     nonempty = np.diff(indptr) > 0
     # Reduce only at non-empty segment starts (see utils.arrays
-    # .segment_sums): clipped starts for trailing empty segments would
+    # .segment_sums_at): clipped starts for trailing empty segments would
     # otherwise split the last non-empty segment's range.
     out[nonempty] = op.reduceat(vals, starts[nonempty]) + shift
     return out

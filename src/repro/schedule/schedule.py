@@ -34,6 +34,7 @@ __all__ = [
     "ScheduleError",
     "validate_schedule",
     "happens_before",
+    "check_loop_counts",
     "concatenate_schedules",
     "PLAN_MEMO_KEY",
     "PLAN_STORE_KEY",
@@ -263,6 +264,23 @@ def happens_before(
     """
     su, sv = sp[src], sp[dst]
     return (su < sv) | ((su == sv) & (wp[src] == wp[dst]) & (pos[src] < pos[dst]))
+
+
+def check_loop_counts(kernels, loop_counts, expects: str = "schedule") -> None:
+    """Raise ``ValueError`` unless *kernels* hold one kernel per loop of
+    *loop_counts*, each with that loop's trip count.
+
+    *expects* names what the counts belong to (a schedule or a plan) in
+    the message.
+    """
+    if len(kernels) != len(loop_counts):
+        raise ValueError(f"{len(kernels)} kernels for {len(loop_counts)} loops")
+    for k, (kern, count) in enumerate(zip(kernels, loop_counts)):
+        if kern.n_iterations != count:
+            raise ValueError(
+                f"loop {k}: kernel has {kern.n_iterations} iterations, "
+                f"{expects} expects {count}"
+            )
 
 
 def concatenate_schedules(parts: list[FusedSchedule]) -> FusedSchedule:

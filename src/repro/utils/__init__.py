@@ -1,6 +1,6 @@
 """Small shared utilities: timing and deterministic test-data helpers."""
 
-from .arrays import multi_range, segment_boundaries, segment_sums, segment_sums_at
+from .arrays import multi_range, segment_boundaries_split, segment_sums_at
 from .timing import Timer
 from .testing import random_spd_csr, random_lower_csr, rng_for
 
@@ -10,7 +10,6 @@ __all__ = [
     "random_lower_csr",
     "rng_for",
     "multi_range",
-    "segment_sums",
-    "segment_boundaries",
+    "segment_boundaries_split",
     "segment_sums_at",
 ]

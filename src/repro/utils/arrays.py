@@ -11,8 +11,6 @@ __all__ = [
     "distinct",
     "group_sums",
     "multi_range",
-    "segment_sums",
-    "segment_boundaries",
     "segment_boundaries_split",
     "segment_sums_at",
     "split_sizes",
@@ -79,44 +77,17 @@ def group_sums(counts: np.ndarray, sizes) -> np.ndarray:
     return np.diff(ends[bounds])
 
 
-def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum *values* in consecutive segments of the given lengths.
-
-    Zero-length segments yield 0.0 (``np.add.reduceat`` alone would
-    repeat the neighbouring segment's value there).
-    """
-    n = counts.shape[0]
-    out = np.zeros(n, dtype=values.dtype)
-    if values.shape[0] == 0 or n == 0:
-        return out
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    nonempty = counts > 0
-    # Reduce only at the starts of non-empty segments: consecutive
-    # non-empty starts bracket exactly one segment's elements (empty
-    # segments in between contribute nothing). Clipping out-of-range
-    # starts instead would split the final non-empty segment.
-    out[nonempty] = np.add.reduceat(values, starts[nonempty])
-    return out
-
-
-def segment_boundaries(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Precompute the :func:`segment_sums` reduction plan for *counts*.
-
-    Returns ``(reduce_starts, nonempty)`` for :func:`segment_sums_at` —
-    plan compilation calls this once per level so that repeated sweeps
-    pay only the ``np.add.reduceat`` itself.
-    """
-    counts = np.asarray(counts)
-    return segment_boundaries_split(counts, [counts.shape[0]])[0]
-
-
 def segment_boundaries_split(
     counts: np.ndarray, sizes
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`segment_boundaries` of consecutive groups of *counts*.
+    """The :func:`segment_sums_at` reduction plans of consecutive groups
+    of segments with the given *counts*.
 
-    Group ``g`` is the next ``sizes[g]`` segments; its reduce starts
-    count from its own first element. One pass over all groups.
+    Group ``g`` is the next ``sizes[g]`` segments; its plan is
+    ``(reduce_starts, nonempty)``, with reduce starts counted from the
+    group's own first element. Plan compilation calls this once per loop
+    for all of its level steps, so that repeated sweeps pay only the
+    ``np.add.reduceat`` itself. One pass over all groups.
     """
     counts = np.asarray(counts)
     nonempty = counts > 0
@@ -139,8 +110,14 @@ def segment_sums_at(
     reduce_starts: np.ndarray,
     nonempty: np.ndarray,
 ) -> np.ndarray:
-    """:func:`segment_sums` with boundaries from :func:`segment_boundaries`.
+    """Sums of *values* over *n_segments* consecutive segments, with the
+    boundaries from :func:`segment_boundaries_split`.
 
+    Empty segments sum to 0.0. The reduction runs only at the starts of
+    non-empty segments: consecutive non-empty starts bracket exactly one
+    segment's elements, whereas ``np.add.reduceat`` at every start would
+    repeat the neighbouring segment's value at an empty segment, and
+    clipping out-of-range starts would split the last non-empty segment.
     When no segment is empty, ``np.add.reduceat`` alone is the result —
     bitwise the masked assignment, without the zeroed output array.
     """

@@ -49,7 +49,8 @@ def test_batch_matches_loop(low, rng):
     ref = {v: a.copy() for v, a in st.items()}
     run_all(k, ref)
     k.setup(st)
-    k.run_level_batch(rng.permutation(k.n_iterations), st)
+    iters = rng.permutation(k.n_iterations)
+    k.run_level_batch(iters, st, k.precompute_levels(iters, [len(iters)])[0])
     assert np.allclose(st["y"], ref["y"])
 
 

@@ -1,12 +1,24 @@
 """Vectorized batch paths of the dependence-free kernels: their
-``run_level_batch`` over a whole loop (one compiled-plan ``level`` step
-per s-partition) and the array helpers behind them."""
+``run_level_batch`` over a whole loop (one compiled-plan ``level`` step)
+and the array helpers behind them."""
 
 import numpy as np
 
 from repro.kernels import DScalCSR, SpMVCSC, SpMVCSR
 from repro.runtime import allocate_state
-from repro.utils import multi_range, segment_sums
+from repro.utils import multi_range, segment_boundaries_split, segment_sums_at
+
+
+def segment_sums(values, counts):
+    """Segment sums as a one-step plan computes them."""
+    (reduce_starts, nonempty), = segment_boundaries_split(counts, [len(counts)])
+    return segment_sums_at(values, len(counts), reduce_starts, nonempty)
+
+
+def level_batch(kernel, iters, state):
+    """``run_level_batch`` on *iters* as one step, with its precomputation."""
+    precomp = kernel.precompute_levels(iters, [len(iters)])[0]
+    kernel.run_level_batch(iters, state, precomp)
 
 
 class TestArrayHelpers:
@@ -36,6 +48,23 @@ class TestArrayHelpers:
     def test_segment_sums_all_empty(self):
         assert segment_sums(np.empty(0), np.array([0, 0])).tolist() == [0, 0]
 
+    def test_segment_sums_split_into_groups(self):
+        """Each group's plan counts its reduce starts from the group's own
+        first value, whatever the groups before it hold."""
+        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        counts = np.array([2, 0, 1, 0, 0, 3, 0])
+        sizes = [3, 2, 2]
+        plans = segment_boundaries_split(counts, sizes)
+        ends = np.cumsum(sizes).tolist()
+        vends = np.cumsum([3, 0, 3]).tolist()
+        got = [
+            segment_sums_at(values[va:vb], b - a, rs, ne).tolist()
+            for (rs, ne), a, b, va, vb in zip(
+                plans, [0, *ends[:-1]], ends, [0, *vends[:-1]], vends
+            )
+        ]
+        assert got == [[3.0, 0.0, 3.0], [0.0, 0.0], [15.0, 0.0]]
+
 
 class TestRunBatch:
     def test_spmv_csr_batch_equals_loop(self, lap2d_nd, rng):
@@ -48,7 +77,7 @@ class TestRunBatch:
         for i in range(k.n_iterations):
             k.run_iteration(i, ref)
         iters = rng.permutation(k.n_iterations)
-        k.run_level_batch(iters, st)
+        level_batch(k, iters, st)
         assert np.allclose(st["y"], ref["y"])
 
     def test_spmv_csr_batch_with_empty_rows(self, rng):
@@ -64,7 +93,7 @@ class TestRunBatch:
         st["Ax"][:] = e.data
         st["x"][:] = rng.random(e.n_cols)
         st["c"][:] = rng.random(e.n_rows)
-        k.run_level_batch(np.arange(k.n_iterations), st)
+        level_batch(k, np.arange(k.n_iterations), st)
         assert np.allclose(st["y"], e.to_dense() @ st["x"] + st["c"])
 
     def test_spmv_csc_batch_equals_loop(self, lap2d_nd, rng):
@@ -74,7 +103,7 @@ class TestRunBatch:
         st["Ax"][:] = csc.data
         st["x"][:] = rng.random(csc.n_cols)
         k.setup(st)
-        k.run_level_batch(np.arange(k.n_iterations), st)
+        level_batch(k, np.arange(k.n_iterations), st)
         assert np.allclose(st["y"], lap2d_nd.to_dense() @ st["x"])
 
     def test_dscal_batch_equals_loop(self, lap2d_nd):
@@ -83,7 +112,7 @@ class TestRunBatch:
         st["Ax"][:] = lap2d_nd.data
         ref = {v: a.copy() for v, a in st.items()}
         k.run_reference(ref)
-        k.run_level_batch(np.arange(k.n_iterations), st)
+        level_batch(k, np.arange(k.n_iterations), st)
         assert np.allclose(st["Sx"], ref["Sx"])
 
     def test_default_run_level_batch_falls_back(self, lap2d_nd, rng):
@@ -95,5 +124,5 @@ class TestRunBatch:
         st["Lx"][:] = low.data
         st["b"][:] = rng.random(low.n_rows)
         # the base-class default runs the iterations one by one, in order
-        Kernel.run_level_batch(k, np.arange(k.n_iterations), st)
+        Kernel.run_level_batch(k, np.arange(k.n_iterations), st, None)
         assert np.allclose(np.tril(low.to_dense()) @ st["x"], st["b"])

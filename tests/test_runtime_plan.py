@@ -14,7 +14,7 @@ import pytest
 
 from repro import fuse
 from repro.fusion import COMBINATIONS, build_combination
-from repro.kernels import SpTRSVCSR, internal_var
+from repro.kernels import Kernel, SpTRSVCSR, internal_var
 from repro.kernels import spmv as kernels_spmv
 from repro.kernels import spmv_sym as kernels_spmv_sym
 from repro.kernels import sptrsv as kernels_sptrsv
@@ -31,7 +31,7 @@ from repro.schedule import FusedSchedule
 from repro.schedule.wavefront import level_schedule
 from repro.solvers import build_gs_chain
 from repro.solvers.pcg import build_ic0_preconditioner
-from repro.utils.arrays import segment_boundaries, segment_sums_at
+from repro.utils.arrays import segment_boundaries_split, segment_sums_at
 
 
 def _step_sets(plan):
@@ -171,7 +171,6 @@ class TestSPartitionSteps:
         fl = fuse(kernels, 8)
         plan = compile_plan(fl.schedule, kernels, min_batch=min_batch)
         for k, kern in enumerate(kernels):
-            assert kern.supports_level_batch
             sizes = np.bincount(kern.intra_dag().levels())
             mine = [step for step in plan.steps if step.loop == k]
             assert len(mine) == sizes.shape[0], k
@@ -270,7 +269,7 @@ class TestDenseReduceat:
     def test_segment_sums_at_without_empty_segments(self, rng):
         counts = rng.integers(1, 5, size=40)
         values = rng.random(int(counts.sum()))
-        reduce_starts, nonempty = segment_boundaries(counts)
+        reduce_starts, nonempty = segment_boundaries_split(counts, [len(counts)])[0]
         got = segment_sums_at(values, counts.shape[0], reduce_starts, nonempty)
         want = _masked_segment_sums(values, counts.shape[0], reduce_starts, nonempty)
         assert np.array_equal(got, want)
@@ -475,7 +474,7 @@ class TestObsCounters:
 
 class TestBatchedPrecompute:
     """compile_plan precomputes all of a loop's level steps in one
-    ``precompute_levels`` pass, equal to one ``precompute_level`` per step."""
+    ``precompute_levels`` pass, equal to one single-step pass per step."""
 
     @staticmethod
     def _extra_patterns():
@@ -491,14 +490,12 @@ class TestBatchedPrecompute:
         checked = set()
         for name, mat in [*matrix_zoo, *self._extra_patterns()]:
             for kern in all_kernels(mat):
-                if not kern.supports_level_batch:
-                    continue
                 n = kern.n_iterations
                 sched = FusedSchedule((n,), [[np.arange(n, dtype=np.int64)]])
                 plan = compile_plan(sched, [kern], min_batch=min_batch)
                 for step in plan.steps:
                     if step.kind == "level":
-                        want = kern.precompute_level(step.iters)
+                        want = kern.precompute_levels(step.iters, [len(step.iters)])[0]
                         assert _trees_equal(step.precomp, want), (name, kern.name)
                         checked.add(kern.name)
         assert len(checked) == 11
@@ -513,7 +510,9 @@ class TestBatchedPrecompute:
             plan = compile_plan(fl.schedule, kernels, min_batch=min_batch)
             for step in plan.steps:
                 if step.kind == "level":
-                    want = kernels[step.loop].precompute_level(step.iters)
+                    want = kernels[step.loop].precompute_levels(
+                        step.iters, [len(step.iters)]
+                    )[0]
                     assert _trees_equal(step.precomp, want), (cid, step.loop)
 
     def test_arbitrary_batches_and_empty_ones(self, lap2d_nd, rng):
@@ -528,26 +527,8 @@ class TestBatchedPrecompute:
             assert len(got) == len(sizes)
             bounds = np.cumsum([0, *sizes])
             for p, a, b in zip(got, bounds[:-1], bounds[1:]):
-                assert _trees_equal(p, kern.precompute_level(iters[a:b])), kern.name
-
-    def test_default_loops_over_precompute_level(self, lap2d_nd, monkeypatch):
-        from repro.kernels import SpTRSVBackwardCSR
-        from repro.kernels.base import Kernel
-
-        kern = SpTRSVBackwardCSR(lap2d_nd.lower_triangle())
-        assert type(kern).precompute_levels is Kernel.precompute_levels
-        seen = []
-        orig = kern.precompute_level
-        monkeypatch.setattr(
-            kern, "precompute_level", lambda iters: seen.append(iters) or orig(iters)
-        )
-        n = kern.n_iterations
-        sched = FusedSchedule((n,), [[np.arange(n, dtype=np.int64)]])
-        plan = compile_plan(sched, [kern], min_batch=1)
-        level = [st.iters for st in plan.steps if st.kind == "level"]
-        assert len(level) > 1
-        assert len(seen) == len(level)
-        assert all(np.array_equal(a, b) for a, b in zip(seen, level))
+                want = kern.precompute_levels(iters[a:b], [b - a])[0]
+                assert _trees_equal(p, want), kern.name
 
     @pytest.mark.parametrize("name", ["combo4", "combo5", "gs-chain"])
     def test_stored_plan_runs_bitwise_equal_to_compiled(self, name, tmp_path):
@@ -565,6 +546,85 @@ class TestBatchedPrecompute:
         _, state, cache = _fuse_and_run(name, a, tmp_path)
         assert cache.stats["plan_disk_hits"] == 1
         assert _bitwise_equal(state, _compiled_run(name, a))
+
+
+class _LoopedTRSV(SpTRSVCSR):
+    """SpTRSV-CSR with the ``Kernel`` defaults for every plan hook: no
+    vectorized path, so its level steps run one iteration at a time."""
+
+    precompute_levels = Kernel.precompute_levels
+    bind_level = Kernel.bind_level
+    run_level_batch = Kernel.run_level_batch
+
+
+class TestKernelWithoutVectorizedPath:
+    """The ``Kernel`` defaults are a complete level-step contract: a
+    kernel that overrides none of the plan hooks still compiles to one
+    step per intra level and runs as the per-iteration executor does."""
+
+    def test_one_step_per_level_bitwise_equal_and_clean(self, lap2d_nd, rng):
+        from repro.obs import sanitize_schedule
+
+        low = lap2d_nd.lower_triangle()
+        kern = _LoopedTRSV(low)
+        sched = level_schedule([kern])
+        plan = compile_plan(sched, [kern])
+        levels = kern.intra_dag().levels()
+        assert plan.n_steps == int(levels.max()) + 1
+        assert plan.n_level_steps > 0
+        for step in plan.steps:
+            assert np.unique(levels[step.iters]).shape[0] == 1
+            assert step.precomp is None
+        state = allocate_state([kern])
+        state["Lx"][:] = low.data
+        state["b"][:] = rng.random(low.n_rows)
+        # Lx is never written, so every run may share it, as a bound plan needs
+        fresh = lambda: {k: v if k == "Lx" else v.copy() for k, v in state.items()}
+        want = execute_schedule(sched, [kern], fresh())
+        for run in (plan, plan.bind(state, ("Lx",))):
+            got = execute_schedule_planned(sched, [kern], fresh(), plan=run)
+            assert np.array_equal(got["x"], want["x"])
+        assert sanitize_schedule(sched, [kern], executor="plan", plan=plan).clean
+
+
+class TestSanitizeChecksThePlanThatRuns:
+    """``sanitize=True`` with a caller's plan checks that plan, not the
+    one ``plan_for`` would find or compile."""
+
+    def test_illegal_plan_refused_before_running(self):
+        from dataclasses import replace
+
+        from repro.obs import DependenceViolationError
+        from repro.sparse import laplacian_2d
+
+        kernels, state = build_combination(1, laplacian_2d(12))
+        fl = fuse(kernels, 8)
+        legal = compile_plan(fl.schedule, kernels, min_batch=1)
+        # the merged plan backwards, each step's phase its new index
+        reversed_plan = replace(
+            legal,
+            steps=[replace(st, s=i) for i, st in enumerate(legal.steps[::-1])],
+        )
+        st = {k: v.copy() for k, v in state.items()}
+        with pytest.raises(DependenceViolationError):
+            execute_schedule_planned(
+                fl.schedule, kernels, st, plan=reversed_plan, sanitize=True
+            )
+        for var, values in state.items():
+            assert np.array_equal(st[var], values), var  # nothing ran
+
+        with recording() as rec:
+            execute_schedule_planned(
+                fl.schedule, kernels, st, plan=legal, sanitize=True
+            )
+        assert rec.counter("plan.cache_misses") == 0
+        assert "plan.compile" not in [s.name for s in rec.spans]
+        want = execute_schedule(
+            fl.schedule, kernels, {k: v.copy() for k, v in state.items()}
+        )
+        for var in want:
+            if not internal_var(var):
+                assert np.allclose(st[var], want[var], rtol=1e-12, atol=1e-14), var
 
 
 class TestMinBatchRejected:
