@@ -699,7 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="ico",
         choices=("ico", "joint-wavefront", "joint-lbc", "joint-dagp", "joint-hdagg"),
     )
-    sp.add_argument("--save", help="persist the schedule (.npz)")
+    sp.add_argument(
+        "--save", help="persist the schedule to this file (read by load_schedule)"
+    )
     sp.set_defaults(fn=_cmd_fuse)
 
     sp = sub.add_parser("compare", help="compare all implementations")

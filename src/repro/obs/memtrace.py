@@ -409,7 +409,9 @@ def execution_coordinates(
     ``"iter"``, per plan step for ``"plan"``. Vertices sharing a ``t``
     are concurrent (one level step). The ``"plan"`` coordinates are
     those of *plan* when given, else of ``plan_for(schedule, kernels,
-    min_batch=min_batch)``.
+    min_batch=min_batch)``. Raises ``ValueError``, naming the step, when
+    a step's phase is lower than its predecessor's: the executor runs
+    steps in list order, which the phases would then misstate.
     """
     sp, wp, pos = schedule.assignment()
     sp = sp.astype(np.int64)
@@ -430,7 +432,13 @@ def execution_coordinates(
     phase = np.full(schedule.n_vertices, -1, dtype=np.int64)
     tt = np.zeros(schedule.n_vertices, dtype=np.int64)
     next_t: dict[int, int] = {}
-    for step in plan.steps:
+    for i, step in enumerate(plan.steps):
+        if i and step.s < plan.steps[i - 1].s:
+            raise ValueError(
+                f"plan step {i} (loop {step.loop}) has phase s={step.s} after "
+                f"step {i - 1}'s s={plan.steps[i - 1].s}: the executor runs "
+                "steps in list order, so phases must not decrease along it"
+            )
         t = next_t.get(step.s, 0)
         gids = np.asarray(step.iters, dtype=np.int64) + int(offsets[step.loop])
         phase[gids] = step.s
@@ -463,7 +471,8 @@ def sanitize_schedule(
     *kernels*) when one is given, as the plan executor does with the plan
     it is about to run; otherwise it is that of the plan
     :func:`~repro.runtime.plan.plan_for` finds or compiles at
-    *min_batch*.
+    *min_batch*. A plan whose step phases decrease along its step list
+    is rejected with ``ValueError`` (see :func:`execution_coordinates`).
 
     Returns a :class:`SanitizeReport`; call
     :meth:`SanitizeReport.raise_if_violations` (or pass

@@ -113,6 +113,7 @@ from ..schedule.schedule import (
     PLAN_STORE_KEY,
     FusedSchedule,
     check_loop_counts,
+    dependence_edge_sets,
     happens_before,
 )
 
@@ -337,26 +338,17 @@ def _dependence_edges(
     """
     from ..fusion.inspector import build_inter_dep
 
-    src: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    dst: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    for k, kern in enumerate(kernels):
-        dag = kern.intra_dag()
-        if dag.n_edges:
-            src.append(
-                np.repeat(np.arange(offsets[k], offsets[k + 1]), np.diff(dag.indptr))
-            )
-            dst.append(dag.indices + offsets[k])
-    for b in range(1, len(kernels)):
-        for a in range(b):
-            f = build_inter_dep(kernels[a], kernels[b])
-            if f.nnz:  # F[i, j]: producer j of loop a, consumer i of loop b
-                src.append(f.row_indices + offsets[a])
-                dst.append(
-                    np.repeat(
-                        np.arange(offsets[b], offsets[b + 1]), np.diff(f.row_indptr)
-                    )
-                )
-    return np.concatenate(src), np.concatenate(dst)
+    inter = {
+        (a, b): build_inter_dep(kernels[a], kernels[b])
+        for b in range(1, len(kernels))
+        for a in range(b)
+    }
+    sets = dependence_edge_sets([k.intra_dag() for k in kernels], inter, offsets)
+    empty = np.empty(0, dtype=np.int64)
+    return (
+        np.concatenate([empty, *(src for _, src, _ in sets)]),
+        np.concatenate([empty, *(dst for _, _, dst in sets)]),
+    )
 
 
 def _meets_contract(
@@ -548,8 +540,10 @@ def _plan_order_holds(
 ) -> bool:
     """True when *steps* execute *schedule*'s vertices legally on
     *kernels*: each kind and loop is valid and the header counts match,
-    every vertex appears exactly once, and every intra-DAG and ``F`` edge
-    runs to a later step or to a later position of the same scalar step.
+    the steps' phases ``s`` never decrease along the list (the sanitizer
+    models happens-before by them), every vertex appears exactly once,
+    and every intra-DAG and ``F`` edge runs to a later step or to a later
+    position of the same scalar step.
     """
     if [k.n_iterations for k in kernels] != list(schedule.loop_counts):
         return False
@@ -560,6 +554,8 @@ def _plan_order_holds(
     if loops.min() < 0 or loops.max() >= len(kernels):
         return False
     if not all(st.kind in ("level", "scalar") for st in steps):
+        return False
+    if np.any(np.diff(np.array([st.s for st in steps], dtype=np.int64)) < 0):
         return False
     level = np.array([st.kind == "level" for st in steps])
     iters = [st.iters for st in steps]

@@ -34,9 +34,10 @@ Two tiers:
   e.g. the unrolled Gauss-Seidel chunks, which fuse the same pattern
   dozens of times per solve;
 * an optional on-disk store (``directory=``), so inspection is paid once
-  *across* processes. Schedules reuse :mod:`repro.schedule.serialize`'s
-  ``.npz`` format; plans use its single-read array file
-  (:func:`~repro.schedule.serialize.save_arrays`). The key doubles as the
+  *across* processes. Schedules (``sched-<key>.bin``) and plans
+  (``plan-<key>.bin``) are both stored in :mod:`repro.schedule.serialize`'s
+  single-read array file (:func:`~repro.schedule.serialize.save_arrays`),
+  so a disk hit is one read and no zip parsing. The key doubles as the
   stored fingerprint, so a stale or corrupted file fails closed (treated
   as a miss, recomputed and overwritten) instead of yielding a result for
   the wrong pattern. A plan record that loads must also pass
@@ -80,9 +81,10 @@ __all__ = [
 
 #: Version of the key derivation itself. Bump whenever the *semantics*
 #: behind a key change — what the schedulers read, how packing is
-#: decided, the serialized schedule layout — so every on-disk entry
-#: written under the old scheme fails closed to a cache miss instead of
-#: resurrecting a schedule built under different rules. (Schema 2:
+#: decided — so every on-disk entry written under the old scheme fails
+#: closed to a cache miss instead of resurrecting a schedule built under
+#: different rules. A new file layout needs no bump: a file that does not
+#: parse as the current layout is already a miss. (Schema 2:
 #: dynamic-sanitizer era; kernels declare commutative updates that the
 #: inspector's access maps now expose.)
 KEY_SCHEMA = 2
@@ -175,7 +177,9 @@ class ScheduleCache:
 
     ``get``/``put`` always copy (:meth:`FusedSchedule.copy`): callers
     mutate schedule ``meta`` (compiled execution plans, scheduler tags),
-    and a cached entry must stay pristine. ``get_plan``/``put_plan`` hold
+    and a cached entry must stay pristine. A disk hit keeps the schedule
+    as loaded, its vertex arrays read-only views of the one file read,
+    so the copy it returns is the only one. ``get_plan``/``put_plan`` hold
     plan records ``(header, arrays)``; loaded arrays are read-only.
     ``hits``/``misses``/``disk_hits`` count schedule lookups only; plan
     lookups count in ``plan_hits``/``plan_misses``/``plan_disk_hits``.
@@ -198,7 +202,7 @@ class ScheduleCache:
         self.plan_disk_hits = 0
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"sched-{key}.npz"
+        return self.directory / f"sched-{key}.bin"
 
     def _plan_path(self, key: str) -> Path:
         return self.directory / f"plan-{key}.bin"
@@ -213,7 +217,7 @@ class ScheduleCache:
         if self.directory is not None:
             try:
                 sched = load_schedule(self._path(key), expect_fingerprint=key)
-            except (FileNotFoundError, OSError, ScheduleFormatError):
+            except (OSError, ScheduleFormatError):
                 sched = None
             if sched is not None:
                 self._remember(self._mem, key, sched)

@@ -34,6 +34,7 @@ __all__ = [
     "ScheduleError",
     "validate_schedule",
     "happens_before",
+    "dependence_edge_sets",
     "check_loop_counts",
     "concatenate_schedules",
     "PLAN_MEMO_KEY",
@@ -129,16 +130,34 @@ class FusedSchedule:
 
         Unscheduled vertices (a completeness error) keep ``-1``.
         """
+        sp, wp, pos, _ = self._assign()
+        return sp, wp, pos
+
+    def _assign(self):
+        """:meth:`assignment` plus every scheduled vertex in schedule
+        order, all from one concatenate and a few repeats."""
         n = self.n_vertices
         sp = np.full(n, -1, dtype=INDEX_DTYPE)
         wp = np.full(n, -1, dtype=INDEX_DTYPE)
         pos = np.full(n, -1, dtype=INDEX_DTYPE)
-        for s, wlist in enumerate(self.s_partitions):
-            for w, verts in enumerate(wlist):
-                sp[verts] = s
-                wp[verts] = w
-                pos[verts] = np.arange(verts.shape[0], dtype=INDEX_DTYPE)
-        return sp, wp, pos
+        parts = [v for wlist in self.s_partitions for v in wlist]
+        if not parts:
+            return sp, wp, pos, np.empty(0, dtype=INDEX_DTYPE)
+        verts = np.concatenate(parts)
+        sizes = np.array([v.shape[0] for v in parts], dtype=INDEX_DTYPE)
+        widths = np.array(self.widths(), dtype=INDEX_DTYPE)
+        # global w-partition index -> its s-partition and its index there
+        w_spart = np.repeat(np.arange(widths.shape[0], dtype=INDEX_DTYPE), widths)
+        w_local = np.arange(sizes.shape[0], dtype=INDEX_DTYPE) - np.repeat(
+            np.cumsum(widths) - widths, widths
+        )
+        starts = np.cumsum(sizes) - sizes
+        sp[verts] = np.repeat(w_spart, sizes)
+        wp[verts] = np.repeat(w_local, sizes)
+        pos[verts] = np.arange(verts.shape[0], dtype=INDEX_DTYPE) - np.repeat(
+            starts, sizes
+        )
+        return sp, wp, pos, verts
 
     def partition_costs(self, weights: np.ndarray) -> list[np.ndarray]:
         """Total vertex weight of each w-partition, grouped by s-partition."""
@@ -211,40 +230,56 @@ def validate_schedule(
                 f"{schedule.loop_counts[k]}"
             )
     off = schedule.offsets
-    sp, wp, pos = schedule.assignment()
+    sp, wp, pos, verts = schedule._assign()
     # Completeness: every vertex scheduled exactly once.
     if np.any(sp < 0):
         missing = np.nonzero(sp < 0)[0]
         raise ScheduleError(f"{missing.shape[0]} unscheduled vertices, e.g. {missing[:5]}")
-    counts = np.zeros(schedule.n_vertices, dtype=INDEX_DTYPE)
-    for _, _, verts in schedule.iter_all():
-        np.add.at(counts, verts, 1)
-    dup = np.nonzero(counts != 1)[0]
-    if dup.size:
+    n = schedule.n_vertices
+    if verts.shape[0] != n:  # all n covered, so some vertex repeats
+        # negative ids index from the end, as in the assignment
+        counts = np.bincount(verts % n, minlength=n)
+        dup = np.nonzero(counts != 1)[0]
         raise ScheduleError(f"vertices scheduled != once: {dup[:5]} (counts {counts[dup[:5]]})")
 
-    def check_edges(src: np.ndarray, dst: np.ndarray, label: str) -> None:
-        if src.size == 0:
-            return
-        bad = ~happens_before(sp, wp, pos, src, dst)
-        if np.any(bad):
-            i = int(np.nonzero(bad)[0][0])
-            raise ScheduleError(
-                f"{label} dependence violated: {src[i]} -> {dst[i]} "
-                f"(s={sp[src[i]]},w={wp[src[i]]},p={pos[src[i]]}) !< "
-                f"(s={sp[dst[i]]},w={wp[dst[i]]},p={pos[dst[i]]})"
-            )
+    # Dependence rule: one check over every intra and F edge, in the
+    # order of their labels, so the first violation is reported.
+    sets = dependence_edge_sets(dags, inter or {}, off)
+    if not sets:
+        return
+    labels, src, dst = zip(*sets)
+    ends = np.cumsum([e.shape[0] for e in src])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    bad = np.flatnonzero(~happens_before(sp, wp, pos, src, dst))
+    if bad.size:
+        i = int(bad[0])
+        label = labels[int(np.searchsorted(ends, i, side="right"))]
+        u, v = src[i], dst[i]
+        raise ScheduleError(
+            f"{label} dependence violated: {u} -> {v} "
+            f"(s={sp[u]},w={wp[u]},p={pos[u]}) !< "
+            f"(s={sp[v]},w={wp[v]},p={pos[v]})"
+        )
 
+
+def dependence_edge_sets(
+    dags: list[DAG],
+    inter: dict[tuple[int, int], InterDep],
+    offsets: np.ndarray,
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """``(label, src, dst)`` of every non-empty dependence edge set, as
+    global vertex ids under *offsets*: each loop's intra-DAG edges, then
+    each ``F``'s producer -> consumer edges, in *inter*'s order."""
+    sets = []
     for k, d in enumerate(dags):
         if d.n_edges:
-            edges = d.edge_list()
-            check_edges(edges[:, 0] + off[k], edges[:, 1] + off[k], f"intra loop {k}")
-    if inter:
-        for (a, b), f in inter.items():
-            if f.nnz == 0:
-                continue
-            edges = f.edge_list()  # (producer_j, consumer_i)
-            check_edges(edges[:, 0] + off[a], edges[:, 1] + off[b], f"inter {a}->{b}")
+            src = np.repeat(np.arange(offsets[k], offsets[k + 1]), np.diff(d.indptr))
+            sets.append((f"intra loop {k}", src, d.indices + offsets[k]))
+    for (a, b), f in inter.items():
+        if f.nnz:  # F[i, j]: producer j of loop a, consumer i of loop b
+            dst = np.repeat(np.arange(offsets[b], offsets[b + 1]), np.diff(f.row_indptr))
+            sets.append((f"inter {a}->{b}", f.row_indices + offsets[a], dst))
+    return sets
 
 
 def happens_before(

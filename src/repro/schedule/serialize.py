@@ -4,16 +4,18 @@ The paper's inspector-executor contract is that "the fused schedule can
 be reused as long as the sparsity patterns of A and L do not change" —
 iterative solvers pay inspection once and reuse the schedule for the
 whole solve, and across solves with the same pattern. This module makes
-that reuse durable: schedules serialize to a single ``.npz`` file, and a
-*pattern fingerprint* (a SHA-256 over the operand's structure arrays)
-recorded at save time is verified at load time, so a stale schedule is
-rejected instead of silently producing a wrong execution order.
+that reuse durable: a *pattern fingerprint* (a SHA-256 over the
+operand's structure arrays) recorded at save time is verified at load
+time, so a stale schedule is rejected instead of silently producing a
+wrong execution order.
 
-:func:`save_arrays` / :func:`load_arrays` store a list of arrays plus a
-small JSON header in one flat file that loads with a single read and no
-zip handling (the schedule cache keeps compiled plans in it): a fixed
-prefix, the header, then every array's bytes back to back in one arena,
-all under a CRC-32. Loaded arrays are read-only views of that one read.
+Schedules and the schedule cache's compiled plans share one file format,
+written by :func:`save_arrays` and read by :func:`load_arrays`: a list of
+arrays plus a small JSON header in one flat file that loads with a
+single read and no zip handling. The file is a fixed prefix, the header,
+then every array's bytes back to back in one arena, all under a CRC-32.
+Loaded arrays are read-only slices of one typed view of that read per
+dtype.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
     "ScheduleFormatError",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _ARRAYS_MAGIC = b"REPROARR"
 _ARRAYS_VERSION = 1
 #: magic, header length, CRC-32 of everything after this prefix
@@ -78,46 +80,37 @@ def pattern_fingerprint(*operands) -> str:
 def save_schedule(
     path, schedule: FusedSchedule, *, fingerprint: str | None = None
 ) -> Path:
-    """Serialize *schedule* to ``path`` (``.npz``).
+    """Serialize *schedule* to one :func:`save_arrays` file at *path*.
 
     The flattened representation stores every w-partition's vertices in
     one array plus two offset tables (w-partition boundaries and
-    s-partition boundaries over w-partitions) — loading is O(nnz) with
-    no Python-loop parsing.
+    s-partition boundaries over w-partitions) — loading is one read and
+    a slice per w-partition, with no Python-loop parsing. Returns *path*.
     """
-    path = Path(path)
-    verts = []
-    w_offsets = [0]
-    s_offsets = [0]
-    for wlist in schedule.s_partitions:
-        for w in wlist:
-            verts.append(np.asarray(w, dtype=INDEX_DTYPE))
-            w_offsets.append(w_offsets[-1] + w.shape[0])
-        s_offsets.append(s_offsets[-1] + len(wlist))
-    meta = {
+    parts = [w for wlist in schedule.s_partitions for w in wlist]
+    w_offsets = np.zeros(len(parts) + 1, dtype=INDEX_DTYPE)
+    np.cumsum([w.shape[0] for w in parts], out=w_offsets[1:])
+    s_offsets = np.zeros(len(schedule.s_partitions) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(schedule.widths(), out=s_offsets[1:])
+    vertices = (
+        np.concatenate(parts).astype(INDEX_DTYPE, copy=False)
+        if parts
+        else np.empty(0, dtype=INDEX_DTYPE)
+    )
+    header = {
         "format_version": _FORMAT_VERSION,
+        "loop_counts": [int(n) for n in schedule.loop_counts],
         "packing": schedule.packing,
         "fusion": bool(schedule.fusion),
-        "fingerprint": fingerprint,
         "meta": {
             k: v
             for k, v in schedule.meta.items()
             if k not in RUNTIME_META_KEYS and _jsonable(v)
         },
     }
-    np.savez_compressed(
-        path,
-        vertices=(
-            np.concatenate(verts) if verts else np.empty(0, dtype=INDEX_DTYPE)
-        ),
-        w_offsets=np.asarray(w_offsets, dtype=INDEX_DTYPE),
-        s_offsets=np.asarray(s_offsets, dtype=INDEX_DTYPE),
-        loop_counts=np.asarray(schedule.loop_counts, dtype=INDEX_DTYPE),
-        meta_json=np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        ),
+    return save_arrays(
+        path, header, [vertices, w_offsets, s_offsets], fingerprint=fingerprint
     )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
 def load_schedule(path, *, expect_fingerprint: str | None = None) -> FusedSchedule:
@@ -126,53 +119,68 @@ def load_schedule(path, *, expect_fingerprint: str | None = None) -> FusedSchedu
     When *expect_fingerprint* is given (compute it from the current
     operands with :func:`pattern_fingerprint`), a mismatch against the
     stored fingerprint raises :class:`ScheduleFormatError` — the operand
-    pattern changed and the schedule must be re-inspected.
+    pattern changed and the schedule must be re-inspected. So does a
+    damaged file. The vertex arrays are read-only views of the one read;
+    :meth:`FusedSchedule.copy` gives writable ones.
     """
-    with np.load(path) as data:
-        try:
-            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-            vertices = data["vertices"]
-            w_offsets = data["w_offsets"]
-            s_offsets = data["s_offsets"]
-            loop_counts = tuple(int(x) for x in data["loop_counts"])
-        except KeyError as exc:
-            raise ScheduleFormatError(f"missing field in {path}: {exc}") from exc
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ScheduleFormatError(
-            f"unsupported schedule format {meta.get('format_version')!r}"
-        )
-    stored = meta.get("fingerprint")
+    stored, header, arrays = _read_arrays(path)
     if expect_fingerprint is not None and stored != expect_fingerprint:
         raise ScheduleFormatError(
             "operand pattern changed since this schedule was saved "
             f"(stored {str(stored)[:12]}..., current "
             f"{expect_fingerprint[:12]}...); re-run the inspector"
         )
-    s_partitions: list[list[np.ndarray]] = []
-    for s in range(s_offsets.shape[0] - 1):
-        wlist = []
-        for w in range(int(s_offsets[s]), int(s_offsets[s + 1])):
-            wlist.append(vertices[int(w_offsets[w]) : int(w_offsets[w + 1])].copy())
-        s_partitions.append(wlist)
-    sched = FusedSchedule(
-        loop_counts,
-        s_partitions,
-        packing=meta.get("packing", "none"),
-        fusion=meta.get("fusion", True),
-        meta=dict(meta.get("meta", {})),
-    )
+    try:
+        if header["format_version"] != _FORMAT_VERSION:
+            raise ScheduleFormatError(
+                f"unsupported schedule format {header['format_version']!r}"
+            )
+        vertices, w_offsets, s_offsets = arrays
+        loop_counts = tuple(int(n) for n in header["loop_counts"])
+        w_bounds = w_offsets.tolist()
+        s_bounds = s_offsets.tolist()
+        if (
+            vertices.ndim != 1
+            or vertices.dtype != INDEX_DTYPE
+            or not _spans(w_bounds, vertices.shape[0])
+            or not _spans(s_bounds, len(w_bounds) - 1)
+        ):
+            raise ValueError("offset tables do not partition the vertices")
+        sched = FusedSchedule(
+            loop_counts,
+            [
+                [vertices[w_bounds[w] : w_bounds[w + 1]] for w in range(lo, hi)]
+                for lo, hi in zip(s_bounds[:-1], s_bounds[1:])
+            ],
+            packing=header["packing"],
+            fusion=header["fusion"],
+            meta=dict(header["meta"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScheduleFormatError(f"{path}: malformed schedule ({exc})") from exc
     if stored is not None:
         sched.meta["fingerprint"] = stored
     return sched
 
 
+def _spans(bounds: list, total: int) -> bool:
+    """True when *bounds* runs from 0 to *total* without decreasing."""
+    return (
+        len(bounds) > 0
+        and bounds[0] == 0
+        and bounds[-1] == total
+        and all(a <= b for a, b in zip(bounds, bounds[1:]))
+    )
+
+
 def save_arrays(
-    path, header: dict, arrays: list[np.ndarray], *, fingerprint: str
+    path, header: dict, arrays: list[np.ndarray], *, fingerprint: str | None
 ) -> Path:
     """Write *arrays* and the JSON-able *header* to one file at *path*.
 
-    Each array is stored as its raw bytes (8-byte aligned) with its
-    dtype and shape in the header; object arrays are rejected with
+    Each array is stored as its raw bytes, at an offset that is a
+    multiple of 8 and of its itemsize, with its dtype and shape in the
+    header; object arrays and zero-width dtypes are rejected with
     ``TypeError``. The file is written to a temporary name and renamed
     into place, so a concurrent reader sees the old file or the new one.
     """
@@ -181,15 +189,16 @@ def save_arrays(
     chunks = []
     offset = 0
     for arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.hasobject:
-            raise TypeError("object arrays cannot be stored")
-        table.append([arr.dtype.str, offset, list(arr.shape)])
-        chunks.append(arr.tobytes())
-        pad = -arr.nbytes % 8
+        arr = np.asarray(arr)  # tobytes() is C order; 0-d stays 0-d
+        if arr.dtype.hasobject or arr.dtype.itemsize == 0:
+            raise TypeError(f"{arr.dtype} arrays cannot be stored")
+        pad = -offset % math.lcm(8, arr.dtype.itemsize)
         if pad:
             chunks.append(bytes(pad))
-        offset += arr.nbytes + pad
+            offset += pad
+        table.append([arr.dtype.str, offset, list(arr.shape)])
+        chunks.append(arr.tobytes())
+        offset += arr.nbytes
     head = json.dumps(
         {
             "format_version": _ARRAYS_VERSION,
@@ -214,7 +223,21 @@ def load_arrays(path, *, expect_fingerprint: str) -> tuple[dict, list[np.ndarray
 
     Raises :class:`ScheduleFormatError` on a truncated or corrupted file
     (CRC-32), an unknown format version, a fingerprint other than
-    *expect_fingerprint*, or an array table that does not fit the file.
+    *expect_fingerprint*, or an array table that does not fit the file
+    or puts an array at an offset that is not a multiple of its
+    itemsize.
+    """
+    stored, header, arrays = _read_arrays(path)
+    if stored != expect_fingerprint:
+        raise ScheduleFormatError(f"{path}: fingerprint mismatch")
+    return header, arrays
+
+
+def _read_arrays(path) -> tuple[str | None, dict, list[np.ndarray]]:
+    """``(fingerprint, header, arrays)`` of a :func:`save_arrays` file.
+
+    The arena is read once; each array is a basic slice of one read-only
+    ``frombuffer`` view of the arena per dtype.
     """
     data = Path(path).read_bytes()
     prefix = _ARRAYS_PREFIX.size
@@ -231,19 +254,30 @@ def load_arrays(path, *, expect_fingerprint: str) -> tuple[dict, list[np.ndarray
             raise ScheduleFormatError(
                 f"unsupported array format {meta['format_version']!r}"
             )
-        if meta["fingerprint"] != expect_fingerprint:
-            raise ScheduleFormatError(f"{path}: fingerprint mismatch")
         arena = prefix + head_len
+        arena_bytes = len(data) - arena
+        views: dict[str, tuple[np.ndarray, int]] = {}
         arrays = []
-        for dtype, offset, shape in meta["arrays"]:
-            dtype = np.dtype(dtype)
-            count = math.prod(shape)
-            start = arena + offset
-            if offset < 0 or start + count * dtype.itemsize > len(data):
-                raise ScheduleFormatError(f"{path}: array table out of range")
-            arrays.append(np.frombuffer(data, dtype, count, start).reshape(shape))
-        return meta["header"], arrays
-    except (KeyError, TypeError, ValueError) as exc:
+        for code, offset, shape in meta["arrays"]:
+            entry = views.get(code)
+            if entry is None:
+                dtype = np.dtype(code)
+                entry = views[code] = (
+                    np.frombuffer(data, dtype, arena_bytes // dtype.itemsize, arena),
+                    dtype.itemsize,
+                )
+            view, size = entry
+            start, misaligned = divmod(offset, size)
+            end = start + (shape[0] if len(shape) == 1 else math.prod(shape))
+            if misaligned or not 0 <= start <= end <= view.shape[0]:
+                raise ScheduleFormatError(
+                    f"{path}: array table out of range or misaligned"
+                )
+            arrays.append(
+                view[start:end] if len(shape) == 1 else view[start:end].reshape(shape)
+            )
+        return meta["fingerprint"], meta["header"], arrays
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ScheduleFormatError(f"{path}: malformed header ({exc})") from exc
 
 

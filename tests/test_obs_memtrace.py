@@ -2,6 +2,8 @@
 executor models, seeded corruptions are caught with exact
 provenance, and commutative-update exemptions hold."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,40 @@ def test_sanitizer_emits_registered_counters(lap2d_nd):
     assert any(s.name == "sanitize.run" for s in rec.spans)
     for name in rec.counters:
         assert name in names.REGISTRY
+
+
+# -- a plan's step phases must follow its step list -------------------------
+def _combo1_plan():
+    """Combo 1 on ``laplacian_2d(12)`` at ``min_batch=1``: fused schedule,
+    kernels and its compiled plan."""
+    from repro.runtime import compile_plan
+
+    kernels, _ = build_combination(1, laplacian_2d(12))
+    fused = fuse(kernels, 8)
+    plan = compile_plan(fused.schedule, kernels, min_batch=1)
+    assert plan.n_steps > 2
+    return fused.schedule, kernels, plan
+
+
+def test_reversed_steps_with_their_phases_are_rejected():
+    # runs illegally (consumers first); its old phases used to model the
+    # original order, so the sanitizer reported it clean
+    schedule, kernels, plan = _combo1_plan()
+    reversed_plan = replace(plan, steps=plan.steps[::-1])
+    with pytest.raises(ValueError, match=r"plan step 1 \(loop 1\) has phase s="):
+        sanitize_schedule(schedule, kernels, executor="plan", plan=reversed_plan)
+    with pytest.raises(ValueError, match="plan step 1"):
+        execution_coordinates(schedule, kernels, "plan", plan=reversed_plan)
+
+
+def test_legal_order_with_reversed_phases_is_rejected():
+    # runs legally, but its phases claim the reverse order: the sanitizer
+    # used to report false violations for it
+    schedule, kernels, plan = _combo1_plan()
+    phases = [st.s for st in plan.steps][::-1]
+    relabelled = replace(
+        plan, steps=[replace(st, s=s) for st, s in zip(plan.steps, phases)]
+    )
+    with pytest.raises(ValueError, match=r"plan step 1 \(loop 0\) has phase s="):
+        sanitize_schedule(schedule, kernels, executor="plan", plan=relabelled)
+    assert sanitize_schedule(schedule, kernels, executor="plan", plan=plan).clean

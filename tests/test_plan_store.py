@@ -27,7 +27,7 @@ from repro.schedule import FusedSchedule, serialize
 from repro.schedule.cache import ScheduleCache, plan_key, schedule_key
 from repro.solvers import build_gs_chain
 from repro.solvers.gauss_seidel import gs_split
-from repro.sparse import CSRMatrix, apply_ordering, laplacian_3d
+from repro.sparse import CSRMatrix, apply_ordering, laplacian_2d, laplacian_3d
 
 from .test_kernels_dataflow import all_kernels
 
@@ -182,6 +182,41 @@ def _consumer_first(path):
         steps.insert(0, steps.pop(i))
 
     _rewrite(path, edit)
+
+
+def _reversed_steps(path):
+    # every step moved, each keeping its phase: an illegal order whose
+    # phases still describe the legal one
+    _rewrite(path, lambda header, arrays: header["steps"].reverse())
+
+
+def _reversed_phases(path):
+    # the legal order, but phases that decrease along the step list
+    def edit(header, arrays):
+        steps = header["steps"]
+        for step, s in zip(steps, [step[2] for step in steps][::-1]):
+            step[2] = s
+
+    _rewrite(path, edit)
+
+
+@pytest.mark.parametrize("damage", ["reversed-steps", "reversed-phases"])
+def test_plans_whose_phases_decrease_recompile(damage, tmp_path):
+    a = laplacian_2d(12)
+    _fuse_and_run("combo1", a, tmp_path, min_batch=1)
+    path = _plan_file(tmp_path)
+    good = path.read_bytes()
+    (_reversed_steps if damage == "reversed-steps" else _reversed_phases)(path)
+    assert path.read_bytes() != good
+
+    with recording() as rec:
+        fused, state, cache = _fuse_and_run("combo1", a, tmp_path, min_batch=1)
+    assert rec.counter("plan.store_misses") == 1
+    assert rec.counter("plan.cache_misses") == 1
+    assert cache.stats["plan_misses"] == 1 and cache.stats["plan_hits"] == 0
+    assert path.read_bytes() == good  # overwritten with the compiled plan
+    phases = [st.s for st in plan_for(fused.schedule, fused.kernels, min_batch=1).steps]
+    assert phases == sorted(phases)
 
 
 @pytest.mark.parametrize(

@@ -47,7 +47,7 @@ def test_disk_cache_hits_from_a_fresh_cache(combo, lap3d_nd, tmp_path):
     first = fuse(kernels, N_THREADS, cache=ScheduleCache(directory=tmp_path))
     assert first.meta["cache"] == "miss"
     # fuse persisted the schedule under exactly the pinned key
-    assert (tmp_path / f"sched-{PINNED_KEYS[combo]}.npz").is_file()
+    assert (tmp_path / f"sched-{PINNED_KEYS[combo]}.bin").is_file()
 
     kernels, _ = build_combination(combo, lap3d_nd)  # no memoized maps
     fresh = ScheduleCache(directory=tmp_path)

@@ -137,3 +137,105 @@ class TestConcatenate:
         multi = sched((1, 1), [[[0, 1]]])
         with pytest.raises(ValueError, match="single-loop"):
             concatenate_schedules([multi])
+
+
+# -- the one-pass validator agrees with the per-partition, per-edge-set loop
+def loop_assignment(s):
+    """``assignment()`` written as one scatter per w-partition."""
+    n = s.n_vertices
+    sp, wp, pos = (np.full(n, -1, dtype=np.int64) for _ in range(3))
+    for si, wlist in enumerate(s.s_partitions):
+        for wi, verts in enumerate(wlist):
+            sp[verts] = si
+            wp[verts] = wi
+            pos[verts] = np.arange(verts.shape[0])
+    return sp, wp, pos
+
+
+def loop_first_violation(s, dags, inter):
+    """The first dependence violation, checking one edge set at a time:
+    each loop's intra edges in order, then each ``F`` in dict order."""
+    sp, wp, pos = loop_assignment(s)
+    off = s.offsets
+    edge_sets = [
+        (f"intra loop {k}", d.edge_list(), off[k], off[k])
+        for k, d in enumerate(dags)
+    ] + [
+        (f"inter {a}->{b}", f.edge_list(), off[a], off[b])
+        for (a, b), f in inter.items()
+    ]
+    for label, edges, src_off, dst_off in edge_sets:
+        if edges.shape[0] == 0:
+            continue
+        src, dst = edges[:, 0] + src_off, edges[:, 1] + dst_off
+        su, sv = sp[src], sp[dst]
+        ordered = (su < sv) | ((su == sv) & (wp[src] == wp[dst]) & (pos[src] < pos[dst]))
+        bad = ~ordered
+        if np.any(bad):
+            i = int(np.nonzero(bad)[0][0])
+            return (
+                f"{label} dependence violated: {src[i]} -> {dst[i]} "
+                f"(s={sp[src[i]]},w={wp[src[i]]},p={pos[src[i]]}) !< "
+                f"(s={sp[dst[i]]},w={wp[dst[i]]},p={pos[dst[i]]})"
+            )
+    return None
+
+
+class TestOnePassValidator:
+    @pytest.mark.parametrize(
+        "loop_counts, sparts",
+        [
+            ((0,), []),
+            ((3,), [[[]], [[], []]]),
+            ((6,), [[[4, 0, 2], [5]], [[]], [[1], [3], []]]),  # ragged
+            ((4, 3), [[[6, 0], [2, 3, 5, 1]], [[4]]]),  # incomplete
+        ],
+        ids=["empty", "empty-partitions", "ragged", "incomplete"],
+    )
+    def test_assignment_matches_the_loop(self, loop_counts, sparts):
+        s = sched(loop_counts, sparts)
+        got, want = s.assignment(), loop_assignment(s)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.tolist() == w.tolist()
+
+    def test_duplicate_message_counts_repeats(self):
+        s = sched((4,), [[[0, 1, 2], [1, 3]], [[1]]])
+        with pytest.raises(ScheduleError, match=r"\[1\] \(counts \[3\]\)"):
+            validate_schedule(s, [DAG.empty(4)])
+
+    @staticmethod
+    def _fused(lap2d_nd):
+        from repro import fuse
+        from repro.fusion import build_combination
+
+        kernels, _ = build_combination(3, lap2d_nd)  # SpTRSV -> SpMV
+        fl = fuse(kernels, 4)
+        assert fl.inter and fl.dags[0].n_edges
+        return fl
+
+    @staticmethod
+    def _swap(s, u, v):
+        """*s* with vertices *u* and *v* exchanging their slots."""
+        bad = s.copy()
+        sp, wp, pos = bad.assignment()
+        wu = bad.s_partitions[sp[u]][wp[u]]
+        wv = bad.s_partitions[sp[v]][wp[v]]
+        wu[pos[u]], wv[pos[v]] = v, u
+        return bad
+
+    @pytest.mark.parametrize("kind", ["intra", "inter"])
+    def test_first_violation_matches_the_loop(self, kind, lap2d_nd):
+        fl = self._fused(lap2d_nd)
+        off = fl.schedule.offsets
+        if kind == "intra":
+            u, v = fl.dags[0].edge_list()[-1]
+        else:
+            ((a, b), f), *_ = fl.inter.items()
+            j, i = f.edge_list()[-1]
+            u, v = j + off[a], i + off[b]
+        bad = self._swap(fl.schedule, int(u), int(v))
+        want = loop_first_violation(bad, fl.dags, fl.inter)
+        assert want is not None and want.startswith(kind)
+        with pytest.raises(ScheduleError) as info:
+            validate_schedule(bad, fl.dags, fl.inter)
+        assert str(info.value) == want

@@ -263,7 +263,7 @@ class TestScheduleCache:
         monkeypatch.setattr(cache_mod, "KEY_SCHEMA", cache_mod.KEY_SCHEMA - 1)
         old = ScheduleCache(directory=tmp_path)
         assert fuse(kernels, 4, cache=old).meta["cache"] == "miss"
-        assert list(tmp_path.glob("sched-*.npz"))  # persisted under old key
+        assert list(tmp_path.glob("sched-*.bin"))  # persisted under old key
         monkeypatch.undo()  # current schema again
         fresh = ScheduleCache(directory=tmp_path)
         f2 = fuse(kernels, 4, cache=fresh)
@@ -281,8 +281,8 @@ class TestScheduleCache:
         f2.validate()
         # a stale/corrupted store fails closed: treated as a miss
         stale = ScheduleCache(directory=tmp_path)
-        for p in tmp_path.glob("sched-*.npz"):
-            other = tmp_path / ("sched-" + "0" * 64 + ".npz")
+        for p in tmp_path.glob("sched-*.bin"):
+            other = tmp_path / ("sched-" + "0" * 64 + ".bin")
             p.rename(other)
         f3 = fuse(kernels, 4, cache=stale)
         assert f3.meta["cache"] == "miss"
