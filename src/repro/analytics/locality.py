@@ -48,7 +48,7 @@ from ..obs import names
 from ..obs.memtrace import AccessStream, collect_access_stream
 from ..runtime.cache import CacheConfig, stack_distances
 from ..schedule.schedule import FusedSchedule
-from ..utils.arrays import distinct
+from ..utils.intsort import stable_argsort, stable_lexsort, unique
 
 __all__ = [
     "WPartitionLocality",
@@ -257,7 +257,7 @@ def _vertex_lines(
     """
     n_vertices = stream.n_vertices
     line = stream.lines(line_elems)
-    order = np.lexsort((line, stream.gid))
+    order = stable_lexsort((line, stream.gid))
     gid, line, write = stream.gid[order], line[order], stream.write[order]
     first = np.ones(gid.shape[0], dtype=bool)
     first[1:] = (gid[1:] != gid[:-1]) | (line[1:] != line[:-1])
@@ -286,15 +286,15 @@ def _replay(
     n_sp = schedule.n_spartitions
     sp, wp, pos = schedule.assignment()
     rank = np.empty(schedule.n_vertices, dtype=np.int64)  # executed order
-    rank[np.lexsort((pos, wp, sp))] = np.arange(schedule.n_vertices)
+    rank[stable_lexsort((pos, wp, sp))] = np.arange(schedule.n_vertices)
     entry_gid = np.repeat(np.arange(schedule.n_vertices), np.diff(indptr))
-    order = np.argsort(rank[entry_gid], kind="stable")
+    order = stable_argsort(rank[entry_gid])
     order = order[sp[entry_gid[order]] >= 0]  # unscheduled vertices never run
     stream = lines[order]
     # segments: the non-empty w-partitions, in (s, w) order
     n_w = int(wp.max(initial=0)) + 1
     sw_key = (sp * n_w + wp)[entry_gid[order]]
-    seg_keys = distinct(sw_key)
+    seg_keys = unique(sw_key)
     seg = np.searchsorted(seg_keys, sw_key)
     seg_s = seg_keys // n_w
     n_seg = seg_keys.shape[0]
@@ -326,10 +326,10 @@ def _replay(
     s_acc = np.bincount(seg_s, weights=n_acc, minlength=n_sp)
     s_hits = np.bincount(seg_s, weights=hits, minlength=n_sp)
     s_key = seg_s[seg] * span + stream
-    s_ws = np.bincount(distinct(s_key) // span, minlength=n_sp)
+    s_ws = np.bincount(unique(s_key) // span, minlength=n_sp)
     w_entry = written[order]
-    writer_lines = distinct(s_key[w_entry] * n_seg + seg[w_entry]) // n_seg
-    shared = distinct(writer_lines[1:][writer_lines[1:] == writer_lines[:-1]])
+    writer_lines = unique(s_key[w_entry] * n_seg + seg[w_entry]) // n_seg
+    shared = unique(writer_lines[1:][writer_lines[1:] == writer_lines[:-1]])
     s_false = np.bincount(shared // span, minlength=n_sp)
     s_parts = [
         SPartitionLocality(

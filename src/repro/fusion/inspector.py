@@ -61,6 +61,10 @@ def _join_maps(
     n_right = riptr.shape[0] - 1
     li = np.repeat(np.arange(n_left, dtype=INDEX_DTYPE), np.diff(liptr))
     ri = np.repeat(np.arange(n_right, dtype=INDEX_DTYPE), np.diff(riptr))
+    # The maps list elements in sorted runs, one per iteration, and mostly
+    # sorted overall; timsort merges such runs faster than a radix sort
+    # redoes them (2.6-9.7 against 6.6-17 us on the perfbench `cold`
+    # maps), so this sort stays on NumPy.
     order = np.argsort(lelems, kind="stable")
     le = lelems[order]
     li = li[order]

@@ -23,6 +23,7 @@ from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE, as_index_array, as_value_arr
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from ..utils.arrays import multi_range
+from ..utils.intsort import stable_argsort, stable_lexsort
 
 __all__ = ["DAG", "share_pattern_analyses"]
 
@@ -133,7 +134,7 @@ class DAG:
         edges = np.asarray(edges, dtype=INDEX_DTYPE).reshape(-1, 2)
         if edges.size == 0:
             return cls.empty(n, weights)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        order = stable_lexsort((edges[:, 1], edges[:, 0]))
         src, dst = edges[order, 0], edges[order, 1]
         dedup = np.concatenate([[True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])])
         src, dst = src[dedup], dst[dedup]
@@ -151,29 +152,41 @@ class DAG:
         paper). Accepts :class:`CSRMatrix` or :class:`CSCMatrix`; the DAG's
         successor lists are exactly the strict-lower columns.
 
+        A CSR row's strictly-lower entries are exactly that vertex's
+        predecessors, in ascending order, so a CSR input also seeds the
+        :meth:`predecessor_arrays` memo: one transpose builds the
+        successors, where converting to CSC and then asking for the
+        predecessors would take two.
+
         Default vertex weights are the nonzeros touched per iteration
         (row nnz for CSR inputs, column nnz for CSC inputs).
         """
-        if isinstance(low, CSRMatrix):
-            csc = low.to_csc()
-            default_w = low.row_nnz().astype(VALUE_DTYPE)
-        elif isinstance(low, CSCMatrix):
-            csc = low
-            default_w = low.col_nnz().astype(VALUE_DTYPE)
-        else:
+        if not isinstance(low, (CSRMatrix, CSCMatrix)):
             raise TypeError(f"expected CSRMatrix or CSCMatrix, got {type(low)}")
-        if csc.n_rows != csc.n_cols:
+        if low.n_rows != low.n_cols:
             raise ValueError("dependency DAGs require square operands")
-        n = csc.n_cols
-        # Successors of j = strictly-lower rows of column j.
-        cols = np.repeat(np.arange(n, dtype=INDEX_DTYPE), csc.col_nnz())
-        mask = csc.indices > cols
-        dst = csc.indices[mask]
-        counts = np.bincount(cols[mask], minlength=n)
-        indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=indptr[1:])
+        n = low.n_cols
+        if isinstance(low, CSRMatrix):
+            rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), low.row_nnz())
+            mask = low.indices < rows
+            pred_indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+            np.cumsum(np.bincount(rows[mask], minlength=n), out=pred_indptr[1:])
+            pred_indices = low.indices[mask]
+            indptr, indices = _transposed(n, pred_indptr, pred_indices)
+            default_w = low.row_nnz().astype(VALUE_DTYPE)
+        else:
+            # Successors of j = strictly-lower rows of column j.
+            cols = np.repeat(np.arange(n, dtype=INDEX_DTYPE), low.col_nnz())
+            mask = low.indices > cols
+            indices = low.indices[mask]
+            indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+            np.cumsum(np.bincount(cols[mask], minlength=n), out=indptr[1:])
+            default_w = low.col_nnz().astype(VALUE_DTYPE)
         w = weights if weights is not None else default_w
-        return cls(n, indptr, dst, w, check=False)
+        dag = cls(n, indptr, indices, w, check=False)
+        if isinstance(low, CSRMatrix):
+            dag._pred_indptr, dag._pred_indices = pred_indptr, pred_indices
+        return dag
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -198,19 +211,19 @@ class DAG:
         return indices[indptr[v] : indptr[v + 1]]
 
     def predecessor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)`` of the predecessor (transposed) adjacency."""
+        """``(indptr, indices)`` of the predecessor (transposed) adjacency,
+        each vertex's predecessors ascending (cached).
+
+        Built by one transpose of the successor arrays, unless a CSR
+        :meth:`from_lower_triangular` input or :meth:`transpose` already
+        provided them. Callers must not mutate the returned arrays.
+        """
         if self._pred_indptr is None and self._twin is not None:
             self._pred_indptr, self._pred_indices = self._twin.predecessor_arrays()
         if self._pred_indptr is None:
-            counts = np.bincount(self.indices, minlength=self.n)
-            indptr = np.zeros(self.n + 1, dtype=INDEX_DTYPE)
-            np.cumsum(counts, out=indptr[1:])
-            order = np.argsort(self.indices, kind="stable")
-            srcs = np.repeat(
-                np.arange(self.n, dtype=INDEX_DTYPE), np.diff(self.indptr)
+            self._pred_indptr, self._pred_indices = _transposed(
+                self.n, self.indptr, self.indices
             )
-            self._pred_indptr = indptr
-            self._pred_indices = srcs[order]
         return self._pred_indptr, self._pred_indices
 
     def out_degrees(self) -> np.ndarray:
@@ -346,7 +359,7 @@ class DAG:
         if self._wavefronts is None:
             lv = self.levels()
             # Stable: each level's vertices stay in ascending order.
-            order = np.argsort(lv, kind="stable")
+            order = stable_argsort(lv)
             sorted_lv = lv[order]
             boundaries = np.nonzero(np.diff(sorted_lv))[0] + 1
             self._wavefronts = np.split(order, boundaries) if self.n else []
@@ -471,6 +484,20 @@ class DAG:
     def validate_schedulable(self) -> None:
         """Raise unless the DAG is acyclic (delegates to topo sort)."""
         self.topological_order()
+
+
+def _transposed(
+    n: int, indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The transpose of the *n*-vertex adjacency ``(indptr, indices)``.
+
+    One stable sort of the targets: each transposed list comes out in
+    ascending source order.
+    """
+    out_indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(indices, minlength=n), out=out_indptr[1:])
+    srcs = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(indptr))
+    return out_indptr, srcs[stable_argsort(indices)]
 
 
 def share_pattern_analyses(dags: list[DAG]) -> int:

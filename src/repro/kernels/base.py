@@ -32,6 +32,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..utils.arrays import multi_range
+from ..utils.intsort import stable_lexsort
 
 __all__ = [
     "Kernel",
@@ -312,7 +313,7 @@ def map_from_pairs(
     order of a per-iteration ``np.unique`` — via one ``lexsort`` and an
     adjacent-duplicate drop.
     """
-    order = np.lexsort((elems, iters))
+    order = stable_lexsort((elems, iters))
     it, el = iters[order], elems[order]
     keep = np.ones(it.shape[0], dtype=bool)
     keep[1:] = (it[1:] != it[:-1]) | (el[1:] != el[:-1])

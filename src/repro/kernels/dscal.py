@@ -21,6 +21,7 @@ from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from ..utils.arrays import group_sums, multi_range, split_sizes
+from ..utils.intsort import unique
 from .base import Kernel, State, empty_map, map_from_pairs, slice_map
 
 __all__ = ["DScalCSR", "DScalCSC"]
@@ -106,7 +107,7 @@ class DScalCSR(Kernel):
             lo, hi = self.a.indptr[i], self.a.indptr[i + 1]
             own = np.arange(lo, hi, dtype=INDEX_DTYPE)
             diags = self._diag_pos[self.a.indices[lo:hi]]
-            return np.unique(np.concatenate([own, diags]))
+            return unique(np.concatenate([own, diags]))
         return _EMPTY
 
     def writes_of(self, var: str, i: int) -> np.ndarray:
@@ -213,7 +214,7 @@ class DScalCSC(Kernel):
             lo, hi = self.low.indptr[j], self.low.indptr[j + 1]
             own = np.arange(lo, hi, dtype=INDEX_DTYPE)
             diags = self._diag_pos[self.low.indices[lo:hi]]
-            return np.unique(np.concatenate([own, diags]))
+            return unique(np.concatenate([own, diags]))
         return _EMPTY
 
     def writes_of(self, var: str, j: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..utils.arrays import group_sums, multi_range, split_sizes
+from ..utils.intsort import stable_lexsort, unique
 from .base import Kernel, State, empty_map, map_from_ranges, slice_map
 
 __all__ = ["SpIC0"]
@@ -67,7 +68,7 @@ class SpIC0(Kernel):
         r = low.indices[strict]
         k = cols[strict]
         pos = np.nonzero(strict)[0].astype(INDEX_DTYPE)
-        order = np.lexsort((k, r))
+        order = stable_lexsort((k, r))
         self._row_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
         np.cumsum(np.bincount(r, minlength=n), out=self._row_ptr[1:])
         self._row_cols = k[order]
@@ -260,7 +261,7 @@ class SpIC0(Kernel):
                         dtype=INDEX_DTYPE,
                     )
                 )
-            return np.unique(np.concatenate(parts)) if parts else _EMPTY
+            return unique(np.concatenate(parts)) if parts else _EMPTY
         return _EMPTY
 
     def writes_of(self, var: str, j: int) -> np.ndarray:

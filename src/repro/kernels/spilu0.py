@@ -23,6 +23,7 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csr import CSRMatrix
 from ..utils.arrays import group_sums, multi_range, split_sizes
+from ..utils.intsort import unique
 from .base import Kernel, State, empty_map, map_from_ranges, slice_map
 
 __all__ = ["SpILU0"]
@@ -219,7 +220,7 @@ class SpILU0(Kernel):
                         self._diag_pos[k], self.a.indptr[k + 1], dtype=INDEX_DTYPE
                     )
                 )
-            return np.unique(np.concatenate(parts)) if parts else _EMPTY
+            return unique(np.concatenate(parts)) if parts else _EMPTY
         return _EMPTY
 
     def writes_of(self, var: str, i: int) -> np.ndarray:

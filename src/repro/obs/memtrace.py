@@ -72,6 +72,7 @@ from ..schedule.schedule import (
 )
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range
+from ..utils.intsort import stable_lexsort
 from . import names
 from .recorder import current as current_recorder
 
@@ -335,7 +336,7 @@ def derive_dependence_pairs(stream: AccessStream) -> DependencePairs:
     empty = np.empty(0, dtype=np.int64)
     if n == 0:
         return DependencePairs(empty, empty, empty, empty, empty, empty)
-    order = np.lexsort((stream.kind, stream.gid, stream.elem, stream.var))
+    order = stable_lexsort((stream.kind, stream.gid, stream.elem, stream.var))
     var = stream.var[order]
     elem = stream.elem[order]
     gid = stream.gid[order]

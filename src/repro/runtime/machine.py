@@ -42,6 +42,7 @@ from ..obs import current as current_recorder
 from ..obs import names
 from ..obs.memtrace import collect_access_stream
 from ..schedule.schedule import FusedSchedule
+from ..utils.intsort import stable_argsort, stable_lexsort
 from .cache import DRAM, L1, LLC, CacheConfig, cache_levels
 
 __all__ = ["MachineConfig", "MachineReport", "SimulatedMachine"]
@@ -233,10 +234,10 @@ class SimulatedMachine:
         sp, wp, pos = schedule.assignment()
         thread = wp % cfg.n_threads
         rank = np.empty(schedule.n_vertices, dtype=np.int64)  # in thread order
-        rank[np.lexsort((pos, wp, sp, thread))] = np.arange(schedule.n_vertices)
+        rank[stable_lexsort((pos, wp, sp, thread))] = np.arange(schedule.n_vertices)
         n_slots = int(stream.slot.max(initial=0)) + 1
         call = rank[stream.gid] * n_slots + stream.slot
-        order = np.argsort(call, kind="stable")
+        order = stable_argsort(call)
         order = order[sp[stream.gid[order]] >= 0]  # unscheduled vertices never run
         gid = stream.gid[order]
         lines = stream.lines(cc.line_elems)[order]

@@ -113,9 +113,10 @@ from ..schedule.schedule import (
     PLAN_STORE_KEY,
     FusedSchedule,
     check_loop_counts,
-    dependence_edge_sets,
+    dependence_edges,
     happens_before,
 )
+from ..utils.intsort import stable_lexsort
 
 __all__ = [
     "PlanStep",
@@ -257,7 +258,7 @@ def compile_plan(
         widths = [len(wlist) for wlist in schedule.s_partitions]
         s_of = np.repeat(np.repeat(np.arange(len(widths)), widths), sizes)
         loops = np.searchsorted(offsets, verts, side="right") - 1
-        src, dst = _dependence_edges(kernels, offsets)
+        src, dst = _dependence_edges(schedule, kernels)
         mergeable = verts.shape[0] > 0 and _meets_contract(
             schedule.n_vertices, verts, s_of, sizes, src, dst
         )
@@ -266,9 +267,9 @@ def compile_plan(
         if mergeable:
             # One step per (loop, level), in ascending (loop, level): a
             # dependence order by legality (b) and (c).
-            order = np.lexsort((level, loops))
+            order = stable_lexsort((level, loops))
         else:
-            order = np.lexsort((level, loops, s_of))
+            order = stable_lexsort((level, loops, s_of))
         # Stable: within a step, vertices keep schedule order.
         verts, s_of, loops, level = (x[order] for x in (verts, s_of, loops, level))
         first = np.ones(verts.shape[0], dtype=bool)
@@ -327,28 +328,31 @@ def _check_min_batch(min_batch: int) -> None:
 
 
 def _dependence_edges(
-    kernels: list[Kernel], offsets: np.ndarray
+    schedule: FusedSchedule, kernels: list[Kernel]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Global ``(src, dst)`` vertex arrays of every intra-DAG edge and
-    every ``F`` edge between ordered loop pairs.
+    every non-empty ``F`` between ordered loop pairs.
 
     ``F`` comes from :func:`~repro.fusion.inspector.build_inter_dep`,
     memoized on the consumer kernel, so a plan compiled after
-    :func:`~repro.fusion.fused.fuse` re-uses the inspector's join.
+    :func:`~repro.fusion.fused.fuse` re-uses the inspector's join. The
+    pairs are taken in :func:`~repro.fusion.fused.inspect_loops`' order,
+    so after ``fuse(validate=True)`` the edge arrays themselves come from
+    :func:`~repro.schedule.schedule.dependence_edges`' memo rather than
+    being built a second time.
     """
     from ..fusion.inspector import build_inter_dep
 
-    inter = {
-        (a, b): build_inter_dep(kernels[a], kernels[b])
-        for b in range(1, len(kernels))
-        for a in range(b)
-    }
-    sets = dependence_edge_sets([k.intra_dag() for k in kernels], inter, offsets)
-    empty = np.empty(0, dtype=np.int64)
-    return (
-        np.concatenate([empty, *(src for _, src, _ in sets)]),
-        np.concatenate([empty, *(dst for _, _, dst in sets)]),
-    )
+    n = len(kernels)
+    inter = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            f = build_inter_dep(kernels[a], kernels[b])
+            if f.nnz:
+                inter[(a, b)] = f
+    dags = [k.intra_dag() for k in kernels]
+    _, _, src, dst = dependence_edges(schedule, dags, inter)
+    return src, dst
 
 
 def _meets_contract(
@@ -582,7 +586,7 @@ def _plan_order_holds(
         return False
     pos = np.empty(n_vertices, dtype=np.int64)
     pos[verts] = np.arange(n_vertices)
-    src, dst = _dependence_edges(kernels, schedule.offsets)
+    src, dst = _dependence_edges(schedule, kernels)
     a, b = step_of[src], step_of[dst]
     return bool(np.all((a < b) | ((a == b) & ~level[a] & (pos[src] < pos[dst]))))
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE
+from ..utils.intsort import stable_argsort
 from .schedule import FusedSchedule
 
 __all__ = ["dagp_schedule", "dagp_partition"]
@@ -177,7 +178,7 @@ def dagp_schedule(
         cross = pu != pv
         pu, pv = pu[cross], pv[cross]
         # Iterate parts in id order; relax cross edges grouped by target.
-        order = np.argsort(pv, kind="stable")
+        order = stable_argsort(pv)
         pu, pv = pu[order], pv[order]
         starts = np.searchsorted(pv, np.arange(n_parts_actual))
         ends = np.searchsorted(pv, np.arange(n_parts_actual), side="right")

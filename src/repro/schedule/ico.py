@@ -52,6 +52,7 @@ from ..obs import current as current_recorder
 from ..obs import names
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range
+from ..utils.intsort import stable_argsort, stable_lexsort, unique
 from .lbc import lbc_schedule
 from .partition_utils import UnionFind, components_flat, pack_flat
 from .schedule import FusedSchedule
@@ -300,7 +301,7 @@ class _IcoBuilder:
         """Record pre-decided (s, w) placements and update loads."""
         self.sp[gverts] = s_arr
         self.wp[gverts] = w_arr
-        for s in np.unique(s_arr).tolist():
+        for s in unique(s_arr).tolist():
             m = s_arr == s
             np.add.at(self.loads[s], w_arr[m], self.weights[gverts[m]])
 
@@ -335,17 +336,17 @@ class _IcoBuilder:
             wmin = _frontier_reduce(
                 np.where(at_max, pwp, _NO_DEP), counts, np.minimum, _NO_DEP
             )
-            unique = live & (wmax == wmin)
-            if unique.any():
-                self._bulk_place(gv[unique], s_max[unique], wmax[unique])
+            paired = live & (wmax == wmin)
+            if paired.any():
+                self._bulk_place(gv[paired], s_max[paired], wmax[paired])
             self._assign_stream(0, gv[streamed])
-            displaced = live & ~unique
+            displaced = live & ~paired
             if displaced.any():
                 targets = s_max[displaced] + 1
                 dv = gv[displaced]
                 while self.n_sparts <= int(targets.max()):
                     self._append_spartition()
-                for s_t in np.unique(targets).tolist():
+                for s_t in unique(targets).tolist():
                     self._assign_stream(int(s_t), dv[targets == s_t])
 
     def embed_backward(self, t: int) -> None:
@@ -360,11 +361,11 @@ class _IcoBuilder:
         indptr, indices = self._consumers_csr(t)
         off = int(self.offsets[t])
         heights = self.dags[t].heights()
-        hsort = np.argsort(heights, kind="stable")
+        # stable: each height's vertices stay in ascending order
+        hsort = stable_argsort(heights)
         bounds = np.nonzero(np.diff(heights[hsort]))[0] + 1
         last = self.n_sparts - 1
         for lv in np.split(hsort, bounds):
-            lv = np.sort(lv)
             gv = lv + off
             starts = indptr[lv]
             counts = indptr[lv + 1] - starts
@@ -385,11 +386,11 @@ class _IcoBuilder:
             wmin = _frontier_reduce(
                 np.where(at_min, cwp, _NO_DEP), counts, np.minimum, _NO_DEP
             )
-            unique = live & (wmax == wmin)
-            if unique.any():
-                self._bulk_place(gv[unique], s_min[unique], wmax[unique])
+            paired = live & (wmax == wmin)
+            if paired.any():
+                self._bulk_place(gv[paired], s_min[paired], wmax[paired])
             self._assign_stream(last, gv[free])
-            displaced = live & ~unique
+            displaced = live & ~paired
             if displaced.any():
                 targets = s_min[displaced] - 1
                 dv = gv[displaced]
@@ -397,7 +398,7 @@ class _IcoBuilder:
                 if to_pre.any():
                     self.sp[dv[to_pre]] = -1
                     self.preamble.extend(dv[to_pre].tolist())
-                for s_t in np.unique(targets[~to_pre]).tolist():
+                for s_t in unique(targets[~to_pre]).tolist():
                     self._assign_stream(int(s_t), dv[~to_pre][targets[~to_pre] == s_t])
             if pre.any():
                 self.sp[gv[pre]] = -1
@@ -444,11 +445,14 @@ class _IcoBuilder:
             src = dst = np.empty(0, dtype=INDEX_DTYPE)
         self._g_edges = (src, dst)
         n = self.n_total
+        # src is a few ascending runs (each loop's edge list is
+        # source-major), which timsort merges in linear time (78 against
+        # 283 us per perfbench `cold` pass); dst is not.
         order = np.argsort(src, kind="stable")
         sptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
         np.cumsum(np.bincount(src, minlength=n), out=sptr[1:])
         self._g_succ = (sptr, dst[order])
-        order = np.argsort(dst, kind="stable")
+        order = stable_argsort(dst)
         pptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
         np.cumsum(np.bincount(dst, minlength=n), out=pptr[1:])
         self._g_pred = (pptr, src[order])
@@ -493,8 +497,8 @@ class _IcoBuilder:
         if not mask_a.any() or not mask_b.any():
             self._drop_empty(s if not mask_a.any() else s + 1)
             return True
-        used_a = np.unique(self.wp[mask_a])
-        used_b = np.unique(self.wp[mask_b])
+        used_a = unique(self.wp[mask_a])
+        used_b = unique(self.wp[mask_b])
         width_a, width_b = used_a.shape[0], used_b.shape[0]
         # Cluster the w-partitions of both levels through the cross edges
         # (node ids: 0..r-1 -> level s, r..2r-1 -> level s+1), vectorized:
@@ -506,7 +510,7 @@ class _IcoBuilder:
             pair_ids = self.wp[esrc[cross]] * (2 * self.r) + (
                 self.r + self.wp[edst[cross]]
             )
-            for pid in np.unique(pair_ids).tolist():
+            for pid in unique(pair_ids).tolist():
                 uf.union(pid // (2 * self.r), pid % (2 * self.r))
         used = set(used_a.tolist())
         used.update((self.r + used_b).tolist())
@@ -576,7 +580,7 @@ class _IcoBuilder:
         current_recorder().count(names.ICO_SLACK_POOLED, pool.shape[0])
         if pool.shape[0] == 0:
             return
-        for s in np.unique(self.sp[pool]).tolist():
+        for s in unique(self.sp[pool]).tolist():
             m = self.sp[pool] == s
             np.add.at(self.loads[s], self.wp[pool[m]], -self.weights[pool[m]])
         self.sp[pool] = -3
@@ -587,7 +591,7 @@ class _IcoBuilder:
         plo = lo[pool]
         phi = hi[pool]
         placed = np.zeros(pool.shape[0], dtype=bool)
-        for s_e in np.unique(phi).tolist():
+        for s_e in unique(phi).tolist():
             elig = ~placed & (plo <= s_e) & (phi >= s_e)
             must = elig & (phi == s_e)
             if must.any():
@@ -629,15 +633,16 @@ class _IcoBuilder:
             return FusedSchedule(loop_counts, [], packing=packing)
         sp = self.sp[verts]
         wp = self.wp[verts]
+        # verts ascend, so the stable sorts below keep them as the last key
         if packing == "interleaved":
             code = sp * (self.r + 1) + wp
             full_code = np.full(self.n_total, -1, dtype=INDEX_DTYPE)
             full_code[verts] = code
             anchor = self._interleave_keys(full_code)
             loop_of = self._loop_of()
-            order = np.lexsort((verts, loop_of[verts], anchor[verts], wp, sp))
+            order = stable_lexsort((loop_of[verts], anchor[verts], wp, sp))
         else:
-            order = np.lexsort((verts, wp, sp))
+            order = stable_lexsort((wp, sp))
         vs = verts[order]
         sps = sp[order]
         wps = wp[order]
@@ -677,7 +682,7 @@ class _IcoBuilder:
         anchor = self._interleave_keys(code)
         loop_of = self._loop_of()
         return [
-            [v[np.lexsort((v, loop_of[v], anchor[v]))] for v in wlist]
+            [v[stable_lexsort((v, loop_of[v], anchor[v]))] for v in wlist]
             for wlist in s_partitions
         ]
 
@@ -719,6 +724,7 @@ class _IcoBuilder:
         same = (code[src] >= 0) & (code[src] == code[dst])
         es, ed = src[same], dst[same]
         indeg = np.bincount(ed, minlength=n).astype(INDEX_DTYPE)
+        # es keeps the source-major runs of the global edge list
         order = np.argsort(es, kind="stable")
         sptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
         np.cumsum(np.bincount(es, minlength=n), out=sptr[1:])
@@ -742,7 +748,7 @@ class _IcoBuilder:
                 break
             np.maximum.at(prop, nbr, np.repeat(a, counts))
             np.subtract.at(indeg, nbr, 1)
-            cand = np.unique(nbr)
+            cand = unique(nbr)
             frontier = cand[indeg[cand] == 0]
             depth += 1
         return anchor
@@ -753,7 +759,7 @@ class _IcoBuilder:
         code[verts] = 0
         anchor = self._interleave_keys(code)
         loop_of = self._loop_of()
-        return verts[np.lexsort((verts, loop_of[verts], anchor[verts]))].astype(
+        return verts[stable_lexsort((verts, loop_of[verts], anchor[verts]))].astype(
             INDEX_DTYPE, copy=False
         )
 

@@ -19,6 +19,7 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE
 from ..utils.arrays import multi_range, split_sizes
+from ..utils.intsort import stable_argsort, stable_lexsort, unique
 
 __all__ = [
     "UnionFind",
@@ -162,11 +163,11 @@ def components_flat(
     *weights*.
     """
     nv = verts.shape[0]
-    uniq, inv = np.unique(roots, return_inverse=True)
+    uniq, inv = unique(roots, return_inverse=True)
     first = np.full(uniq.shape[0], nv, dtype=INDEX_DTYPE)
     np.minimum.at(first, inv, np.arange(nv, dtype=INDEX_DTYPE))
     rank = first[inv]
-    order = np.lexsort((verts, rank))
+    order = stable_lexsort((verts, rank))
     members = verts[order]
     head = np.ones(nv, dtype=bool)
     head[1:] = np.diff(rank[order]) != 0
@@ -281,7 +282,7 @@ def pack_flat(
         return lpt_pack(groups, costs.tolist(), n_bins)
     # Groups in ascending first-vertex order, cut into contiguous
     # cost-balanced runs; then one lexsort sorts every bin's vertices.
-    order = np.argsort(members[starts], kind="stable")
+    order = stable_argsort(members[starts])
     cum = np.cumsum(costs[order])
     cuts = np.searchsorted(cum, float(cum[-1]) * np.arange(1, n_bins) / n_bins)
     bounds = np.concatenate(
@@ -290,6 +291,6 @@ def pack_flat(
     group_bin = np.empty(n_groups, dtype=np.int64)
     group_bin[order] = np.repeat(np.arange(n_bins), np.diff(bounds))
     member_bin = np.repeat(group_bin, ends - starts)
-    packed = members[np.lexsort((members, member_bin))]
+    packed = members[stable_lexsort((members, member_bin))]
     sizes = np.bincount(member_bin, minlength=n_bins)
     return [b for b in split_sizes(packed, sizes) if b.shape[0]]

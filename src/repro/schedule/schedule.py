@@ -21,7 +21,9 @@ w-partition with ``u`` ordered before ``v``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "validate_schedule",
     "happens_before",
     "dependence_edge_sets",
+    "dependence_edges",
     "check_loop_counts",
     "concatenate_schedules",
     "PLAN_MEMO_KEY",
@@ -47,9 +50,11 @@ PLAN_MEMO_KEY = "_execution_plans"
 #: ``meta`` key of the :class:`~repro.schedule.cache.ScheduleCache` that
 #: :func:`repro.fusion.fuse` bound for storing this schedule's plans.
 PLAN_STORE_KEY = "_plan_store"
-#: ``meta`` keys that belong to one in-process schedule object: neither
-#: is serialized, and :meth:`FusedSchedule.copy` drops both.
-RUNTIME_META_KEYS = (PLAN_MEMO_KEY, PLAN_STORE_KEY)
+#: ``meta`` key of the dependence-edge memo (:func:`dependence_edges`).
+EDGES_MEMO_KEY = "_dependence_edges"
+#: ``meta`` keys that belong to one in-process schedule object: none is
+#: serialized, and :meth:`FusedSchedule.copy` drops them all.
+RUNTIME_META_KEYS = (PLAN_MEMO_KEY, PLAN_STORE_KEY, EDGES_MEMO_KEY)
 
 
 class ScheduleError(AssertionError):
@@ -244,16 +249,11 @@ def validate_schedule(
 
     # Dependence rule: one check over every intra and F edge, in the
     # order of their labels, so the first violation is reported.
-    sets = dependence_edge_sets(dags, inter or {}, off)
-    if not sets:
-        return
-    labels, src, dst = zip(*sets)
-    ends = np.cumsum([e.shape[0] for e in src])
-    src, dst = np.concatenate(src), np.concatenate(dst)
+    labels, ends, src, dst = dependence_edges(schedule, dags, inter or {})
     bad = np.flatnonzero(~happens_before(sp, wp, pos, src, dst))
     if bad.size:
         i = int(bad[0])
-        label = labels[int(np.searchsorted(ends, i, side="right"))]
+        label = labels[bisect_right(ends, i)]
         u, v = src[i], dst[i]
         raise ScheduleError(
             f"{label} dependence violated: {u} -> {v} "
@@ -280,6 +280,41 @@ def dependence_edge_sets(
             dst = np.repeat(np.arange(offsets[b], offsets[b + 1]), np.diff(f.row_indptr))
             sets.append((f"inter {a}->{b}", f.row_indices + offsets[a], dst))
     return sets
+
+
+def dependence_edges(
+    schedule: FusedSchedule,
+    dags: list[DAG],
+    inter: dict[tuple[int, int], InterDep],
+) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray, np.ndarray]:
+    """Every edge of :func:`dependence_edge_sets` in one ``(src, dst)``
+    pair of arrays, as ``(labels, ends, src, dst)``: set ``labels[i]``
+    ends (exclusive) at ``ends[i]``, both tuples.
+
+    Memoized on ``schedule.meta``, keyed by the loop counts and the DAG
+    and ``F`` objects themselves (whose structure is immutable), so
+    :func:`validate_schedule` and the plan compiler or plan-store check
+    of one operation build the arrays once. The memo keeps those objects
+    alive, so their ids cannot be recycled; :meth:`FusedSchedule.copy`
+    drops it. The arrays are read-only.
+    """
+    memo = schedule.meta.setdefault(EDGES_MEMO_KEY, {})
+    key = (tuple(schedule.loop_counts), tuple(dags), tuple(inter.items()))
+    edges = memo.get(key)
+    if edges is None:
+        sets = dependence_edge_sets(dags, inter, schedule.offsets)
+        empty = np.empty(0, dtype=np.int64)
+        src = np.concatenate([empty, *(u for _, u, _ in sets)])
+        dst = np.concatenate([empty, *(v for _, _, v in sets)])
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        edges = memo[key] = (
+            tuple(label for label, _, _ in sets),
+            tuple(accumulate(u.shape[0] for _, u, _ in sets)),
+            src,
+            dst,
+        )
+    return edges
 
 
 def happens_before(

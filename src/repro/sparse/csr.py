@@ -307,10 +307,15 @@ class CSRMatrix:
 def _compressed_transpose(indptr, indices, data, n_minor):
     """Transpose a compressed structure: returns new (indptr, indices, data).
 
-    Shared by CSR<->CSC conversion and ``transpose``; output indices are
-    sorted because rows are visited in order during the stable counting
-    pass.
+    Shared by CSR<->CSC conversion and ``transpose``. One stable sort of
+    the minor indices groups the entries by minor index; stability keeps
+    each group in major order, so the output indices come out sorted.
+    The sort is :func:`~repro.utils.intsort.stable_argsort`: one or two
+    16-bit radix passes once there are enough entries to repay them.
     """
+    # imported here: repro.utils imports repro.sparse
+    from ..utils.intsort import stable_argsort
+
     nnz = indices.shape[0]
     n_major = indptr.shape[0] - 1
     counts = np.bincount(indices, minlength=n_minor)
@@ -318,10 +323,7 @@ def _compressed_transpose(indptr, indices, data, n_minor):
     np.cumsum(counts, out=out_indptr[1:])
     out_indices = np.empty(nnz, dtype=INDEX_DTYPE)
     out_data = np.empty(nnz, dtype=VALUE_DTYPE)
-    # Stable counting sort keyed by the minor index; argsort with
-    # kind="stable" is O(nnz log nnz) but vectorized, which beats a Python
-    # loop by orders of magnitude at these sizes.
-    order = np.argsort(indices, kind="stable")
+    order = stable_argsort(indices)
     majors = np.repeat(np.arange(n_major, dtype=INDEX_DTYPE), np.diff(indptr))
     out_indices[:] = majors[order]
     out_data[:] = data[order]

@@ -60,7 +60,10 @@ def _adjacency_lists(a: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
     # Symmetrize (patterns from our generators already are, but be safe).
     r = np.concatenate([rows, cols])
     c = np.concatenate([cols, rows])
-    order = np.lexsort((c, r))
+    # imported here: repro.utils imports repro.sparse
+    from ..utils.intsort import stable_lexsort
+
+    order = stable_lexsort((c, r))
     r, c = r[order], c[order]
     if r.size:
         dedup = np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])])

@@ -8,7 +8,6 @@ from ..sparse.base import INDEX_DTYPE
 
 __all__ = [
     "checked_vector",
-    "distinct",
     "group_sums",
     "multi_range",
     "segment_boundaries_split",
@@ -28,16 +27,6 @@ def checked_vector(name: str, v, n: int) -> np.ndarray:
     if out.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {out.shape}")
     return out
-
-
-def distinct(x: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of *x* (a sort plus run heads).
-
-    Several times faster than ``np.unique`` on the integer keys used
-    here, whose NumPy 2 implementation hashes.
-    """
-    x = np.sort(x)
-    return x[np.r_[True, x[1:] != x[:-1]]] if x.shape[0] else x
 
 
 def multi_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

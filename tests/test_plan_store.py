@@ -24,6 +24,7 @@ from repro.obs import recording
 from repro.runtime import allocate_state, compile_plan, execute_schedule_planned, plan_for
 from repro.runtime.plan import PLAN_STORE_KEY
 from repro.schedule import FusedSchedule, serialize
+from repro.schedule import schedule as schedule_module
 from repro.schedule.cache import ScheduleCache, plan_key, schedule_key
 from repro.solvers import build_gs_chain
 from repro.solvers.gauss_seidel import gs_split
@@ -217,6 +218,57 @@ def test_plans_whose_phases_decrease_recompile(damage, tmp_path):
     assert path.read_bytes() == good  # overwritten with the compiled plan
     phases = [st.s for st in plan_for(fused.schedule, fused.kernels, min_batch=1).steps]
     assert phases == sorted(phases)
+
+
+def _swapped_dependent_steps(path):
+    # two consecutive steps of one loop (levels L and L + 1) trade their
+    # kind, iterations and precomputation but keep their phases, so the
+    # phases still never decrease: only the edge check sees that level
+    # L + 1 now runs before the level it depends on
+    def edit(header, arrays):
+        steps = header["steps"]
+        i = next(i for i in range(len(steps) - 1) if steps[i][1] == steps[i + 1][1])
+        a, b = steps[i], steps[i + 1]
+        a[0], b[0] = b[0], a[0]
+        a[3:], b[3:] = b[3:], a[3:]
+
+    _rewrite(path, edit)
+
+
+def test_swapped_dependent_steps_recompile_on_one_edge_build(tmp_path, monkeypatch):
+    # fuse(validate=True) and the plan store's order check (and the
+    # recompile after its miss) share one build of the dependence edges
+    a = laplacian_2d(12)
+    _fuse_and_run("combo1", a, tmp_path)
+    path = _plan_file(tmp_path)
+    good = path.read_bytes()
+    _swapped_dependent_steps(path)
+    assert path.read_bytes() != good
+
+    builds = []
+    build = schedule_module.dependence_edge_sets
+    for module in list(sys.modules.values()):
+        if getattr(module, "dependence_edge_sets", None) is build:
+            monkeypatch.setattr(
+                module,
+                "dependence_edge_sets",
+                lambda *args: builds.append(1) or build(*args),
+            )
+    with recording() as rec:
+        fused, state, cache = _fuse_and_run("combo1", a, tmp_path)
+    assert len(builds) == 1
+    assert rec.counter("plan.store_misses") == 1
+    assert rec.counter("plan.cache_misses") == 1
+    assert cache.stats["plan_misses"] == 1 and cache.stats["plan_hits"] == 0
+    assert _bitwise_equal(state, _compiled_run("combo1", a))
+    assert path.read_bytes() == good  # overwritten with the compiled plan
+
+    builds.clear()
+    with recording() as rec:
+        _fuse_and_run("combo1", a, tmp_path)
+    assert len(builds) == 1
+    assert rec.counter("plan.store_hits") == 1
+    assert rec.counter("plan.cache_misses") == 0
 
 
 @pytest.mark.parametrize(
