@@ -82,6 +82,14 @@ class Kernel(abc.ABC):
     #: here.
     atomic_update_vars: dict[str, tuple[str, ...]] = {}
 
+    #: The variable a level step's CSR row block multiplies, for kernels
+    #: whose level precomputations carry one (``ptr``, ``cols`` and
+    #: ``gather``, run by :func:`~repro.utils.arrays.row_block_matvec`);
+    #: ``None`` for every other kernel. The compiled product checks no
+    #: bounds, so a stored plan's row blocks are checked against this
+    #: variable's length when the plan is loaded.
+    row_block_var: str | None = None
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
@@ -134,8 +142,9 @@ class Kernel(abc.ABC):
         level steps and hands each step's entry back verbatim to every
         :meth:`run_level_batch` call for that step. Shipped kernels answer
         with one gather pass over all steps, split per step (concatenated
-        gather/scatter index arrays and ``np.add.reduceat`` segment
-        boundaries). The default has nothing to precompute.
+        gather/scatter index arrays, and the CSR row blocks of the kernels
+        that set :attr:`row_block_var`). The default has nothing to
+        precompute.
         """
         return [None] * len(sizes)
 

@@ -24,8 +24,8 @@ from ..sparse.csr import CSRMatrix
 from ..utils.arrays import (
     group_sums,
     multi_range,
-    segment_boundaries_split,
-    segment_sums_at,
+    row_block_matvec,
+    row_block_ptrs,
     split_sizes,
 )
 from .base import Kernel, State, empty_map, identity_map, slice_map
@@ -56,6 +56,7 @@ class SpMVCSR(Kernel):
         self.x_var = x_var
         self.y_var = y_var
         self.add_var = add_var
+        self.row_block_var = x_var
         self._dag: DAG | None = None
 
     @property
@@ -85,11 +86,11 @@ class SpMVCSR(Kernel):
         gather = multi_range(starts, counts)
         per_step = group_sums(counts, sizes)
         return [
-            {"gather": g, "cols": c, "reduce_starts": rs, "nonempty": ne}
-            for g, c, (rs, ne) in zip(
-                split_sizes(gather, per_step),
+            {"ptr": p, "cols": c, "gather": g}
+            for p, c, g in zip(
+                row_block_ptrs(counts, sizes),
                 split_sizes(self.a.indices[gather], per_step),
-                segment_boundaries_split(counts, sizes),
+                split_sizes(gather, per_step),
             )
         ]
 
@@ -106,22 +107,19 @@ class SpMVCSR(Kernel):
         return p
 
     def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
+        # the accumulator starts at the addend (or zeros) and adds the
+        # row block's product
         vals = precomp.get("vals")
         if vals is None:
             vals = state[self.a_var][precomp["gather"]]
-        out = segment_sums_at(
-            vals * state[self.x_var][precomp["cols"]],
-            iters.shape[0],
-            precomp["reduce_starts"],
-            precomp["nonempty"],
-        )
-        if self.add_var is not None:
-            addvals = precomp.get("addvals")
-            if addvals is None:
-                addvals = state[self.add_var][iters]
-            out = out + addvals
-        state[self.y_var][iters] = out
+        if self.add_var is None:
+            acc = np.zeros(len(iters), dtype=VALUE_DTYPE)
+        else:
+            acc = precomp.get("addvals")
+            acc = state[self.add_var][iters] if acc is None else acc.copy()
+        x = state[self.x_var]
+        row_block_matvec(precomp["ptr"], precomp["cols"], vals, x, acc)
+        state[self.y_var][iters] = acc
 
     def run_reference(self, state: State) -> None:
         mat = CSRMatrix(

@@ -22,8 +22,8 @@ from ..sparse.csc import CSCMatrix
 from ..utils.arrays import (
     group_sums,
     multi_range,
-    segment_boundaries_split,
-    segment_sums_at,
+    row_block_matvec,
+    row_block_ptrs,
     split_sizes,
 )
 from .base import Kernel, State, empty_map, slice_map
@@ -60,6 +60,7 @@ class SpMVSymLower(Kernel):
         self.a_var = a_var
         self.x_var = x_var
         self.y_var = y_var
+        self.row_block_var = x_var
         # every access to y is part of the `y[touched] += ...` accumulation
         self.atomic_update_vars = {y_var: ("read", "write")}
         self._dag: DAG | None = None
@@ -97,20 +98,13 @@ class SpMVSymLower(Kernel):
         gather = multi_range(lo + 1, counts)
         per_step = group_sums(counts, sizes)
         return [
-            {
-                "diag": d,
-                "gather": g,
-                "rows": r,
-                "counts": c,
-                "reduce_starts": rs,
-                "nonempty": ne,
-            }
-            for d, g, r, c, (rs, ne) in zip(
+            {"diag": d, "ptr": p, "cols": r, "gather": g, "counts": c}
+            for d, p, r, g, c in zip(
                 split_sizes(lo, sizes),
-                split_sizes(gather, per_step),
+                row_block_ptrs(counts, sizes),
                 split_sizes(self.low.indices[gather], per_step),
+                split_sizes(gather, per_step),
                 split_sizes(counts, sizes),
-                segment_boundaries_split(counts, sizes),
             )
         ]
 
@@ -120,16 +114,13 @@ class SpMVSymLower(Kernel):
         x = state[self.x_var]
         y = state[self.y_var]
         vals = a[precomp["gather"]]
+        rows = precomp["cols"]  # strict-lower rows of the step's columns
         # gather half: y[j] += diag*x[j] + sum(off * x[rows])
-        off = segment_sums_at(
-            vals * x[precomp["rows"]],
-            iters.shape[0],
-            precomp["reduce_starts"],
-            precomp["nonempty"],
-        )
-        np.add.at(y, iters, a[precomp["diag"]] * x[iters] + off)
+        acc = a[precomp["diag"]] * x[iters]
+        row_block_matvec(precomp["ptr"], rows, vals, x, acc)
+        np.add.at(y, iters, acc)
         # scatter half: y[rows] += off * x[j]
-        np.add.at(y, precomp["rows"], vals * np.repeat(x[iters], precomp["counts"]))
+        np.add.at(y, rows, vals * np.repeat(x[iters], precomp["counts"]))
 
     def run_reference(self, state: State) -> None:
         low = CSCMatrix(

@@ -26,8 +26,8 @@ from ..sparse.csr import CSRMatrix
 from ..utils.arrays import (
     group_sums,
     multi_range,
-    segment_boundaries_split,
-    segment_sums_at,
+    row_block_matvec,
+    row_block_ptrs,
     split_sizes,
 )
 from .base import Kernel, State, empty_map, identity_map, map_from_counts, slice_map
@@ -58,6 +58,7 @@ class SpTRSVCSR(Kernel):
         self.l_var = l_var
         self.b_var = b_var
         self.x_var = x_var
+        self.row_block_var = x_var
         # With sorted indices the diagonal is the last entry of each row;
         # verify once.
         n = low.n_rows
@@ -94,18 +95,12 @@ class SpTRSVCSR(Kernel):
         gather = multi_range(starts, counts)
         per_step = group_sums(counts, sizes)
         return [
-            {
-                "gather": g,
-                "cols": c,
-                "diag": d,
-                "reduce_starts": rs,
-                "nonempty": ne,
-            }
-            for g, c, d, (rs, ne) in zip(
-                split_sizes(gather, per_step),
+            {"ptr": p, "cols": c, "gather": g, "diag": d}
+            for p, c, g, d in zip(
+                row_block_ptrs(counts, sizes),
                 split_sizes(self.low.indices[gather], per_step),
+                split_sizes(gather, per_step),
                 split_sizes(self.low.indptr[iters + 1] - 1, sizes),
-                segment_boundaries_split(counts, sizes),
             )
         ]
 
@@ -115,26 +110,25 @@ class SpTRSVCSR(Kernel):
             return precomp
         return {
             **precomp,
-            "vals": lx[precomp["gather"]],
+            "vals": np.negative(lx[precomp["gather"]]),
             "dvals": lx[precomp["diag"]],
         }
 
     def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
+        # x[i] = (b[i] + sum_j (-L[i, j]) x[j]) / L[i, i]: the accumulator
+        # starts at b and adds the row block's product with the negated
+        # off-diagonals, bitwise the same whether they are bound or not
         vals = precomp.get("vals")
         if vals is None:
             lx = state[self.l_var]
-            vals, dvals = lx[precomp["gather"]], lx[precomp["diag"]]
+            vals, dvals = np.negative(lx[precomp["gather"]]), lx[precomp["diag"]]
         else:
             dvals = precomp["dvals"]
         x = state[self.x_var]
-        sums = segment_sums_at(
-            vals * x[precomp["cols"]],
-            iters.shape[0],
-            precomp["reduce_starts"],
-            precomp["nonempty"],
-        )
-        x[iters] = (state[self.b_var][iters] - sums) / dvals
+        acc = state[self.b_var][iters]
+        row_block_matvec(precomp["ptr"], precomp["cols"], vals, x, acc)
+        acc /= dvals
+        x[iters] = acc
 
     def run_reference(self, state: State) -> None:
         from scipy.sparse.linalg import spsolve_triangular
@@ -396,6 +390,7 @@ class SpTRSVCSRFromLU(Kernel):
         self.lu_var = lu_var
         self.b_var = b_var
         self.x_var = x_var
+        self.row_block_var = x_var
         # position of the diagonal inside each row (first entry >= i):
         # the row start plus the row's strict-lower count
         rows = np.repeat(np.arange(a.n_rows, dtype=INDEX_DTYPE), a.row_nnz())
@@ -430,25 +425,21 @@ class SpTRSVCSRFromLU(Kernel):
         gather = multi_range(starts, counts)
         per_step = group_sums(counts, sizes)
         return [
-            {"gather": g, "cols": c, "reduce_starts": rs, "nonempty": ne}
-            for g, c, (rs, ne) in zip(
-                split_sizes(gather, per_step),
+            {"ptr": p, "cols": c, "gather": g}
+            for p, c, g in zip(
+                row_block_ptrs(counts, sizes),
                 split_sizes(self.a.indices[gather], per_step),
-                segment_boundaries_split(counts, sizes),
+                split_sizes(gather, per_step),
             )
         ]
 
     def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        lu = state[self.lu_var]
+        # x[i] = b[i] + sum_j (-LU[i, j]) x[j], as in SpTRSVCSR with d = 1
+        vals = np.negative(state[self.lu_var][precomp["gather"]])
         x = state[self.x_var]
-        sums = segment_sums_at(
-            lu[precomp["gather"]] * x[precomp["cols"]],
-            iters.shape[0],
-            precomp["reduce_starts"],
-            precomp["nonempty"],
-        )
-        x[iters] = state[self.b_var][iters] - sums
+        acc = state[self.b_var][iters]
+        row_block_matvec(precomp["ptr"], precomp["cols"], vals, x, acc)
+        x[iters] = acc
 
     def run_reference(self, state: State) -> None:
         x = state[self.x_var]

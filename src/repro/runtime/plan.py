@@ -23,13 +23,22 @@ pays interpreter cost per iteration. This module compiles a
   runs one step per intra level — the same count as an unfused plan —
   while the schedule still sets the order inside each step.
 * Per level step, the kernel's precomputation — the concatenated
-  gather/scatter index arrays and ``np.add.reduceat`` segment
-  boundaries — is built up front, so executing the plan does no index
-  arithmetic at all — only gathers, segment reductions and scatters.
-  The compiler asks each loop for all of its level steps at once
-  through :meth:`~repro.kernels.base.Kernel.precompute_levels`, and
-  every shipped kernel answers with one gather pass over every step,
-  split per step, instead of a dozen small passes.
+  gather/scatter index arrays — is built up front, so executing the
+  plan does no index arithmetic at all. The compiler asks each loop for
+  all of its level steps at once through
+  :meth:`~repro.kernels.base.Kernel.precompute_levels`, and every
+  shipped kernel answers with one gather pass over every step, split per
+  step, instead of a dozen small passes.
+* The linear-row kernels, ``dst[i] = (rhs[i] − Σ_j v_ij·src[j]) / d[i]``
+  (SpTRSV-CSR, its from-LU variant, and SpMV-CSR with ``d = 1``), hold
+  one CSR row block per step: ``ptr``, ``cols`` and ``gather`` (plus
+  ``diag`` for the solves). A step starts an accumulator at the
+  right-hand side, adds the block product in one compiled call
+  (:func:`~repro.utils.arrays.row_block_matvec`), divides in place and
+  scatters once. That call checks no bounds, so a stored plan's row
+  blocks are checked once on load, all of them in one vectorized pass,
+  and each run refuses a state vector shorter than a row block reaches;
+  a plan compiled in this process is trusted as built.
 * The intra-DAG levels come from ``kern.intra_dag().levels()``. Loops
   over one sparsity pattern share that memo with the DAG the inspector
   linked them to (:meth:`~repro.graph.dag.DAG.share_analyses`), so a
@@ -46,9 +55,10 @@ pays interpreter cost per iteration. This module compiles a
   its kind, loop, phase and iterations plus the ``precompute_levels``
   arrays, which depend on sparsity patterns only. On load it is bound to
   the caller's kernels and used only if every vertex appears exactly
-  once and every intra-DAG and ``F`` edge runs to a later step (or to a
-  later position of the same scalar step); otherwise it is recompiled
-  and overwritten. Counters ``plan.cache_hits`` / ``plan.cache_misses``
+  once, every intra-DAG and ``F`` edge runs to a later step (or to a
+  later position of the same scalar step) and every row block stays in
+  bounds (:func:`_row_blocks_hold`); otherwise it is recompiled and
+  overwritten. Counters ``plan.cache_hits`` / ``plan.cache_misses``
   (compilations) / ``plan.store_hits`` / ``plan.store_misses`` /
   ``plan.steps_merged``, the ``plan.compile_seconds`` counter and the
   ``plan.compile`` / ``plan.load`` spans make the amortization visible.
@@ -83,13 +93,14 @@ plan sanitizer reports the fault with the schedule's s/w coordinates.
 
 Choosing ``min_batch``: every level step pays a fixed dispatch
 cost (index-array handling and ufunc dispatch), while each scalar
-iteration pays one Python call. On the solvers' level plans
-(``lap3d:8``-nd, 2-vCPU Xeon VM) a CSR SpMV or SpTRSV step costs
-2.6–6.0 µs at any size up to 8 and a scalar iteration 1.7–3.5 µs, so
-batching loses at one iteration and wins from two; a whole
-Gauss-Seidel solve ran 13.6 ms at ``min_batch=1`` and 14.0 ms at 4
+iteration pays one Python call. On the solvers' bound level plans
+(``lap3d:8``-nd, 2-vCPU VM) a row-block SpMV or SpTRSV step costs
+1.7–2.9 µs at one to four iterations and a scalar iteration 2.1–2.3 µs,
+so SpMV batching wins from one iteration and SpTRSV from two; a whole
+Gauss-Seidel solve ran 9.0 ms at ``min_batch=1`` and 10.3 ms at 4
 (docs/performance.md has the measurements). Steps smaller than
-``min_batch`` run scalar, in packed order; the default stays 4.
+``min_batch`` run scalar, in packed order; the default stays 4 until
+every kernel, not only the row-block ones, is measured.
 ``min_batch=1`` forces vectorization everywhere and is mainly useful
 for testing the batch paths; smaller values are rejected, since they
 would compile the same plan under another key. The CLI and
@@ -127,6 +138,9 @@ __all__ = [
     "PLAN_STORE_KEY",
 ]
 
+#: The index dtypes a stored row block may hold: the compiled product's
+#: native integer widths.
+_ROW_BLOCK_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
 
 @dataclass
@@ -517,7 +531,7 @@ def _bind_plan(
         n_level, n_scalar, n_batched, n_merged = header["counts"]
         if not _plan_order_holds(
             schedule, kernels, steps, min_batch, n_level, n_scalar, n_batched
-        ):
+        ) or not _row_blocks_hold(steps, kernels):
             return None
     except (KeyError, IndexError, TypeError, ValueError):
         return None
@@ -591,6 +605,55 @@ def _plan_order_holds(
     return bool(np.all((a < b) | ((a == b) & ~level[a] & (pos[src] < pos[dst]))))
 
 
+def _row_blocks_hold(steps: list[PlanStep], kernels: list[Kernel]) -> bool:
+    """True when every level step of a kernel with a
+    :attr:`~repro.kernels.base.Kernel.row_block_var` holds a CSR row block
+    that :func:`~repro.utils.arrays.row_block_matvec` runs in bounds.
+
+    The compiled product checks nothing, so a damaged record could read
+    stray memory. Over all such steps at once: ``ptr`` has one entry more
+    than the step has iterations, starts at 0, never decreases and ends
+    at ``len(cols)``, which is also ``len(gather)``; every column indexes
+    the multiplied variable; every ``ptr`` and ``cols`` shares one native
+    ``int32`` or ``int64`` dtype. A record holds no bound ``vals``.
+    """
+    widths = [
+        None if k.row_block_var is None else k.var_sizes()[k.row_block_var]
+        for k in kernels
+    ]
+    group = [st for st in steps if st.kind == "level" and widths[st.loop] is not None]
+    if not group:
+        return True
+    blocks = [st.precomp for st in group]
+    if any("vals" in b for b in blocks):
+        return False
+    ptrs = [b["ptr"] for b in blocks]
+    cols = [b["cols"] for b in blocks]
+    (dtype, ndim), *others = {(a.dtype, a.ndim) for a in ptrs + cols}
+    if others or ndim != 1 or dtype not in _ROW_BLOCK_DTYPES:
+        return False
+    n_ptr = [a.shape[0] for a in ptrs]
+    n_cols = [a.shape[0] for a in cols]
+    if n_ptr != [st.iters.shape[0] + 1 for st in group] or n_cols != [
+        b["gather"].shape[0] for b in blocks
+    ]:
+        return False
+    n_ptr, n_cols = np.array(n_ptr), np.array(n_cols)
+    ptr = np.concatenate(ptrs)
+    col = np.concatenate(cols)
+    ends = n_ptr.cumsum()
+    rises = ptr[1:] - ptr[:-1]
+    rises[ends[:-1] - 1] = 0  # from one block's end to the next's start
+    width = np.array([widths[st.loop] for st in group]).repeat(n_cols)
+    return not (
+        ptr[ends - n_ptr].any()
+        or (ptr[ends - 1] != n_cols).any()
+        or rises.min(initial=0) < 0
+        or col.min(initial=0) < 0
+        or (col >= width).any()
+    )
+
+
 def execute_schedule_planned(
     schedule: FusedSchedule,
     kernels: list[Kernel],
@@ -620,6 +683,7 @@ def execute_schedule_planned(
         plan = plan_for(schedule, kernels, min_batch=min_batch)
     else:
         _check_plan_fits(plan, kernels, state)
+    _check_row_block_vectors(kernels, state)
     if sanitize:
         from ..obs.memtrace import sanitize_schedule
 
@@ -648,6 +712,19 @@ def execute_schedule_planned(
         rec.count(names.EXECUTOR_SCALAR_ITERATIONS, plan.n_scalar_iterations)
         rec.count(names.EXECUTOR_LEVEL_COUNT, plan.n_level_steps)
     return state
+
+
+def _check_row_block_vectors(kernels: list[Kernel], state: State) -> None:
+    """Raise ``ValueError`` when *state* holds a vector some kernel's row
+    blocks multiply that is shorter than the kernel declares: the
+    compiled product would read past its end rather than fail."""
+    for kern in kernels:
+        var = kern.row_block_var
+        if var is not None and len(state[var]) < kern.var_sizes()[var]:
+            raise ValueError(
+                f"{var!r} holds {len(state[var])} values, {kern.name} "
+                f"reads {kern.var_sizes()[var]}"
+            )
 
 
 def _check_plan_fits(

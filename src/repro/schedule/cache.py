@@ -91,8 +91,10 @@ KEY_SCHEMA = 2
 
 #: Version of the stored plan record: what :mod:`repro.runtime.plan`
 #: writes per step and how ``compile_plan`` groups and orders steps. It
-#: is hashed into every :func:`plan_key` and checked on load.
-PLAN_FORMAT = 1
+#: is hashed into every :func:`plan_key` and checked on load. (Format 2:
+#: the linear-row kernels' level steps hold CSR row blocks, and their
+#: compiled row sums round differently from format 1's ``reduceat``.)
+PLAN_FORMAT = 2
 
 
 def schedule_key(dags, inter, scheduler, r, reuse_ratio, params=None) -> str:

@@ -151,8 +151,10 @@ def _frontier_reduce(vals, counts, op, default):
 
     ``vals`` holds the concatenated neighbour attributes of a frontier,
     ``counts`` the per-vertex neighbour counts. Empty slots get
-    *default* (see :func:`repro.utils.arrays.segment_sums_at` for why
-    the reduction runs only at non-empty starts).
+    *default*. The reduction runs only at non-empty starts: consecutive
+    non-empty starts bracket exactly one vertex's values, whereas
+    ``reduceat`` at an empty vertex's start would repeat its neighbour's
+    first value there.
     """
     n = counts.shape[0]
     out = np.full(n, default, dtype=INDEX_DTYPE)
@@ -779,8 +781,9 @@ def _segment_reduce(values, indptr, indices, op, default, *, shift):
         return out
     starts = indptr[:-1]
     nonempty = np.diff(indptr) > 0
-    # Reduce only at non-empty segment starts (see utils.arrays
-    # .segment_sums_at): clipped starts for trailing empty segments would
-    # otherwise split the last non-empty segment's range.
+    # Reduce only at non-empty segment starts: reduceat at an empty
+    # segment's start would repeat the next segment's first value, and
+    # clipped starts for trailing empty segments would split the last
+    # non-empty segment's range.
     out[nonempty] = op.reduceat(vals, starts[nonempty]) + shift
     return out

@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..utils.arrays import row_block_matvec
+from ..utils.intsort import stable_argsort
 from .base import (
     INDEX_DTYPE,
     VALUE_DTYPE,
@@ -46,7 +48,7 @@ class CSRMatrix:
         ``float64`` nonzero values, parallel to ``indices``.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_row_segments")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data")
 
     def __init__(self, n_rows, n_cols, indptr, indices, data, *, check: bool = True):
         self.n_rows = int(n_rows)
@@ -60,9 +62,6 @@ class CSRMatrix:
             check_compressed_axes(
                 self.indptr, self.indices, self.data, self.n_rows, self.n_cols
             )
-        #: :meth:`matvec`'s ``(reduce starts, empty rows or None)``, built
-        #: on its first call; both depend on ``indptr`` alone
-        self._row_segments = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -261,30 +260,13 @@ class CSRMatrix:
     # as the "MKL-like" sequential baseline primitives)
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Dense ``y = A @ x`` computed with a vectorized segment-sum."""
+        """Dense ``y = A @ x``, bitwise the ``scipy.sparse`` product: one
+        compiled pass of :func:`~repro.utils.arrays.row_block_matvec`."""
         x = np.asarray(x, dtype=VALUE_DTYPE)
         if x.shape != (self.n_cols,):
             raise ValueError(f"x has shape {x.shape}, expected ({self.n_cols},)")
-        if self._row_segments is None:
-            nnz = self.nnz
-            empty = np.flatnonzero(np.diff(self.indptr) == 0)
-            self._row_segments = (
-                np.minimum(self.indptr[:-1], nnz),
-                empty if empty.shape[0] else None,
-            )
-        starts, empty = self._row_segments
-        # One trailing zero keeps every reduce start in bounds; the last
-        # row's segment always ends with it, so its sum is the same
-        # whichever rows are empty.
-        nnz = self.nnz
-        products = np.empty(nnz + 1, dtype=VALUE_DTYPE)
-        np.multiply(self.data, x[self.indices], out=products[:nnz])
-        products[nnz] = 0.0
-        out = np.add.reduceat(products, starts)
-        if empty is not None:
-            # reduceat repeats the next element for an empty segment
-            out[empty] = 0.0
-        return out
+        out = np.zeros(self.n_rows, dtype=VALUE_DTYPE)
+        return row_block_matvec(self.indptr, self.indices, self.data, x, out)
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -313,9 +295,6 @@ def _compressed_transpose(indptr, indices, data, n_minor):
     The sort is :func:`~repro.utils.intsort.stable_argsort`: one or two
     16-bit radix passes once there are enough entries to repay them.
     """
-    # imported here: repro.utils imports repro.sparse
-    from ..utils.intsort import stable_argsort
-
     nnz = indices.shape[0]
     n_major = indptr.shape[0] - 1
     counts = np.bincount(indices, minlength=n_minor)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.intsort import stable_lexsort
 from .base import INDEX_DTYPE
 from .csr import CSRMatrix
 
@@ -60,9 +61,6 @@ def _adjacency_lists(a: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
     # Symmetrize (patterns from our generators already are, but be safe).
     r = np.concatenate([rows, cols])
     c = np.concatenate([cols, rows])
-    # imported here: repro.utils imports repro.sparse
-    from ..utils.intsort import stable_lexsort
-
     order = stable_lexsort((c, r))
     r, c = r[order], c[order]
     if r.size:

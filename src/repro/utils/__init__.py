@@ -1,15 +1,11 @@
-"""Small shared utilities: timing and deterministic test-data helpers."""
+"""Small shared utilities: timing and vectorized array helpers.
 
-from .arrays import multi_range, segment_boundaries_split, segment_sums_at
+The deterministic random-matrix helpers live in :mod:`repro.utils.testing`
+and are imported from there: they build :mod:`repro.sparse` matrices, and
+:mod:`repro.sparse` itself imports from this package.
+"""
+
+from .arrays import multi_range, row_block_matvec
 from .timing import Timer
-from .testing import random_spd_csr, random_lower_csr, rng_for
 
-__all__ = [
-    "Timer",
-    "random_spd_csr",
-    "random_lower_csr",
-    "rng_for",
-    "multi_range",
-    "segment_boundaries_split",
-    "segment_sums_at",
-]
+__all__ = ["Timer", "multi_range", "row_block_matvec"]

@@ -6,12 +6,17 @@ import numpy as np
 
 from ..sparse.base import INDEX_DTYPE
 
+try:
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # pragma: no cover - scipy moved its private routine
+    _csr_matvec = None
+
 __all__ = [
     "checked_vector",
     "group_sums",
     "multi_range",
-    "segment_boundaries_split",
-    "segment_sums_at",
+    "row_block_matvec",
+    "row_block_ptrs",
     "split_sizes",
 ]
 
@@ -66,53 +71,52 @@ def group_sums(counts: np.ndarray, sizes) -> np.ndarray:
     return np.diff(ends[bounds])
 
 
-def segment_boundaries_split(
-    counts: np.ndarray, sizes
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The :func:`segment_sums_at` reduction plans of consecutive groups
-    of segments with the given *counts*.
+def row_block_ptrs(counts: np.ndarray, sizes) -> list[np.ndarray]:
+    """The CSR row pointers of consecutive row blocks whose rows hold
+    *counts* entries each.
 
-    Group ``g`` is the next ``sizes[g]`` segments; its plan is
-    ``(reduce_starts, nonempty)``, with reduce starts counted from the
-    group's own first element. Plan compilation calls this once per loop
-    for all of its level steps, so that repeated sweeps pay only the
-    ``np.add.reduceat`` itself. One pass over all groups.
+    Block ``g`` is the next ``sizes[g]`` rows; its pointer array has
+    ``sizes[g] + 1`` entries and starts at 0, counted from the block's own
+    first entry. Plan compilation calls this once per loop for all of its
+    level steps, so each step's :func:`row_block_matvec` gets its pointers
+    ready-made. One pass over all blocks.
     """
-    counts = np.asarray(counts)
-    nonempty = counts > 0
-    ends = np.zeros(counts.shape[0] + 1, dtype=INDEX_DTYPE)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.zeros(len(counts) + 1, dtype=INDEX_DTYPE)
     np.cumsum(counts, out=ends[1:])
-    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    bounds = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
     np.cumsum(sizes, out=bounds[1:])
-    starts = ends[:-1] - np.repeat(ends[bounds[:-1]], sizes)
-    return list(
-        zip(
-            split_sizes(starts[nonempty], group_sums(nonempty, sizes)),
-            split_sizes(nonempty, sizes),
-        )
+    ptrs = ends[multi_range(bounds[:-1], sizes + 1)] - np.repeat(
+        ends[bounds[:-1]], sizes + 1
     )
+    return split_sizes(ptrs, sizes + 1)
 
 
-def segment_sums_at(
-    values: np.ndarray,
-    n_segments: int,
-    reduce_starts: np.ndarray,
-    nonempty: np.ndarray,
+def row_block_matvec(
+    ptr: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Sums of *values* over *n_segments* consecutive segments, with the
-    boundaries from :func:`segment_boundaries_split`.
+    """``out += A @ x`` in place for the CSR row block ``A = (vals, cols,
+    ptr)`` of ``len(out)`` rows; returns *out*.
 
-    Empty segments sum to 0.0. The reduction runs only at the starts of
-    non-empty segments: consecutive non-empty starts bracket exactly one
-    segment's elements, whereas ``np.add.reduceat`` at every start would
-    repeat the neighbouring segment's value at an empty segment, and
-    clipping out-of-range starts would split the last non-empty segment.
-    When no segment is empty, ``np.add.reduceat`` alone is the result —
-    bitwise the masked assignment, without the zeroed output array.
+    Each row's sum starts at its entry of *out* and adds the products
+    left to right, in one compiled pass
+    (``scipy.sparse._sparsetools.csr_matvec``, the routine behind
+    ``csr_array @ x``). With *out* all zeros the result is therefore
+    bitwise the public product. The routine checks no bounds: *ptr* must
+    run from 0 to ``len(cols)`` without decreasing, every column must
+    index *x*, *ptr* and *cols* share one integer dtype, and *out* is a
+    contiguous array of *vals*' dtype. Where scipy lacks the private name,
+    the public ``csr_array`` product is added instead, which rounds the
+    right-hand side in after the row sum rather than before it.
     """
-    if reduce_starts.shape[0] == n_segments:
-        return np.add.reduceat(values, reduce_starts)
-    out = np.zeros(n_segments, dtype=values.dtype)
-    if reduce_starts.shape[0]:
-        out[nonempty] = np.add.reduceat(values, reduce_starts)
+    if _csr_matvec is not None:
+        _csr_matvec(out.shape[0], x.shape[0], ptr, cols, vals, x, out)
+    else:
+        from scipy.sparse import csr_array
+
+        out += csr_array((vals, cols, ptr), shape=(out.shape[0], x.shape[0])) @ x
     return out

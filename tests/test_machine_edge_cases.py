@@ -33,7 +33,8 @@ class TestSegmentReduce:
         assert out.tolist() == [99, 2, 99]
 
     def test_trailing_empty_does_not_split_previous(self):
-        """The reduceat-clipping regression (see utils.arrays)."""
+        """The reduceat-clipping regression: a clipped start for a
+        trailing empty segment must not split the segment before it."""
         values = np.array([1, 9], dtype=np.int64)
         indices = np.array([0, 1], dtype=np.int64)
         out = _segment_reduce(

@@ -10,7 +10,8 @@ from repro.runtime.metrics import (
     gflops,
     ner,
 )
-from repro.utils import Timer, random_lower_csr, random_spd_csr, rng_for
+from repro.utils import Timer
+from repro.utils.testing import random_lower_csr, random_spd_csr, rng_for
 
 
 class TestNER:

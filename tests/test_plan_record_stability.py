@@ -10,6 +10,12 @@ captured on the nested-dissection ordered ``lap3d:6`` matrix (the
 schedules, and for the solvers' level plans: the Gauss-Seidel chain at
 unroll 1 and 2 and the IC0-PCG preconditioner's forward/backward pair.
 They must only change together with a deliberate ``PLAN_FORMAT`` bump.
+
+Format 2 replaced the linear-row kernels' ``reduceat`` segment
+boundaries with CSR row blocks (``ptr``, ``cols``, ``gather``), so every
+record holding SpTRSV-CSR, its from-LU variant or SpMV-CSR changed. The
+records of combinations 2, 4 and 6 hold none of them: their format-2
+digests differ from format 1's only by the header's ``plan_format``.
 """
 
 import hashlib
@@ -28,15 +34,15 @@ from repro.solvers.pcg import build_ic0_preconditioner
 N_THREADS = 8
 
 PINNED_DIGESTS = {
-    "combo1": "12f178beb49915a0fa64ee4a91303e4e31c2a66daa3a57c4cd265647e8b28ac1",
-    "combo2": "eae6ff37780bb9cd8b2a32f317558ffdad1622c43452888d477432be6df2839c",
-    "combo3": "ec5c5a4c2447600d66fcde54577a86698399d30013bcb9cbc3a004b582d8c083",
-    "combo4": "a49ee11f8b7d86451a0bd9c2bfc8455c9c5f065b930d0b99ed1e33b3e2a9e3f7",
-    "combo5": "c324466446006bd84edc25f691265e187367a7a4aee266395bff2acea0a0515d",
-    "combo6": "275a49674b57c9e71dd2b03e1470138f87c559ad7f5e633e6914df976e247562",
-    "gs-unroll1": "125e5b0d52eca0c1fd1397002e011c4cc1e0a1f19fe3cbb32ee946b151dba625",
-    "gs-unroll2": "475385f3c8286b0d54ceea5c411944dd7df7c3e8f3106a741589ede1f13c3c34",
-    "pcg-pair": "ee8a7035597f9600ceea1aaffa6a02b3ff74f0a9a249427bb94bfb6d5c03b2a4",
+    "combo1": "1d4b0ead0edb680c547ba6d6aa21275a04eeb61e4ddb019eefe44dc647541808",
+    "combo2": "00dbcd67185a995bb1674791b0945537c41f48ba06755ad18989b32af159161a",
+    "combo3": "625cce8d9974c28b2348a8526ede7c15dd198fc4135ba6eadade169238512407",
+    "combo4": "b971c62accef44469da9e04a73d983635d49d2713163eff9590864015142137b",
+    "combo5": "8ce78aee1bf1bbd045595373ff6cb72920fd690ad3db40cd8c15e0a417a97718",
+    "combo6": "19088aa086b64f579f4038c53683abb2f869651ef31fd5ca32eb2307b05d3fad",
+    "gs-unroll1": "f2ea2f19d638823d11f6c044d315c5a9f801bca6104347c985c191a9f31117dd",
+    "gs-unroll2": "7b2bb99cc4a780c1e0de171ef310dc47833cc357d0046b85ecf51315f1d7f75e",
+    "pcg-pair": "014c5cf52ea47e2f173f93bec83e9eb97c5bf55f89f03beafbd435be9e017325",
 }
 
 
@@ -64,7 +70,7 @@ def build_plan(name: str, a):
 
 
 def test_pinned_digests_belong_to_the_current_format():
-    assert PLAN_FORMAT == 1
+    assert PLAN_FORMAT == 2
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))

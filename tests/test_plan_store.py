@@ -307,6 +307,80 @@ def test_bad_entries_recompile_and_overwrite(damage, tmp_path, monkeypatch):
     assert _bitwise_equal(state, _compiled_run("combo3", a))
 
 
+def _damage_row_block(damage, header, arrays):
+    """Damage the largest row block of the record in one way the compiled
+    product would not notice: it checks no bounds."""
+    steps = [st for st in header["steps"] if st[0] == "level" and "ptr" in st[4]]
+    block = max((st[4] for st in steps), key=lambda b: arrays[b["cols"]].shape[0])
+    ptr, cols = arrays[block["ptr"]], arrays[block["cols"]]
+    assert ptr.shape[0] >= 3 and cols.shape[0] >= 2
+    if damage == "col-past-x":
+        cols[cols.shape[0] // 2] = 10**6
+    elif damage == "negative-col":
+        cols[0] = -1
+    elif damage == "ptr-decreases":
+        ptr[1] = ptr[2] + 1
+    elif damage == "ptr-end":
+        ptr[-1] += 1
+    elif damage == "short-gather":
+        arrays[block["gather"]] = arrays[block["gather"]][:-1]
+    else:  # "int32-cols"
+        arrays[block["cols"]] = cols.astype(np.int32)
+
+
+def _checked_row_block_matvec(monkeypatch):
+    """Make every kernel's row-block product assert the bounds the
+    compiled routine leaves unchecked."""
+    from repro.kernels import spmv, sptrsv
+
+    product = sptrsv.row_block_matvec
+
+    def checked(ptr, cols, vals, x, out):
+        assert ptr[0] == 0 and ptr.shape[0] == out.shape[0] + 1
+        assert np.all(np.diff(ptr) >= 0) and ptr[-1] == cols.shape[0]
+        assert vals.shape[0] == cols.shape[0] and ptr.dtype == cols.dtype
+        assert cols.shape[0] == 0 or 0 <= cols.min() <= cols.max() < x.shape[0]
+        return product(ptr, cols, vals, x, out)
+
+    for module in (spmv, sptrsv):
+        monkeypatch.setattr(module, "row_block_matvec", checked)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "col-past-x",
+        "negative-col",
+        "ptr-decreases",
+        "ptr-end",
+        "short-gather",
+        "int32-cols",
+    ],
+)
+def test_out_of_bounds_row_blocks_recompile_unexecuted(damage, tmp_path, monkeypatch):
+    # a record re-saved through put_plan, checksum and fingerprint intact,
+    # whose row block would make the compiled product read stray memory
+    a = _matrix()
+    _fuse_and_run("gs-chain", a, tmp_path)
+    path = _plan_file(tmp_path)
+    good = path.read_bytes()
+    key = path.stem.removeprefix("plan-")
+    header, arrays = serialize.load_arrays(path, expect_fingerprint=key)
+    arrays = [np.array(x) for x in arrays]
+    _damage_row_block(damage, header, arrays)
+    ScheduleCache(directory=tmp_path).put_plan(key, header, arrays)
+    assert path.read_bytes() != good
+
+    _checked_row_block_matvec(monkeypatch)
+    with recording() as rec:
+        _, state, cache = _fuse_and_run("gs-chain", a, tmp_path)
+    assert rec.counter("plan.store_misses") == 1
+    assert rec.counter("plan.cache_misses") == 1
+    assert cache.stats["plan_misses"] == 1 and cache.stats["plan_hits"] == 0
+    assert _bitwise_equal(state, _compiled_run("gs-chain", a))
+    assert path.read_bytes() == good  # overwritten with the compiled plan
+
+
 def test_array_file_round_trip_and_rejections(tmp_path):
     arrays = [np.arange(4), np.ones(3, dtype=bool)]
     path = serialize.save_arrays(tmp_path / "x.bin", {"k": 1}, arrays, fingerprint="f")

@@ -4,9 +4,9 @@ The equivalence contract (docs/performance.md): for kernels whose batch
 arithmetic is elementwise or preserves the scalar accumulation order
 (DSCAL, SpIC0, SpILU0, the CSC/push solves), planned execution is
 **bitwise identical** to the per-iteration oracle; for kernels whose
-row reductions switch from ``np.dot`` to ``np.add.reduceat`` (CSR
-gather kernels), results agree to tight tolerance — association order
-is the only difference.
+row reductions switch from ``np.dot`` to a compiled row-block product
+that starts from the right-hand side (the CSR gather kernels), results
+agree to tight tolerance — association order is the only difference.
 """
 
 import numpy as np
@@ -14,10 +14,13 @@ import pytest
 
 from repro import fuse
 from repro.fusion import COMBINATIONS, build_combination
-from repro.kernels import Kernel, SpTRSVCSR, internal_var
-from repro.kernels import spmv as kernels_spmv
-from repro.kernels import spmv_sym as kernels_spmv_sym
-from repro.kernels import sptrsv as kernels_sptrsv
+from repro.kernels import (
+    Kernel,
+    SpMVCSR,
+    SpTRSVCSR,
+    SpTRSVCSRFromLU,
+    internal_var,
+)
 from repro.runtime import (
     allocate_state,
     compile_plan,
@@ -31,7 +34,6 @@ from repro.schedule import FusedSchedule
 from repro.schedule.wavefront import level_schedule
 from repro.solvers import build_gs_chain
 from repro.solvers.pcg import build_ic0_preconditioner
-from repro.utils.arrays import segment_boundaries_split, segment_sums_at
 
 
 def _step_sets(plan):
@@ -222,57 +224,60 @@ class TestSPartitionSteps:
         assert np.array_equal(np.sort(tt), np.arange(kern.n_iterations))
 
 
-def _masked_segment_sums(values, n_segments, reduce_starts, nonempty):
-    """``segment_sums_at`` without its all-segments-non-empty shortcut."""
-    out = np.zeros(n_segments, dtype=values.dtype)
-    if reduce_starts.shape[0]:
-        out[nonempty] = np.add.reduceat(values, reduce_starts)
-    return out
+def _rows_without_entries(kern):
+    """Rows whose row block is empty: SpMV-CSR rows with no entries and
+    SpTRSV rows with no off-diagonals, or ``None`` for other kernels."""
+    if isinstance(kern, SpMVCSR):
+        return np.flatnonzero(kern.a.row_nnz() == 0)
+    if isinstance(kern, SpTRSVCSR):
+        return np.flatnonzero(kern.low.row_nnz() == 1)
+    if isinstance(kern, SpTRSVCSRFromLU):
+        return np.flatnonzero(kern._diag_off == kern.a.indptr[:-1])
+    return None
 
 
-class TestDenseReduceat:
-    """Level steps whose rows all have entries reduce with a bare
-    ``np.add.reduceat``; outputs stay bitwise those of the masked sum."""
+class TestEmptyRowSteps:
+    """Row-block steps over rows with no entries: an empty SpMV-CSR row
+    is exactly zero (or exactly its addend), and an SpTRSV row without
+    off-diagonals matches the ``iter`` oracle within 1e-13."""
 
     @staticmethod
-    def _run(schedule, kernels, state, plan):
-        st = {k: v.copy() for k, v in state.items()}
-        execute_schedule_planned(schedule, kernels, st, plan=plan)
-        return st
+    def _check(schedule, kernels, state):
+        n_rows = 0
+        for min_batch in (1, 4):
+            plan = compile_plan(schedule, kernels, min_batch=min_batch)
+            want, got = _run_both(schedule, kernels, state, plan=plan)
+            for kern in kernels:
+                rows = _rows_without_entries(kern)
+                if rows is None:
+                    continue
+                n_rows += rows.shape[0]
+                if isinstance(kern, SpMVCSR):
+                    y = got[kern.y_var][rows]
+                    add = np.zeros_like(y)
+                    if kern.add_var:
+                        add = got[kern.add_var][rows]
+                    assert y.tobytes() == add.tobytes(), kern.name
+                else:
+                    x = kern.x_var
+                    assert np.allclose(
+                        got[x][rows], want[x][rows], rtol=0, atol=1e-13
+                    ), kern.name
+        return n_rows
 
     @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
-    def test_plan_outputs_bitwise_unchanged(self, cid, lap3d_nd, monkeypatch):
+    def test_all_combos(self, cid, lap3d_nd):
         kernels, state = build_combination(cid, lap3d_nd, seed=cid)
-        fl = fuse(kernels, 8)
-        plan = compile_plan(fl.schedule, kernels, min_batch=1)
-        fast = self._run(fl.schedule, kernels, state, plan)
-        for mod in (kernels_sptrsv, kernels_spmv, kernels_spmv_sym):
-            monkeypatch.setattr(mod, "segment_sums_at", _masked_segment_sums)
-        masked = self._run(fl.schedule, kernels, state, plan)
-        for var in fast:
-            assert np.array_equal(fast[var], masked[var]), var
+        self._check(fuse(kernels, 8).schedule, kernels, state)
 
-    def test_gs_chain_bitwise_unchanged(self, lap3d_nd, monkeypatch, rng):
+    def test_gs_chain(self, lap3d_nd, rng):
         kernels, _, _ = build_gs_chain(lap3d_nd, 2)
         state = allocate_state(kernels)
         for values in state.values():
             values[:] = rng.uniform(0.5, 1.5, values.shape[0])
-        fl = fuse(kernels, 8)
-        plan = compile_plan(fl.schedule, kernels)
-        fast = self._run(fl.schedule, kernels, state, plan)
-        for mod in (kernels_sptrsv, kernels_spmv):
-            monkeypatch.setattr(mod, "segment_sums_at", _masked_segment_sums)
-        masked = self._run(fl.schedule, kernels, state, plan)
-        for var in fast:
-            assert np.array_equal(fast[var], masked[var]), var
-
-    def test_segment_sums_at_without_empty_segments(self, rng):
-        counts = rng.integers(1, 5, size=40)
-        values = rng.random(int(counts.sum()))
-        reduce_starts, nonempty = segment_boundaries_split(counts, [len(counts)])[0]
-        got = segment_sums_at(values, counts.shape[0], reduce_starts, nonempty)
-        want = _masked_segment_sums(values, counts.shape[0], reduce_starts, nonempty)
-        assert np.array_equal(got, want)
+        # the strict-upper SpMV operand has empty rows, the solve rows
+        # without off-diagonals
+        assert self._check(fuse(kernels, 8).schedule, kernels, state) > 0
 
 
 class TestDegenerateSchedules:
@@ -379,6 +384,22 @@ class TestMemoization:
         state = allocate_state([large])
         with pytest.raises(ValueError, match="loop 0: kernel has 100 iterations"):
             execute_schedule_planned(sched, [large], state, plan=plan)
+
+    @pytest.mark.parametrize("cid", [1, 3])
+    def test_short_row_block_vector_rejected(self, cid, lap2d_nd):
+        """A state vector shorter than a row block's columns reach is
+        refused before any step runs: the compiled product checks no
+        bounds and would read past its end."""
+        kernels, state = build_combination(cid, lap2d_nd)
+        fl = fuse(kernels, 4)
+        var = kernels[0].row_block_var
+        short = dict(state, **{var: state[var][:-1].copy()})
+        with pytest.raises(ValueError, match=f"'{var}' holds"):
+            execute_schedule_planned(fl.schedule, kernels, short)
+        with pytest.raises(ValueError, match=f"'{var}' holds"):
+            execute_schedule_planned(
+                fl.schedule, kernels, short, plan=plan_for(fl.schedule, kernels)
+            )
 
 
 class TestSolverIntegration:

@@ -74,7 +74,8 @@ def test_solver_plans_have_one_step_per_level(lap3d_nd, rng, min_batch):
 def test_gs_level_plan_matches_fused_plan(lap2d_nd, rng, unroll, monkeypatch):
     """Bitwise equal to the plan of the ICO-fused chain, and equal to the
     per-iteration oracle on that schedule up to the association order of
-    CSR row sums (``np.add.reduceat`` against ``np.dot``)."""
+    CSR row sums (a compiled row-block product that starts from the
+    right-hand side, against ``np.dot``)."""
     b = rng.random(lap2d_nd.n_rows)
     kw = dict(tol=0.0, max_iters=6 * unroll, unroll=unroll)
     shipped = gauss_seidel(lap2d_nd, b, **kw)
