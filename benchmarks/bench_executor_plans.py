@@ -65,16 +65,16 @@ from common import (
 EXECUTORS = ("iter", "plan")
 
 
-def _run_once(executor, schedule, kernels, state, min_batch):
+def _run_once(executor, schedule, kernels, state):
     t0 = time.perf_counter()
     if executor == "plan":
-        execute_schedule_planned(schedule, kernels, state, min_batch=min_batch)
+        execute_schedule_planned(schedule, kernels, state)
     else:
         execute_schedule(schedule, kernels, state)
     return time.perf_counter() - t0
 
 
-def _time_executors(schedule, kernels, state, *, reps, min_batch, n_threads):
+def _time_executors(schedule, kernels, state, *, reps, n_threads):
     """Best-of-*reps* wall seconds per executor, fresh state per rep.
 
     The plan is compiled before timing (under a recorder, so compile
@@ -84,12 +84,10 @@ def _time_executors(schedule, kernels, state, *, reps, min_batch, n_threads):
     plan and of the unfused ParSy plan over *n_threads*.
     """
     with recording() as rec:
-        plan = plan_for(schedule, kernels, min_batch=min_batch)
+        plan = plan_for(schedule, kernels)
         for _ in range(reps):
-            plan_for(schedule, kernels, min_batch=min_batch)
-    unfused = plan_for(
-        parsy_schedule(kernels, n_threads), kernels, min_batch=min_batch
-    )
+            plan_for(schedule, kernels)
+    unfused = plan_for(parsy_schedule(kernels, n_threads), kernels)
     diags = {
         "plan_compile_seconds": rec.counter("plan.compile_seconds"),
         "plan_cache_hits": rec.counter("plan.cache_hits"),
@@ -102,28 +100,23 @@ def _time_executors(schedule, kernels, state, *, reps, min_batch, n_threads):
         best = float("inf")
         for _ in range(reps):
             st = {k: v.copy() for k, v in state.items()}
-            best = min(best, _run_once(ex, schedule, kernels, st, min_batch))
+            best = min(best, _run_once(ex, schedule, kernels, st))
         seconds[ex] = best
     return seconds, diags
 
 
-def bench_combo3(a, *, n_threads, reps, min_batch):
+def bench_combo3(a, *, n_threads, reps):
     """SpTRSV→SpMV (Table 1 row 3) under every executor."""
     kernels, state = build_combination(3, a, seed=3)
     with recording() as rec:
         fl = fuse(kernels, n_threads, validate=False)
     seconds, diags = _time_executors(
-        fl.schedule,
-        kernels,
-        state,
-        reps=reps,
-        min_batch=min_batch,
-        n_threads=n_threads,
+        fl.schedule, kernels, state, reps=reps, n_threads=n_threads
     )
     return seconds, diags, stage_breakdown(rec)
 
 
-def bench_gs_chain(a, *, n_threads, reps, min_batch, unroll=2):
+def bench_gs_chain(a, *, n_threads, reps, unroll=2):
     """One unrolled-GS chunk (2*unroll fused loops) under every executor."""
     kernels, x_in, _ = build_gs_chain(a, unroll)
     low, e = gs_split(a)
@@ -138,17 +131,12 @@ def bench_gs_chain(a, *, n_threads, reps, min_batch, unroll=2):
     state["b"][:] = rng.random(a.n_rows)
     state[x_in][:] = rng.random(a.n_rows)
     seconds, diags = _time_executors(
-        fl.schedule,
-        kernels,
-        state,
-        reps=reps,
-        min_batch=min_batch,
-        n_threads=n_threads,
+        fl.schedule, kernels, state, reps=reps, n_threads=n_threads
     )
     return seconds, diags, stage_breakdown(rec)
 
 
-def warm_plan_compiles(a, *, n_threads, min_batch):
+def warm_plan_compiles(a, *, n_threads):
     """Plan compilations in the second of two fuse + planned runs of
     SpTRSV→SpMV whose fresh caches share one directory (0 when the
     second run loads the stored plan)."""
@@ -162,13 +150,11 @@ def warm_plan_compiles(a, *, n_threads, min_batch):
                     cache=ScheduleCache(directory=cache_dir),
                     validate=False,
                 )
-                execute_schedule_planned(
-                    fl.schedule, kernels, state, min_batch=min_batch
-                )
+                execute_schedule_planned(fl.schedule, kernels, state)
     return int(rec.counter("plan.cache_misses"))
 
 
-def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
+def run(*, smoke=False, reps=None, n_threads=8, verbose=True):
     if smoke:
         from repro.sparse import apply_ordering, laplacian_2d
 
@@ -185,9 +171,7 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
             ("sptrsv-spmv", bench_combo3),
             ("gs-chain", bench_gs_chain),
         ):
-            seconds, diags, stages = bench(
-                m.matrix, n_threads=n_threads, reps=reps, min_batch=min_batch
-            )
+            seconds, diags, stages = bench(m.matrix, n_threads=n_threads, reps=reps)
             stages["plan.compile_seconds"] = diags["plan_compile_seconds"]
             row = {
                 "matrix": m.name,
@@ -202,7 +186,6 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
                 "plan_steps": diags["plan_steps"],
                 "unfused_plan_steps": diags["unfused_plan_steps"],
                 "stage_breakdown": stages,
-                "min_batch": min_batch,
             }
             rows.append(row)
             if verbose:
@@ -217,9 +200,7 @@ def run(*, smoke=False, reps=None, min_batch=4, n_threads=8, verbose=True):
                     f"{diags['unfused_plan_steps']} unfused)"
                 )
 
-    warm_compiles = warm_plan_compiles(
-        suite[0].matrix, n_threads=n_threads, min_batch=min_batch
-    )
+    warm_compiles = warm_plan_compiles(suite[0].matrix, n_threads=n_threads)
     summary = {
         "geomean_speedup_plan_vs_iter": geomean(
             [r["speedup_plan_vs_iter"] for r in rows]
@@ -242,7 +223,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true", help="tiny CI guardrail run")
     ap.add_argument("--reps", type=int, default=None)
-    ap.add_argument("--min-batch", type=int, default=4)
     ap.add_argument("--threads", type=int, default=8)
     ap.add_argument(
         "--max-regression",
@@ -252,12 +232,7 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
     print_header("Executor comparison: iter vs compiled plans")
-    payload = run(
-        smoke=args.smoke,
-        reps=args.reps,
-        min_batch=args.min_batch,
-        n_threads=args.threads,
-    )
+    payload = run(smoke=args.smoke, reps=args.reps, n_threads=args.threads)
     if args.smoke:
         floor = 1.0 / (1.0 + args.max_regression)
         bad = [

@@ -101,27 +101,36 @@ def _version() -> str:
 
         return __version__
 
+#: name -> (expected form after ``name:``, builder over the comma-split
+#: arguments). A builder raises ``TypeError`` on a wrong argument count
+#: and ``ValueError`` on a value that does not parse.
 _GENERATORS = {
-    "lap2d": lambda args: laplacian_2d(int(args[0])),
-    "lap3d": lambda args: laplacian_3d(int(args[0])),
-    "fe3d": lambda args: fe_3d_27pt(int(args[0])),
-    "band": lambda args: banded_spd(int(args[0]), int(args[1])),
-    "rand": lambda args: random_spd(
-        int(args[0]), float(args[1]) if len(args) > 1 else 8.0
-    ),
-    "pow": lambda args: powerlaw_spd(
-        int(args[0]), float(args[1]) if len(args) > 1 else 8.0
-    ),
-    "arrow": lambda args: arrow_spd(int(args[0])),
-    "chained": lambda args: chained_spd(int(args[0]), int(args[1])),
+    "lap2d": ("N", lambda n: laplacian_2d(int(n))),
+    "lap3d": ("N", lambda n: laplacian_3d(int(n))),
+    "fe3d": ("N", lambda n: fe_3d_27pt(int(n))),
+    "band": ("N,BW", lambda n, bw: banded_spd(int(n), int(bw))),
+    "rand": ("N[,NNZ_PER_ROW]", lambda n, k="8": random_spd(int(n), float(k))),
+    "pow": ("N[,NNZ_PER_ROW]", lambda n, k="8": powerlaw_spd(int(n), float(k))),
+    "arrow": ("N", lambda n: arrow_spd(int(n))),
+    "chained": ("BLOCKS,SIZE", lambda b, size: chained_spd(int(b), int(size))),
 }
 
 
 def parse_matrix_spec(spec: str):
-    """Resolve a matrix spec (generator string or ``.mtx`` path)."""
-    if ":" in spec and spec.split(":", 1)[0] in _GENERATORS:
-        name, rest = spec.split(":", 1)
-        return _GENERATORS[name](rest.split(","))
+    """Resolve a matrix spec (generator string or ``.mtx`` path).
+
+    A generator spec that does not fit its form raises :class:`CLIError`
+    naming the spec and the form, as an unreadable ``.mtx`` path does.
+    """
+    name, sep, rest = spec.partition(":")
+    if sep and name in _GENERATORS:
+        form, build = _GENERATORS[name]
+        try:
+            return build(*rest.split(","))
+        except (TypeError, ValueError) as exc:
+            raise CLIError(
+                f"malformed matrix spec '{spec}': expected {name}:{form}"
+            ) from exc
     return _read_artifact("matrix", spec, read_matrix_market)
 
 
@@ -228,7 +237,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _execute_with(executor, schedule, kernels, state, min_batch, sanitize=False):
+def _execute_with(executor, schedule, kernels, state, sanitize=False):
     """Run *schedule* under the named executor; returns wall seconds."""
     import time
 
@@ -236,9 +245,7 @@ def _execute_with(executor, schedule, kernels, state, min_batch, sanitize=False)
 
     t0 = time.perf_counter()
     if executor == "plan":
-        execute_schedule_planned(
-            schedule, kernels, state, min_batch=min_batch, sanitize=sanitize
-        )
+        execute_schedule_planned(schedule, kernels, state, sanitize=sanitize)
     else:
         execute_schedule(schedule, kernels, state, sanitize=sanitize)
     return time.perf_counter() - t0
@@ -255,7 +262,6 @@ def _cmd_fuse(args) -> int:
             fl.schedule,
             kernels,
             state,
-            args.min_batch,
             sanitize=args.sanitize,
         )
     combo = COMBINATIONS[args.combo]
@@ -288,7 +294,6 @@ def _cmd_compare(args) -> int:
             results["sparse-fusion"].schedule,
             kernels,
             state,
-            args.min_batch,
             sanitize=args.sanitize,
         )
     print(f"{'implementation':16s} {'GFLOP/s':>8s} {'sim time':>10s} "
@@ -333,7 +338,6 @@ def _cmd_gs(args) -> int:
             method=args.method,
             n_threads=args.threads,
             executor=args.executor,
-            min_batch=args.min_batch,
         )
     status = "converged" if res.converged else "NOT converged"
     residual = f" (residual {res.residuals[-1]:.2e})" if res.residuals else ""
@@ -358,12 +362,7 @@ def _cmd_gs(args) -> int:
         if args.sanitize:
             from .obs.memtrace import sanitize_schedule
 
-            report = sanitize_schedule(
-                res.schedule,
-                kernels,
-                executor=args.executor,
-                min_batch=args.min_batch,
-            )
+            report = sanitize_schedule(res.schedule, kernels, executor=args.executor)
             print(report.summary())
             report.raise_if_violations()
         if args.doctor:
@@ -493,10 +492,7 @@ def _cmd_sanitize(args) -> int:
         f"{fl.schedule.n_vertices} vertices ({args.scheduler})"
     )
     reports = [
-        sanitize_schedule(
-            fl.schedule, kernels, executor=ex, min_batch=args.min_batch
-        )
-        for ex in executors
+        sanitize_schedule(fl.schedule, kernels, executor=ex) for ex in executors
     ]
     for report in reports:
         print(report.format(max_lines=args.max_violations))
@@ -614,14 +610,6 @@ def _cmd_bench_diff(args) -> int:
     return 1 if has_regressions(rows) else 0
 
 
-def _min_batch(text: str) -> int:
-    """``--min-batch`` value: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     p = argparse.ArgumentParser(
@@ -671,13 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=("iter", "plan"),
                 help="schedule executor: compiled level-batched plan "
                 "(default) or the per-iteration oracle",
-            )
-            sp.add_argument(
-                "--min-batch",
-                type=_min_batch,
-                default=4,
-                help="group size below which iterations run scalar "
-                "(see repro.runtime.plan for the tradeoff)",
             )
             sp.add_argument(
                 "--sanitize",
@@ -790,12 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=("iter", "plan", "all"),
         help="happens-before model to check under (default: both)",
-    )
-    sp.add_argument(
-        "--min-batch",
-        type=_min_batch,
-        default=4,
-        help="batch threshold for the plan model",
     )
     sp.add_argument(
         "--max-violations",

@@ -396,7 +396,6 @@ def execution_coordinates(
     kernels: list[Kernel],
     executor: str = "iter",
     *,
-    min_batch: int = 4,
     plan=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-vertex ``(s, w, t)`` happens-before coordinates.
@@ -409,10 +408,10 @@ def execution_coordinates(
     within the vertex's phase: per iteration in the w-partition for
     ``"iter"``, per plan step for ``"plan"``. Vertices sharing a ``t``
     are concurrent (one level step). The ``"plan"`` coordinates are
-    those of *plan* when given, else of ``plan_for(schedule, kernels,
-    min_batch=min_batch)``. Raises ``ValueError``, naming the step, when
-    a step's phase is lower than its predecessor's: the executor runs
-    steps in list order, which the phases would then misstate.
+    those of *plan* when given, else of ``plan_for(schedule, kernels)``.
+    Raises ``ValueError``, naming the step, when a step's phase is lower
+    than its predecessor's: the executor runs steps in list order, which
+    the phases would then misstate.
     """
     sp, wp, pos = schedule.assignment()
     sp = sp.astype(np.int64)
@@ -426,7 +425,7 @@ def execution_coordinates(
     if plan is None:
         from ..runtime.plan import plan_for
 
-        plan = plan_for(schedule, kernels, min_batch=min_batch)
+        plan = plan_for(schedule, kernels)
     else:
         check_loop_counts(kernels, plan.loop_counts, "plan")
     offsets = schedule.offsets
@@ -443,13 +442,8 @@ def execution_coordinates(
         t = next_t.get(step.s, 0)
         gids = np.asarray(step.iters, dtype=np.int64) + int(offsets[step.loop])
         phase[gids] = step.s
-        if step.kind == "scalar":
-            tt[gids] = np.arange(t, t + gids.shape[0])
-            t += gids.shape[0]
-        else:  # "level": one concurrent dispatch
-            tt[gids] = t
-            t += 1
-        next_t[step.s] = t
+        tt[gids] = t  # one dispatch, concurrent when it is a level step
+        next_t[step.s] = t + 1
     return phase, wp, tt
 
 
@@ -461,7 +455,6 @@ def sanitize_schedule(
     kernels: list[Kernel],
     *,
     executor: str = "iter",
-    min_batch: int = 4,
     plan=None,
     max_violations: int = 50,
 ) -> SanitizeReport:
@@ -471,9 +464,9 @@ def sanitize_schedule(
     (an :class:`~repro.runtime.plan.ExecutionPlan` of *schedule* on
     *kernels*) when one is given, as the plan executor does with the plan
     it is about to run; otherwise it is that of the plan
-    :func:`~repro.runtime.plan.plan_for` finds or compiles at
-    *min_batch*. A plan whose step phases decrease along its step list
-    is rejected with ``ValueError`` (see :func:`execution_coordinates`).
+    :func:`~repro.runtime.plan.plan_for` finds or compiles. A plan whose
+    step phases decrease along its step list is rejected with
+    ``ValueError`` (see :func:`execution_coordinates`).
 
     Returns a :class:`SanitizeReport`; call
     :meth:`SanitizeReport.raise_if_violations` (or pass
@@ -487,9 +480,7 @@ def sanitize_schedule(
     with rec.span(
         "sanitize.run", executor=executor, vertices=schedule.n_vertices
     ) as span:
-        sp, wp, tt = execution_coordinates(
-            schedule, kernels, executor, min_batch=min_batch, plan=plan
-        )
+        sp, wp, tt = execution_coordinates(schedule, kernels, executor, plan=plan)
         if np.any(sp < 0):
             missing = np.nonzero(sp < 0)[0]
             raise ScheduleError(

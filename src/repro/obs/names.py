@@ -124,8 +124,8 @@ REGISTRY: dict[str, tuple[str, str]] = {
         "level steps given their read-only operand values by ExecutionPlan.bind",
     ),
     EXECUTOR_ITERATIONS: ("1", "iterations executed (any executor)"),
-    EXECUTOR_BATCHED_ITERATIONS: ("1", "iterations executed vectorized"),
-    EXECUTOR_SCALAR_ITERATIONS: ("1", "iterations executed scalar"),
+    EXECUTOR_BATCHED_ITERATIONS: ("1", "iterations run by plan level steps"),
+    EXECUTOR_SCALAR_ITERATIONS: ("1", "iterations run by one-iteration plan steps"),
     EXECUTOR_LEVEL_COUNT: ("1", "level steps executed by the plan executor"),
     EXECUTOR_SIM_COMPUTE_CYCLES: ("cycles", "simulated compute (ALU) cycles"),
     EXECUTOR_SIM_MEMORY_CYCLES: ("cycles", "simulated memory-stall cycles"),

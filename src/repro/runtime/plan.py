@@ -22,10 +22,19 @@ pays interpreter cost per iteration. This module compiles a
   boundaries would otherwise multiply its dispatches; merged, each loop
   runs one step per intra level — the same count as an unfused plan —
   while the schedule still sets the order inside each step.
+* A step of one iteration runs
+  :meth:`~repro.kernels.base.Kernel.run_iteration`; every wider step is
+  a **level step** and runs
+  :meth:`~repro.kernels.base.Kernel.run_level_batch`. A level step pays
+  a fixed dispatch cost that one scalar iteration undercuts, while from
+  two iterations on a level step wins for every shipped kernel
+  (docs/performance.md has the measurements), so the size alone picks
+  the call and there is nothing to tune.
 * Per level step, the kernel's precomputation — the concatenated
   gather/scatter index arrays — is built up front, so executing the
-  plan does no index arithmetic at all. The compiler asks each loop for
-  all of its level steps at once through
+  plan does no index arithmetic at all; a one-iteration step holds
+  none. The compiler asks each loop for all of its level steps at once
+  through
   :meth:`~repro.kernels.base.Kernel.precompute_levels`, and every
   shipped kernel answers with one gather pass over every step, split per
   step, instead of a dozen small passes.
@@ -52,13 +61,13 @@ pays interpreter cost per iteration. This module compiles a
   :func:`~repro.fusion.fuse` bound to the schedule, whose plan entries
   persist across processes; and only then :func:`compile_plan`, whose
   result goes into both. A stored plan holds no kernel objects: per step
-  its kind, loop, phase and iterations plus the ``precompute_levels``
-  arrays, which depend on sparsity patterns only. On load it is bound to
-  the caller's kernels and used only if every vertex appears exactly
-  once, every intra-DAG and ``F`` edge runs to a later step (or to a
-  later position of the same scalar step) and every row block stays in
-  bounds (:func:`_row_blocks_hold`); otherwise it is recompiled and
-  overwritten. Counters ``plan.cache_hits`` / ``plan.cache_misses``
+  its loop, phase and iterations plus the ``precompute_levels`` arrays,
+  which depend on sparsity patterns only. On load it is bound to the
+  caller's kernels and used only if every vertex appears exactly once,
+  exactly its one-iteration steps hold no precomputation, every
+  intra-DAG and ``F`` edge runs to a later step and every row block
+  stays in bounds (:func:`_row_blocks_hold`); otherwise it is recompiled
+  and overwritten. Counters ``plan.cache_hits`` / ``plan.cache_misses``
   (compilations) / ``plan.store_hits`` / ``plan.store_misses`` /
   ``plan.steps_merged``, the ``plan.compile_seconds`` counter and the
   ``plan.compile`` / ``plan.load`` spans make the amortization visible.
@@ -90,21 +99,6 @@ merge runs only when the schedule meets its (s, w, position) contract
 on every such edge, checked over the same edge arrays. A schedule that
 breaks it compiles to the unmerged groups in s-partition order, and the
 plan sanitizer reports the fault with the schedule's s/w coordinates.
-
-Choosing ``min_batch``: every level step pays a fixed dispatch
-cost (index-array handling and ufunc dispatch), while each scalar
-iteration pays one Python call. On the solvers' bound level plans
-(``lap3d:8``-nd, 2-vCPU VM) a row-block SpMV or SpTRSV step costs
-1.7–2.9 µs at one to four iterations and a scalar iteration 2.1–2.3 µs,
-so SpMV batching wins from one iteration and SpTRSV from two; a whole
-Gauss-Seidel solve ran 9.0 ms at ``min_batch=1`` and 10.3 ms at 4
-(docs/performance.md has the measurements). Steps smaller than
-``min_batch`` run scalar, in packed order; the default stays 4 until
-every kernel, not only the row-block ones, is measured.
-``min_batch=1`` forces vectorization everywhere and is mainly useful
-for testing the batch paths; smaller values are rejected, since they
-would compile the same plan under another key. The CLI and
-``benchmarks/bench_executor_plans.py`` take ``--min-batch``.
 """
 
 from __future__ import annotations
@@ -147,13 +141,12 @@ _ROW_BLOCK_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 class PlanStep:
     """One dispatch of the compiled plan.
 
-    ``kind`` is ``"level"`` (vectorized antichain via
-    ``run_level_batch``) or ``"scalar"`` (per-iteration loop, preserving
-    packed order). A step may span several w-partitions and, in a merged
+    A step of one iteration runs ``run_iteration``; a wider one is a
+    level step, an antichain run by ``run_level_batch`` with its
+    ``precomp``. A step may span several w-partitions and, in a merged
     plan, several s-partitions.
     """
 
-    kind: str
     loop: int
     iters: np.ndarray
     precomp: Any = None
@@ -181,7 +174,6 @@ class ExecutionPlan:
     """
 
     loop_counts: tuple[int, ...]
-    min_batch: int
     steps: list[PlanStep]
     kernels: list[Kernel]
     n_level_steps: int = 0
@@ -222,7 +214,7 @@ class ExecutionPlan:
                 st,
                 precomp=self.kernels[st.loop].bind_level(st.iters, st.precomp, values),
             )
-            if st.kind == "level"
+            if st.iters.shape[0] > 1
             else st
             for st in self.steps
         ]
@@ -235,23 +227,16 @@ class ExecutionPlan:
         )
 
 
-def compile_plan(
-    schedule: FusedSchedule,
-    kernels: list[Kernel],
-    *,
-    min_batch: int = 4,
-) -> ExecutionPlan:
+def compile_plan(schedule: FusedSchedule, kernels: list[Kernel]) -> ExecutionPlan:
     """Compile *schedule* + *kernels* into an :class:`ExecutionPlan`.
 
     Starts from one group per (s-partition, loop, intra-DAG level). When
     the schedule meets its dependence contract, the groups merge across
     s-partitions into one step per (loop, level), run in ascending
     (loop, level) order; otherwise the groups are the steps, in
-    s-partition order. Steps smaller than ``min_batch``
-    run scalar in packed order (see the module docstring for the
-    tradeoff).
+    s-partition order. Steps of two or more iterations are level steps
+    and get their precomputation; a one-iteration step runs scalar.
     """
-    _check_min_batch(min_batch)
     check_loop_counts(kernels, schedule.loop_counts)
     rec = current_recorder()
     t0 = time.perf_counter()
@@ -297,15 +282,13 @@ def compile_plan(
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             k = int(loops[lo])
             iters = verts[lo:hi] - int(offsets[k])
-            s = int(phase[lo])
-            if hi - lo >= min_batch:
-                step = PlanStep("level", k, iters, s=s)
+            step = PlanStep(k, iters, s=int(phase[lo]))
+            if hi - lo > 1:
                 level_steps.setdefault(k, []).append(step)
                 n_level += 1
                 n_batched_iters += hi - lo
             else:
-                step = PlanStep("scalar", k, iters, s=s)
-                n_scalar_iters += hi - lo
+                n_scalar_iters += 1
             steps.append(step)
         # One precompute pass per loop over all of its level steps.
         for k, group in level_steps.items():
@@ -323,7 +306,6 @@ def compile_plan(
         rec.count(names.PLAN_STEPS_MERGED, n_merged)
     return ExecutionPlan(
         loop_counts=tuple(schedule.loop_counts),
-        min_batch=min_batch,
         steps=steps,
         kernels=list(kernels),
         n_level_steps=n_level,
@@ -332,13 +314,6 @@ def compile_plan(
         n_steps_merged=n_merged,
         compile_seconds=compile_seconds,
     )
-
-
-def _check_min_batch(min_batch: int) -> None:
-    """Reject a ``min_batch`` below 1: every step size already meets 1,
-    so smaller values would only fork plan-store keys for one plan."""
-    if min_batch < 1:
-        raise ValueError(f"min_batch must be >= 1, got {min_batch}")
 
 
 def _dependence_edges(
@@ -397,20 +372,14 @@ def _meets_contract(
     return bool(np.all(happens_before(sp, wp, pos, src, dst)))
 
 
-def plan_for(
-    schedule: FusedSchedule,
-    kernels: list[Kernel],
-    *,
-    min_batch: int = 4,
-) -> ExecutionPlan:
+def plan_for(schedule: FusedSchedule, kernels: list[Kernel]) -> ExecutionPlan:
     """The compiled plan of *schedule* on *kernels*, compiled at most once.
 
     Looks in three places, in order:
 
     1. the memo on ``schedule.meta``, keyed by the identity of the kernel
-       objects plus ``min_batch`` (the plan holds strong references to its
-       kernels, so an ``id()`` can never be recycled while its entry is
-       alive);
+       objects (the plan holds strong references to its kernels, so an
+       ``id()`` can never be recycled while its entry is alive);
     2. the plan store: the :class:`~repro.schedule.cache.ScheduleCache`
        :func:`~repro.fusion.fuse` bound to the schedule, under
        :func:`~repro.schedule.cache.plan_key`. A stored plan is bound to
@@ -421,9 +390,8 @@ def plan_for(
     ``plan.store_misses`` (store, when one is bound) and
     ``plan.cache_misses`` (compilations).
     """
-    _check_min_batch(min_batch)
     memo = schedule.meta.setdefault(PLAN_MEMO_KEY, {})
-    key = (tuple(id(k) for k in kernels), int(min_batch))
+    key = tuple(id(k) for k in kernels)
     rec = current_recorder()
     plan = memo.get(key)
     if plan is not None:
@@ -434,11 +402,10 @@ def plan_for(
     stored_as = None
     if store is not None:
         with rec.span("plan.load"):
-            stored_as = plan_key(schedule, kernels, min_batch)
+            stored_as = plan_key(schedule, kernels)
             if stored_as is not None:
                 plan = store.get_plan(
-                    stored_as,
-                    lambda record: _bind_plan(record, schedule, kernels, min_batch),
+                    stored_as, lambda record: _bind_plan(record, schedule, kernels)
                 )
         if rec.enabled:
             rec.count(
@@ -447,7 +414,7 @@ def plan_for(
     if plan is None:
         if rec.enabled:
             rec.count(names.PLAN_CACHE_MISSES)
-        plan = compile_plan(schedule, kernels, min_batch=min_batch)
+        plan = compile_plan(schedule, kernels)
         if stored_as is not None:
             try:
                 header, arrays = _plan_record(plan)
@@ -463,13 +430,17 @@ def _plan_record(plan: ExecutionPlan) -> tuple[dict, list[np.ndarray]]:
     """``(header, arrays)`` holding *plan* without its kernel objects.
 
     The header's JSON skeleton refers to arrays by index: a step is
-    ``[kind, loop, s, iters, precomp]``, and a ``precomp`` tree keeps its
+    ``[loop, s, iters, precomp]``, and a ``precomp`` tree keeps its
     dicts, lists and ``None`` with every ndarray leaf replaced by its
     index. Any other leaf raises ``TypeError``, and so does a bound
-    plan: its steps hold values, which a pattern-keyed store must not.
+    plan (its steps hold values, which a pattern-keyed store must not)
+    or a level step without a precomputation (a record holds one for
+    exactly its level steps, which is how a load tells them apart).
     """
     if plan.bound:
         raise TypeError("a bound plan holds values and is never stored")
+    if any(st.precomp is None and st.iters.shape[0] > 1 for st in plan.steps):
+        raise TypeError("a level step without a precomputation is never stored")
     arrays: list[np.ndarray] = []
 
     def skeleton(node):
@@ -493,7 +464,7 @@ def _plan_record(plan: ExecutionPlan) -> tuple[dict, list[np.ndarray]]:
             plan.n_steps_merged,
         ],
         "steps": [
-            [st.kind, st.loop, st.s, skeleton(st.iters), skeleton(st.precomp)]
+            [st.loop, st.s, skeleton(st.iters), skeleton(st.precomp)]
             for st in plan.steps
         ],
     }
@@ -504,7 +475,6 @@ def _bind_plan(
     record: tuple[dict, list[np.ndarray]],
     schedule: FusedSchedule,
     kernels: list[Kernel],
-    min_batch: int,
 ) -> ExecutionPlan | None:
     """The plan a :func:`_plan_record` record holds, bound to *kernels*,
     or ``None`` when the record is malformed or its order is illegal."""
@@ -525,19 +495,18 @@ def _bind_plan(
         if header["plan_format"] != PLAN_FORMAT:
             return None
         steps = [
-            PlanStep(kind, loop, arrays[iters], tree(precomp), s=s)
-            for kind, loop, s, iters, precomp in header["steps"]
+            PlanStep(loop, arrays[iters], tree(precomp), s=s)
+            for loop, s, iters, precomp in header["steps"]
         ]
         n_level, n_scalar, n_batched, n_merged = header["counts"]
         if not _plan_order_holds(
-            schedule, kernels, steps, min_batch, n_level, n_scalar, n_batched
+            schedule, kernels, steps, n_level, n_scalar, n_batched
         ) or not _row_blocks_hold(steps, kernels):
             return None
     except (KeyError, IndexError, TypeError, ValueError):
         return None
     return ExecutionPlan(
         loop_counts=tuple(schedule.loop_counts),
-        min_batch=min_batch,
         steps=steps,
         kernels=list(kernels),
         n_level_steps=n_level,
@@ -551,17 +520,16 @@ def _plan_order_holds(
     schedule: FusedSchedule,
     kernels: list[Kernel],
     steps: list[PlanStep],
-    min_batch: int,
     n_level: int,
     n_scalar: int,
     n_batched: int,
 ) -> bool:
     """True when *steps* execute *schedule*'s vertices legally on
-    *kernels*: each kind and loop is valid and the header counts match,
-    the steps' phases ``s`` never decrease along the list (the sanitizer
-    models happens-before by them), every vertex appears exactly once,
-    and every intra-DAG and ``F`` edge runs to a later step or to a later
-    position of the same scalar step.
+    *kernels*: each loop is valid, exactly the one-iteration steps hold
+    no precomputation and the header counts match, the steps' phases
+    ``s`` never decrease along the list (the sanitizer models
+    happens-before by them), every vertex appears exactly once, and every
+    intra-DAG and ``F`` edge runs to a later step.
     """
     if [k.n_iterations for k in kernels] != list(schedule.loop_counts):
         return False
@@ -571,20 +539,19 @@ def _plan_order_holds(
     loops = np.array([st.loop for st in steps], dtype=np.int64)
     if loops.min() < 0 or loops.max() >= len(kernels):
         return False
-    if not all(st.kind in ("level", "scalar") for st in steps):
-        return False
     if np.any(np.diff(np.array([st.s for st in steps], dtype=np.int64)) < 0):
         return False
-    level = np.array([st.kind == "level" for st in steps])
     iters = [st.iters for st in steps]
     if any(it.ndim != 1 or it.dtype.kind not in "iu" for it in iters):
         return False
     sizes = np.array([it.shape[0] for it in iters], dtype=np.int64)
+    level = sizes > 1
     if (
-        int(level.sum()) != n_level
+        np.any(sizes < 1)
+        or any((st.precomp is None) == wide for st, wide in zip(steps, level))
+        or int(level.sum()) != n_level
         or int(sizes[level].sum()) != n_batched
-        or int(sizes[~level].sum()) != n_scalar
-        or np.any(sizes[level] < min_batch)
+        or int((~level).sum()) != n_scalar
         or int(sizes.sum()) != n_vertices
     ):
         return False
@@ -598,11 +565,8 @@ def _plan_order_holds(
     step_of[verts] = np.repeat(np.arange(len(steps)), sizes)
     if np.any(step_of < 0):  # n slots, n vertices: some vertex repeats
         return False
-    pos = np.empty(n_vertices, dtype=np.int64)
-    pos[verts] = np.arange(n_vertices)
     src, dst = _dependence_edges(schedule, kernels)
-    a, b = step_of[src], step_of[dst]
-    return bool(np.all((a < b) | ((a == b) & ~level[a] & (pos[src] < pos[dst]))))
+    return bool(np.all(step_of[src] < step_of[dst]))
 
 
 def _row_blocks_hold(steps: list[PlanStep], kernels: list[Kernel]) -> bool:
@@ -621,7 +585,9 @@ def _row_blocks_hold(steps: list[PlanStep], kernels: list[Kernel]) -> bool:
         None if k.row_block_var is None else k.var_sizes()[k.row_block_var]
         for k in kernels
     ]
-    group = [st for st in steps if st.kind == "level" and widths[st.loop] is not None]
+    group = [
+        st for st in steps if st.iters.shape[0] > 1 and widths[st.loop] is not None
+    ]
     if not group:
         return True
     blocks = [st.precomp for st in group]
@@ -659,7 +625,6 @@ def execute_schedule_planned(
     kernels: list[Kernel],
     state: State,
     *,
-    min_batch: int = 4,
     plan: ExecutionPlan | None = None,
     sanitize: bool = False,
 ) -> State:
@@ -680,7 +645,7 @@ def execute_schedule_planned(
     runs.
     """
     if plan is None:
-        plan = plan_for(schedule, kernels, min_batch=min_batch)
+        plan = plan_for(schedule, kernels)
     else:
         _check_plan_fits(plan, kernels, state)
     _check_row_block_vectors(kernels, state)
@@ -698,15 +663,11 @@ def execute_schedule_planned(
         "executor.run", executor="planned", vertices=sum(plan.loop_counts)
     ):
         for step in plan.steps:
-            kern = kernels[step.loop]
-            if step.kind == "level":
-                kern.run_level_batch(
-                    step.iters, state, step.precomp, scratches[step.loop]
-                )
+            kern, scratch = kernels[step.loop], scratches[step.loop]
+            if step.iters.shape[0] == 1:
+                kern.run_iteration(int(step.iters[0]), state, scratch)
             else:
-                scratch = scratches[step.loop]
-                for i in step.iters.tolist():
-                    kern.run_iteration(i, state, scratch)
+                kern.run_level_batch(step.iters, state, step.precomp, scratch)
     if rec.enabled:
         rec.count(names.EXECUTOR_BATCHED_ITERATIONS, plan.n_batched_iterations)
         rec.count(names.EXECUTOR_SCALAR_ITERATIONS, plan.n_scalar_iterations)

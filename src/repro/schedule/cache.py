@@ -16,12 +16,12 @@ two tiers:
   DAG construction and the scheduling stage.
 * **Compiled plans** (:func:`plan_key`), stored by
   :func:`repro.runtime.plan.plan_for` as kernel-free records: per step its
-  kind, loop, phase ``s``, iterations and ``precompute_levels`` arrays,
-  plus the plan's header counts. A warm hit skips plan compile — the
+  loop, phase ``s``, iterations and ``precompute_levels`` arrays, plus
+  the plan's header counts. A warm hit skips plan compile — the
   intra-DAG ``levels()`` passes, the step merge and every
   ``precompute_levels`` call. The key hashes the schedule's *own content*
-  (loop counts, s/w sizes, vertex arrays), ``min_batch``, and every
-  kernel's class, variable names and operand pattern. The schedule key is
+  (loop counts, s/w sizes, vertex arrays) and every kernel's class,
+  variable names and operand pattern. The schedule key is
   not enough: a plan reads kernel patterns the scheduling problem does
   not cover. ``F`` for SpMV→SpTRSV is diagonal whatever ``A`` is, so two
   different ``A`` patterns share a schedule key, but SpMV's gather
@@ -93,8 +93,10 @@ KEY_SCHEMA = 2
 #: writes per step and how ``compile_plan`` groups and orders steps. It
 #: is hashed into every :func:`plan_key` and checked on load. (Format 2:
 #: the linear-row kernels' level steps hold CSR row blocks, and their
-#: compiled row sums round differently from format 1's ``reduceat``.)
-PLAN_FORMAT = 2
+#: compiled row sums round differently from format 1's ``reduceat``.
+#: Format 3: steps no longer record a kind; a step of one iteration runs
+#: scalar and holds no precomputation, every wider step is a level step.)
+PLAN_FORMAT = 3
 
 
 def schedule_key(dags, inter, scheduler, r, reuse_ratio, params=None) -> str:
@@ -125,15 +127,15 @@ def schedule_key(dags, inter, scheduler, r, reuse_ratio, params=None) -> str:
     return h.hexdigest()
 
 
-def plan_key(schedule: FusedSchedule, kernels, min_batch: int) -> str | None:
+def plan_key(schedule: FusedSchedule, kernels) -> str | None:
     """Content fingerprint of one plan compilation, or ``None`` when a
     kernel has no sparse operand to fingerprint (such plans are not
     stored).
 
-    SHA-256 over :data:`KEY_SCHEMA`, :data:`PLAN_FORMAT`, ``min_batch``,
-    the schedule's loop counts, s/w sizes and vertex arrays, and per
-    kernel its class, read/write variable names (they wire up ``F``) and
-    the :func:`pattern_fingerprint` of its matrix (``kernel.a`` or
+    SHA-256 over :data:`KEY_SCHEMA`, :data:`PLAN_FORMAT`, the schedule's
+    loop counts, s/w sizes and vertex arrays, and per kernel its class,
+    read/write variable names (they wire up ``F``) and the
+    :func:`pattern_fingerprint` of its matrix (``kernel.a`` or
     ``kernel.low``), from which its intra-DAG and ``precompute_levels``
     arrays derive.
     """
@@ -151,7 +153,6 @@ def plan_key(schedule: FusedSchedule, kernels, min_batch: int) -> str | None:
         "plan_format": PLAN_FORMAT,
         "loops": [int(n) for n in schedule.loop_counts],
         "widths": [len(wlist) for wlist in schedule.s_partitions],
-        "min_batch": int(min_batch),
         "kernels": [
             [
                 f"{type(k).__module__}.{type(k).__qualname__}",

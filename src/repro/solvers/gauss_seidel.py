@@ -30,7 +30,7 @@ from ..kernels.base import Kernel
 from ..obs import current as current_recorder
 from ..obs import names
 from ..runtime.executor import allocate_state, execute_schedule
-from ..runtime.plan import _check_min_batch, execute_schedule_planned, plan_for
+from ..runtime.plan import execute_schedule_planned, plan_for
 from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..baselines.unfused import parsy_schedule
 from ..schedule.schedule import FusedSchedule
@@ -143,7 +143,6 @@ def gauss_seidel(
     n_threads: int = 8,
     x0: np.ndarray | None = None,
     executor: str = "plan",
-    min_batch: int = 4,
 ) -> GSResult:
     """Solve ``A x = b`` with backward GS (paper's Fig. 9 configuration).
 
@@ -151,8 +150,7 @@ def gauss_seidel(
     the compiled level-batched plan of the chain's
     :func:`~repro.schedule.wavefront.level_schedule` — compiled once per
     solve and bound to ``E``, ``lower(A)`` and *b*; see
-    :mod:`repro.runtime.plan` — and ``min_batch`` tunes its
-    vectorization threshold (at least 1). ``"iter"`` runs the
+    :mod:`repro.runtime.plan`. ``"iter"`` runs the
     per-iteration oracle over the schedule ``method`` picks for
     *n_threads*: ``"sparse-fusion"`` (ICO), ``"parsy"`` (unfused LBC per
     loop), ``"joint-wavefront"`` / ``"joint-lbc"`` / ``"joint-dagp"``.
@@ -165,7 +163,6 @@ def gauss_seidel(
         raise ValueError(f"unknown executor {executor!r}")
     if not a.is_square:
         raise ValueError("Gauss-Seidel requires a square matrix")
-    _check_min_batch(min_batch)
     b = checked_vector("b", b, a.n_rows)
     if x0 is not None:
         x0 = checked_vector("x0", x0, a.n_rows)
@@ -180,7 +177,7 @@ def gauss_seidel(
     if x0 is not None:
         state[x_in][:] = x0
     if executor == "plan":
-        plan = plan_for(sched, kernels, min_batch=min_batch)
+        plan = plan_for(sched, kernels)
         for name in _BOUND:
             state[name].flags.writeable = False
         plan = plan.bind(state, _BOUND)

@@ -48,9 +48,9 @@ def build_ic0_preconditioner(
     factor. The caller writes ``state["r"]`` and reads ``state["z"]``.
 
     The factor comes from the :class:`~repro.kernels.SpIC0` kernel, run
-    once through a plan compiled for its own level schedule: wide levels
-    run as vectorized level steps, and levels narrower than the plan's
-    ``min_batch`` (every level of a banded matrix) run scalar. The plan
+    once through a plan compiled for its own level schedule: levels of
+    two or more columns run as vectorized level steps, and one-column
+    levels (every level of a banded matrix) run scalar. The plan
     is compiled explicitly rather than through
     :func:`~repro.runtime.plan.plan_for`, since a factorization runs
     once and a memoized or stored plan would never be reused. The result

@@ -16,6 +16,22 @@ class TestMatrixSpec:
         assert parse_matrix_spec("pow:40").n_rows == 40
         assert parse_matrix_spec("arrow:30").n_rows == 30
 
+    @pytest.mark.parametrize(
+        "spec, form",
+        [
+            ("band:400", "band:N,BW"),
+            ("band:400:4", "band:N,BW"),
+            ("lap2d:x", "lap2d:N"),
+            ("rand:40,5,3", "rand:N[,NNZ_PER_ROW]"),
+        ],
+    )
+    def test_malformed_generator_spec(self, spec, form, capsys):
+        """A generator spec that does not fit its form fails as cleanly
+        as an unreadable ``.mtx`` path: one line naming spec and form."""
+        assert main(["info", "--matrix", spec]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed matrix spec '{spec}': expected {form}\n"
+
     def test_mtx_path(self, tmp_path, lap2d_small):
         from repro.sparse import write_matrix_market
 

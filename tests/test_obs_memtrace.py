@@ -350,13 +350,13 @@ def test_sanitizer_emits_registered_counters(lap2d_nd):
 
 # -- a plan's step phases must follow its step list -------------------------
 def _combo1_plan():
-    """Combo 1 on ``laplacian_2d(12)`` at ``min_batch=1``: fused schedule,
-    kernels and its compiled plan."""
+    """Combo 1 on ``laplacian_2d(12)``: fused schedule, kernels and its
+    compiled plan."""
     from repro.runtime import compile_plan
 
     kernels, _ = build_combination(1, laplacian_2d(12))
     fused = fuse(kernels, 8)
-    plan = compile_plan(fused.schedule, kernels, min_batch=1)
+    plan = compile_plan(fused.schedule, kernels)
     assert plan.n_steps > 2
     return fused.schedule, kernels, plan
 

@@ -1,7 +1,7 @@
 """Stored plan records are stable across refactors of the plan compiler
 and of the kernels' precompute hooks.
 
-A stored plan is its ``_plan_record``: the step kinds, loops, phases and
+A stored plan is its ``_plan_record``: the step loops, phases and
 iterations plus every ``precompute_levels`` array, with its dict keys in
 order. A refactor that changed one index, its order, its dtype or a key
 would silently change what a plan store holds. The digests below were
@@ -16,6 +16,12 @@ boundaries with CSR row blocks (``ptr``, ``cols``, ``gather``), so every
 record holding SpTRSV-CSR, its from-LU variant or SpMV-CSR changed. The
 records of combinations 2, 4 and 6 hold none of them: their format-2
 digests differ from format 1's only by the header's ``plan_format``.
+
+Format 3 dropped the step kind: a step of one iteration runs scalar and
+holds no precomputation, and every wider step is a level step. Groups
+of two or three iterations, which ran scalar under the old batch
+threshold of four, became precomputed level steps, and every pinned plan
+has one or two of them on this matrix, so every digest changed.
 """
 
 import hashlib
@@ -34,15 +40,15 @@ from repro.solvers.pcg import build_ic0_preconditioner
 N_THREADS = 8
 
 PINNED_DIGESTS = {
-    "combo1": "1d4b0ead0edb680c547ba6d6aa21275a04eeb61e4ddb019eefe44dc647541808",
-    "combo2": "00dbcd67185a995bb1674791b0945537c41f48ba06755ad18989b32af159161a",
-    "combo3": "625cce8d9974c28b2348a8526ede7c15dd198fc4135ba6eadade169238512407",
-    "combo4": "b971c62accef44469da9e04a73d983635d49d2713163eff9590864015142137b",
-    "combo5": "8ce78aee1bf1bbd045595373ff6cb72920fd690ad3db40cd8c15e0a417a97718",
-    "combo6": "19088aa086b64f579f4038c53683abb2f869651ef31fd5ca32eb2307b05d3fad",
-    "gs-unroll1": "f2ea2f19d638823d11f6c044d315c5a9f801bca6104347c985c191a9f31117dd",
-    "gs-unroll2": "7b2bb99cc4a780c1e0de171ef310dc47833cc357d0046b85ecf51315f1d7f75e",
-    "pcg-pair": "014c5cf52ea47e2f173f93bec83e9eb97c5bf55f89f03beafbd435be9e017325",
+    "combo1": "3f1f9fb72f7e86f2337ea960d0dfb25bccf540e7bec1cb86596dbdba805221ee",
+    "combo2": "84a6d3990200c64ebfaec43a5dafb68db8c802715c29963a73ce0902c89af60a",
+    "combo3": "ef180dfbd3af8d650acb1891f29afb15f90568557b0409bd48ad2881d6906d26",
+    "combo4": "b9280b001760c339dc968f0a577d0d58b26cfc9586f9af727dce6e383a73b42d",
+    "combo5": "b42eaffa41f3dcfd890d9e340a4737560a611f0e47789c6012d873bc2c199263",
+    "combo6": "fc40996dfb4aca345d1099a4f9fb5914e53fd44f8296ca4df302141ed4bf7c84",
+    "gs-unroll1": "c67110f27dec2a71e1a28d2f2b374cf20403339ffe878ef52b42b536d8d1a616",
+    "gs-unroll2": "b883bc42957e7754f83e7cd55a6bfb2589452e8b7188667822342e0aaee1012b",
+    "pcg-pair": "24407f805be882ab34580ec84ab1ab80124f03bd236dbdf9969d791025e0a793",
 }
 
 
@@ -58,7 +64,7 @@ def record_digest(plan) -> str:
 
 
 def build_plan(name: str, a):
-    """The plan that *name* pins, compiled at the default ``min_batch``."""
+    """The plan that *name* pins."""
     if name.startswith("combo"):
         kernels, _ = build_combination(int(name[5:]), a)
         return compile_plan(fuse(kernels, N_THREADS).schedule, kernels)
@@ -70,7 +76,7 @@ def build_plan(name: str, a):
 
 
 def test_pinned_digests_belong_to_the_current_format():
-    assert PLAN_FORMAT == 2
+    assert PLAN_FORMAT == 3
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))

@@ -58,12 +58,12 @@ def _workload(name, a):
     return kernels, state
 
 
-def _fuse_and_run(name, a, cache_dir, **plan_kwargs):
+def _fuse_and_run(name, a, cache_dir):
     """fuse + planned run with a fresh cache object on *cache_dir*."""
     kernels, state = _workload(name, a)
     cache = ScheduleCache(directory=cache_dir)
     fused = fuse(kernels, N_THREADS, cache=cache)
-    execute_schedule_planned(fused.schedule, fused.kernels, state, **plan_kwargs)
+    execute_schedule_planned(fused.schedule, fused.kernels, state)
     return fused, state, cache
 
 
@@ -179,7 +179,7 @@ def _consumer_first(path):
     # running an SpMV step first breaks F edges (its own DAG is empty)
     def edit(header, arrays):
         steps = header["steps"]
-        (i,) = [i for i, step in enumerate(steps) if step[1] == 1][:1]
+        (i,) = [i for i, step in enumerate(steps) if step[0] == 1][:1]
         steps.insert(0, steps.pop(i))
 
     _rewrite(path, edit)
@@ -195,8 +195,8 @@ def _reversed_phases(path):
     # the legal order, but phases that decrease along the step list
     def edit(header, arrays):
         steps = header["steps"]
-        for step, s in zip(steps, [step[2] for step in steps][::-1]):
-            step[2] = s
+        for step, s in zip(steps, [step[1] for step in steps][::-1]):
+            step[1] = s
 
     _rewrite(path, edit)
 
@@ -204,33 +204,32 @@ def _reversed_phases(path):
 @pytest.mark.parametrize("damage", ["reversed-steps", "reversed-phases"])
 def test_plans_whose_phases_decrease_recompile(damage, tmp_path):
     a = laplacian_2d(12)
-    _fuse_and_run("combo1", a, tmp_path, min_batch=1)
+    _fuse_and_run("combo1", a, tmp_path)
     path = _plan_file(tmp_path)
     good = path.read_bytes()
     (_reversed_steps if damage == "reversed-steps" else _reversed_phases)(path)
     assert path.read_bytes() != good
 
     with recording() as rec:
-        fused, state, cache = _fuse_and_run("combo1", a, tmp_path, min_batch=1)
+        fused, state, cache = _fuse_and_run("combo1", a, tmp_path)
     assert rec.counter("plan.store_misses") == 1
     assert rec.counter("plan.cache_misses") == 1
     assert cache.stats["plan_misses"] == 1 and cache.stats["plan_hits"] == 0
     assert path.read_bytes() == good  # overwritten with the compiled plan
-    phases = [st.s for st in plan_for(fused.schedule, fused.kernels, min_batch=1).steps]
+    phases = [st.s for st in plan_for(fused.schedule, fused.kernels).steps]
     assert phases == sorted(phases)
 
 
 def _swapped_dependent_steps(path):
     # two consecutive steps of one loop (levels L and L + 1) trade their
-    # kind, iterations and precomputation but keep their phases, so the
-    # phases still never decrease: only the edge check sees that level
-    # L + 1 now runs before the level it depends on
+    # iterations and precomputation but keep their phases, so the phases
+    # still never decrease: only the edge check sees that level L + 1 now
+    # runs before the level it depends on
     def edit(header, arrays):
         steps = header["steps"]
-        i = next(i for i in range(len(steps) - 1) if steps[i][1] == steps[i + 1][1])
+        i = next(i for i in range(len(steps) - 1) if steps[i][0] == steps[i + 1][0])
         a, b = steps[i], steps[i + 1]
-        a[0], b[0] = b[0], a[0]
-        a[3:], b[3:] = b[3:], a[3:]
+        a[2:], b[2:] = b[2:], a[2:]
 
     _rewrite(path, edit)
 
@@ -307,11 +306,56 @@ def test_bad_entries_recompile_and_overwrite(damage, tmp_path, monkeypatch):
     assert _bitwise_equal(state, _compiled_run("combo3", a))
 
 
+def _format_2(header, arrays):
+    # the layout before format 3: a kind before every step
+    header["plan_format"] = 2
+    for step in header["steps"]:
+        step.insert(0, "scalar" if arrays[step[2]].shape[0] == 1 else "level")
+
+
+def _precomputed_single_step(header, arrays):
+    # a one-iteration step carrying the precomputation of a level step
+    # of its loop
+    steps = header["steps"]
+    single = next(st for st in steps if arrays[st[2]].shape[0] == 1)
+    single[3] = next(st[3] for st in steps if st[0] == single[0] and st[3])
+
+
+def _level_step_without_precomp(header, arrays):
+    next(st for st in header["steps"] if st[3] is not None)[3] = None
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_format_2, _precomputed_single_step, _level_step_without_precomp],
+    ids=["format-2", "precomputed-single-step", "bare-level-step"],
+)
+def test_records_breaking_the_step_rule_recompile(damage, tmp_path):
+    # a record holds a precomputation for exactly its steps of two or
+    # more iterations; the natural-order Laplacian's first and last
+    # levels hold one row each, so combo 4 has one-iteration steps, and
+    # neither of its kernels holds row blocks for _row_blocks_hold to see
+    a = laplacian_2d(12)
+    _fuse_and_run("combo4", a, tmp_path)
+    path = _plan_file(tmp_path)
+    good = path.read_bytes()
+    _rewrite(path, damage)
+    assert path.read_bytes() != good
+
+    with recording() as rec:
+        _, state, cache = _fuse_and_run("combo4", a, tmp_path)
+    assert rec.counter("plan.store_misses") == 1
+    assert rec.counter("plan.cache_misses") == 1
+    assert cache.stats["plan_misses"] == 1 and cache.stats["plan_hits"] == 0
+    assert _bitwise_equal(state, _compiled_run("combo4", a))
+    assert path.read_bytes() == good  # overwritten with the compiled plan
+
+
 def _damage_row_block(damage, header, arrays):
     """Damage the largest row block of the record in one way the compiled
     product would not notice: it checks no bounds."""
-    steps = [st for st in header["steps"] if st[0] == "level" and "ptr" in st[4]]
-    block = max((st[4] for st in steps), key=lambda b: arrays[b["cols"]].shape[0])
+    steps = [st for st in header["steps"] if st[3] is not None and "ptr" in st[3]]
+    block = max((st[3] for st in steps), key=lambda b: arrays[b["cols"]].shape[0])
     ptr, cols = arrays[block["ptr"]], arrays[block["cols"]]
     assert ptr.shape[0] >= 3 and cols.shape[0] >= 2
     if damage == "col-past-x":
@@ -412,7 +456,7 @@ def test_plan_key_covers_kernel_patterns_the_schedule_key_does_not():
         keys.append(schedule_key(dags, inter, "ico", N_THREADS, reuse, {}))
     assert keys[0] == keys[1]  # F is diagonal either way
     sched = fuse(first, N_THREADS).schedule
-    assert plan_key(sched, first, 4) != plan_key(sched, second, 4)
+    assert plan_key(sched, first) != plan_key(sched, second)
     # ... and the store keeps the two apart: no stale gather indices
     cache = ScheduleCache()
     for kernels in (first, second):
@@ -421,32 +465,30 @@ def test_plan_key_covers_kernel_patterns_the_schedule_key_does_not():
         with recording() as rec:
             plan = plan_for(fresh, kernels)
         assert rec.counter("plan.store_misses") == 1
-        spmv = [st for st in plan.steps if st.loop == 0 and st.kind == "level"]
+        spmv = [st for st in plan.steps if st.loop == 0 and st.iters.shape[0] > 1]
         assert spmv
         for st in spmv:
             assert np.array_equal(st.precomp["cols"], kernels[0].a.indices[st.iters])
 
 
-def test_mutated_copy_and_other_min_batch_miss(tmp_path):
+def test_mutated_copy_misses(tmp_path):
     a = _matrix()
     fused, _, cache = _fuse_and_run("combo1", a, tmp_path)
     sched, kernels = fused.schedule, fused.kernels
-    base = plan_key(sched, kernels, 4)
-    assert plan_key(sched.copy(), kernels, 4) == base  # content, not identity
-    assert plan_key(sched, kernels, 2) != base
+    base = plan_key(sched, kernels)
+    assert plan_key(sched.copy(), kernels) == base  # content, not identity
 
     mutated = sched.copy()
     assert PLAN_STORE_KEY not in mutated.meta  # copy() unbinds the store
     w = next(w for wlist in mutated.s_partitions for w in wlist if w.shape[0] > 1)
     w[[0, 1]] = w[[1, 0]]
-    assert plan_key(mutated, kernels, 4) != base
+    assert plan_key(mutated, kernels) != base
     mutated.meta[PLAN_STORE_KEY] = cache
     with recording() as rec:
         plan_for(mutated, kernels)
-        plan_for(sched, kernels, min_batch=2)
         plan_for(sched, kernels)  # compiled by _fuse_and_run: memo hit
-    assert rec.counter("plan.store_misses") == 2
-    assert rec.counter("plan.cache_misses") == 2
+    assert rec.counter("plan.store_misses") == 1
+    assert rec.counter("plan.cache_misses") == 1
     assert rec.counter("plan.cache_hits") == 1
 
 
@@ -489,17 +531,17 @@ def test_every_kernel_precomp_round_trips(index, lap2d_nd, tmp_path):
     n = kernel.n_iterations
     sched = FusedSchedule((n,), [[np.arange(n, dtype=np.int64)]])
     sched.meta[PLAN_STORE_KEY] = ScheduleCache(directory=tmp_path)
-    compiled = plan_for(sched, [kernel], min_batch=1)
+    compiled = plan_for(sched, [kernel])
     assert compiled.n_level_steps > 0
 
     fresh = sched.copy()
     fresh.meta[PLAN_STORE_KEY] = ScheduleCache(directory=tmp_path)
     with recording() as rec:
-        loaded = plan_for(fresh, [kernel], min_batch=1)
+        loaded = plan_for(fresh, [kernel])
     assert rec.counter("plan.store_hits") == 1, type(kernel).__name__
     assert len(loaded.steps) == len(compiled.steps)
     for got, want in zip(loaded.steps, compiled.steps):
-        assert (got.kind, got.loop, got.s) == (want.kind, want.loop, want.s)
+        assert (got.loop, got.s) == (want.loop, want.s)
         assert _trees_equal(got.iters, want.iters)
         assert _trees_equal(got.precomp, want.precomp), type(kernel).__name__
     for field in ("n_level_steps", "n_scalar_iterations", "n_batched_iterations"):

@@ -253,5 +253,5 @@ class TestPlanEquivalence:
         state["b"][:] = rng.random(low.n_rows)
         st2 = {v: a.copy() for v, a in state.items()}
         execute_schedule(fl.schedule, [k1, k2], state)
-        execute_schedule_planned(fl.schedule, [k1, k2], st2, min_batch=2)
+        execute_schedule_planned(fl.schedule, [k1, k2], st2)
         assert np.allclose(state["z"], st2["z"], atol=1e-12)

@@ -28,6 +28,7 @@ from repro.runtime import (
     execute_schedule_planned,
     plan_for,
 )
+from repro.runtime.plan import _plan_record
 from repro.baselines.unfused import parsy_schedule
 from repro.obs import recording
 from repro.schedule import FusedSchedule
@@ -37,8 +38,8 @@ from repro.solvers.pcg import build_ic0_preconditioner
 
 
 def _step_sets(plan):
-    """Each step's kind, loop and iteration set, in plan order."""
-    return [(st.kind, st.loop, tuple(np.sort(st.iters))) for st in plan.steps]
+    """Each step's loop and iteration set, in plan order."""
+    return [(st.loop, tuple(np.sort(st.iters))) for st in plan.steps]
 
 
 def _run_both(schedule, kernels, state, **plan_kwargs):
@@ -88,14 +89,29 @@ class TestEquivalence:
                             var,
                         )
 
-    def test_huge_min_batch_is_bitwise_scalar(self, lap2d_nd):
-        """min_batch beyond every group size forces the scalar path,
-        which must be bitwise-faithful to the packed order."""
-        kernels, state = build_combination(3, lap2d_nd, seed=1)
-        fl = fuse(kernels, 4)
-        st1, st2 = _run_both(fl.schedule, kernels, state, min_batch=10**9)
-        for var in st1:
-            assert np.array_equal(st1[var], st2[var]), var
+    def test_one_iteration_steps_are_bitwise_scalar(self, band_small, rng):
+        """Every level of a natural-order band holds one row, so every
+        step of the dependence-carrying kernels holds one iteration, has
+        no precomputation and runs ``run_iteration``: bitwise equal to
+        the ``iter`` oracle. Combinations 1, 4 and 5 hold SpTRSV-CSR,
+        SpIC0, SpTRSV-CSC, SpILU0 and SpTRSV from LU; the preconditioner
+        pair adds the backward solve."""
+        cases = []
+        for cid in (1, 4, 5):
+            kernels, state = build_combination(cid, band_small, seed=cid)
+            cases.append((fuse(kernels, 4).schedule, kernels, state))
+        kernels, schedule, state = build_ic0_preconditioner(band_small)
+        state["r"][:] = rng.random(band_small.n_rows)
+        cases.append((schedule, kernels, state))
+        for schedule, kernels, state in cases:
+            plan = compile_plan(schedule, kernels)
+            assert plan.n_level_steps == 0
+            assert plan.n_scalar_iterations == schedule.n_vertices
+            for step in plan.steps:
+                assert step.iters.shape[0] == 1 and step.precomp is None
+            st1, st2 = _run_both(schedule, kernels, state, plan=plan)
+            for var in st1:
+                assert np.array_equal(st1[var], st2[var]), var
 
     def test_equals_iter_on_zoo(self, matrix_zoo):
         """Every structural regime: the CSR solves of combo 1 agree with
@@ -116,18 +132,20 @@ class TestEquivalence:
                             st1[var], st2[var], rtol=1e-13, atol=1e-13
                         ), (name, var)
 
-    def test_kernel_error_propagates(self, lap2d_nd):
+    def test_kernel_error_propagates(self, lap2d_nd, band_small):
         """An ILU0 zero pivot raises out of the plan executor on both
-        the batched and the scalar step paths."""
-        kernels, state = build_combination(5, lap2d_nd)
-        state["Ax"][lap2d_nd.diagonal_positions()[0]] = 0.0
-        fl = fuse(kernels, 2, validate=False)
-        for min_batch in (4, 1):
-            st = {v: a.copy() for v, a in state.items()}
+        the level and the one-iteration step paths: row 0 is in a wide
+        first level of the nested-dissection Laplacian and alone in the
+        first level of the natural-order band."""
+        for a, wide in ((lap2d_nd, True), (band_small, False)):
+            kernels, state = build_combination(5, a)
+            state["Ax"][a.diagonal_positions()[0]] = 0.0
+            fl = fuse(kernels, 2, validate=False)
+            plan = compile_plan(fl.schedule, kernels)
+            (first,) = [st for st in plan.steps if st.loop == 0 and 0 in st.iters]
+            assert (first.iters.shape[0] > 1) == wide
             with pytest.raises(ValueError, match="pivot"):
-                execute_schedule_planned(
-                    fl.schedule, kernels, st, min_batch=min_batch
-                )
+                execute_schedule_planned(fl.schedule, kernels, state, plan=plan)
 
     def test_planned_deterministic_across_runs(self, lap3d_nd):
         """Two planned executions of the same plan are bitwise equal."""
@@ -164,23 +182,25 @@ class TestSPartitionSteps:
         # a merged plan's happens-before phases are its step indices
         assert [step.s for step in plan.steps] == list(range(plan.n_steps))
 
-    @pytest.mark.parametrize("min_batch", [2, 4, 16])
+    @pytest.mark.parametrize("n_threads", [2, 4, 16])
     @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
-    def test_level_steps_meet_lower_bound(self, cid, min_batch, lap3d_nd):
+    def test_level_steps_meet_lower_bound(self, cid, n_threads, lap3d_nd):
         """One step per intra level of every loop — the fewest any legal
-        plan can have — and never more steps than the unfused plan."""
+        plan can have — and never more steps than the unfused plan. A
+        step is a level step, with a precomputation, exactly when it
+        holds two or more iterations."""
         kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
-        fl = fuse(kernels, 8)
-        plan = compile_plan(fl.schedule, kernels, min_batch=min_batch)
+        fl = fuse(kernels, n_threads)
+        plan = compile_plan(fl.schedule, kernels)
         for k, kern in enumerate(kernels):
             sizes = np.bincount(kern.intra_dag().levels())
             mine = [step for step in plan.steps if step.loop == k]
             assert len(mine) == sizes.shape[0], k
-            n_level = sum(step.kind == "level" for step in mine)
-            assert n_level == int(np.sum(sizes >= min_batch)), k
-        unfused = compile_plan(
-            parsy_schedule(kernels, 8), kernels, min_batch=min_batch
-        )
+            assert sorted(st.iters.shape[0] for st in mine) == sorted(sizes), k
+            for step in mine:
+                assert (step.precomp is None) == (step.iters.shape[0] == 1), k
+        assert plan.n_level_steps == sum(st.iters.shape[0] > 1 for st in plan.steps)
+        unfused = compile_plan(parsy_schedule(kernels, n_threads), kernels)
         assert plan.n_steps <= unfused.n_steps
 
     def test_solver_plans_no_longer_than_unfused(self, lap3d_nd):
@@ -244,25 +264,23 @@ class TestEmptyRowSteps:
     @staticmethod
     def _check(schedule, kernels, state):
         n_rows = 0
-        for min_batch in (1, 4):
-            plan = compile_plan(schedule, kernels, min_batch=min_batch)
-            want, got = _run_both(schedule, kernels, state, plan=plan)
-            for kern in kernels:
-                rows = _rows_without_entries(kern)
-                if rows is None:
-                    continue
-                n_rows += rows.shape[0]
-                if isinstance(kern, SpMVCSR):
-                    y = got[kern.y_var][rows]
-                    add = np.zeros_like(y)
-                    if kern.add_var:
-                        add = got[kern.add_var][rows]
-                    assert y.tobytes() == add.tobytes(), kern.name
-                else:
-                    x = kern.x_var
-                    assert np.allclose(
-                        got[x][rows], want[x][rows], rtol=0, atol=1e-13
-                    ), kern.name
+        want, got = _run_both(schedule, kernels, state)
+        for kern in kernels:
+            rows = _rows_without_entries(kern)
+            if rows is None:
+                continue
+            n_rows += rows.shape[0]
+            if isinstance(kern, SpMVCSR):
+                y = got[kern.y_var][rows]
+                add = np.zeros_like(y)
+                if kern.add_var:
+                    add = got[kern.add_var][rows]
+                assert y.tobytes() == add.tobytes(), kern.name
+            else:
+                x = kern.x_var
+                assert np.allclose(
+                    got[x][rows], want[x][rows], rtol=0, atol=1e-13
+                ), kern.name
         return n_rows
 
     @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
@@ -297,8 +315,8 @@ class TestDegenerateSchedules:
         assert np.allclose(st1["x"], st2["x"], atol=1e-13)
 
     def test_single_vertex_levels(self, rng):
-        """A fully sequential chain: every level batch degenerates to
-        one iteration and takes the scalar path."""
+        """A fully sequential chain: every step holds one iteration and
+        runs ``run_iteration``."""
         from repro.sparse import banded_spd
 
         a = banded_spd(60, 1)  # tridiagonal -> pure chain
@@ -314,7 +332,7 @@ class TestDegenerateSchedules:
         st1, st2 = _run_both(sched, [kern], state)
         assert np.array_equal(st1["x"], st2["x"])
         plan = compile_plan(sched, [kern])
-        assert plan.n_level_steps == 0  # all single-vertex -> scalar
+        assert plan.n_level_steps == 0  # all one-iteration steps
 
     def test_empty_loop(self):
         """Zero-iteration loops compile to an empty plan."""
@@ -346,13 +364,17 @@ class TestMemoization:
         fl = fuse(kernels, 4)
         assert plan_for(fl.schedule, kernels) is plan_for(fl.schedule, kernels)
 
-    def test_min_batch_keys_cache(self, lap2d_nd):
+    def test_kernel_objects_key_cache(self, lap2d_nd):
+        """The memo is keyed by the kernel objects: equal kernels built
+        again compile their own plan, holding the new kernels."""
         kernels, _ = build_combination(1, lap2d_nd)
         fl = fuse(kernels, 4)
-        p4 = plan_for(fl.schedule, kernels, min_batch=4)
-        p8 = plan_for(fl.schedule, kernels, min_batch=8)
-        assert p4 is not p8
-        assert p4.min_batch == 4 and p8.min_batch == 8
+        again, _ = build_combination(1, lap2d_nd)
+        first = plan_for(fl.schedule, kernels)
+        second = plan_for(fl.schedule, again)
+        assert first is not second
+        assert second.kernels == again
+        assert _step_sets(first) == _step_sets(second)
 
     def test_schedule_copy_does_not_share_plans(self, lap2d_nd):
         """copy() duplicates meta, so a copied schedule re-compiles —
@@ -503,34 +525,37 @@ class TestBatchedPrecompute:
 
         return [(name, make()) for name, make in MAP_PATTERNS.items()]
 
-    @pytest.mark.parametrize("min_batch", [1, 4])
-    def test_steps_equal_per_step_precompute(self, min_batch, matrix_zoo):
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_steps_equal_per_step_precompute(self, seed, matrix_zoo):
+        """Each loop runs as one w-partition in a random order, so its
+        steps hold their iterations in that order, not sorted."""
         from .test_kernels_dataflow import all_kernels
         from .test_plan_store import _trees_equal
 
+        rng = np.random.default_rng(seed)
         checked = set()
         for name, mat in [*matrix_zoo, *self._extra_patterns()]:
             for kern in all_kernels(mat):
                 n = kern.n_iterations
-                sched = FusedSchedule((n,), [[np.arange(n, dtype=np.int64)]])
-                plan = compile_plan(sched, [kern], min_batch=min_batch)
+                sched = FusedSchedule((n,), [[rng.permutation(n)]])
+                plan = compile_plan(sched, [kern])
                 for step in plan.steps:
-                    if step.kind == "level":
+                    if step.iters.shape[0] > 1:
                         want = kern.precompute_levels(step.iters, [len(step.iters)])[0]
                         assert _trees_equal(step.precomp, want), (name, kern.name)
                         checked.add(kern.name)
         assert len(checked) == 11
 
-    @pytest.mark.parametrize("min_batch", [1, 4])
-    def test_fused_plans_equal_per_step_precompute(self, min_batch, lap3d_nd):
+    @pytest.mark.parametrize("n_threads", [1, 4])
+    def test_fused_plans_equal_per_step_precompute(self, n_threads, lap3d_nd):
         from .test_plan_store import _trees_equal
 
         for cid in sorted(COMBINATIONS):
             kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
-            fl = fuse(kernels, 8)
-            plan = compile_plan(fl.schedule, kernels, min_batch=min_batch)
+            fl = fuse(kernels, n_threads)
+            plan = compile_plan(fl.schedule, kernels)
             for step in plan.steps:
-                if step.kind == "level":
+                if step.iters.shape[0] > 1:
                     want = kernels[step.loop].precompute_levels(
                         step.iters, [len(step.iters)]
                     )[0]
@@ -606,6 +631,10 @@ class TestKernelWithoutVectorizedPath:
             got = execute_schedule_planned(sched, [kern], fresh(), plan=run)
             assert np.array_equal(got["x"], want["x"])
         assert sanitize_schedule(sched, [kern], executor="plan", plan=plan).clean
+        # a stored level step is told apart by its precomputation, so a
+        # plan whose level steps have none never reaches the plan store
+        with pytest.raises(TypeError, match="without a precomputation"):
+            _plan_record(plan)
 
 
 class TestSanitizeChecksThePlanThatRuns:
@@ -620,7 +649,7 @@ class TestSanitizeChecksThePlanThatRuns:
 
         kernels, state = build_combination(1, laplacian_2d(12))
         fl = fuse(kernels, 8)
-        legal = compile_plan(fl.schedule, kernels, min_batch=1)
+        legal = compile_plan(fl.schedule, kernels)
         # the merged plan backwards, each step's phase its new index
         reversed_plan = replace(
             legal,
@@ -649,34 +678,14 @@ class TestSanitizeChecksThePlanThatRuns:
 
 
 class TestMinBatchRejected:
-    """``min_batch < 1`` is rejected by name at every entry point; it
-    would compile the ``min_batch=1`` plan under another store key."""
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_compile_plan_and_plan_for(self, bad, lap2d_nd, tmp_path):
-        from repro.schedule.cache import ScheduleCache
-
-        kernels, state = build_combination(1, lap2d_nd)
-        fl = fuse(kernels, 4, cache=ScheduleCache(directory=tmp_path))
-        with pytest.raises(ValueError, match="min_batch"):
-            compile_plan(fl.schedule, kernels, min_batch=bad)
-        with pytest.raises(ValueError, match="min_batch"):
-            plan_for(fl.schedule, kernels, min_batch=bad)
-        with pytest.raises(ValueError, match="min_batch"):
-            execute_schedule_planned(fl.schedule, kernels, state, min_batch=bad)
-        assert not list(tmp_path.glob("plan-*.bin"))
-
-    def test_gauss_seidel(self, lap2d_nd, rng):
-        from repro.solvers import gauss_seidel
-
-        with pytest.raises(ValueError, match="min_batch"):
-            gauss_seidel(lap2d_nd, rng.random(lap2d_nd.n_rows), min_batch=0)
+    """The plan executor has no batch threshold to tune: a step's size
+    picks its call, and ``--min-batch`` is an unknown option."""
 
     @pytest.mark.parametrize("command", ["fuse", "sanitize"])
     def test_cli(self, command, capsys):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc:
-            main([command, "--matrix", "lap2d:6", "--min-batch", "0"])
+            main([command, "--matrix", "lap2d:6", "--min-batch", "2"])
         assert exc.value.code == 2
-        assert "--min-batch" in capsys.readouterr().err
+        assert "unrecognized arguments: --min-batch" in capsys.readouterr().err

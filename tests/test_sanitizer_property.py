@@ -135,10 +135,9 @@ def test_commutative_spmv_fusion_sanitizes_clean(low, r):
     low=lower_matrices(),
     r=st.integers(min_value=2, max_value=8),
     spmv=st.booleans(),
-    min_batch=st.sampled_from([1, 2, 4]),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_merged_plans_sanitize_clean_and_match_iter(low, r, spmv, min_batch, seed):
+def test_merged_plans_sanitize_clean_and_match_iter(low, r, spmv, seed):
     """Merged TRSV-TRSV and TRSV-SpMV plans: clean under the plan
     sanitizer, and equal to the per-iteration oracle within the pinned
     tolerance."""
@@ -150,11 +149,9 @@ def test_merged_plans_sanitize_clean_and_match_iter(low, r, spmv, min_batch, see
     else:
         kernels = trsv_chain(low)
     fl = fuse(kernels, r)
-    plan = plan_for(fl.schedule, kernels, min_batch=min_batch)
+    plan = plan_for(fl.schedule, kernels)
     assert [step.s for step in plan.steps] == list(range(plan.n_steps))
-    assert sanitize_schedule(
-        fl.schedule, kernels, executor="plan", min_batch=min_batch
-    ).clean
+    assert sanitize_schedule(fl.schedule, kernels, executor="plan").clean
 
     rng = np.random.default_rng(seed)
     state = allocate_state(kernels)
@@ -164,7 +161,7 @@ def test_merged_plans_sanitize_clean_and_match_iter(low, r, spmv, min_batch, see
         state["Ax"][:] = low.to_csc().data
     expected = {v: a.copy() for v, a in state.items()}
     execute_schedule(fl.schedule, kernels, expected)
-    execute_schedule_planned(fl.schedule, kernels, state, min_batch=min_batch)
+    execute_schedule_planned(fl.schedule, kernels, state)
     for var, ref in expected.items():
         if not internal_var(var):
             assert np.allclose(state[var], ref, atol=1e-12), var

@@ -38,10 +38,10 @@ def test_solvers_run_no_ico_fuse_or_pricing(lap3d_nd, rng, monkeypatch):
         assert np.allclose(res.x, x_ref, atol=1e-7)
 
 
-def _assert_one_step_per_level(plan, min_batch):
+def _assert_one_step_per_level(plan):
     """Per loop, one step per intra-DAG level, holding exactly that
-    level's iterations; a level step exactly when the level has at least
-    *min_batch* iterations."""
+    level's iterations; a precomputed level step exactly when the level
+    has two or more iterations."""
     for k, kern in enumerate(plan.kernels):
         levels = kern.intra_dag().levels()
         mine = [st for st in plan.steps if st.loop == k]
@@ -49,25 +49,24 @@ def _assert_one_step_per_level(plan, min_batch):
         for lvl, st in enumerate(mine):
             expect = np.flatnonzero(levels == lvl)
             assert np.array_equal(np.sort(st.iters), expect), (k, lvl)
-            kind = "level" if expect.shape[0] >= min_batch else "scalar"
-            assert st.kind == kind, (k, lvl)
+            assert (st.precomp is None) == (expect.shape[0] == 1), (k, lvl)
 
 
-@pytest.mark.parametrize("min_batch", [1, 4])
-def test_solver_plans_have_one_step_per_level(lap3d_nd, rng, min_batch):
-    b = rng.random(lap3d_nd.n_rows)
-    for unroll in (1, 2):
+@pytest.mark.parametrize("unroll", [1, 4])
+def test_solver_plans_have_one_step_per_level(lap3d_nd, band_small, rng, unroll):
+    for a in (lap3d_nd, band_small):
         res = gauss_seidel(
-            lap3d_nd, b, tol=0.0, max_iters=unroll, unroll=unroll,
-            min_batch=min_batch,
+            a, rng.random(a.n_rows), tol=0.0, max_iters=unroll, unroll=unroll
         )
         (plan,) = res.schedule.meta[PLAN_MEMO_KEY].values()
         assert len(plan.kernels) == 2 * unroll
-        _assert_one_step_per_level(plan, min_batch)
-    kernels, schedule, _ = build_ic0_preconditioner(lap3d_nd)
-    _assert_one_step_per_level(
-        plan_for(schedule, kernels, min_batch=min_batch), min_batch
-    )
+        _assert_one_step_per_level(plan)
+
+
+def test_preconditioner_plan_has_one_step_per_level(lap3d_nd, band_small):
+    for a in (lap3d_nd, band_small):
+        kernels, schedule, _ = build_ic0_preconditioner(a)
+        _assert_one_step_per_level(plan_for(schedule, kernels))
 
 
 @pytest.mark.parametrize("unroll", [1, 2, 3])

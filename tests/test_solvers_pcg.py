@@ -113,8 +113,8 @@ def test_preconditioner_factor_matches_reference_bitwise(matrix_zoo):
 
 
 def test_preconditioner_factor_runs_scalar_on_deep_narrow_dag(band_small):
-    """Every level of a banded DAG holds one column, below min_batch, so
-    the factorization runs as scalar steps only."""
+    """Every level of a banded DAG holds one column, so the
+    factorization runs as one-iteration (scalar) steps only."""
     with recording() as rec:
         build_ic0_preconditioner(band_small)
     assert rec.counter("executor.scalar_iterations") == band_small.n_rows
