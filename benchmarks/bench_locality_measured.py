@@ -5,8 +5,9 @@ access stream (:func:`repro.analytics.profile_locality`) and compare:
 
 * the **measured** reuse ratio (elements both kernels actually touch)
   against the inspector's size-based estimate (:func:`compute_reuse`);
-* the chosen packing's modeled **hit rate** against the replayed
-  counterfactual packing (interleaved <-> separated).
+* the chosen packing's L1 **hit rate** on the cache-fidelity machine
+  (8 threads, a 16-line L1) against the replayed counterfactual packing
+  (interleaved <-> separated).
 
 The measured ratio agrees with the estimate's >=1 / <1 packing
 direction on every combination except ILU0->TRSV (combo 5), where the
@@ -29,6 +30,7 @@ import sys
 from repro import fuse
 from repro.analytics import profile_locality
 from repro.fusion import COMBINATIONS
+from repro.runtime import CacheConfig, MachineConfig
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from common import print_header, reordered_suite, save_results, small_test_matrix
@@ -38,19 +40,19 @@ from common import print_header, reordered_suite, save_results, small_test_matri
 AGREEING_COMBOS = (1, 2, 3, 4, 6)
 OVERESTIMATED_COMBOS = (5,)
 
-SMOKE_CAPACITY_LINES = 16  # small enough that packing moves the hit rate
+L1_LINES = 16  # small enough that packing moves the hit rate
 
 
-def profile_combo(cid, a, *, n_threads=8, capacity_lines=SMOKE_CAPACITY_LINES):
+def profile_combo(cid, a, *, n_threads=8, l1_lines=L1_LINES):
     kernels, _ = COMBINATIONS[cid].build(a)
     fl = fuse(kernels, n_threads)
     report = profile_locality(
         fl.schedule,
         kernels,
+        MachineConfig(n_threads, cache=CacheConfig(l1_lines=l1_lines)),
         dags=fl.dags,
         inter=fl.inter,
         estimated_reuse=fl.reuse_ratio,
-        capacity_lines=capacity_lines,
     )
     return fl, report
 

@@ -585,8 +585,14 @@ def diagnose(
     *locality* — a :class:`repro.analytics.locality.LocalityReport` for
     the same schedule — upgrades the packing rule from heuristic to
     measured and enables the ``low-measured-reuse`` and
-    ``false-sharing-risk`` rules.
+    ``false-sharing-risk`` rules. In cache fidelity without a *report*,
+    *config* defaults to the profiler's, and when it is that same object
+    the profiler's machine report is reused instead of simulating again.
     """
+    if report is None and locality is not None and fidelity == "cache":
+        config = config or locality.config
+        if config is locality.config:
+            report = locality.machine
     cfg = config or MachineConfig()
     thr = thresholds or DoctorThresholds()
     if report is None:

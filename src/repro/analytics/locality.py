@@ -2,17 +2,15 @@
 
 The inspector's ``compute_reuse`` (Sec. 2.2, used for the Fig. 3 packing
 decision) *estimates* data reuse from variable sizes. This module
-*measures* it: the profiler replays the exact cache-line access stream a
-schedule induces — per w-partition, in executed (packed) order, the
-distinct lines of each iteration, built from the access stream the
-sanitizer and the cache-fidelity machine share
-(:func:`repro.obs.memtrace.collect_access_stream`) under their one line
-layout (:func:`repro.runtime.cache.line_layout`) — and derives:
+*measures* it. It runs the schedule on the cache-fidelity machine
+(:meth:`repro.runtime.machine.SimulatedMachine.simulate`) and reads
+every number off that run's one per-thread line replay
+(:class:`~repro.runtime.machine.LineReplay`: each thread's accesses in
+execution order, coalesced per load, priced on its L1 and LLC slice):
 
-* **reuse-distance histograms** per w-partition (exact LRU stack
-  distances over cache lines from the offline dominance count of
-  :func:`repro.runtime.cache.stack_distances`), and
-  the modeled hit rate of a ``capacity_lines``-line cache;
+* **reuse-distance histograms** per w-partition (each access's exact L1
+  stack distance on its thread's stream, from
+  :func:`repro.runtime.cache.stack_distances`), and the L1 hit rate;
 * **working sets**: distinct cache lines touched per w-partition and
   per s-partition;
 * a **measured reuse ratio** — the paper's
@@ -21,8 +19,8 @@ layout (:func:`repro.runtime.cache.line_layout`) — and derives:
   kernel pair, directly comparable to the estimate;
 * the **counterfactual packing**: the same schedule re-packed the other
   way (:func:`repro.fusion.fused.repack_schedule`, interleaved vs
-  separated — Fig. 3 / Table 1) is replayed too, and the hit-rate gap
-  says whether the inspector's packing choice was right *on this
+  separated — Fig. 3 / Table 1) is replayed too, and the L1 hit-rate
+  gap says whether the inspector's packing choice was right *on this
   matrix*, not just on the size estimate;
 * a **false-sharing risk** count: cache lines written from two or more
   w-partitions of the same s-partition (concurrent writers on real
@@ -32,7 +30,8 @@ Everything is emitted as registered counters (``locality.*`` in
 :mod:`repro.obs.names`) and can be merged into the unified Perfetto
 trace as counter tracks (``export_perfetto(..., locality=...)``). The
 schedule doctor consumes the report to upgrade its packing rule from
-heuristic to measured (:mod:`repro.analytics.doctor`).
+heuristic to measured, and reuses its machine report
+(:mod:`repro.analytics.doctor`).
 """
 
 from __future__ import annotations
@@ -45,72 +44,22 @@ import numpy as np
 from ..kernels.base import Kernel, internal_var
 from ..obs import current as current_recorder
 from ..obs import names
-from ..obs.memtrace import AccessStream, collect_access_stream
-from ..runtime.cache import CacheConfig, stack_distances
+from ..obs.memtrace import AccessStream
+from ..runtime.cache import L1
+from ..runtime.machine import LineReplay, MachineConfig, MachineReport, SimulatedMachine
 from ..schedule.schedule import FusedSchedule
-from ..utils.intsort import stable_argsort, stable_lexsort, unique
+from ..utils.intsort import unique
 
 __all__ = [
     "WPartitionLocality",
     "SPartitionLocality",
     "LocalityReport",
     "profile_locality",
-    "reuse_distance_histogram",
 ]
 
 #: histogram bucket upper bounds (lines); last bucket is open-ended,
 #: -1 collects cold (first-touch) accesses
 _BUCKETS = (4, 16, 64, 256, 1024, 4096)
-
-
-def _segment_stats(
-    dist: np.ndarray, seg: np.ndarray, n_seg: int, capacity_lines: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment ``(n_accesses, histogram, hits, distance_sum)``.
-
-    *dist* are stack distances (-1 = cold) of accesses tagged with
-    segment ids *seg*; ``histogram`` rows hold the cold count, one
-    bucket per ``_BUCKETS`` bound and an overflow bucket.
-    """
-    n_buckets = len(_BUCKETS) + 2
-    reused = dist >= 0
-    bucket = np.where(reused, 1 + np.searchsorted(_BUCKETS, dist, side="right"), 0)
-    hist = np.bincount(seg * n_buckets + bucket, minlength=n_seg * n_buckets)
-    n_acc = np.bincount(seg, minlength=n_seg)
-    hits = np.bincount(seg[reused & (dist < capacity_lines)], minlength=n_seg)
-    dist_sum = np.bincount(seg, weights=np.where(reused, dist, 0), minlength=n_seg)
-    return (
-        n_acc,
-        hist.reshape(n_seg, n_buckets),
-        hits,
-        dist_sum.astype(np.int64),
-    )
-
-
-def reuse_distance_histogram(
-    stream: np.ndarray, *, capacity_lines: int
-) -> tuple[np.ndarray, float, float]:
-    """Exact LRU stack distances of *stream* (1-D line-id array).
-
-    Returns ``(bucket_counts, hit_rate, mean_distance)`` where
-    ``bucket_counts`` has one cold-miss bucket followed by one bucket
-    per ``_BUCKETS`` bound plus an overflow bucket, ``hit_rate`` is the
-    fraction of accesses with distance < *capacity_lines* (cold misses
-    count as misses) and ``mean_distance`` averages over reused accesses
-    only (NaN-free: 0.0 when nothing is reused). Distances come from
-    :func:`repro.runtime.cache.stack_distances`.
-    """
-    stream = np.asarray(stream, dtype=np.int64)
-    n = stream.shape[0]
-    n_acc, hist, hits, dist_sum = _segment_stats(
-        stack_distances(stream), np.zeros(n, dtype=np.int64), 1, capacity_lines
-    )
-    n_reused = n - int(hist[0, 0])
-    return (
-        hist[0],
-        int(hits[0]) / n if n else 0.0,
-        int(dist_sum[0]) / n_reused if n_reused else 0.0,
-    )
 
 
 @dataclass
@@ -143,7 +92,6 @@ class LocalityReport:
 
     packing: str
     line_bytes: int
-    capacity_lines: int
     n_accesses: int
     distinct_lines: int
     hit_rate: float
@@ -156,6 +104,15 @@ class LocalityReport:
     w_partitions: list[WPartitionLocality] = field(default_factory=list)
     s_partitions: list[SPartitionLocality] = field(default_factory=list)
     seconds: float = 0.0
+    #: the machine configuration the replay ran on (not serialized)
+    config: MachineConfig | None = field(default=None, repr=False)
+    #: its cache-fidelity report, replay included (not serialized)
+    machine: MachineReport | None = field(default=None, repr=False)
+
+    @property
+    def capacity_lines(self) -> int:
+        """L1 lines of the machine the replay ran on."""
+        return self.config.cache.l1_lines
 
     @property
     def packing_gap(self) -> float | None:
@@ -242,93 +199,63 @@ class LocalityReport:
         rec.count(names.LOCALITY_SECONDS, self.seconds)
 
 
-# ----------------------------------------------------------------------
-# access-stream assembly (line granularity, executed order)
-# ----------------------------------------------------------------------
-def _vertex_lines(
-    stream: AccessStream, line_elems: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-vertex accessed cache lines, deduped within the vertex.
-
-    Returns ``(indptr, lines, written)`` where ``lines[indptr[g]:
-    indptr[g+1]]`` are the distinct lines vertex ``g`` touches, in
-    ascending order, and ``written`` marks lines the vertex writes. One
-    lexsort of the access stream by ``(vertex, line)``.
-    """
-    n_vertices = stream.n_vertices
-    line = stream.lines(line_elems)
-    order = stable_lexsort((line, stream.gid))
-    gid, line, write = stream.gid[order], line[order], stream.write[order]
-    first = np.ones(gid.shape[0], dtype=bool)
-    first[1:] = (gid[1:] != gid[:-1]) | (line[1:] != line[:-1])
-    starts = np.flatnonzero(first)
-    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(gid[starts], minlength=n_vertices), out=indptr[1:])
-    written = (
-        np.logical_or.reduceat(write, starts) if starts.shape[0] else write[:0]
-    )
-    return indptr, line[starts], written
+def _l1_share(replay: LineReplay) -> float:
+    """Share of *replay*'s accesses served by L1."""
+    n = replay.level.shape[0]
+    return int(np.count_nonzero(replay.level == L1)) / n if n else 0.0
 
 
-def _replay(
-    schedule: FusedSchedule,
-    indptr: np.ndarray,
-    lines: np.ndarray,
-    written: np.ndarray,
-    capacity_lines: int,
-) -> tuple[list[WPartitionLocality], list[SPartitionLocality], int, float, float, int]:
-    """Replay *schedule*'s per-w-partition streams through the LRU model.
-
-    Every non-empty w-partition's stream (its vertices' lines in packed
-    order) is one segment of a single :func:`stack_distances` call; the
-    per-segment and per-s-partition statistics are bincounts over it.
-    """
+def _tables(
+    schedule: FusedSchedule, replay: LineReplay
+) -> tuple[list[WPartitionLocality], list[SPartitionLocality], float]:
+    """Per-w-partition and per-s-partition tables of *replay*, and the
+    mean reuse distance: bincounts over its accesses, segmented by the
+    non-empty w-partitions in ``(s, w)`` order."""
     n_sp = schedule.n_spartitions
-    sp, wp, pos = schedule.assignment()
-    rank = np.empty(schedule.n_vertices, dtype=np.int64)  # executed order
-    rank[stable_lexsort((pos, wp, sp))] = np.arange(schedule.n_vertices)
-    entry_gid = np.repeat(np.arange(schedule.n_vertices), np.diff(indptr))
-    order = stable_argsort(rank[entry_gid])
-    order = order[sp[entry_gid[order]] >= 0]  # unscheduled vertices never run
-    stream = lines[order]
-    # segments: the non-empty w-partitions, in (s, w) order
+    sp, wp, _ = schedule.assignment()
+    s_of, dist, line = sp[replay.gid], replay.distance, replay.line
     n_w = int(wp.max(initial=0)) + 1
-    sw_key = (sp * n_w + wp)[entry_gid[order]]
+    sw_key = s_of * n_w + wp[replay.gid]
     seg_keys = unique(sw_key)
     seg = np.searchsorted(seg_keys, sw_key)
     seg_s = seg_keys // n_w
     n_seg = seg_keys.shape[0]
-    span = int(lines.max()) + 1 if lines.shape[0] else 1
-    dist = stack_distances(seg * span + stream)
-    n_acc, hist, hits, dist_sum = _segment_stats(dist, seg, n_seg, capacity_lines)
-
-    w_parts: list[WPartitionLocality] = []
-    dist_weighted = 0.0
+    span = int(line.max(initial=0)) + 1
+    hit = replay.level == L1
+    reused = dist >= 0
+    n_buckets = len(_BUCKETS) + 2
+    bucket = np.where(reused, 1 + np.searchsorted(_BUCKETS, dist, side="right"), 0)
+    hist = np.bincount(
+        seg * n_buckets + bucket, minlength=n_seg * n_buckets
+    ).reshape(n_seg, n_buckets)
+    n_acc = np.bincount(seg, minlength=n_seg)
+    hits = np.bincount(seg[hit], minlength=n_seg)
+    dist_sum = np.bincount(seg[reused], weights=dist[reused], minlength=n_seg)
+    w_ws = np.bincount(unique(seg * span + line) // span, minlength=n_seg)
+    w_parts = []
     for i, (s, w) in enumerate(zip(seg_s.tolist(), (seg_keys % n_w).tolist())):
         n = int(n_acc[i])
         n_reused = n - int(hist[i, 0])
-        mean_d = int(dist_sum[i]) / n_reused if n_reused else 0.0
         w_parts.append(
             WPartitionLocality(
                 s=s,
                 w=w,
                 n_accesses=n,
-                working_set=int(hist[i, 0]),
+                working_set=int(w_ws[i]),
                 histogram=hist[i],
                 hit_rate=int(hits[i]) / n if n else 0.0,
-                mean_reuse_distance=mean_d,
+                mean_reuse_distance=float(dist_sum[i]) / n_reused if n_reused else 0.0,
             )
         )
-        dist_weighted += mean_d * n_reused
 
     # s-partition aggregates; written lines shared by >= 2 w-partitions
     # of one s-partition are false-sharing risks
-    s_acc = np.bincount(seg_s, weights=n_acc, minlength=n_sp)
-    s_hits = np.bincount(seg_s, weights=hits, minlength=n_sp)
-    s_key = seg_s[seg] * span + stream
+    s_acc = np.bincount(s_of, minlength=n_sp)
+    s_hits = np.bincount(s_of[hit], minlength=n_sp)
+    s_key = s_of * span + line
     s_ws = np.bincount(unique(s_key) // span, minlength=n_sp)
-    w_entry = written[order]
-    writer_lines = unique(s_key[w_entry] * n_seg + seg[w_entry]) // n_seg
+    wr = replay.write
+    writer_lines = unique(s_key[wr] * n_seg + seg[wr]) // n_seg
     shared = unique(writer_lines[1:][writer_lines[1:] == writer_lines[:-1]])
     s_false = np.bincount(shared // span, minlength=n_sp)
     s_parts = [
@@ -341,16 +268,9 @@ def _replay(
         )
         for s in range(n_sp)
     ]
-    total_accesses = int(n_acc.sum())
-    n_reused_total = total_accesses - int(hist[:, 0].sum())
-    return (
-        w_parts,
-        s_parts,
-        total_accesses,
-        int(hits.sum()) / total_accesses if total_accesses else 0.0,
-        dist_weighted / n_reused_total if n_reused_total else 0.0,
-        int(np.count_nonzero(np.bincount(stream, minlength=1))),
-    )
+    n_reused = int(np.count_nonzero(reused))
+    mean_d = float(dist[reused].sum()) / n_reused if n_reused else 0.0
+    return w_parts, s_parts, mean_d
 
 
 def _measured_reuse(stream: AccessStream) -> float:
@@ -379,8 +299,8 @@ def _measured_reuse(stream: AccessStream) -> float:
 def profile_locality(
     schedule: FusedSchedule,
     kernels: list[Kernel],
+    config: MachineConfig | None = None,
     *,
-    capacity_lines: int = 512,
     counterfactual: bool = True,
     dags=None,
     inter=None,
@@ -388,29 +308,35 @@ def profile_locality(
 ) -> LocalityReport:
     """Measure the locality a schedule actually induces.
 
-    Lines follow :func:`repro.runtime.cache.line_layout` at the
-    :class:`~repro.runtime.cache.CacheConfig` line size (64 bytes).
-    ``capacity_lines`` models a private cache (default 512 lines = 32 KiB,
-    an L1d). With ``counterfactual=True`` the schedule
-    is re-packed the other way (interleaved <-> separated) and replayed,
-    so :attr:`LocalityReport.packing_gap` quantifies the packing
-    decision; *dags*/*inter* are reused when given and recomputed via
-    :func:`repro.fusion.fused.inspect_loops` otherwise. The report is
-    emitted as registered ``locality.*`` counters.
+    Runs *schedule* on the cache-fidelity machine of *config* (default
+    :class:`~repro.runtime.machine.MachineConfig`) and reads every
+    number off its line replay; hit rates are L1 hit rates. The
+    machine report is kept as :attr:`LocalityReport.machine`. With
+    ``counterfactual=True`` the schedule is re-packed the other way
+    (interleaved <-> separated) and replayed on the same machine, so
+    :attr:`LocalityReport.packing_gap` quantifies the packing decision;
+    *dags*/*inter* are reused when given (they must be the schedule's
+    loops) and recomputed via :func:`repro.fusion.fused.inspect_loops`
+    otherwise. The report is emitted as registered ``locality.*``
+    counters.
     """
+    if dags is not None and tuple(d.n for d in dags) != tuple(schedule.loop_counts):
+        raise ValueError(
+            f"dags of {tuple(d.n for d in dags)} iterations do not fit the "
+            f"schedule's loops of {tuple(schedule.loop_counts)}"
+        )
     t0 = time.perf_counter()
-    line_elems = CacheConfig().line_elems
+    machine = SimulatedMachine(config)
     rec = current_recorder()
     with rec.span(
         "locality.profile",
         packing=schedule.packing,
         vertices=schedule.n_vertices,
     ) as span:
-        stream = collect_access_stream(schedule, kernels)
-        indptr, all_lines, written = _vertex_lines(stream, line_elems)
-        w_parts, s_parts, n_acc, hit_rate, mean_d, distinct = _replay(
-            schedule, indptr, all_lines, written, capacity_lines
-        )
+        sim = machine.simulate(schedule, kernels, fidelity="cache")
+        replay = sim.replay
+        w_parts, s_parts, mean_d = _tables(schedule, replay)
+        hit_rate = _l1_share(replay)
         est = estimated_reuse
         cf_packing = cf_hit = None
         if counterfactual or est is None:
@@ -421,20 +347,13 @@ def profile_locality(
                     dags, inter, reuse = inspect_loops(kernels)
                     if est is None:
                         est = reuse
-                other = (
+                cf_packing = (
                     "separated"
                     if schedule.packing == "interleaved"
                     else "interleaved"
                 )
-                try:
-                    cf_sched = repack_schedule(schedule, dags, inter, other)
-                except Exception:
-                    cf_sched = None
-                if cf_sched is not None:
-                    _, _, _, cf_hit, _, _ = _replay(
-                        cf_sched, indptr, all_lines, written, capacity_lines
-                    )
-                    cf_packing = other
+                cf_sched = repack_schedule(schedule, dags, inter, cf_packing)
+                cf_hit = _l1_share(machine.replay(cf_sched, kernels))
             if est is None:
                 from ..fusion.inspector import compute_reuse
 
@@ -443,25 +362,27 @@ def profile_locality(
                     if len(kernels) > 1
                     else 0.0
                 )
+        cc = machine.config.cache
         report = LocalityReport(
             packing=schedule.packing,
-            line_bytes=8 * line_elems,  # float64 elements
-            capacity_lines=capacity_lines,
-            n_accesses=n_acc,
-            distinct_lines=distinct,
+            line_bytes=8 * cc.line_elems,  # float64 elements
+            n_accesses=int(replay.gid.shape[0]),
+            distinct_lines=int(unique(replay.line).shape[0]),
             hit_rate=hit_rate,
             mean_reuse_distance=mean_d,
-            measured_reuse=_measured_reuse(stream),
+            measured_reuse=_measured_reuse(replay.stream),
             estimated_reuse=float(est if est is not None else 0.0),
             counterfactual_packing=cf_packing,
             counterfactual_hit_rate=cf_hit,
             false_shared_lines=sum(s.false_shared_lines for s in s_parts),
             w_partitions=w_parts,
             s_partitions=s_parts,
+            config=machine.config,
+            machine=sim,
         )
         report.seconds = time.perf_counter() - t0
         span.set(
-            accesses=n_acc,
+            accesses=report.n_accesses,
             hit_rate=round(hit_rate, 4),
             measured_reuse=round(report.measured_reuse, 4),
         )

@@ -66,7 +66,7 @@ from .obs import (
     format_summary,
     recording,
 )
-from .runtime import MachineConfig
+from .runtime import CacheConfig, MachineConfig
 from .runtime.profiling import format_profile, profile_schedule
 from .schedule import pattern_fingerprint, save_schedule
 from .sparse import (
@@ -101,18 +101,27 @@ def _version() -> str:
 
         return __version__
 
+
+def _count(text: str) -> int:
+    """A generator count (``N``, ``BLOCKS``, ``SIZE``): an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"count {n} < 1")
+    return n
+
+
 #: name -> (expected form after ``name:``, builder over the comma-split
 #: arguments). A builder raises ``TypeError`` on a wrong argument count
-#: and ``ValueError`` on a value that does not parse.
+#: and ``ValueError`` on a value that does not parse or a count below 1.
 _GENERATORS = {
-    "lap2d": ("N", lambda n: laplacian_2d(int(n))),
-    "lap3d": ("N", lambda n: laplacian_3d(int(n))),
-    "fe3d": ("N", lambda n: fe_3d_27pt(int(n))),
-    "band": ("N,BW", lambda n, bw: banded_spd(int(n), int(bw))),
-    "rand": ("N[,NNZ_PER_ROW]", lambda n, k="8": random_spd(int(n), float(k))),
-    "pow": ("N[,NNZ_PER_ROW]", lambda n, k="8": powerlaw_spd(int(n), float(k))),
-    "arrow": ("N", lambda n: arrow_spd(int(n))),
-    "chained": ("BLOCKS,SIZE", lambda b, size: chained_spd(int(b), int(size))),
+    "lap2d": ("N", lambda n: laplacian_2d(_count(n))),
+    "lap3d": ("N", lambda n: laplacian_3d(_count(n))),
+    "fe3d": ("N", lambda n: fe_3d_27pt(_count(n))),
+    "band": ("N,BW", lambda n, bw: banded_spd(_count(n), int(bw))),
+    "rand": ("N[,NNZ_PER_ROW]", lambda n, k="8": random_spd(_count(n), float(k))),
+    "pow": ("N[,NNZ_PER_ROW]", lambda n, k="8": powerlaw_spd(_count(n), float(k))),
+    "arrow": ("N", lambda n: arrow_spd(_count(n))),
+    "chained": ("BLOCKS,SIZE", lambda b, size: chained_spd(_count(b), _count(size))),
 }
 
 
@@ -404,7 +413,15 @@ def _cmd_trace(args) -> int:
 
 
 def _run_doctor(
-    schedule, kernels, args, *, fidelity=None, json_path=None, top=5, locality=None
+    schedule,
+    kernels,
+    args,
+    *,
+    fidelity=None,
+    json_path=None,
+    top=5,
+    locality=None,
+    config=None,
 ):
     """Shared doctor driver: diagnose, print, optionally dump JSON."""
     import json as _json
@@ -414,7 +431,7 @@ def _run_doctor(
     report = diagnose(
         schedule,
         kernels,
-        MachineConfig(n_threads=args.threads),
+        config or MachineConfig(n_threads=args.threads),
         fidelity=fidelity or getattr(args, "fidelity", "flat"),
         locality=locality,
     )
@@ -448,6 +465,7 @@ def _cmd_doctor(args) -> int:
         f"reuse ratio {fl.reuse_ratio:.3f} -> {fl.schedule.packing} packing, "
         f"{fl.schedule.n_spartitions} s-partitions\n"
     )
+    cfg = MachineConfig(n_threads=args.threads)
     locality = None
     if args.locality:
         from .analytics import profile_locality
@@ -455,6 +473,7 @@ def _cmd_doctor(args) -> int:
         locality = profile_locality(
             fl.schedule,
             kernels,
+            cfg,
             dags=fl.dags,
             inter=fl.inter,
             estimated_reuse=fl.reuse_ratio,
@@ -468,6 +487,7 @@ def _cmd_doctor(args) -> int:
         json_path=args.json,
         top=args.top,
         locality=locality,
+        config=cfg,
     )
     if args.trace:
         _write_unified_trace(rec, args.trace, fl.schedule, kernels, args.threads)
@@ -517,13 +537,16 @@ def _cmd_locality(args) -> int:
     a = _load(args)
     kernels, _ = build_combination(args.combo, a)
     combo = COMBINATIONS[args.combo]
+    cfg = MachineConfig(
+        n_threads=args.threads, cache=CacheConfig(l1_lines=args.capacity_lines)
+    )
     rec, ctx = _start_recording(args)
     with ctx:
         fl = fuse(kernels, args.threads, scheduler=args.scheduler)
         report = profile_locality(
             fl.schedule,
             kernels,
-            capacity_lines=args.capacity_lines,
+            cfg,
             dags=fl.dags,
             inter=fl.inter,
             estimated_reuse=fl.reuse_ratio,
@@ -559,7 +582,7 @@ def _cmd_locality(args) -> int:
                 p,
                 schedule=fl.schedule,
                 kernels=kernels,
-                config=MachineConfig(n_threads=args.threads),
+                config=cfg,
                 locality=report,
             ),
         )
@@ -797,7 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--capacity-lines",
         type=int,
         default=512,
-        help="modeled private-cache capacity in lines (default 512 = 32 KiB)",
+        help="L1 capacity in lines of the simulated machine whose per-thread "
+        "replay is profiled (default 512 = 32 KiB)",
     )
     sp.add_argument(
         "--top",

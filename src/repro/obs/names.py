@@ -140,13 +140,13 @@ REGISTRY: dict[str, tuple[str, str]] = {
     SANITIZE_PAIRS: ("1", "conflicting access pairs checked for ordering"),
     SANITIZE_VIOLATIONS: ("1", "dependence violations found by the sanitizer"),
     SANITIZE_SECONDS: ("s", "wall-clock spent in the dependence sanitizer"),
-    LOCALITY_ACCESSES: ("1", "cache-line accesses replayed by the profiler"),
+    LOCALITY_ACCESSES: ("1", "cache-line accesses in the machine's per-thread replay"),
     LOCALITY_DISTINCT_LINES: ("lines", "distinct cache lines touched"),
     LOCALITY_MEASURED_REUSE: ("ratio", "reuse ratio measured from the access stream"),
     LOCALITY_ESTIMATED_REUSE: ("ratio", "inspector's size-estimated reuse ratio"),
-    LOCALITY_MEAN_REUSE_DISTANCE: ("lines", "mean LRU stack distance of reused lines"),
-    LOCALITY_HIT_RATE: ("ratio", "modeled cache hit rate of the chosen packing"),
-    LOCALITY_COUNTERFACTUAL_HIT_RATE: ("ratio", "modeled hit rate of the other packing"),
+    LOCALITY_MEAN_REUSE_DISTANCE: ("lines", "mean L1 stack distance of reused lines"),
+    LOCALITY_HIT_RATE: ("ratio", "L1 hit rate of the chosen packing"),
+    LOCALITY_COUNTERFACTUAL_HIT_RATE: ("ratio", "L1 hit rate of the other packing"),
     LOCALITY_PACKING_GAP: ("ratio", "chosen-minus-counterfactual hit-rate gap"),
     LOCALITY_FALSE_SHARED_LINES: ("lines", "lines written by >=2 w-partitions in one s-partition"),
     LOCALITY_SECONDS: ("s", "wall-clock spent in the locality profiler"),

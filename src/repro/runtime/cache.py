@@ -153,8 +153,9 @@ def line_layout(sizes: Mapping[str, int], line_elems: int) -> dict[str, int]:
 
 def cache_levels(
     lines: np.ndarray, streams: np.ndarray, calls: np.ndarray, config: CacheConfig
-) -> np.ndarray:
-    """Level (``L1``/``LLC``/``DRAM``) serving each line access.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level (``L1``/``LLC``/``DRAM``) serving each line access, and its
+    L1 stack distance on its stream (-1 = first touch).
 
     ``streams[t]`` names the thread whose private L1 + LLC slice serves
     access ``t`` (each thread's accesses in its execution order); all
@@ -173,7 +174,7 @@ def cache_levels(
     n = lines.shape[0]
     levels = np.full(n, DRAM, dtype=np.int8)
     if n == 0:
-        return levels
+        return levels, np.zeros(0, dtype=np.int64)
     span = int(lines.max()) + 1
     keys = np.asarray(streams, dtype=np.int64) * span + lines
     coalesced = np.zeros(n, dtype=bool)
@@ -184,4 +185,4 @@ def cache_levels(
     d2 = stack_distances(keys[miss])
     levels[l1] = L1
     levels[miss[(d2 >= 0) & (d2 < config.llc_lines)]] = LLC
-    return levels
+    return levels, d1

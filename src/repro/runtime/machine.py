@@ -40,12 +40,12 @@ import numpy as np
 from ..kernels.base import Kernel
 from ..obs import current as current_recorder
 from ..obs import names
-from ..obs.memtrace import collect_access_stream
+from ..obs.memtrace import AccessStream, collect_access_stream
 from ..schedule.schedule import FusedSchedule
 from ..utils.intsort import stable_argsort, stable_lexsort
 from .cache import DRAM, L1, LLC, CacheConfig, cache_levels
 
-__all__ = ["MachineConfig", "MachineReport", "SimulatedMachine"]
+__all__ = ["LineReplay", "MachineConfig", "MachineReport", "SimulatedMachine"]
 
 
 class MachineConfig:
@@ -79,6 +79,25 @@ class MachineConfig:
 
 
 @dataclass
+class LineReplay:
+    """Every line access of one run, in thread execution order.
+
+    ``distance`` is the access's L1 stack distance on its thread's
+    stream (-1 = first touch there) and ``level`` the level serving it
+    (``L1``/``LLC``/``DRAM``); ``stream`` is the element access stream
+    the replay was built from.
+    """
+
+    stream: AccessStream
+    gid: np.ndarray
+    line: np.ndarray
+    write: np.ndarray
+    thread: np.ndarray
+    distance: np.ndarray
+    level: np.ndarray
+
+
+@dataclass
 class MachineReport:
     """Result of one simulated execution.
 
@@ -105,6 +124,8 @@ class MachineReport:
     memory_miss_cycles: np.ndarray | None = None
     #: the machine's per-s-partition barrier cost (cycles)
     barrier_cost_cycles: float = 0.0
+    #: cache fidelity only: the replay memory was priced from (not serialized)
+    replay: LineReplay | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # Reports built without explicit tables (tests, ad-hoc payloads)
@@ -212,10 +233,8 @@ class SimulatedMachine:
     def __init__(self, config: MachineConfig | None = None):
         self.config = config if config is not None else MachineConfig()
 
-    def _price_memory(
-        self, schedule: FusedSchedule, kernels: list[Kernel]
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
-        """Cache-fidelity memory cycles per (s-partition, thread).
+    def replay(self, schedule: FusedSchedule, kernels: list[Kernel]) -> LineReplay:
+        """Replay *schedule*'s line accesses through every thread's caches.
 
         Each thread's line stream is the program's
         :func:`~repro.obs.memtrace.collect_access_stream` under
@@ -225,8 +244,8 @@ class SimulatedMachine:
         w-partition's vertices in packed order, and within an iteration
         every ``read_vars`` then ``write_vars`` map slice in map order
         (one coalescing load per slice). All threads' streams are priced
-        by one :func:`~repro.runtime.cache.cache_levels` call. Returns
-        ``(hit_cycles, miss_cycles, cache_stats)``.
+        by one :func:`~repro.runtime.cache.cache_levels` call. Emits no
+        counters.
         """
         cfg = self.config
         cc = cfg.cache
@@ -241,16 +260,31 @@ class SimulatedMachine:
         order = order[sp[stream.gid[order]] >= 0]  # unscheduled vertices never run
         gid = stream.gid[order]
         lines = stream.lines(cc.line_elems)[order]
-        levels = cache_levels(lines, thread[gid], call[order], cc)
+        levels, distance = cache_levels(lines, thread[gid], call[order], cc)
+        return LineReplay(
+            stream, gid, lines, stream.write[order], thread[gid], distance, levels
+        )
 
+    def _price_memory(
+        self, schedule: FusedSchedule, kernels: list[Kernel]
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, float], LineReplay]:
+        """Cache-fidelity memory cycles per (s-partition, thread): bincounts
+        of :meth:`replay`'s levels. Returns ``(hit_cycles, miss_cycles,
+        cache_stats, replay)``.
+        """
+        cfg = self.config
+        cc = cfg.cache
+        replay = self.replay(schedule, kernels)
+        sp = schedule.assignment()[0][replay.gid]
         n_cells = schedule.n_spartitions * cfg.n_threads
         counts = np.bincount(
-            (sp[gid] * cfg.n_threads + thread[gid]) * 3 + levels, minlength=n_cells * 3
+            (sp * cfg.n_threads + replay.thread) * 3 + replay.level,
+            minlength=n_cells * 3,
         ).reshape(schedule.n_spartitions, cfg.n_threads, 3)
         cycles = counts * cc.latencies
         totals = counts.sum(axis=(0, 1))
         stats = {
-            "accesses": float(gid.shape[0]),
+            "accesses": float(replay.gid.shape[0]),
             "l1_hits": float(totals[L1]),
             "llc_hits": float(totals[LLC]),
             "misses": float(totals[DRAM]),
@@ -262,7 +296,7 @@ class SimulatedMachine:
             rec.count(names.CACHE_L1_HITS, stats["l1_hits"])
             rec.count(names.CACHE_LLC_HITS, stats["llc_hits"])
             rec.count(names.CACHE_MISSES, stats["misses"])
-        return cycles[..., L1] + cycles[..., LLC], cycles[..., DRAM], stats
+        return cycles[..., L1] + cycles[..., LLC], cycles[..., DRAM], stats, replay
 
     def simulate(
         self,
@@ -301,9 +335,12 @@ class SimulatedMachine:
         mem_miss = np.zeros((n_sp, cfg.n_threads))
         sp_cycles: list[float] = []
         cache_stats: dict[str, float] = {}
+        replay = None
 
         if fidelity == "cache":
-            mem_hit, mem_miss, cache_stats = self._price_memory(schedule, kernels)
+            mem_hit, mem_miss, cache_stats, replay = self._price_memory(
+                schedule, kernels
+            )
             mem = mem_hit + mem_miss
 
         loop_of = schedule.loop_of()
@@ -353,6 +390,7 @@ class SimulatedMachine:
             memory_hit_cycles=mem_hit,
             memory_miss_cycles=mem_miss,
             barrier_cost_cycles=cfg.barrier_cycles,
+            replay=replay,
         )
         report._seconds = total / (cfg.clock_ghz * 1e9)
         rec = current_recorder()

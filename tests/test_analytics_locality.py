@@ -9,123 +9,94 @@ import pytest
 
 from repro import fuse
 from repro.analytics import diagnose, profile_locality
-from repro.analytics.locality import _BUCKETS, reuse_distance_histogram
+from repro.analytics.locality import _BUCKETS
 from repro.fusion import build_combination, repack_schedule
 from repro.obs import Recorder, names, sanitize_schedule
 from repro.obs.exporters import export_perfetto
 from repro.obs.recorder import set_recorder
+from repro.runtime import CacheConfig, MachineConfig, SimulatedMachine
+from repro.runtime.cache import L1, line_layout
+from repro.sparse import laplacian_2d
+
+from .cache_oracle import OracleThreadCache
 
 
-def profiled(cid, a, *, capacity_lines=16, seed=None):
+def small_l1(n_threads=6, l1_lines=16):
+    return MachineConfig(n_threads, cache=CacheConfig(l1_lines=l1_lines))
+
+
+def profiled(cid, a, *, config=None, seed=None):
     kernels, _ = build_combination(cid, a, seed=cid if seed is None else seed)
     fl = fuse(kernels, 6)
     report = profile_locality(
         fl.schedule,
         kernels,
+        config or small_l1(),
         dags=fl.dags,
         inter=fl.inter,
         estimated_reuse=fl.reuse_ratio,
-        capacity_lines=capacity_lines,
     )
     return fl, kernels, report
 
 
 # ----------------------------------------------------------------------
-# reuse-distance histogram (exact LRU stack distances)
+# exactness against a brute per-thread replay
 # ----------------------------------------------------------------------
-def test_histogram_alternating_pair():
-    hist, hit_rate, mean = reuse_distance_histogram(
-        np.array([0, 1, 0, 1]), capacity_lines=4
-    )
-    assert hist[0] == 2  # two cold misses
-    assert hist[1] == 2  # two reuses at stack distance 1 (< 4)
-    assert hist.sum() == 4
-    assert hit_rate == 0.5
-    assert mean == 1.0
-
-
-def test_histogram_capacity_turns_reuse_into_miss():
-    stream = np.array([0, 1, 2, 0])  # distance-2 reuse of line 0
-    _, roomy, _ = reuse_distance_histogram(stream, capacity_lines=4)
-    _, tight, _ = reuse_distance_histogram(stream, capacity_lines=2)
-    assert roomy == 0.25
-    assert tight == 0.0
-
-
-def test_histogram_empty_and_cold_only():
-    hist, hit_rate, mean = reuse_distance_histogram(
-        np.array([], dtype=np.int64), capacity_lines=8
-    )
-    assert hist.sum() == 0 and hit_rate == 0.0 and mean == 0.0
-    hist, hit_rate, mean = reuse_distance_histogram(
-        np.arange(10), capacity_lines=8
-    )
-    assert hist[0] == 10 and hist[1:].sum() == 0
-    assert hit_rate == 0.0 and mean == 0.0
-
-
-def test_histogram_shape_matches_buckets():
-    hist, _, _ = reuse_distance_histogram(np.array([1, 1]), capacity_lines=2)
-    assert hist.shape == (len(_BUCKETS) + 2,)  # cold + buckets + overflow
-
-
-# ----------------------------------------------------------------------
-# exactness against a brute per-w-partition replay
-# ----------------------------------------------------------------------
-def brute_replay(schedule, kernels, capacity_lines):
+def brute_replay(schedule, kernels, config):
     """Per-w ``(histogram, working_set, hit_rate)`` and per-s false-shared
-    counts from the per-iteration accessors and a list-based LRU stack."""
-    per_line = 8
+    counts from the per-iteration accessors, walked as the threads
+    execute (``reads_of`` then ``writes_of`` per variable, one load
+    each): L1 verdicts from each thread's oracle cache, distances from a
+    list-based LRU stack over the thread's whole stream."""
+    cc = config.cache
     sizes = {}
     for k in kernels:
         for var, size in k.var_sizes().items():
             sizes[var] = max(sizes.get(var, 0), size)
-    base, nxt = {}, 0
-    for var in sorted(sizes):  # line-aligned, sorted layout
-        base[var] = nxt
-        nxt += -(-sizes[var] // per_line)
-
-    def vertex_lines(g):
-        k = int(np.searchsorted(schedule.offsets, g, side="right")) - 1
-        kern, i = kernels[k], g - int(schedule.offsets[k])
-        touched, written = set(), set()
-        for var in kern.all_vars:
-            touched.update(base[var] + int(e) // per_line for e in kern.reads_of(var, i))
-            lines = {base[var] + int(e) // per_line for e in kern.writes_of(var, i)}
-            touched |= lines
-            written |= lines
-        return sorted(touched), written
-
+    base = line_layout(sizes, cc.line_elems)
+    caches = [OracleThreadCache(cc) for _ in range(config.n_threads)]
+    stacks = [[] for _ in range(config.n_threads)]
     w_out, s_false = [], []
     for wlist in schedule.s_partitions:
         writers = {}
         for w, verts in enumerate(wlist):
             if verts.shape[0] == 0:
                 continue
-            stack, hist, hits, n = [], np.zeros(len(_BUCKETS) + 2, np.int64), 0, 0
+            th = w % config.n_threads
+            stack, seen = stacks[th], set()
+            hist, hits, n = np.zeros(len(_BUCKETS) + 2, np.int64), 0, 0
             for g in verts.tolist():
-                lines, written = vertex_lines(g)
-                for line in written:
-                    writers.setdefault(line, set()).add(w)
-                for line in lines:
-                    n += 1
-                    if line in stack:
-                        d = stack.index(line)
-                        stack.remove(line)
-                        hits += d < capacity_lines
-                        hist[1 + int(np.searchsorted(_BUCKETS, d, side="right"))] += 1
-                    else:
-                        hist[0] += 1
-                    stack.insert(0, line)
-            w_out.append((hist.tolist(), len(stack), hits / n if n else 0.0))
+                k = int(np.searchsorted(schedule.offsets, g, side="right")) - 1
+                kern, i = kernels[k], g - int(schedule.offsets[k])
+                loads = [(v, kern.reads_of(v, i), False) for v in kern.read_vars]
+                loads += [(v, kern.writes_of(v, i), True) for v in kern.write_vars]
+                for var, idx, write in loads:
+                    lines = (base[var] + idx // cc.line_elems).tolist()
+                    if write:
+                        for line in lines:
+                            writers.setdefault(line, set()).add(w)
+                    hits += caches[th].load(lines).count(0)
+                    for line in lines:
+                        n += 1
+                        seen.add(line)
+                        if line in stack:
+                            d = stack.index(line)
+                            stack.remove(line)
+                            hist[1 + int(np.searchsorted(_BUCKETS, d, side="right"))] += 1
+                        else:
+                            hist[0] += 1
+                        stack.insert(0, line)
+            w_out.append((hist.tolist(), len(seen), hits / n if n else 0.0))
         s_false.append(sum(len(ws) >= 2 for ws in writers.values()))
     return w_out, s_false
 
 
 @pytest.mark.parametrize("cid", (1, 3, 5))
 def test_profile_matches_brute_replay(cid, lap2d_nd):
-    fl, kernels, report = profiled(cid, lap2d_nd)
-    w_out, s_false = brute_replay(fl.schedule, kernels, capacity_lines=16)
+    # 4 threads for the 6-wide schedule: w-partitions wrap onto threads
+    cfg = small_l1(n_threads=4)
+    fl, kernels, report = profiled(cid, lap2d_nd, config=cfg)
+    w_out, s_false = brute_replay(fl.schedule, kernels, cfg)
     assert [
         (w.histogram.tolist(), w.working_set, w.hit_rate)
         for w in report.w_partitions
@@ -188,16 +159,28 @@ def test_counterfactual_packing_replayed(lap2d_nd):
     repacked = repack_schedule(fl.schedule, fl.dags, fl.inter, "separated")
     assert repacked.packing == "separated"
     assert sanitize_schedule(repacked, kernels).clean
+    rp = SimulatedMachine(report.config).replay(repacked, kernels)
+    assert report.counterfactual_hit_rate == np.mean(rp.level == L1)
 
 
 def test_counterfactual_can_be_disabled(lap2d_nd):
     kernels, _ = build_combination(1, lap2d_nd, seed=1)
     fl = fuse(kernels, 6)
-    report = profile_locality(
-        fl.schedule, kernels, counterfactual=False, capacity_lines=16
-    )
+    report = profile_locality(fl.schedule, kernels, small_l1(), counterfactual=False)
     assert report.counterfactual_hit_rate is None
     assert report.packing_gap is None
+
+
+@pytest.mark.parametrize("n", (7, 9))
+def test_foreign_dags_rejected(n):
+    """DAGs of a smaller or larger matrix fail fast, naming both loop
+    sizes, rather than deep inside the counterfactual repack."""
+    kernels, _ = build_combination(1, laplacian_2d(8), seed=1)
+    fl = fuse(kernels, 4)
+    other = fuse(build_combination(1, laplacian_2d(n), seed=1)[0], 4)
+    m = n * n
+    with pytest.raises(ValueError, match=rf"\({m}, {m}\).*\(64, 64\)"):
+        profile_locality(fl.schedule, kernels, dags=other.dags, inter=other.inter)
 
 
 def test_report_to_json_fields(lap2d_nd):
@@ -316,3 +299,27 @@ def test_doctor_without_locality_unchanged(lap2d_nd):
     assert dr.meta["measured_locality"] is False
     assert "low-measured-reuse" not in {f.rule for f in dr.findings}
     assert "false-sharing-risk" not in {f.rule for f in dr.findings}
+
+
+def test_doctor_reuses_the_profilers_replay(lap2d_nd, monkeypatch):
+    """One profile + diagnose replays twice (the chosen schedule and the
+    counterfactual) and diagnoses exactly as a fresh simulation does."""
+    kernels, _ = build_combination(5, lap2d_nd, seed=5)
+    fl = fuse(kernels, 6)
+    calls = []
+    replay = SimulatedMachine.replay
+
+    def counting(self, schedule, kernels):
+        calls.append(schedule)
+        return replay(self, schedule, kernels)
+
+    monkeypatch.setattr(SimulatedMachine, "replay", counting)
+    loc = profile_locality(fl.schedule, kernels, dags=fl.dags, inter=fl.inter)
+    reused = diagnose(fl.schedule, kernels, fidelity="cache", locality=loc)
+    assert len(calls) == 2
+    assert calls[0] is fl.schedule and calls[1].packing != fl.schedule.packing
+    fresh = diagnose(
+        fl.schedule, kernels, MachineConfig(), fidelity="cache", locality=loc
+    )
+    assert len(calls) == 3
+    assert reused.to_json() == fresh.to_json()

@@ -23,11 +23,18 @@ class TestMatrixSpec:
             ("band:400:4", "band:N,BW"),
             ("lap2d:x", "lap2d:N"),
             ("rand:40,5,3", "rand:N[,NNZ_PER_ROW]"),
+            ("lap2d:-3", "lap2d:N"),
+            ("lap3d:0", "lap3d:N"),
+            ("band:0,4", "band:N,BW"),
+            ("pow:-1", "pow:N[,NNZ_PER_ROW]"),
+            ("chained:0,5", "chained:BLOCKS,SIZE"),
+            ("chained:3,0", "chained:BLOCKS,SIZE"),
         ],
     )
     def test_malformed_generator_spec(self, spec, form, capsys):
-        """A generator spec that does not fit its form fails as cleanly
-        as an unreadable ``.mtx`` path: one line naming spec and form."""
+        """A generator spec that does not fit its form, or a count
+        (``N``, ``BLOCKS``, ``SIZE``) below 1, fails as cleanly as an
+        unreadable ``.mtx`` path: one line naming spec and form."""
         assert main(["info", "--matrix", spec]) == 2
         err = capsys.readouterr().err
         assert err == f"error: malformed matrix spec '{spec}': expected {form}\n"

@@ -209,7 +209,7 @@ class TestSubstrateInvariants:
         """L1/LLC/DRAM verdicts priced from stack distances equal the
         per-access OrderedDict replay, coalescing loads included."""
         from repro.runtime import CacheConfig
-        from repro.runtime.cache import cache_levels
+        from repro.runtime.cache import cache_levels, stack_distances
 
         from .cache_oracle import OracleThreadCache
 
@@ -221,7 +221,10 @@ class TestSubstrateInvariants:
             sel = calls == c
             oracle = oracles.setdefault(int(streams[sel][0]), OracleThreadCache(cfg))
             expected.extend(oracle.load(lines[sel].tolist()))
-        assert cache_levels(lines, streams, calls, cfg).tolist() == expected
+        levels, distances = cache_levels(lines, streams, calls, cfg)
+        assert levels.tolist() == expected
+        span = int(lines.max(initial=0)) + 1
+        assert np.array_equal(distances, stack_distances(streams * span + lines))
 
     @SETTINGS
     @given(lower_matrices())

@@ -66,7 +66,7 @@ class TestLRU:
 
     def test_clear(self):
         # separate streams start cold: the same line misses in each
-        levels = cache_levels(
+        levels, _ = cache_levels(
             np.array([1, 1]), np.array([0, 1]), np.array([0, 1]), CacheConfig()
         )
         assert levels.tolist() == [DRAM, DRAM]
@@ -93,7 +93,7 @@ class TestThreadCache:
     def levels(self, cfg, *loads):
         lines = np.concatenate([np.asarray(ld) // cfg.line_elems for ld in loads])
         calls = np.repeat(np.arange(len(loads)), [len(ld) for ld in loads])
-        return cache_levels(lines, np.zeros_like(lines), calls, cfg), calls
+        return cache_levels(lines, np.zeros_like(lines), calls, cfg)[0], calls
 
     def price(self, cfg, *loads):
         """Cycles of each load."""
@@ -221,13 +221,27 @@ def test_simulate_cache_matches_oracle(fused_combos, cid, n_threads, cache):
 def test_machine_and_profiler_share_one_layout(band_small, cid):
     """With variable sizes off the line grid, the machine's stream
     touches exactly the profiler's distinct lines: on one thread with an
-    LLC larger than the footprint, every DRAM access is a first touch."""
+    LLC larger than the footprint, every DRAM access is a first touch.
+    The profiler's access count and L1 hits are the machine's, and its
+    tables are bincounts of the machine's replay."""
     kernels, _ = build_combination(cid, band_small, seed=cid)
     assert any(n % 8 for k in kernels for n in k.var_sizes().values())
     schedule = fuse(kernels, 4).schedule
-    cfg = MachineConfig(1, cache=CacheConfig(llc_lines=1 << 30))
+    cfg = MachineConfig(1, cache=CacheConfig(l1_lines=16, llc_lines=1 << 30))
     rep = SimulatedMachine(cfg).simulate(schedule, kernels, fidelity="cache")
     loc = profile_locality(
-        schedule, kernels, counterfactual=False, estimated_reuse=0.0
+        schedule, kernels, cfg, counterfactual=False, estimated_reuse=0.0
     )
-    assert rep.cache_stats["misses"] == loc.distinct_lines
+    stats = rep.cache_stats
+    assert stats["misses"] == loc.distinct_lines
+    assert loc.n_accesses == stats["accesses"]
+    assert round(loc.hit_rate * loc.n_accesses) == stats["l1_hits"]
+    rp = rep.replay
+    sp = schedule.assignment()[0][rp.gid]
+    hits = np.bincount(sp[rp.level == L1], minlength=schedule.n_spartitions)
+    assert [s.n_accesses for s in loc.s_partitions] == np.bincount(
+        sp, minlength=schedule.n_spartitions
+    ).tolist()
+    assert [round(s.hit_rate * s.n_accesses) for s in loc.s_partitions] == (
+        hits.tolist()
+    )
