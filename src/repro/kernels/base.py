@@ -20,22 +20,37 @@ paper). It must expose everything the inspector and the runtime need:
 Variables whose names start with ``"_"`` are *internal* (private scratch
 like the CSC-TRSV accumulator): they participate in execution but are
 excluded from the reuse-ratio metric and cannot be shared across kernels.
+
+A **linear-row** kernel (:class:`RowBlockKernel`) also states its
+arithmetic as arrays, one row per iteration (:class:`RowForm`), so the
+plan compiler can run its rows in row blocks, alone or stacked with the
+rows of other linear-row loops (:mod:`repro.runtime.plan`).
 """
 
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
-from ..utils.arrays import multi_range
+from ..utils.arrays import (
+    group_sums,
+    multi_range,
+    row_block_matvec,
+    row_block_ptrs,
+    split_sizes,
+)
 from ..utils.intsort import stable_lexsort
 
 __all__ = [
     "Kernel",
+    "RowBlockKernel",
+    "RowForm",
+    "run_rows",
     "State",
     "make_state",
     "internal_var",
@@ -89,6 +104,12 @@ class Kernel(abc.ABC):
     #: bounds, so a stored plan's row blocks are checked against this
     #: variable's length when the plan is loaded.
     row_block_var: str | None = None
+
+    #: The loop's arithmetic as one linear row per iteration, for
+    #: linear-row kernels (:class:`RowBlockKernel`); ``None`` for every
+    #: other kernel. A plan whose loops all have one runs as one program
+    #: of stacked row blocks (:mod:`repro.runtime.plan`).
+    row_form: "RowForm | None" = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -268,6 +289,151 @@ class Kernel(abc.ABC):
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n_iterations})"
+
+
+@dataclass(frozen=True, eq=False)
+class RowForm:
+    """A linear-row loop's arithmetic, one row per iteration.
+
+    Iteration ``i`` writes one element::
+
+        out[o(i)] = (rhs[r(i)] + Σ_t c_t · src[cols[t]]) / mat[diag[i]]
+
+    with ``t`` running over ``ptr[i]:ptr[i + 1]`` in order and
+    coefficient ``c_t = −mat[pos[t]]`` when *negate*, ``mat[pos[t]]``
+    otherwise. ``o(i)`` is ``out_at[i]``, or ``i`` when ``out_at`` is
+    ``None``; ``r(i)`` likewise with ``rhs_at``. Without *rhs* the sum
+    starts at 0, and without *diag* nothing is divided. The arrays hold
+    :data:`~repro.sparse.base.INDEX_DTYPE` indices and may share memory
+    with the kernel's matrix: nothing writes them.
+    """
+
+    out: str
+    src: str
+    mat: str
+    ptr: np.ndarray
+    cols: np.ndarray
+    pos: np.ndarray
+    negate: bool = False
+    rhs: str | None = None
+    diag: np.ndarray | None = None
+    out_at: np.ndarray | None = None
+    rhs_at: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("ptr", "cols", "pos", "diag", "out_at", "rhs_at"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, np.asarray(value, dtype=INDEX_DTYPE))
+
+
+def run_rows(
+    rhs: np.ndarray | None,
+    rhs_at: np.ndarray,
+    ptr: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    src: np.ndarray,
+    dvals: np.ndarray | None,
+    out: np.ndarray,
+    out_at: np.ndarray,
+) -> None:
+    """Run one row block: ``out[out_at] = (rhs[rhs_at] + A @ src) / dvals``.
+
+    ``A = (vals, cols, ptr)`` holds one CSR row per written element, its
+    coefficients already signed. Each row's sum starts at its right-hand
+    side (0 without *rhs*) and adds the products left to right in one
+    compiled call (:func:`~repro.utils.arrays.row_block_matvec`), then is
+    divided (not at all without *dvals*) and scattered once. This is the
+    one row-block step of the plan executor: a linear-row kernel's level
+    step runs it over the state's own vectors, and a program of stacked
+    row blocks runs it over one buffer holding every loop's vectors
+    (:mod:`repro.runtime.plan`), so a row does the same arithmetic either
+    way.
+    """
+    acc = (
+        np.zeros(out_at.shape[0], dtype=VALUE_DTYPE) if rhs is None else rhs[rhs_at]
+    )
+    row_block_matvec(ptr, cols, vals, src, acc)
+    if dvals is not None:
+        acc /= dvals
+    out[out_at] = acc
+
+
+def _at(index: np.ndarray | None, iters: np.ndarray) -> np.ndarray:
+    """The elements *iters* touch through *index* (``None``: identity)."""
+    return iters if index is None else index[iters]
+
+
+class RowBlockKernel(Kernel):
+    """A kernel whose iterations are linear rows (:attr:`row_form`).
+
+    Subclasses state :attr:`row_form` and keep their own
+    :meth:`run_iteration`, the per-iteration oracle. The plan hooks come
+    from the row form: a level step holds the CSR row block of its rows
+    (``ptr``, ``cols``, ``gather`` — positions in ``mat`` — and ``diag``
+    when the rows divide) and runs :func:`run_rows`. A plan whose loops
+    are all linear-row kernels does not call these hooks: it runs one
+    program of stacked row blocks instead.
+    """
+
+    @property
+    def row_block_var(self) -> str | None:
+        rows = self.row_form
+        return None if rows is None else rows.src
+
+    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
+        rows = self.row_form
+        iters = np.asarray(iters, dtype=INDEX_DTYPE)
+        starts = rows.ptr[iters]
+        counts = rows.ptr[iters + 1] - starts
+        terms = multi_range(starts, counts)
+        per_step = group_sums(counts, sizes)
+        blocks = {
+            "ptr": row_block_ptrs(counts, sizes),
+            "cols": split_sizes(rows.cols[terms], per_step),
+            "gather": split_sizes(rows.pos[terms], per_step),
+        }
+        if rows.diag is not None:
+            blocks["diag"] = split_sizes(rows.diag[iters], sizes)
+        return [dict(zip(blocks, step)) for step in zip(*blocks.values())]
+
+    def bind_level(self, iters, precomp, values):
+        rows = self.row_form
+        mat = values.get(rows.mat)
+        if mat is None:
+            return precomp
+        bound = {**precomp, "vals": _signed(mat[precomp["gather"]], rows.negate)}
+        if rows.diag is not None:
+            bound["dvals"] = mat[precomp["diag"]]
+        return bound
+
+    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
+        rows = self.row_form
+        vals = precomp.get("vals")
+        if vals is None:
+            mat = state[rows.mat]
+            vals = _signed(mat[precomp["gather"]], rows.negate)
+            dvals = None if rows.diag is None else mat[precomp["diag"]]
+        else:
+            dvals = precomp.get("dvals")
+        iters = np.asarray(iters, dtype=INDEX_DTYPE)
+        run_rows(
+            None if rows.rhs is None else state[rows.rhs],
+            _at(rows.rhs_at, iters),
+            precomp["ptr"],
+            precomp["cols"],
+            vals,
+            state[rows.src],
+            dvals,
+            state[rows.out],
+            _at(rows.out_at, iters),
+        )
+
+
+def _signed(vals: np.ndarray, negate: bool) -> np.ndarray:
+    """*vals* (a fresh gather), negated in place when *negate*."""
+    return np.negative(vals, out=vals) if negate else vals
 
 
 def empty_map(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ pattern:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -21,21 +22,23 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import (
-    group_sums,
-    multi_range,
-    row_block_matvec,
-    row_block_ptrs,
-    split_sizes,
+from ..utils.arrays import group_sums, multi_range, split_sizes
+from .base import (
+    Kernel,
+    RowBlockKernel,
+    RowForm,
+    State,
+    empty_map,
+    identity_map,
+    slice_map,
 )
-from .base import Kernel, State, empty_map, identity_map, slice_map
 
 __all__ = ["SpMVCSR", "SpMVCSC"]
 
 _EMPTY = np.empty(0, dtype=INDEX_DTYPE)
 
 
-class SpMVCSR(Kernel):
+class SpMVCSR(RowBlockKernel):
     """SpMV over CSR storage: ``y = A @ x`` or ``y = A @ x + c``.
 
     Parameters
@@ -56,7 +59,6 @@ class SpMVCSR(Kernel):
         self.x_var = x_var
         self.y_var = y_var
         self.add_var = add_var
-        self.row_block_var = x_var
         self._dag: DAG | None = None
 
     @property
@@ -79,47 +81,18 @@ class SpMVCSR(Kernel):
             acc += state[self.add_var][i]
         state[self.y_var][i] = acc
 
-    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.a.indptr[iters]
-        counts = self.a.indptr[iters + 1] - starts
-        gather = multi_range(starts, counts)
-        per_step = group_sums(counts, sizes)
-        return [
-            {"ptr": p, "cols": c, "gather": g}
-            for p, c, g in zip(
-                row_block_ptrs(counts, sizes),
-                split_sizes(self.a.indices[gather], per_step),
-                split_sizes(gather, per_step),
-            )
-        ]
-
-    def bind_level(self, iters, precomp, values):
-        ax = values.get(self.a_var)
-        add = values.get(self.add_var) if self.add_var is not None else None
-        if ax is None and add is None:
-            return precomp
-        p = dict(precomp)
-        if ax is not None:
-            p["vals"] = ax[p["gather"]]
-        if add is not None:
-            p["addvals"] = add[iters]
-        return p
-
-    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
-        # the accumulator starts at the addend (or zeros) and adds the
-        # row block's product
-        vals = precomp.get("vals")
-        if vals is None:
-            vals = state[self.a_var][precomp["gather"]]
-        if self.add_var is None:
-            acc = np.zeros(len(iters), dtype=VALUE_DTYPE)
-        else:
-            acc = precomp.get("addvals")
-            acc = state[self.add_var][iters] if acc is None else acc.copy()
-        x = state[self.x_var]
-        row_block_matvec(precomp["ptr"], precomp["cols"], vals, x, acc)
-        state[self.y_var][iters] = acc
+    @cached_property
+    def row_form(self) -> RowForm:
+        # y[i] = c[i] + sum_j A[i, j] x[j], starting at 0 without an addend
+        return RowForm(
+            out=self.y_var,
+            src=self.x_var,
+            mat=self.a_var,
+            ptr=self.a.indptr,
+            cols=self.a.indices,
+            pos=np.arange(self.a.nnz, dtype=INDEX_DTYPE),
+            rhs=self.add_var,
+        )
 
     def run_reference(self, state: State) -> None:
         mat = CSRMatrix(

@@ -15,6 +15,7 @@ loop-carried dependencies with DAG = the strict-lower pattern of ``L``
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -23,21 +24,24 @@ from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import (
-    group_sums,
-    multi_range,
-    row_block_matvec,
-    row_block_ptrs,
-    split_sizes,
+from ..utils.arrays import group_sums, multi_range, split_sizes
+from .base import (
+    Kernel,
+    RowBlockKernel,
+    RowForm,
+    State,
+    empty_map,
+    identity_map,
+    map_from_counts,
+    slice_map,
 )
-from .base import Kernel, State, empty_map, identity_map, map_from_counts, slice_map
 
 __all__ = ["SpTRSVCSR", "SpTRSVCSC", "SpTRSVCSRFromLU"]
 
 _EMPTY = np.empty(0, dtype=INDEX_DTYPE)
 
 
-class SpTRSVCSR(Kernel):
+class SpTRSVCSR(RowBlockKernel):
     """SpTRSV over CSR storage: ``x = L^{-1} b``.
 
     Parameters
@@ -58,7 +62,6 @@ class SpTRSVCSR(Kernel):
         self.l_var = l_var
         self.b_var = b_var
         self.x_var = x_var
-        self.row_block_var = x_var
         # With sorted indices the diagonal is the last entry of each row;
         # verify once.
         n = low.n_rows
@@ -88,47 +91,25 @@ class SpTRSVCSR(Kernel):
         acc = state[self.b_var][i] - np.dot(lx[lo : hi - 1], x[cols])
         x[i] = acc / lx[hi - 1]
 
-    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.low.indptr[iters]
-        counts = self.low.indptr[iters + 1] - starts - 1  # off-diagonals
-        gather = multi_range(starts, counts)
-        per_step = group_sums(counts, sizes)
-        return [
-            {"ptr": p, "cols": c, "gather": g, "diag": d}
-            for p, c, g, d in zip(
-                row_block_ptrs(counts, sizes),
-                split_sizes(self.low.indices[gather], per_step),
-                split_sizes(gather, per_step),
-                split_sizes(self.low.indptr[iters + 1] - 1, sizes),
-            )
-        ]
-
-    def bind_level(self, iters, precomp, values):
-        lx = values.get(self.l_var)
-        if lx is None:
-            return precomp
-        return {
-            **precomp,
-            "vals": np.negative(lx[precomp["gather"]]),
-            "dvals": lx[precomp["diag"]],
-        }
-
-    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
-        # x[i] = (b[i] + sum_j (-L[i, j]) x[j]) / L[i, i]: the accumulator
-        # starts at b and adds the row block's product with the negated
-        # off-diagonals, bitwise the same whether they are bound or not
-        vals = precomp.get("vals")
-        if vals is None:
-            lx = state[self.l_var]
-            vals, dvals = np.negative(lx[precomp["gather"]]), lx[precomp["diag"]]
-        else:
-            dvals = precomp["dvals"]
-        x = state[self.x_var]
-        acc = state[self.b_var][iters]
-        row_block_matvec(precomp["ptr"], precomp["cols"], vals, x, acc)
-        acc /= dvals
-        x[iters] = acc
+    @cached_property
+    def row_form(self) -> RowForm:
+        # x[i] = (b[i] + sum_j (-L[i, j]) x[j]) / L[i, i]: every row's
+        # off-diagonals precede its diagonal, the row's last entry
+        indptr = self.low.indptr
+        diag = indptr[1:] - 1
+        off = np.ones(self.low.nnz, dtype=bool)
+        off[diag] = False
+        return RowForm(
+            out=self.x_var,
+            src=self.x_var,
+            mat=self.l_var,
+            ptr=indptr - np.arange(indptr.shape[0]),
+            cols=self.low.indices[off],
+            pos=np.flatnonzero(off),
+            negate=True,
+            rhs=self.b_var,
+            diag=diag,
+        )
 
     def run_reference(self, state: State) -> None:
         from scipy.sparse.linalg import spsolve_triangular
@@ -371,7 +352,7 @@ class SpTRSVCSC(Kernel):
         return float(2 * (self.low.nnz - self.low.n_cols) + self.low.n_cols)
 
 
-class SpTRSVCSRFromLU(Kernel):
+class SpTRSVCSRFromLU(RowBlockKernel):
     """Unit-lower SpTRSV reading the combined ``L\\U`` factor of SpILU0.
 
     Solves ``L y = b`` where ``L`` is the unit-diagonal lower factor
@@ -390,7 +371,6 @@ class SpTRSVCSRFromLU(Kernel):
         self.lu_var = lu_var
         self.b_var = b_var
         self.x_var = x_var
-        self.row_block_var = x_var
         # position of the diagonal inside each row (first entry >= i):
         # the row start plus the row's strict-lower count
         rows = np.repeat(np.arange(a.n_rows, dtype=INDEX_DTYPE), a.row_nnz())
@@ -418,28 +398,23 @@ class SpTRSVCSRFromLU(Kernel):
             lu[lo:di], state[self.x_var][cols]
         )
 
-    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        starts = self.a.indptr[iters]
-        counts = self._diag_off[iters] - starts  # strict-lower entries
-        gather = multi_range(starts, counts)
-        per_step = group_sums(counts, sizes)
-        return [
-            {"ptr": p, "cols": c, "gather": g}
-            for p, c, g in zip(
-                row_block_ptrs(counts, sizes),
-                split_sizes(self.a.indices[gather], per_step),
-                split_sizes(gather, per_step),
-            )
-        ]
-
-    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
+    @cached_property
+    def row_form(self) -> RowForm:
         # x[i] = b[i] + sum_j (-LU[i, j]) x[j], as in SpTRSVCSR with d = 1
-        vals = np.negative(state[self.lu_var][precomp["gather"]])
-        x = state[self.x_var]
-        acc = state[self.b_var][iters]
-        row_block_matvec(precomp["ptr"], precomp["cols"], vals, x, acc)
-        x[iters] = acc
+        counts = self._diag_off - self.a.indptr[:-1]  # strict-lower entries
+        pos = multi_range(self.a.indptr[:-1], counts)
+        ptr = np.zeros(counts.shape[0] + 1, dtype=INDEX_DTYPE)
+        np.cumsum(counts, out=ptr[1:])
+        return RowForm(
+            out=self.x_var,
+            src=self.x_var,
+            mat=self.lu_var,
+            ptr=ptr,
+            cols=self.a.indices[pos],
+            pos=pos,
+            negate=True,
+            rhs=self.b_var,
+        )
 
     def run_reference(self, state: State) -> None:
         x = state[self.x_var]

@@ -2,9 +2,11 @@
 
 The transpose solve appears whenever an IC0 preconditioner is applied
 (``z = L⁻ᵀ L⁻¹ r`` inside preconditioned CG — the Krylov use case the
-paper's introduction motivates). Columns of ``Lᵀ`` are rows of ``L``, so
-the kernel runs directly off lower-triangular CSR storage with *no*
-transposed copy — but it must process rows in *descending* order.
+paper's introduction motivates). Row ``j`` of ``Lᵀ`` is column ``j`` of
+``L``, so the kernel pulls: ``x[j] = (b[j] − Σ_{i>j} L[i, j] x[i]) /
+L[j, j]``, reading ``L``'s CSR values in place through a transpose
+permutation built once, with *no* transposed copy of the values — but it
+must process rows in *descending* order.
 
 Descending iteration breaks the library's natural-topological-order
 convention, so the kernel **reverses its iteration numbering**:
@@ -16,6 +18,7 @@ space; only the arithmetic touches ``j``-space arrays.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -23,21 +26,19 @@ import numpy as np
 from ..graph.dag import DAG
 from ..sparse.base import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.csr import CSRMatrix
-from ..utils.arrays import group_sums, multi_range, split_sizes
-from .base import Kernel, State, empty_map, map_from_counts
+from ..utils.intsort import stable_argsort
+from .base import RowBlockKernel, RowForm, State, empty_map, map_from_counts
 
 __all__ = ["SpTRSVBackwardCSR"]
 
-_EMPTY = np.empty(0, dtype=INDEX_DTYPE)
 
+class SpTRSVBackwardCSR(RowBlockKernel):
+    """Solve ``Lᵀ x = b`` with ``L`` lower-triangular CSR (pull form).
 
-class SpTRSVBackwardCSR(Kernel):
-    """Solve ``Lᵀ x = b`` with ``L`` lower-triangular CSR (push form).
-
-    Iteration ``k`` finalizes ``x[j]`` for ``j = n-1-k`` using a private
-    accumulator, then pushes ``L[j, c] * x[j]`` into ``acc[c]`` for every
-    strictly-lower entry of row ``j`` (those are the above-diagonal
-    entries of column ``j`` of ``Lᵀ``).
+    Iteration ``k`` finalizes ``x[j]`` for ``j = n-1-k`` from the
+    already final ``x[i]`` of every strictly-lower entry ``L[i, j]`` of
+    column ``j`` (those are the above-diagonal entries of row ``j`` of
+    ``Lᵀ``), summed in ascending ``i``.
     """
 
     name = "SpTRSV-backward-CSR"
@@ -55,10 +56,6 @@ class SpTRSVBackwardCSR(Kernel):
         self.l_var = l_var
         self.b_var = b_var
         self.x_var = x_var
-        self.acc_var = f"_acc.{x_var}"
-        # the push `acc[cols] += ...` commutes between rows; the
-        # consuming read `acc[j]` stays a plain read
-        self.atomic_update_vars = {self.acc_var: ("write",)}
         #: row j handled by each iteration k, in k order
         self._rows = np.arange(n - 1, -1, -1, dtype=INDEX_DTYPE)
         self._dag: DAG | None = None
@@ -67,9 +64,6 @@ class SpTRSVBackwardCSR(Kernel):
     @property
     def n_iterations(self) -> int:
         return self.low.n_rows
-
-    def _row(self, k: int) -> int:
-        return self.low.n_rows - 1 - k
 
     def intra_dag(self) -> DAG:
         """Edges in k-space: iteration of row j' feeds row j when
@@ -83,66 +77,45 @@ class SpTRSVBackwardCSR(Kernel):
             src = n - 1 - rows[strict]
             dst = n - 1 - self.low.indices[strict]
             edges = np.stack([src, dst], axis=1)
-            weights = self.low.row_nnz()[::-1].astype(VALUE_DTYPE)
+            weights = self.iteration_costs()
             self._dag = DAG.from_edges(n, edges, weights)
         return self._dag
 
+    @cached_property
+    def row_form(self) -> RowForm:
+        # Column j's strictly-lower entries, in ascending row i, for
+        # j = n-1-k in k order: a stable sort of the CSR entries (rows
+        # ascending) by k is the transpose permutation.
+        n = self.low.n_rows
+        rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), self.low.row_nnz())
+        strict = np.flatnonzero(self.low.indices < rows)
+        k_of = n - 1 - self.low.indices[strict]
+        perm = strict[stable_argsort(k_of)]
+        ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.bincount(k_of, minlength=n), out=ptr[1:])
+        return RowForm(
+            out=self.x_var,
+            src=self.x_var,
+            mat=self.l_var,
+            ptr=ptr,
+            cols=rows[perm],
+            pos=perm,
+            negate=True,
+            rhs=self.b_var,
+            diag=self.low.indptr[self._rows + 1] - 1,
+            out_at=self._rows,
+            rhs_at=self._rows,
+        )
+
     # -- execution ------------------------------------------------------
-    def setup(self, state: State) -> None:
-        state[self.acc_var][:] = 0.0
-
     def run_iteration(self, k: int, state: State, scratch: Any = None) -> None:
-        j = self._row(k)
-        lo, hi = self.low.indptr[j], self.low.indptr[j + 1]
+        rows = self.row_form
+        j = self.low.n_rows - 1 - k
+        lo, hi = rows.ptr[k], rows.ptr[k + 1]
         lx = state[self.l_var]
-        acc = state[self.acc_var]
-        xj = (state[self.b_var][j] - acc[j]) / lx[hi - 1]
-        state[self.x_var][j] = xj
-        cols = self.low.indices[lo : hi - 1]
-        if cols.shape[0]:
-            acc[cols] += lx[lo : hi - 1] * xj
-
-    def precompute_levels(self, iters: np.ndarray, sizes) -> list:
-        iters = np.asarray(iters, dtype=INDEX_DTYPE)
-        rows = self.low.n_rows - 1 - iters
-        starts = self.low.indptr[rows]
-        counts = self.low.indptr[rows + 1] - starts - 1  # strict-lower
-        gather = multi_range(starts, counts)
-        per_step = group_sums(counts, sizes)
-        return [
-            {"rows": r, "diag": d, "gather": g, "cols": c, "counts": n}
-            for r, d, g, c, n in zip(
-                split_sizes(rows, sizes),
-                split_sizes(self.low.indptr[rows + 1] - 1, sizes),
-                split_sizes(gather, per_step),
-                split_sizes(self.low.indices[gather], per_step),
-                split_sizes(counts, sizes),
-            )
-        ]
-
-    def bind_level(self, iters, precomp, values):
-        lx = values.get(self.l_var)
-        if lx is None:
-            return precomp
-        return {
-            **precomp,
-            "vals": lx[precomp["gather"]],
-            "dvals": lx[precomp["diag"]],
-        }
-
-    def run_level_batch(self, iters, state: State, precomp, scratch=None) -> None:
-        vals = precomp.get("vals")
-        if vals is None:
-            lx = state[self.l_var]
-            vals, dvals = lx[precomp["gather"]], lx[precomp["diag"]]
-        else:
-            dvals = precomp["dvals"]
-        acc = state[self.acc_var]
-        rows = precomp["rows"]
-        xj = (state[self.b_var][rows] - acc[rows]) / dvals
-        state[self.x_var][rows] = xj
-        if precomp["gather"].shape[0]:
-            np.add.at(acc, precomp["cols"], vals * np.repeat(xj, precomp["counts"]))
+        x = state[self.x_var]
+        acc = state[self.b_var][j] - np.dot(lx[rows.pos[lo:hi]], x[rows.cols[lo:hi]])
+        x[j] = acc / lx[rows.diag[k]]
 
     def run_reference(self, state: State) -> None:
         from scipy.sparse.linalg import spsolve_triangular
@@ -158,65 +131,53 @@ class SpTRSVBackwardCSR(Kernel):
         state[self.x_var][:] = spsolve_triangular(
             mat, state[self.b_var], lower=False
         )
-        state[self.acc_var][:] = 0.0
 
     # -- dataflow (k-space) ----------------------------------------------
     @property
     def read_vars(self) -> tuple[str, ...]:
-        return (self.l_var, self.b_var, self.acc_var)
+        return (self.l_var, self.b_var, self.x_var)
 
     @property
     def write_vars(self) -> tuple[str, ...]:
-        return (self.x_var, self.acc_var)
+        return (self.x_var,)
 
     def var_sizes(self) -> dict[str, int]:
         n = self.low.n_rows
-        return {
-            self.l_var: self.low.nnz,
-            self.b_var: n,
-            self.x_var: n,
-            self.acc_var: n,
-        }
+        return {self.l_var: self.low.nnz, self.b_var: n, self.x_var: n}
 
     def reads_of(self, var: str, k: int) -> np.ndarray:
-        j = self._row(k)
-        lo, hi = self.low.indptr[j], self.low.indptr[j + 1]
+        rows = self.row_form
+        lo, hi = rows.ptr[k], rows.ptr[k + 1]
         if var == self.l_var:
-            return np.arange(lo, hi, dtype=INDEX_DTYPE)
+            return np.append(rows.pos[lo:hi], rows.diag[k])
         if var == self.b_var:
-            return np.array([j], dtype=INDEX_DTYPE)
-        if var == self.acc_var:
-            return np.array([j], dtype=INDEX_DTYPE)
-        return _EMPTY
+            return self._rows[k : k + 1].copy()
+        if var == self.x_var:
+            return rows.cols[lo:hi].copy()
+        return np.empty(0, dtype=INDEX_DTYPE)
 
     def writes_of(self, var: str, k: int) -> np.ndarray:
-        j = self._row(k)
-        lo, hi = self.low.indptr[j], self.low.indptr[j + 1]
         if var == self.x_var:
-            return np.array([j], dtype=INDEX_DTYPE)
-        if var == self.acc_var:
-            return self.low.indices[lo : hi - 1]
-        return _EMPTY
-
-    def _row_ranges(self, drop_last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Storage positions of row ``j`` per iteration ``k``, in k order,
-        without the row's last *drop_last* entries (1 drops the diagonal)."""
-        counts = self.low.row_nnz()[self._rows] - drop_last
-        return counts, multi_range(self.low.indptr[self._rows], counts)
+            return self._rows[k : k + 1].copy()
+        return np.empty(0, dtype=INDEX_DTYPE)
 
     def read_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
+        rows = self.row_form
+        counts = np.diff(rows.ptr)
         if var == self.l_var:
-            return map_from_counts(*self._row_ranges(0))
-        if var in (self.b_var, self.acc_var):
+            # each column's off-diagonal positions, then its diagonal's
+            return map_from_counts(
+                counts + 1, np.insert(rows.pos, rows.ptr[1:], rows.diag)
+            )
+        if var == self.b_var:
             return self._own_row_map()
+        if var == self.x_var:
+            return map_from_counts(counts, rows.cols)
         return empty_map(self.n_iterations)
 
     def write_map(self, var: str) -> tuple[np.ndarray, np.ndarray]:
         if var == self.x_var:
             return self._own_row_map()
-        if var == self.acc_var:
-            counts, pos = self._row_ranges(1)
-            return map_from_counts(counts, self.low.indices[pos])
         return empty_map(self.n_iterations)
 
     def _own_row_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +186,8 @@ class SpTRSVBackwardCSR(Kernel):
 
     # -- costs ----------------------------------------------------------
     def iteration_costs(self) -> np.ndarray:
-        return self.low.row_nnz()[::-1].astype(VALUE_DTYPE)
+        # column j's entries: its strictly-lower ones and the diagonal
+        return (np.diff(self.row_form.ptr) + 1).astype(VALUE_DTYPE)
 
     def flop_count(self) -> float:
         return float(2 * (self.low.nnz - self.low.n_rows) + self.low.n_rows)

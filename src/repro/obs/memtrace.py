@@ -27,7 +27,9 @@ executors:
   docs/performance.md is checked dynamically here, not just argued.
   ``s`` is the step's happens-before phase: its s-partition in an
   unmerged plan, its own index in a plan whose steps merge across
-  s-partitions (only a schedule that meets its contract is merged).
+  s-partitions (only a schedule that meets its contract is merged). In
+  a row program every step of one phase belongs to one dispatch of
+  stacked row blocks, so all of them are concurrent.
 
 The rule keeps requiring ``w(u) = w(v)`` inside one phase, so a
 dependence between two w-partitions of the same s-partition is reported
@@ -406,8 +408,10 @@ def execution_coordinates(
     unmerged plan, the step's own index in a merged one). ``w`` is the
     schedule's w-partition under both. ``t`` is the dispatch index
     within the vertex's phase: per iteration in the w-partition for
-    ``"iter"``, per plan step for ``"plan"``. Vertices sharing a ``t``
-    are concurrent (one level step). The ``"plan"`` coordinates are
+    ``"iter"``, per plan step for ``"plan"`` — except in a row program,
+    whose every phase is one dispatch, so all its steps share ``t = 0``.
+    Vertices sharing a ``t`` are concurrent (one level step, or one
+    dispatch of stacked row blocks). The ``"plan"`` coordinates are
     those of *plan* when given, else of ``plan_for(schedule, kernels)``.
     Raises ``ValueError``, naming the step, when a step's phase is lower
     than its predecessor's: the executor runs steps in list order, which
@@ -432,6 +436,7 @@ def execution_coordinates(
     phase = np.full(schedule.n_vertices, -1, dtype=np.int64)
     tt = np.zeros(schedule.n_vertices, dtype=np.int64)
     next_t: dict[int, int] = {}
+    joint = plan.rows is not None
     for i, step in enumerate(plan.steps):
         if i and step.s < plan.steps[i - 1].s:
             raise ValueError(
@@ -439,7 +444,8 @@ def execution_coordinates(
                 f"step {i - 1}'s s={plan.steps[i - 1].s}: the executor runs "
                 "steps in list order, so phases must not decrease along it"
             )
-        t = next_t.get(step.s, 0)
+        # a row program runs each phase as one dispatch of all its steps
+        t = 0 if joint else next_t.get(step.s, 0)
         gids = np.asarray(step.iters, dtype=np.int64) + int(offsets[step.loop])
         phase[gids] = step.s
         tt[gids] = t  # one dispatch, concurrent when it is a level step

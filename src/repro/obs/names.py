@@ -117,11 +117,13 @@ REGISTRY: dict[str, tuple[str, str]] = {
     PLAN_STORE_MISSES: ("1", "plan-store lookups that fell through to compile"),
     PLAN_STEPS_MERGED: (
         "1",
-        "(s-partition, loop, level) groups folded into a step of another",
+        "(s-partition, loop, level) groups folded into a step of another "
+        "(joint levels in a row program)",
     ),
     PLAN_BOUND_STEPS: (
         "1",
-        "level steps given their read-only operand values by ExecutionPlan.bind",
+        "level steps (row-program dispatches) given their read-only operand "
+        "values by ExecutionPlan.bind",
     ),
     EXECUTOR_ITERATIONS: ("1", "iterations executed (any executor)"),
     EXECUTOR_BATCHED_ITERATIONS: ("1", "iterations run by plan level steps"),

@@ -49,7 +49,13 @@ def potential_gain(report: MachineReport, config: MachineConfig) -> float:
 def ner(inspector_time: float, baseline_time: float, executor_time: float) -> float:
     """Number of executor runs that amortize the inspector (Fig. 7).
 
-    ``inspector_time / (baseline_time - executor_time)``. When the
+    ``inspector_time / (baseline_time - executor_time)``. The shipped
+    callers mix two clocks: the numerator is wall-clock inspector seconds
+    (Python inspection on this machine), while the denominator is the
+    saving per run on the *simulated* machine (both executor and baseline
+    seconds come from :class:`~repro.runtime.machine.SimulatedMachine`).
+    The function itself only divides; a same-clock NER needs wall-clock
+    seconds on both sides. When the
     executor does not beat the baseline (``baseline_time <=
     executor_time``, including near-ties where the denominator is noise)
     inspection can never be amortized and the result is the flagged

@@ -17,9 +17,10 @@ two tiers:
 * **Compiled plans** (:func:`plan_key`), stored by
   :func:`repro.runtime.plan.plan_for` as kernel-free records: per step its
   loop, phase ``s``, iterations and ``precompute_levels`` arrays, plus
-  the plan's header counts. A warm hit skips plan compile — the
-  intra-DAG ``levels()`` passes, the step merge and every
-  ``precompute_levels`` call. The key hashes the schedule's *own content*
+  the plan's header counts (a row program's steps hold their iterations
+  only, and the record adds the program's row arrays). A warm hit
+  skips plan compile — the intra-DAG ``levels()`` passes, the joint-level
+  pass, the step merge and every ``precompute_levels`` call. The key hashes the schedule's *own content*
   (loop counts, s/w sizes, vertex arrays) and every kernel's class,
   variable names and operand pattern. The schedule key is
   not enough: a plan reads kernel patterns the scheduling problem does
@@ -95,8 +96,12 @@ KEY_SCHEMA = 2
 #: the linear-row kernels' level steps hold CSR row blocks, and their
 #: compiled row sums round differently from format 1's ``reduceat``.
 #: Format 3: steps no longer record a kind; a step of one iteration runs
-#: scalar and holds no precomputation, every wider step is a level step.)
-PLAN_FORMAT = 3
+#: scalar and holds no precomputation, every wider step is a level step.
+#: Format 4: a plan whose loops are all linear-row kernels is a row
+#: program by joint levels, recorded as its dispatches' steps with no
+#: precomputation, its row arrays and a ``joint`` flag; the backward
+#: solve pulls.)
+PLAN_FORMAT = 4
 
 
 def schedule_key(dags, inter, scheduler, r, reuse_ratio, params=None) -> str:

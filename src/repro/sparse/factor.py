@@ -69,16 +69,15 @@ def ic0_csc(a: CSRMatrix, *, check_spd: bool = True) -> CSCMatrix:
             raise ValueError(f"column {j} missing diagonal entry")
         # Scatter column j of A's lower triangle into the work vector.
         work[col_rows] = data[lo:hi]
-        # Update with every earlier column k where L[j,k] != 0.
+        # Update with every earlier column k where L[j,k] != 0. Only rows
+        # >= j contribute to column j, and in the sorted column k they
+        # start at L[j,k] itself.
         for k, pjk in row_heads[j]:
             ljk = data[pjk]
             if ljk == 0.0:
                 continue
-            klo, khi = indptr[k], indptr[k + 1]
-            krows = indices[klo:khi]
-            # Only rows >= j contribute to column j.
-            start = np.searchsorted(krows, j)
-            work[krows[start:]] -= ljk * data[klo + start : khi]
+            khi = indptr[k + 1]
+            work[indices[pjk:khi]] -= ljk * data[pjk:khi]
         pivot = work[j]
         if pivot <= 0.0:
             if check_spd:

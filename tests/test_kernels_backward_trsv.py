@@ -8,6 +8,7 @@ from repro.kernels import SpTRSVBackwardCSR, SpTRSVCSR
 from repro.obs import sanitize_schedule
 from repro.runtime import allocate_state, execute_schedule_planned
 from repro.schedule import validate_schedule
+from repro.schedule.wavefront import level_schedule
 from repro.sparse import ic0_csc, random_lower_triangular
 
 
@@ -79,9 +80,9 @@ def test_fused_forward_backward_solve(l_factor, lap2d_nd, rng):
 
 
 def test_threaded_execution(l_factor, rng):
-    """Concurrent w-partitions push into the same accumulator element:
-    the declared atomic keeps the sanitizer clean under both executor
-    models, and the plan executor matches the ``iter`` oracle."""
+    """Concurrent w-partitions pull finished entries of ``z``: the
+    sanitizer is clean under both executor models, and the plan executor
+    matches the ``iter`` oracle."""
     fwd = SpTRSVCSR(l_factor, l_var="Lx", b_var="r", x_var="w")
     bwd = SpTRSVBackwardCSR(l_factor, l_var="Lx", b_var="w", x_var="z")
     fl = fuse([fwd, bwd], 4)
@@ -111,3 +112,29 @@ def test_random_lower(seed, rng):
     st["b"][:] = rng.random(60)
     run_all(k, st)
     assert np.allclose(low.to_dense().T @ st["x"], st["b"], atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_pull_form_plan_matches_iter_and_reference(seed, l_factor, rng):
+    """The pull form, ``x[j] = (b[j] - sum_{i>j} L[i, j] x[i]) / L[j, j]``:
+    its level steps and its row program agree bitwise, and both agree
+    with the ``iter`` oracle and with scipy's triangular solve."""
+    for low in (l_factor, random_lower_triangular(60, 4.0, seed=seed)):
+        k = SpTRSVBackwardCSR(low)
+        st = allocate_state([k])
+        st["Lx"][:] = low.data
+        st["b"][:] = rng.random(low.n_rows)
+        assert set(st) == {"Lx", "b", "x"}  # no accumulator
+        oracle = run_all(k, {v: a.copy() for v, a in st.items()})
+        ref = {v: a.copy() for v, a in st.items()}
+        k.run_reference(ref)
+        steps = {v: a.copy() for v, a in st.items()}
+        for level in k.intra_dag().wavefronts():
+            k.run_level_batch(level, steps, k.precompute_levels(level, [len(level)])[0])
+        planned = execute_schedule_planned(
+            level_schedule([k]), [k], {v: a.copy() for v, a in st.items()}
+        )
+        assert planned["x"].tobytes() == steps["x"].tobytes()
+        assert np.allclose(planned["x"], oracle["x"], rtol=1e-12, atol=1e-13)
+        assert np.allclose(planned["x"], ref["x"], rtol=1e-12, atol=1e-13)
+        assert np.allclose(low.to_dense().T @ planned["x"], st["b"], atol=1e-8)

@@ -22,6 +22,13 @@ holds no precomputation, and every wider step is a level step. Groups
 of two or three iterations, which ran scalar under the old batch
 threshold of four, became precomputed level steps, and every pinned plan
 has one or two of them on this matrix, so every digest changed.
+
+Format 4 compiles a plan whose loops are all linear-row kernels to one
+row program by joint levels: combination 1, both Gauss-Seidel chains and
+the preconditioner pair (whose backward solve now pulls) record their
+dispatches' steps with no precomputation, plus the program's row arrays
+and the vectors it copies in. Every header gained a ``joint`` flag. The records of combinations 2-6 hold the same steps and
+arrays as in format 3, byte for byte: only the header changed.
 """
 
 import hashlib
@@ -40,15 +47,15 @@ from repro.solvers.pcg import build_ic0_preconditioner
 N_THREADS = 8
 
 PINNED_DIGESTS = {
-    "combo1": "3f1f9fb72f7e86f2337ea960d0dfb25bccf540e7bec1cb86596dbdba805221ee",
-    "combo2": "84a6d3990200c64ebfaec43a5dafb68db8c802715c29963a73ce0902c89af60a",
-    "combo3": "ef180dfbd3af8d650acb1891f29afb15f90568557b0409bd48ad2881d6906d26",
-    "combo4": "b9280b001760c339dc968f0a577d0d58b26cfc9586f9af727dce6e383a73b42d",
-    "combo5": "b42eaffa41f3dcfd890d9e340a4737560a611f0e47789c6012d873bc2c199263",
-    "combo6": "fc40996dfb4aca345d1099a4f9fb5914e53fd44f8296ca4df302141ed4bf7c84",
-    "gs-unroll1": "c67110f27dec2a71e1a28d2f2b374cf20403339ffe878ef52b42b536d8d1a616",
-    "gs-unroll2": "b883bc42957e7754f83e7cd55a6bfb2589452e8b7188667822342e0aaee1012b",
-    "pcg-pair": "24407f805be882ab34580ec84ab1ab80124f03bd236dbdf9969d791025e0a793",
+    "combo1": "8c41969d7944ed2262951032706b5a85c582a9be6617aa64dca182427a14ea55",
+    "combo2": "470271d83226b08ec61bd3c1fa0b9965f428dbeb4df42449002ca643ca07e248",
+    "combo3": "72a8280ca777c54c2a7a81770d38eb014e6a74a78a401fd06c6241d464a34f13",
+    "combo4": "42c5c6e8e3ef351498d8b7f7a3910e0f3e3a6545fbaafe9fb8c085080e66cb5f",
+    "combo5": "b4c7b23c2a0a5af0aed635627ed38a657133282439dc1992f9de8ba9b34de571",
+    "combo6": "87e21ecfc6de5ad8fa4e5ec36d7b43f8dfd5d9ab25b6408e0907517c6fe57581",
+    "gs-unroll1": "02e98a2e1a2479b9943e5497a3721c21559bf76508673263db6f1fe6522bd2af",
+    "gs-unroll2": "8d5fa9bb1d24ec64d806e589ebdc8b1f8ceb292031a7fec135e6012e83a1c66b",
+    "pcg-pair": "ba706a3d25dfb9f6c6658dd7f4eb04a4b5f93f364cbd7dfbf0d86740ceff0d38",
 }
 
 
@@ -76,7 +83,7 @@ def build_plan(name: str, a):
 
 
 def test_pinned_digests_belong_to_the_current_format():
-    assert PLAN_FORMAT == 3
+    assert PLAN_FORMAT == 4
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))

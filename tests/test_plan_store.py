@@ -373,11 +373,11 @@ def _damage_row_block(damage, header, arrays):
 
 
 def _checked_row_block_matvec(monkeypatch):
-    """Make every kernel's row-block product assert the bounds the
-    compiled routine leaves unchecked."""
-    from repro.kernels import spmv, sptrsv
+    """Make every row-block product (:func:`repro.kernels.base.run_rows`)
+    assert the bounds the compiled routine leaves unchecked."""
+    from repro.kernels import base
 
-    product = sptrsv.row_block_matvec
+    product = base.row_block_matvec
 
     def checked(ptr, cols, vals, x, out):
         assert ptr[0] == 0 and ptr.shape[0] == out.shape[0] + 1
@@ -386,8 +386,7 @@ def _checked_row_block_matvec(monkeypatch):
         assert cols.shape[0] == 0 or 0 <= cols.min() <= cols.max() < x.shape[0]
         return product(ptr, cols, vals, x, out)
 
-    for module in (spmv, sptrsv):
-        monkeypatch.setattr(module, "row_block_matvec", checked)
+    monkeypatch.setattr(base, "row_block_matvec", checked)
 
 
 @pytest.mark.parametrize(
@@ -403,15 +402,114 @@ def _checked_row_block_matvec(monkeypatch):
 )
 def test_out_of_bounds_row_blocks_recompile_unexecuted(damage, tmp_path, monkeypatch):
     # a record re-saved through put_plan, checksum and fingerprint intact,
-    # whose row block would make the compiled product read stray memory
+    # whose row block would make the compiled product read stray memory;
+    # combo 3's SpTRSV-CSR steps hold row blocks (a row program's record
+    # holds none: the joint-record tests below damage those)
     a = _matrix()
-    _fuse_and_run("gs-chain", a, tmp_path)
+    _fuse_and_run("combo3", a, tmp_path)
     path = _plan_file(tmp_path)
     good = path.read_bytes()
     key = path.stem.removeprefix("plan-")
     header, arrays = serialize.load_arrays(path, expect_fingerprint=key)
     arrays = [np.array(x) for x in arrays]
     _damage_row_block(damage, header, arrays)
+    ScheduleCache(directory=tmp_path).put_plan(key, header, arrays)
+    assert path.read_bytes() != good
+
+    _checked_row_block_matvec(monkeypatch)
+    with recording() as rec:
+        _, state, cache = _fuse_and_run("combo3", a, tmp_path)
+    assert rec.counter("plan.store_misses") == 1
+    assert rec.counter("plan.cache_misses") == 1
+    assert cache.stats["plan_misses"] == 1 and cache.stats["plan_hits"] == 0
+    assert _bitwise_equal(state, _compiled_run("combo3", a))
+    assert path.read_bytes() == good  # overwritten with the compiled plan
+
+
+def _merge_dispatches(header, arrays):
+    # dispatches d and d + 1 become one, d + 1 being the first dispatch
+    # that depends on d, with every later phase renumbered: the phases
+    # stay 0, 1, 2, ... and only the edge check sees the joined rows
+    steps = header["steps"]
+    d = steps[0][1]
+    for step in steps:
+        if step[1] > d:
+            step[1] -= 1
+
+
+def _iteration_past_its_loop(header, arrays):
+    step = header["steps"][-1]
+    iters = np.array(arrays[step[2]])
+    iters[-1] = 10**6
+    arrays[step[2]] = iters
+
+
+def _program_array(header, arrays, name):
+    """The stored row program's array *name*, made writable in place."""
+    index = header["rows"]["arrays"][("rhs", "ends", "cols", "gather", "diag", "out").index(name)]
+    arrays[index] = np.array(arrays[index])
+    return arrays[index]
+
+
+def _column_past_buffer(header, arrays):
+    cols = _program_array(header, arrays, "cols")
+    cols[cols.shape[0] // 2] = 10**6
+
+
+def _negative_coefficient(header, arrays):
+    _program_array(header, arrays, "gather")[0] = -1
+
+
+def _ends_decrease(header, arrays):
+    ends = _program_array(header, arrays, "ends")
+    ends[1] = ends[2] + 1
+
+
+def _missing_vertex(header, arrays):
+    step = next(st for st in header["steps"] if arrays[st[2]].shape[0] > 1)
+    arrays[step[2]] = arrays[step[2]][:-1]
+
+
+def _kernel_steps_record(header, arrays):
+    # the steps of a row program claimed as kernel steps: level steps
+    # without a precomputation
+    header["joint"] = False
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _merge_dispatches,
+        _column_past_buffer,
+        _negative_coefficient,
+        _ends_decrease,
+        _iteration_past_its_loop,
+        _missing_vertex,
+        _kernel_steps_record,
+    ],
+    ids=[
+        "edge-inside-dispatch",
+        "column-past-buffer",
+        "negative-coefficient",
+        "ends-decrease",
+        "iteration-past-loop",
+        "missing-vertex",
+        "not-joint",
+    ],
+)
+def test_damaged_joint_records_recompile_unexecuted(damage, tmp_path, monkeypatch):
+    # the Gauss-Seidel chain compiles to a row program; its record holds
+    # the dispatches' steps and the program's row arrays
+    a = _matrix()
+    _fuse_and_run("gs-chain", a, tmp_path)
+    path = _plan_file(tmp_path)
+    good = path.read_bytes()
+    key = path.stem.removeprefix("plan-")
+    header, arrays = serialize.load_arrays(path, expect_fingerprint=key)
+    assert header["joint"] is True
+    assert all(step[3] is None for step in header["steps"])
+    arrays = list(arrays)
+    damage(header, arrays)
     ScheduleCache(directory=tmp_path).put_plan(key, header, arrays)
     assert path.read_bytes() != good
 
@@ -465,10 +563,17 @@ def test_plan_key_covers_kernel_patterns_the_schedule_key_does_not():
         with recording() as rec:
             plan = plan_for(fresh, kernels)
         assert rec.counter("plan.store_misses") == 1
-        spmv = [st for st in plan.steps if st.loop == 0 and st.iters.shape[0] > 1]
-        assert spmv
-        for st in spmv:
-            assert np.array_equal(st.precomp["cols"], kernels[0].a.indices[st.iters])
+        # a row program: each dispatch's SpMV rows come first, one
+        # column each, as offsets into the buffer's slice of x
+        x_at = plan.rows.layout[kernels[0].x_var][0]
+        n_checked = 0
+        for d, (_, _, cols, _, _, _) in enumerate(plan.rows.steps):
+            spmv = [st for st in plan.steps if st.s == d and st.loop == 0]
+            for st in spmv:
+                want = kernels[0].a.indices[st.iters] + x_at
+                assert np.array_equal(cols[: st.iters.shape[0]], want)
+                n_checked += st.iters.shape[0]
+        assert n_checked == kernels[0].n_iterations
 
 
 def test_mutated_copy_misses(tmp_path):

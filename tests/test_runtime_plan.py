@@ -42,6 +42,14 @@ def _step_sets(plan):
     return [(st.loop, tuple(np.sort(st.iters))) for st in plan.steps]
 
 
+def _joint_dag_levels(n, src, dst):
+    """Longest-path levels of the DAG ``src -> dst`` on *n* vertices,
+    by the ``DAG`` class's own pass, independent of the plan compiler."""
+    from repro.graph import DAG
+
+    return DAG.from_edges(n, np.stack([src, dst], axis=1)).levels()
+
+
 def _run_both(schedule, kernels, state, **plan_kwargs):
     st1 = {k: v.copy() for k, v in state.items()}
     st2 = {k: v.copy() for k, v in state.items()}
@@ -91,18 +99,16 @@ class TestEquivalence:
 
     def test_one_iteration_steps_are_bitwise_scalar(self, band_small, rng):
         """Every level of a natural-order band holds one row, so every
-        step of the dependence-carrying kernels holds one iteration, has
-        no precomputation and runs ``run_iteration``: bitwise equal to
-        the ``iter`` oracle. Combinations 1, 4 and 5 hold SpTRSV-CSR,
-        SpIC0, SpTRSV-CSC, SpILU0 and SpTRSV from LU; the preconditioner
-        pair adds the backward solve."""
+        kernel step of the dependence-carrying kernels holds one
+        iteration, has no precomputation and runs ``run_iteration``:
+        bitwise equal to the ``iter`` oracle. Combinations 4 and 5 hold
+        SpIC0, SpTRSV-CSC, SpILU0 and SpTRSV from LU. Combination 1 and
+        the preconditioner pair are row programs, whose every dispatch
+        runs the compiled row-block product (``TestJointLevels``)."""
         cases = []
-        for cid in (1, 4, 5):
+        for cid in (4, 5):
             kernels, state = build_combination(cid, band_small, seed=cid)
             cases.append((fuse(kernels, 4).schedule, kernels, state))
-        kernels, schedule, state = build_ic0_preconditioner(band_small)
-        state["r"][:] = rng.random(band_small.n_rows)
-        cases.append((schedule, kernels, state))
         for schedule, kernels, state in cases:
             plan = compile_plan(schedule, kernels)
             assert plan.n_level_steps == 0
@@ -165,33 +171,63 @@ class TestSPartitionSteps:
 
     @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
     def test_steps_hold_one_loop_level_each(self, cid, lap3d_nd, dependence_edges):
+        """Each step holds one loop's iterations of one level: the intra
+        level in a plan of kernel steps, the joint level in a row program
+        (combination 1), whose steps of one joint level form one
+        dispatch."""
         kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
         fl = fuse(kernels, 8)
         offsets = fl.schedule.offsets
         plan = compile_plan(fl.schedule, kernels)
+        src, dst = dependence_edges(fl)
+        joint = _joint_dag_levels(fl.schedule.n_vertices, src, dst)
+        assert (plan.rows is not None) == (cid == 1)
         step_of = np.full(fl.schedule.n_vertices, -1)
         for i, step in enumerate(plan.steps):
-            levels = kernels[step.loop].intra_dag().levels()[step.iters]
-            assert np.unique(levels).shape[0] == 1, i
             gids = step.iters + offsets[step.loop]
+            if plan.rows is None:
+                levels = kernels[step.loop].intra_dag().levels()[step.iters]
+            else:
+                levels = joint[gids]
+                assert np.all(levels == step.s), i
+            assert np.unique(levels).shape[0] == 1, i
             assert np.all(step_of[gids] == -1), "iteration in two steps"
-            step_of[gids] = i
+            step_of[gids] = i if plan.rows is None else step.s
         assert np.all(step_of >= 0), "iteration in no step"
-        src, dst = dependence_edges(fl)
         assert np.all(step_of[src] < step_of[dst])
-        # a merged plan's happens-before phases are its step indices
-        assert [step.s for step in plan.steps] == list(range(plan.n_steps))
+        # a merged plan's happens-before phases are its dispatch indices
+        phases = [step.s for step in plan.steps]
+        assert phases == sorted(phases)
+        assert sorted(set(phases)) == list(range(plan.n_steps))
+        if plan.rows is None:
+            assert phases == list(range(plan.n_steps))
 
     @pytest.mark.parametrize("n_threads", [2, 4, 16])
     @pytest.mark.parametrize("cid", sorted(COMBINATIONS))
-    def test_level_steps_meet_lower_bound(self, cid, n_threads, lap3d_nd):
+    def test_level_steps_meet_lower_bound(
+        self, cid, n_threads, lap3d_nd, dependence_edges
+    ):
         """One step per intra level of every loop — the fewest any legal
-        plan can have — and never more steps than the unfused plan. A
-        step is a level step, with a precomputation, exactly when it
-        holds two or more iterations."""
+        plan of kernel steps can have — and never more steps than the
+        unfused plan. A step is a level step, with a precomputation,
+        exactly when it holds two or more iterations. A row program
+        (combination 1) has one dispatch per joint level, the fewest any
+        legal plan can have, and its steps hold no precomputation."""
         kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
         fl = fuse(kernels, n_threads)
         plan = compile_plan(fl.schedule, kernels)
+        unfused = compile_plan(parsy_schedule(kernels, n_threads), kernels)
+        assert plan.n_steps <= unfused.n_steps
+        if plan.rows is not None:
+            src, dst = dependence_edges(fl)
+            joint = _joint_dag_levels(fl.schedule.n_vertices, src, dst)
+            sizes = np.bincount(joint)
+            assert plan.n_steps == sizes.shape[0] < sum(
+                int(k.intra_dag().levels().max()) + 1 for k in kernels
+            )
+            assert plan.n_level_steps == int((sizes > 1).sum())
+            assert all(st.precomp is None for st in plan.steps)
+            return
         for k, kern in enumerate(kernels):
             sizes = np.bincount(kern.intra_dag().levels())
             mine = [step for step in plan.steps if step.loop == k]
@@ -200,8 +236,6 @@ class TestSPartitionSteps:
             for step in mine:
                 assert (step.precomp is None) == (step.iters.shape[0] == 1), k
         assert plan.n_level_steps == sum(st.iters.shape[0] > 1 for st in plan.steps)
-        unfused = compile_plan(parsy_schedule(kernels, n_threads), kernels)
-        assert plan.n_steps <= unfused.n_steps
 
     def test_solver_plans_no_longer_than_unfused(self, lap3d_nd):
         """The Gauss-Seidel chunk and the IC0 preconditioner: the level
@@ -515,9 +549,49 @@ class TestObsCounters:
         assert "executor.run" in names
 
 
+def _program_matches_precompute(plan):
+    """Each dispatch of *plan*'s row program is its steps' single-step
+    ``precompute_levels`` row blocks stacked in step order, with columns,
+    value positions and divisors as offsets into the program's buffers,
+    and its right-hand sides and writes are the rows' own elements."""
+    from repro.kernels.base import _at
+
+    rows = plan.rows
+    values = {(mat, negate): lo for mat, negate, lo, _ in rows.values}
+    steps = iter(plan.steps)
+    step = next(steps, None)
+    for d, (rhs, ptr, cols, gather, diag, out) in enumerate(rows.steps):
+        want = {k: [] for k in ("ptr", "cols", "gather", "diag", "rhs", "out")}
+        while step is not None and step.s == d:
+            kern = plan.kernels[step.loop]
+            form = kern.row_form
+            block = kern.precompute_levels(step.iters, [len(step.iters)])[0]
+            base = sum(len(c) for c in want["cols"])
+            want["ptr"].append(block["ptr"][int(bool(want["ptr"])):] + base)
+            want["cols"].append(block["cols"] + rows.layout[form.src][0])
+            want["gather"].append(block["gather"] + values[form.mat, form.negate])
+            want["diag"].append(
+                np.zeros(len(step.iters), dtype=np.int64)
+                if form.diag is None
+                else block["diag"] + values[form.mat, False]
+            )
+            want["rhs"].append(
+                np.zeros(len(step.iters), dtype=np.int64)
+                if form.rhs is None
+                else _at(form.rhs_at, step.iters) + rows.layout[form.rhs][0]
+            )
+            want["out"].append(_at(form.out_at, step.iters) + rows.layout[form.out][0])
+            step = next(steps, None)
+        got = dict(ptr=ptr, cols=cols, gather=gather, diag=diag, rhs=rhs, out=out)
+        for key, parts in want.items():
+            assert np.array_equal(np.concatenate(parts), got[key]), (d, key)
+    assert step is None
+
+
 class TestBatchedPrecompute:
     """compile_plan precomputes all of a loop's level steps in one
-    ``precompute_levels`` pass, equal to one single-step pass per step."""
+    ``precompute_levels`` pass, equal to one single-step pass per step;
+    a row program's dispatches stack those same row blocks."""
 
     @staticmethod
     def _extra_patterns():
@@ -539,6 +613,10 @@ class TestBatchedPrecompute:
                 n = kern.n_iterations
                 sched = FusedSchedule((n,), [[rng.permutation(n)]])
                 plan = compile_plan(sched, [kern])
+                if plan.rows is not None:
+                    _program_matches_precompute(plan)
+                    checked.add(kern.name)
+                    continue
                 for step in plan.steps:
                     if step.iters.shape[0] > 1:
                         want = kern.precompute_levels(step.iters, [len(step.iters)])[0]
@@ -554,6 +632,9 @@ class TestBatchedPrecompute:
             kernels, _ = build_combination(cid, lap3d_nd, seed=cid)
             fl = fuse(kernels, n_threads)
             plan = compile_plan(fl.schedule, kernels)
+            if plan.rows is not None:
+                _program_matches_precompute(plan)
+                continue
             for step in plan.steps:
                 if step.iters.shape[0] > 1:
                     want = kernels[step.loop].precompute_levels(
@@ -596,8 +677,10 @@ class TestBatchedPrecompute:
 
 class _LoopedTRSV(SpTRSVCSR):
     """SpTRSV-CSR with the ``Kernel`` defaults for every plan hook: no
-    vectorized path, so its level steps run one iteration at a time."""
+    row form and no vectorized path, so its level steps run one
+    iteration at a time."""
 
+    row_form = Kernel.row_form
     precompute_levels = Kernel.precompute_levels
     bind_level = Kernel.bind_level
     run_level_batch = Kernel.run_level_batch

@@ -9,11 +9,10 @@ import pytest
 
 from repro import fuse
 from repro.fusion import build_combination
-from repro.kernels import SpMVCSR
 from repro.obs import recording
 from repro.runtime import execute_schedule_planned, plan_for
 from repro.runtime.executor import allocate_state
-from repro.runtime.plan import ExecutionPlan, _plan_record
+from repro.runtime.plan import ExecutionPlan, RowProgram, _plan_record
 from repro.schedule.cache import ScheduleCache
 from repro.schedule.schedule import PLAN_MEMO_KEY
 from repro.schedule.wavefront import level_schedule
@@ -57,7 +56,8 @@ def test_bound_gs_chain_bitwise_equal(lap3d_nd, rng, unroll, runs):
     for var in plain:
         assert plain[var].tobytes() == bound_state[var].tobytes(), var
     assert bound.n_level_steps == plan.n_level_steps > 0
-    assert all("vals" in st.precomp for st in bound.steps if st.iters.shape[0] > 1)
+    # the chain is one row program: every dispatch carries its values
+    assert plan.rows.n_bound == 0 and bound.rows.n_bound == bound.n_steps
 
 
 @pytest.mark.parametrize("runs", [1, 4])
@@ -97,13 +97,13 @@ def test_binding_a_written_variable_raises(lap2d_nd, rng):
 
 
 def test_writing_a_bound_array_during_a_solve_raises(lap2d_nd, rng, monkeypatch):
-    run = SpMVCSR.run_level_batch
+    run = RowProgram.run
 
-    def stray_write(self, iters, state, precomp=None, scratch=None):
-        state[self.a_var][0] = 0.0
-        run(self, iters, state, precomp, scratch)
+    def stray_write(self, state):
+        state["Ex"][0] = 0.0
+        run(self, state)
 
-    monkeypatch.setattr(SpMVCSR, "run_level_batch", stray_write)
+    monkeypatch.setattr(RowProgram, "run", stray_write)
     with pytest.raises(ValueError, match="read-only"):
         gauss_seidel(lap2d_nd, rng.random(lap2d_nd.n_rows))
 

@@ -1,5 +1,6 @@
-"""The solvers run level plans: one step per (loop, intra-DAG level),
-built without ICO, without fuse() and without the machine model."""
+"""The solvers run level plans: one dispatch per level of the loops'
+joint DAG, built without ICO, without fuse() and without the machine
+model."""
 
 import importlib
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro import fuse
+from repro.fusion.fused import inspect_loops
+from repro.graph.joint import build_joint_dag
 from repro.runtime import plan_for
 from repro.runtime.machine import SimulatedMachine
 from repro.schedule.schedule import PLAN_MEMO_KEY
@@ -39,17 +42,27 @@ def test_solvers_run_no_ico_fuse_or_pricing(lap3d_nd, rng, monkeypatch):
 
 
 def _assert_one_step_per_level(plan):
-    """Per loop, one step per intra-DAG level, holding exactly that
-    level's iterations; a precomputed level step exactly when the level
-    has two or more iterations."""
-    for k, kern in enumerate(plan.kernels):
-        levels = kern.intra_dag().levels()
-        mine = [st for st in plan.steps if st.loop == k]
-        assert len(mine) == int(levels.max()) + 1, k
-        for lvl, st in enumerate(mine):
-            expect = np.flatnonzero(levels == lvl)
-            assert np.array_equal(np.sort(st.iters), expect), (k, lvl)
-            assert (st.precomp is None) == (expect.shape[0] == 1), (k, lvl)
+    """The solvers' loops are all linear-row kernels, so the plan is one
+    row program: one dispatch per level of the joint DAG (intra edges
+    plus ``F``), whose steps hold exactly that level's iterations of
+    each loop, loop by loop, and no precomputation."""
+    kernels = plan.kernels
+    dags, inter, _ = inspect_loops(kernels)
+    levels = build_joint_dag(dags, inter).levels()
+    offsets = np.cumsum([0] + [k.n_iterations for k in kernels])
+    assert plan.rows is not None
+    assert plan.n_steps == int(levels.max()) + 1
+    expect = [
+        (k, lvl, np.flatnonzero(levels[offsets[k] : offsets[k + 1]] == lvl))
+        for lvl in range(plan.n_steps)
+        for k in range(len(kernels))
+    ]
+    expect = [(k, lvl, iters) for k, lvl, iters in expect if iters.shape[0]]
+    assert len(plan.steps) == len(expect)
+    for st, (k, lvl, iters) in zip(plan.steps, expect):
+        assert (st.loop, st.s) == (k, lvl)
+        assert np.array_equal(st.iters, iters), (k, lvl)
+        assert st.precomp is None
 
 
 @pytest.mark.parametrize("unroll", [1, 4])

@@ -195,6 +195,10 @@ ALLOWED = {
         'order = np.argsort(self.row_indices, kind="stable")',
     ): "each consumer's producers ascend and sit near the consumer",
     (
+        "runtime/plan.py",
+        "order = np.lexsort(keys)",
+    ): "a plan's steps group vertices in schedule order, loops mostly ascending",
+    (
         "runtime/cache.py",
         'src = np.argsort((pos >> (k + 1)) * n + vals, kind="stable")',
     ): "each merge pass sorts two sorted runs per block, timsort's best case",
