@@ -363,7 +363,7 @@ def _cmd_gs(args) -> int:
         f"simulated solve {sim.simulated_solve_seconds * 1e3:.2f} ms "
         f"({args.method} schedule, inspector {sim.inspector_seconds * 1e3:.1f} ms); "
         f"{res.meta['chunks']} chunks of {2 * args.unroll} loops, "
-        f"schedule built in {res.inspector_seconds * 1e3:.1f} ms"
+        f"set up in {res.inspector_seconds * 1e3:.1f} ms"
     )
     print(_pipeline_summary(rec))
     if args.doctor or args.trace or args.sanitize:

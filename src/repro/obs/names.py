@@ -10,7 +10,7 @@ unit, description).
 
 Naming scheme: ``<subsystem>.<metric>`` where the subsystem matches the
 span prefix of the emitting stage (``inspector.*``, ``ico.*``,
-``lbc.*``, ``plan.*``, ``executor.*``, ``cache.*``, ``gs.*``).
+``lbc.*``, ``plan.*``, ``executor.*``, ``cache.*``, ``gs.*``, ``solver.*``).
 Simulated-machine attribution counters use the ``executor.sim_*``
 prefix to mark that they are model cycles, not wall clock.
 """
@@ -87,6 +87,8 @@ LOCALITY_SECONDS = "locality.seconds"
 
 # -- solvers -----------------------------------------------------------
 GS_CHUNKS = "gs.chunks"
+SOLVER_SETUP_HITS = "solver.setup_hits"
+SOLVER_SETUP_MISSES = "solver.setup_misses"
 
 #: name -> (unit, description). The unit is what a consumer may sum or
 #: average; "1" marks dimensionless counts.
@@ -153,6 +155,8 @@ REGISTRY: dict[str, tuple[str, str]] = {
     LOCALITY_FALSE_SHARED_LINES: ("lines", "lines written by >=2 w-partitions in one s-partition"),
     LOCALITY_SECONDS: ("s", "wall-clock spent in the locality profiler"),
     GS_CHUNKS: ("1", "fused Gauss-Seidel chunks scheduled"),
+    SOLVER_SETUP_HITS: ("1", "solver calls that reused their pattern's cached set-up"),
+    SOLVER_SETUP_MISSES: ("1", "solver calls that built their pattern's set-up"),
 }
 
 

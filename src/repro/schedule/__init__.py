@@ -11,11 +11,15 @@
 
 from .cache import (
     KEY_SCHEMA,
+    SETUP_TIER,
     ScheduleCache,
     get_default_cache,
     plan_key,
     schedule_key,
     set_default_cache,
+    setup_cache,
+    setup_key,
+    solver_setup,
 )
 from .dagp import dagp_partition, dagp_schedule
 from .hdagg import hdagg_schedule
@@ -54,6 +58,10 @@ __all__ = [
     "KEY_SCHEMA",
     "schedule_key",
     "plan_key",
+    "setup_key",
+    "setup_cache",
+    "solver_setup",
+    "SETUP_TIER",
     "get_default_cache",
     "set_default_cache",
 ]

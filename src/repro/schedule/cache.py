@@ -1,12 +1,12 @@
-"""Pattern-keyed inspection cache: schedules and compiled plans.
+"""Pattern-keyed inspection cache: schedules, compiled plans and solver
+set-ups.
 
 The paper's reuse contract is that "the fused schedule can be reused as
 long as the sparsity patterns of A and L do not change". Everything the
 inspector-executor derives before the first execution is a pure function
 of patterns and parameters, so it can be memoized on a content
-fingerprint of exactly those inputs. One :class:`ScheduleCache` holds two
-entry kinds under one :data:`KEY_SCHEMA`, in one directory, with the same
-two tiers:
+fingerprint of exactly those inputs. One :class:`ScheduleCache` holds
+three entry kinds under one :data:`KEY_SCHEMA`:
 
 * **Schedules** (:func:`schedule_key`). The key covers what the
   schedulers read: DAG ``indptr``/``indices``, InterDep rows, vertex
@@ -28,8 +28,21 @@ two tiers:
   different ``A`` patterns share a schedule key, but SpMV's gather
   indices come from ``A``. Hashing the schedule's content means an edited
   ``schedule.copy()`` never resolves to the original's plan.
+* **Solver set-ups** (:func:`setup_key`), memory only: everything
+  :func:`~repro.solvers.pcg_ic0` or :func:`~repro.solvers.gauss_seidel`
+  derives from ``A``'s pattern before its first iteration (kernels,
+  level schedules, unbound plans, and the index maps that gather ``A``'s
+  current values into the solve's value arrays). The key is ``A``'s
+  :func:`pattern_fingerprint` plus its shape, the solver and its
+  pattern-shaping parameters, so a changed pattern (also one edited in
+  place) misses. An entry holds no values a solve reads: each call
+  gathers them from its own ``A`` and binds the plan anew. The solvers
+  ask :func:`solver_setup`, which looks in the default cache when one is
+  installed, and otherwise in :data:`SETUP_TIER`, a bounded memory-only
+  cache owned by this module (:func:`setup_cache`);
+  :func:`repro.fusion.fuse` never reads that tier.
 
-Two tiers:
+Schedules and plans have two tiers:
 
 * an in-memory LRU per entry kind, for repeated lookups in one process —
   e.g. the unrolled Gauss-Seidel chunks, which fuse the same pattern
@@ -45,8 +58,8 @@ Two tiers:
   :func:`repro.runtime.plan.plan_for`'s order check before it is used.
 
 Anything outside the keys (matrix *values*, right-hand sides) never
-influences a schedule or a plan: every shipped ``precompute_levels``
-builds index arrays from the pattern alone.
+influences a schedule, a plan or a solver set-up: every shipped
+``precompute_levels`` builds index arrays from the pattern alone.
 """
 
 from __future__ import annotations
@@ -74,10 +87,14 @@ __all__ = [
     "ScheduleCache",
     "schedule_key",
     "plan_key",
+    "setup_key",
+    "setup_cache",
+    "solver_setup",
     "get_default_cache",
     "set_default_cache",
     "KEY_SCHEMA",
     "PLAN_FORMAT",
+    "SETUP_TIER",
 ]
 
 #: Version of the key derivation itself. Bump whenever the *semantics*
@@ -171,6 +188,22 @@ def plan_key(schedule: FusedSchedule, kernels) -> str | None:
     return h.hexdigest()
 
 
+def setup_key(kind: str, a, **params) -> str:
+    """Fingerprint of one solver set-up on matrix *a*.
+
+    :func:`pattern_fingerprint` of *a*, prefixed by its shape, the solver
+    *kind*, its pattern-shaping *params* (e.g. Gauss-Seidel's ``unroll``),
+    :data:`KEY_SCHEMA` and :data:`PLAN_FORMAT`. Values are not hashed: a
+    set-up depends on the pattern alone. The entry never leaves memory,
+    so the key is a plain string rather than a digest of one.
+    """
+    spec = ",".join(f"{k}={v!r}" for k, v in sorted(params.items()))
+    return (
+        f"{kind}[{spec}]:{a.n_rows}x{a.n_cols}:{KEY_SCHEMA}.{PLAN_FORMAT}:"
+        f"{pattern_fingerprint(a)}"
+    )
+
+
 def _operand(kernel):
     for attr in ("a", "low"):
         op = getattr(kernel, attr, None)
@@ -180,8 +213,8 @@ def _operand(kernel):
 
 
 class ScheduleCache:
-    """LRU memo of schedules and plan records, with an optional on-disk
-    tier.
+    """LRU memo of schedules, plan records and solver set-ups, with an
+    optional on-disk tier for the first two.
 
     ``get``/``put`` always copy (:meth:`FusedSchedule.copy`): callers
     mutate schedule ``meta`` (compiled execution plans, scheduler tags),
@@ -191,6 +224,9 @@ class ScheduleCache:
     plan records ``(header, arrays)``; loaded arrays are read-only.
     ``hits``/``misses``/``disk_hits`` count schedule lookups only; plan
     lookups count in ``plan_hits``/``plan_misses``/``plan_disk_hits``.
+    ``get_setup`` holds solver set-ups in memory only, as they are (no
+    copy: nothing mutates a set-up), counted in
+    ``setup_hits``/``setup_misses``. *maxsize* bounds each entry kind.
     """
 
     def __init__(self, maxsize: int = 64, directory=None):
@@ -202,12 +238,15 @@ class ScheduleCache:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._mem: OrderedDict[str, FusedSchedule] = OrderedDict()
         self._plans: OrderedDict[str, tuple] = OrderedDict()
+        self._setups: OrderedDict[str, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
         self.plan_hits = 0
         self.plan_misses = 0
         self.plan_disk_hits = 0
+        self.setup_hits = 0
+        self.setup_misses = 0
 
     def _path(self, key: str) -> Path:
         return self.directory / f"sched-{key}.bin"
@@ -273,6 +312,19 @@ class ScheduleCache:
         if self.directory is not None:
             save_arrays(self._plan_path(key), header, arrays, fingerprint=key)
 
+    def get_setup(self, key: str, build: Callable[[], Any]) -> tuple[Any, bool]:
+        """``(entry, hit)``: the solver set-up under *key*, or on a miss
+        the one ``build()`` returns, memoized in memory only."""
+        entry = self._setups.get(key)
+        if entry is not None:
+            self._setups.move_to_end(key)
+            self.setup_hits += 1
+            return entry, True
+        self.setup_misses += 1
+        entry = build()
+        self._remember(self._setups, key, entry)
+        return entry, False
+
     def _remember(self, mem: OrderedDict, key: str, entry) -> None:
         mem[key] = entry
         mem.move_to_end(key)
@@ -283,6 +335,7 @@ class ScheduleCache:
         """Drop the in-memory tiers (on-disk files are left in place)."""
         self._mem.clear()
         self._plans.clear()
+        self._setups.clear()
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -298,6 +351,9 @@ class ScheduleCache:
             "plan_misses": self.plan_misses,
             "plan_disk_hits": self.plan_disk_hits,
             "plan_entries": len(self._plans),
+            "setup_hits": self.setup_hits,
+            "setup_misses": self.setup_misses,
+            "setup_entries": len(self._setups),
         }
 
 
@@ -315,3 +371,21 @@ def set_default_cache(cache: ScheduleCache | None) -> ScheduleCache | None:
 
 def get_default_cache() -> ScheduleCache | None:
     return _default_cache
+
+
+#: Where the solvers keep their set-ups when no default cache is
+#: installed: memory only, and small, since one entry holds a matrix's
+#: kernels and plans.
+SETUP_TIER = ScheduleCache(maxsize=8)
+
+
+def setup_cache() -> ScheduleCache:
+    """The cache solver set-ups live in: the default cache when one is
+    installed (:func:`set_default_cache`), else :data:`SETUP_TIER`."""
+    return _default_cache if _default_cache is not None else SETUP_TIER
+
+
+def solver_setup(kind: str, a, build: Callable[[], Any], **params) -> tuple[Any, bool]:
+    """``(entry, hit)``: the set-up of solver *kind* on *a*'s pattern
+    from :func:`setup_cache`, built by ``build()`` on a miss."""
+    return setup_cache().get_setup(setup_key(kind, a, **params), build)

@@ -11,30 +11,37 @@ fusing more than two loops.
 The unrolled chain uses ping-pong variables ``x0 -> t1 -> x1 -> t2 ->
 ...`` so every cross-loop dependence is a clean flow dependence; after
 each chunk the solver copies ``x_m`` back into ``x0`` and re-executes
-the *same* plan, compiled once per solve from the chain's
-:func:`~repro.schedule.wavefront.level_schedule` (no ICO) and bound to
-the matrix values and right-hand side, which no loop writes
-(:meth:`~repro.runtime.plan.ExecutionPlan.bind`); the fused schedules of
+the *same* plan, compiled once per pattern from the chain's
+:func:`~repro.schedule.wavefront.level_schedule` (no ICO). The chain, its
+schedule and its unbound plan are one solver set-up entry of the
+inspection cache (:func:`~repro.schedule.cache.setup_cache`), keyed by
+``A``'s pattern and ``unroll``; every call gathers the current matrix
+values into a fresh state and binds the plan to them and to the
+right-hand side, which no loop writes
+(:meth:`~repro.runtime.plan.ExecutionPlan.bind`). The fused schedules of
 the paper's Fig. 9 are priced by :func:`gauss_seidel_simulated`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..fusion.fused import fuse
 from ..kernels import SpMVCSR, SpTRSVCSR
-from ..kernels.base import Kernel
+from ..kernels.base import Kernel, State
 from ..obs import current as current_recorder
 from ..obs import names
 from ..runtime.executor import allocate_state, execute_schedule
-from ..runtime.plan import execute_schedule_planned, plan_for
+from ..runtime.plan import ExecutionPlan, execute_schedule_planned, plan_for
 from ..runtime.machine import MachineConfig, SimulatedMachine
 from ..baselines.unfused import parsy_schedule
+from ..schedule.cache import solver_setup
 from ..schedule.schedule import FusedSchedule
 from ..schedule.wavefront import level_schedule
+from ..sparse.base import INDEX_DTYPE
 from ..sparse.csr import CSRMatrix
 from ..utils.arrays import checked_vector
 
@@ -113,17 +120,60 @@ class GSResult:
     meta: dict = field(default_factory=dict)
 
 
+def _split_at(a: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``a.data`` of ``lower(A)``'s entries and of ``E``'s,
+    in :func:`gs_split`'s order."""
+    rows = np.repeat(np.arange(a.n_rows, dtype=INDEX_DTYPE), np.diff(a.indptr))
+    lower = a.indices <= rows
+    return np.flatnonzero(lower), np.flatnonzero(~lower)
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """The unrolled chain, the schedule it runs on and where its values
+    come from. Built from ``A``'s pattern alone for the plan executor,
+    where it is cached; the kernels' matrices keep the values of the
+    matrix it was built from, and nothing reads them: :meth:`state`
+    gathers the caller's values through ``lower_at`` and ``upper_at``."""
+
+    kernels: list[Kernel]
+    x_in: str
+    x_out: str
+    schedule: FusedSchedule
+    #: the chain's plan, never bound (``None`` for the iter executor)
+    plan: ExecutionPlan | None
+    #: positions in ``A.data`` of ``lower(A)``'s entries, and of ``E``'s
+    lower_at: np.ndarray
+    upper_at: np.ndarray
+
+    @classmethod
+    def build(cls, a: CSRMatrix, unroll: int) -> "_Setup":
+        """The plan executor's set-up of *unroll* iterations on *a*."""
+        kernels, x_in, x_out = build_gs_chain(a, unroll)
+        schedule = level_schedule(kernels)
+        return cls(
+            kernels, x_in, x_out, schedule, plan_for(schedule, kernels), *_split_at(a)
+        )
+
+    def state(self, a: CSRMatrix, b: np.ndarray, x0: np.ndarray | None) -> State:
+        """A fresh chain state holding *a*'s current values, *b* and *x0*."""
+        state = allocate_state(self.kernels)
+        np.negative(a.data[self.upper_at], out=state["Ex"])
+        state["Lx"][:] = a.data[self.lower_at]
+        state["b"][:] = b
+        if x0 is not None:
+            state[self.x_in][:] = x0
+        return state
+
+
 def _chain_schedule(
-    kernels: list[Kernel], method: str, n_threads: int, executor: str
+    kernels: list[Kernel], method: str, n_threads: int
 ) -> tuple[FusedSchedule, float]:
-    """The schedule *executor* runs the unrolled chain on, and its
-    inspector seconds: the level schedule for ``"plan"``, the one
-    *method* picks for ``"iter"``."""
+    """The schedule *method* picks for the unrolled chain on the iter
+    executor, and its inspector seconds."""
     rec = current_recorder()
-    with rec.span("gs.schedule", method=method, executor=executor) as sp:
-        if executor == "plan":
-            sched = level_schedule(kernels)
-        elif method == "parsy":
+    with rec.span("gs.schedule", method=method, executor="iter") as sp:
+        if method == "parsy":
             sched = parsy_schedule(kernels, n_threads)
         else:
             scheduler = "ico" if method == "sparse-fusion" else method
@@ -149,14 +199,20 @@ def gauss_seidel(
     ``executor`` selects how each chunk runs: ``"plan"`` (default) runs
     the compiled level-batched plan of the chain's
     :func:`~repro.schedule.wavefront.level_schedule` — compiled once per
-    solve and bound to ``E``, ``lower(A)`` and *b*; see
+    pattern, looked up in :func:`~repro.schedule.cache.setup_cache`, and
+    bound every call to ``E``, ``lower(A)`` and *b*; see
     :mod:`repro.runtime.plan`. ``"iter"`` runs the
     per-iteration oracle over the schedule ``method`` picks for
     *n_threads*: ``"sparse-fusion"`` (ICO), ``"parsy"`` (unfused LBC per
     loop), ``"joint-wavefront"`` / ``"joint-lbc"`` / ``"joint-dagp"``.
+    ``inspector_seconds`` is the set-up lookup, plus on a miss the chain,
+    schedule and plan build, for ``"plan"``; the schedule's inspection
+    for ``"iter"``.
     Convergence stops at relative residual *tol* or *max_iters* GS
     iterations; with no sweep run, ``x`` is a copy of *x0* (zeros when
-    it is not given). :func:`gauss_seidel_simulated` prices a solve on
+    it is not given). The solve also stops at the first residual that is
+    not finite, with ``converged=False`` and ``meta["stopped"]`` naming
+    the iteration. :func:`gauss_seidel_simulated` prices a solve on
     the machine model.
     """
     if executor not in ("iter", "plan"):
@@ -166,21 +222,25 @@ def gauss_seidel(
     b = checked_vector("b", b, a.n_rows)
     if x0 is not None:
         x0 = checked_vector("x0", x0, a.n_rows)
-    kernels, x_in, x_out = build_gs_chain(a, unroll)
-
-    sched, inspector = _chain_schedule(kernels, method, n_threads, executor)
-
-    state = allocate_state(kernels)
-    state["Ex"][:] = kernels[0].a.data
-    state["Lx"][:] = kernels[1].low.data
-    state["b"][:] = b
-    if x0 is not None:
-        state[x_in][:] = x0
+    rec = current_recorder()
     if executor == "plan":
-        plan = plan_for(sched, kernels)
+        with rec.span("gs.schedule", method=method, executor=executor) as sp:
+            setup, hit = solver_setup(
+                "gauss-seidel", a, lambda: _Setup.build(a, unroll), unroll=unroll
+            )
+            sp.set(hit=hit)
+        rec.count(names.SOLVER_SETUP_HITS if hit else names.SOLVER_SETUP_MISSES)
+        inspector = sp.seconds
+    else:
+        kernels, x_in, x_out = build_gs_chain(a, unroll)
+        sched, inspector = _chain_schedule(kernels, method, n_threads)
+        setup = _Setup(kernels, x_in, x_out, sched, None, *_split_at(a))
+    kernels, sched, x_in, x_out = setup.kernels, setup.schedule, setup.x_in, setup.x_out
+    state = setup.state(a, b, x0)
+    if executor == "plan":
         for name in _BOUND:
             state[name].flags.writeable = False
-        plan = plan.bind(state, _BOUND)
+        plan = setup.plan.bind(state, _BOUND)
 
     b_norm = float(np.linalg.norm(b)) or 1.0
     residuals: list[float] = []
@@ -188,7 +248,7 @@ def gauss_seidel(
     converged = False
     chunks = 0
     x = state[x_in]
-    rec = current_recorder()
+    meta = {}
     with rec.span("gs.solve", method=method, unroll=unroll, executor=executor):
         while iterations < max_iters:
             if executor == "plan":
@@ -203,6 +263,9 @@ def gauss_seidel(
             if res < tol:
                 converged = True
                 break
+            if not math.isfinite(res):
+                meta["stopped"] = f"non-finite residual at iteration {iterations}"
+                break
             state[x_in][:] = x
         rec.count(names.GS_CHUNKS, chunks)
     return GSResult(
@@ -214,7 +277,7 @@ def gauss_seidel(
         unroll=unroll,
         inspector_seconds=inspector,
         schedule=sched,
-        meta={"chunks": chunks},
+        meta={"chunks": chunks, **meta},
     )
 
 
@@ -271,7 +334,7 @@ def gauss_seidel_simulated(
     """
     kernels, _, _ = build_gs_chain(a, unroll)
     cfg = machine or MachineConfig(n_threads=n_threads)
-    sched, inspector = _chain_schedule(kernels, method, n_threads, "iter")
+    sched, inspector = _chain_schedule(kernels, method, n_threads)
     chunk_seconds = SimulatedMachine(cfg).simulate(sched, kernels).seconds
     chunks = -(-iterations // unroll)  # ceil
     return GSResult(

@@ -22,15 +22,21 @@ __all__ = [
 
 
 def checked_vector(name: str, v, n: int) -> np.ndarray:
-    """A float64 copy of the argument *name*, which must have shape ``(n,)``.
+    """A float64 copy of the argument *name*, which must have shape ``(n,)``
+    and hold finite values only.
 
-    Raises ``ValueError`` naming the argument and the expected length, so
-    a wrong-length vector fails before any work starts rather than as a
-    NumPy broadcast error deep inside a solve.
+    Raises ``ValueError`` naming the argument and the expected length, or
+    the first NaN or infinity, so a bad vector fails before any work
+    starts rather than as a NumPy broadcast error deep inside a solve or
+    as a solve that iterates on NaN until its iteration limit.
     """
     out = np.array(v, dtype=np.float64)
     if out.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {out.shape}")
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name}[{i}] is {out[i]}: must be finite")
     return out
 
 

@@ -89,6 +89,16 @@ def rng():
 
 
 @pytest.fixture(autouse=True)
+def _empty_solver_setup_tier():
+    """Every test starts with no cached solver set-up, so what a solve
+    compiles does not depend on which tests solved the same pattern
+    before it."""
+    from repro.schedule.cache import SETUP_TIER
+
+    SETUP_TIER.clear()
+
+
+@pytest.fixture(autouse=True)
 def _enforce_cycle_conservation(monkeypatch):
     """Check the attribution identity on EVERY simulated run in the suite.
 

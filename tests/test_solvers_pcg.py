@@ -8,6 +8,7 @@ from repro.fusion import inspect_loops
 from repro.obs import recording
 from repro.runtime import execute_schedule_planned
 from repro.schedule import validate_schedule
+from repro.schedule.cache import SETUP_TIER
 from repro.solvers import build_ic0_preconditioner, pcg_ic0
 from repro.sparse import apply_ordering, laplacian_2d
 
@@ -54,6 +55,7 @@ def test_pcg_preconditioner_schedulers_agree(lap2d_nd, rng, monkeypatch):
             return fuse(kernels, 8, scheduler=scheduler).schedule
 
         monkeypatch.setattr(pcg, "level_schedule", fused_pair)
+        SETUP_TIER.clear()  # the patch acts when the set-up is built
         fused = pcg_ic0(lap2d_nd, b, tol=1e-9, max_iters=300)
         assert fused.iterations == shipped.iterations, scheduler
         assert np.allclose(fused.x, shipped.x, rtol=0, atol=1e-12), scheduler
