@@ -10,7 +10,8 @@ execution order, coalesced per load, priced on its L1 and LLC slice):
 
 * **reuse-distance histograms** per w-partition (each access's exact L1
   stack distance on its thread's stream, from
-  :func:`repro.runtime.cache.stack_distances`), and the L1 hit rate;
+  :func:`repro.runtime.cache.stack_distances` — the one exact count a
+  profile runs), and the L1 hit rate;
 * **working sets**: distinct cache lines touched per w-partition and
   per s-partition;
 * a **measured reuse ratio** — the paper's
@@ -19,9 +20,9 @@ execution order, coalesced per load, priced on its L1 and LLC slice):
   kernel pair, directly comparable to the estimate;
 * the **counterfactual packing**: the same schedule re-packed the other
   way (:func:`repro.fusion.fused.repack_schedule`, interleaved vs
-  separated — Fig. 3 / Table 1) is replayed too, and the L1 hit-rate
-  gap says whether the inspector's packing choice was right *on this
-  matrix*, not just on the size estimate;
+  separated — Fig. 3 / Table 1) is replayed too, on the same access
+  stream, and the L1 hit-rate gap says whether the inspector's packing
+  choice was right *on this matrix*, not just on the size estimate;
 * a **false-sharing risk** count: cache lines written from two or more
   w-partitions of the same s-partition (concurrent writers on real
   hardware).
@@ -353,7 +354,7 @@ def profile_locality(
                     else "interleaved"
                 )
                 cf_sched = repack_schedule(schedule, dags, inter, cf_packing)
-                cf_hit = _l1_share(machine.replay(cf_sched, kernels))
+                cf_hit = _l1_share(machine.replay(cf_sched, kernels, replay.stream))
             if est is None:
                 from ..fusion.inspector import compute_reuse
 

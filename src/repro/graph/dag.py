@@ -312,8 +312,11 @@ class DAG:
 
         Python-level loop over edge lists converted to lists once —
         ``O(V + E)`` with small constants, which beats per-level numpy
-        dispatch on the deep, narrow DAGs of banded matrices.
+        dispatch on the deep, narrow DAGs of banded matrices. An edge-free
+        DAG labels every vertex 0 without ordering it.
         """
+        if self.n_edges == 0:
+            return np.zeros(self.n, dtype=INDEX_DTYPE)
         topo = self.topological_order()
         out = [0] * self.n
         if not reverse:

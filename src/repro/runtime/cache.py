@@ -1,4 +1,4 @@
-"""Two-level LRU cache model, priced by exact stack distances.
+"""Two-level LRU cache model, priced by stack distances.
 
 The paper measures locality with PAPI counters (L1/LLC/TLB accesses) and
 reports an *average memory access latency* proxy (Fig. 6 top). Offline we
@@ -18,9 +18,10 @@ a kernel (separated packing streams consecutive rows/columns).
 Nothing is replayed access by access. A fully-associative LRU cache of
 ``c`` lines hits an access exactly when its *stack distance* — the
 number of distinct lines touched since the previous access to the same
-line — is below ``c``, so :func:`stack_distances` computes every
-access's distance in one offline pass and the hierarchy is priced from
-those arrays (:func:`cache_levels`).
+line — is below ``c``. :func:`cache_levels` decides most verdicts from
+two upper bounds of that distance, the reuse window and the stream's
+working set; :func:`stack_distances` computes exact distances in one
+offline pass, for the streams no bound decides and on demand.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..utils.intsort import stable_argsort
+from ..utils.intsort import stable_argsort, unique
 
 __all__ = ["CacheConfig", "stack_distances", "line_layout", "cache_levels"]
 
@@ -151,38 +152,72 @@ def line_layout(sizes: Mapping[str, int], line_elems: int) -> dict[str, int]:
     return bases
 
 
+def _lru_hits(keys: np.ndarray, streams: np.ndarray, capacity: int) -> np.ndarray:
+    """Hit verdicts ``0 <= d < capacity`` of every access of *keys*, with
+    ``d`` its stack distance on its stream (keys disjoint per stream,
+    each stream's accesses contiguous).
+
+    Two upper bounds of a reuse's distance decide most verdicts: its
+    window ``t - p - 1`` in the stream with immediate repeats (distance
+    0) removed, and its stream's working set less one. Only the streams
+    holding a reuse that neither bound puts below *capacity* are counted
+    exactly, each alone.
+    """
+    n = keys.shape[0]
+    hit = np.zeros(n, dtype=bool)
+    if n == 0 or capacity <= 0:
+        return hit
+    hit[1:] = keys[1:] == keys[:-1]  # immediate repeats: distance 0
+    head = np.flatnonzero(~hit)
+    k = keys[head]
+    order = stable_argsort(k)
+    same = k[order[1:]] == k[order[:-1]]
+    window = np.full(k.shape[0], -1, dtype=np.int64)
+    window[order[1:][same]] = order[1:][same] - order[:-1][same] - 1
+    s = streams[head]
+    working_set = np.bincount(s[window < 0])
+    bound = np.minimum(window, working_set[s] - 1)
+    hit[head[(window >= 0) & (bound < capacity)]] = True
+    undecided = unique(s[bound >= capacity])
+    if undecided.shape[0]:
+        sel = np.flatnonzero(np.isin(streams, undecided))
+        d = stack_distances(keys[sel])
+        hit[sel] = (d >= 0) & (d < capacity)
+    return hit
+
+
 def cache_levels(
     lines: np.ndarray, streams: np.ndarray, calls: np.ndarray, config: CacheConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Level (``L1``/``LLC``/``DRAM``) serving each line access, and its
-    L1 stack distance on its stream (-1 = first touch).
+) -> np.ndarray:
+    """Level (``L1``/``LLC``/``DRAM``) serving each line access.
 
     ``streams[t]`` names the thread whose private L1 + LLC slice serves
-    access ``t`` (each thread's accesses in its execution order); all
-    streams start cold. ``calls`` groups the accesses of one vector
-    load: a repeat of the previous access's line within one call is
-    coalesced into an L1 hit (the hardware would replay it from the
-    load buffer), which is what rewards unit-stride access.
+    access ``t``; each thread's accesses are contiguous, in its
+    execution order, and all streams start cold. ``calls`` groups the
+    accesses of one vector load: a repeat of the previous access's line
+    within one call is coalesced into an L1 hit (the hardware would
+    replay it from the load buffer), which is what rewards unit-stride
+    access.
 
     The hierarchy is non-inclusive: L1 is an LRU over the thread's
     whole line stream, and the LLC an LRU over its L1 *misses* only. A
     coalesced repeat has stack distance 0 and leaves the LRU order
     unchanged, so each level's verdict is ``distance < capacity`` on
-    its own stream.
+    its own stream. Verdicts come from upper bounds of the distance;
+    exact distances are computed only for the streams the bounds leave
+    undecided (:func:`_lru_hits`).
     """
     lines = np.asarray(lines, dtype=np.int64)
     n = lines.shape[0]
     levels = np.full(n, DRAM, dtype=np.int8)
     if n == 0:
-        return levels, np.zeros(0, dtype=np.int64)
-    span = int(lines.max()) + 1
-    keys = np.asarray(streams, dtype=np.int64) * span + lines
+        return levels
+    streams = np.asarray(streams, dtype=np.int64)
+    keys = streams * (int(lines.max()) + 1) + lines
     coalesced = np.zeros(n, dtype=bool)
     coalesced[1:] = (calls[1:] == calls[:-1]) & (lines[1:] == lines[:-1])
-    d1 = stack_distances(keys)
-    l1 = coalesced | ((d1 >= 0) & (d1 < config.l1_lines))
+    l1 = coalesced | _lru_hits(keys, streams, config.l1_lines)
     miss = np.flatnonzero(~l1)
-    d2 = stack_distances(keys[miss])
     levels[l1] = L1
-    levels[miss[(d2 >= 0) & (d2 < config.llc_lines)]] = LLC
-    return levels, d1
+    levels[miss[_lru_hits(keys[miss], streams[miss], config.llc_lines)]] = LLC
+    return levels

@@ -34,6 +34,7 @@ asserts on every simulated run. They feed the Perfetto counter tracks
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from ..obs import names
 from ..obs.memtrace import AccessStream, collect_access_stream
 from ..schedule.schedule import FusedSchedule
 from ..utils.intsort import stable_argsort, stable_lexsort
-from .cache import DRAM, L1, LLC, CacheConfig, cache_levels
+from .cache import DRAM, L1, LLC, CacheConfig, cache_levels, stack_distances
 
 __all__ = ["LineReplay", "MachineConfig", "MachineReport", "SimulatedMachine"]
 
@@ -82,10 +83,8 @@ class MachineConfig:
 class LineReplay:
     """Every line access of one run, in thread execution order.
 
-    ``distance`` is the access's L1 stack distance on its thread's
-    stream (-1 = first touch there) and ``level`` the level serving it
-    (``L1``/``LLC``/``DRAM``); ``stream`` is the element access stream
-    the replay was built from.
+    ``level`` is the level serving each access (``L1``/``LLC``/``DRAM``)
+    and ``stream`` the element access stream the replay was built from.
     """
 
     stream: AccessStream
@@ -93,8 +92,15 @@ class LineReplay:
     line: np.ndarray
     write: np.ndarray
     thread: np.ndarray
-    distance: np.ndarray
     level: np.ndarray
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        """Each access's exact L1 stack distance on its thread's stream
+        (-1 = first touch there), computed on first read: pricing needs
+        only the verdicts."""
+        span = int(self.line.max(initial=0)) + 1
+        return stack_distances(self.thread * span + self.line)
 
 
 @dataclass
@@ -233,7 +239,12 @@ class SimulatedMachine:
     def __init__(self, config: MachineConfig | None = None):
         self.config = config if config is not None else MachineConfig()
 
-    def replay(self, schedule: FusedSchedule, kernels: list[Kernel]) -> LineReplay:
+    def replay(
+        self,
+        schedule: FusedSchedule,
+        kernels: list[Kernel],
+        stream: AccessStream | None = None,
+    ) -> LineReplay:
         """Replay *schedule*'s line accesses through every thread's caches.
 
         Each thread's line stream is the program's
@@ -244,12 +255,17 @@ class SimulatedMachine:
         w-partition's vertices in packed order, and within an iteration
         every ``read_vars`` then ``write_vars`` map slice in map order
         (one coalescing load per slice). All threads' streams are priced
-        by one :func:`~repro.runtime.cache.cache_levels` call. Emits no
+        by one :func:`~repro.runtime.cache.cache_levels` call, which
+        decides verdicts from distance bounds; exact distances are
+        :attr:`LineReplay.distance`, computed on first read. *stream*,
+        when given, is that access stream of *kernels* at *schedule*'s
+        offsets (any packing of the same loops shares it). Emits no
         counters.
         """
         cfg = self.config
         cc = cfg.cache
-        stream = collect_access_stream(schedule, kernels)
+        if stream is None:
+            stream = collect_access_stream(schedule, kernels)
         sp, wp, pos = schedule.assignment()
         thread = wp % cfg.n_threads
         rank = np.empty(schedule.n_vertices, dtype=np.int64)  # in thread order
@@ -260,10 +276,8 @@ class SimulatedMachine:
         order = order[sp[stream.gid[order]] >= 0]  # unscheduled vertices never run
         gid = stream.gid[order]
         lines = stream.lines(cc.line_elems)[order]
-        levels, distance = cache_levels(lines, thread[gid], call[order], cc)
-        return LineReplay(
-            stream, gid, lines, stream.write[order], thread[gid], distance, levels
-        )
+        levels = cache_levels(lines, thread[gid], call[order], cc)
+        return LineReplay(stream, gid, lines, stream.write[order], thread[gid], levels)
 
     def _price_memory(
         self, schedule: FusedSchedule, kernels: list[Kernel]

@@ -301,6 +301,33 @@ def test_doctor_without_locality_unchanged(lap2d_nd):
     assert "false-sharing-risk" not in {f.rule for f in dr.findings}
 
 
+def test_profile_counts_exact_distances_once(lap2d_nd, monkeypatch):
+    """Where every thread's working set fits L1, pricing both replays
+    decides every verdict from bounds: the one exact count is the
+    chosen replay's histogram, over its thread-line keys."""
+    from repro.runtime import cache, machine
+
+    kernels, _ = build_combination(1, lap2d_nd, seed=1)
+    fl = fuse(kernels, 6)
+    counted, depth = [], [0]
+    exact = cache.stack_distances
+
+    def counting(keys):
+        if depth[0] == 0:  # not its own recursion on the run heads
+            counted.append(keys.shape[0])
+        depth[0] += 1
+        try:
+            return exact(keys)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cache, "stack_distances", counting)
+    monkeypatch.setattr(machine, "stack_distances", counting)
+    loc = profile_locality(fl.schedule, kernels, dags=fl.dags, inter=fl.inter)
+    assert loc.counterfactual_hit_rate is not None
+    assert counted == [loc.n_accesses]
+
+
 def test_doctor_reuses_the_profilers_replay(lap2d_nd, monkeypatch):
     """One profile + diagnose replays twice (the chosen schedule and the
     counterfactual) and diagnoses exactly as a fresh simulation does."""
@@ -309,9 +336,9 @@ def test_doctor_reuses_the_profilers_replay(lap2d_nd, monkeypatch):
     calls = []
     replay = SimulatedMachine.replay
 
-    def counting(self, schedule, kernels):
+    def counting(self, schedule, kernels, stream=None):
         calls.append(schedule)
-        return replay(self, schedule, kernels)
+        return replay(self, schedule, kernels, stream)
 
     monkeypatch.setattr(SimulatedMachine, "replay", counting)
     loc = profile_locality(fl.schedule, kernels, dags=fl.dags, inter=fl.inter)

@@ -143,6 +143,26 @@ class TestLevels:
         assert g.n_wavefronts == 0
         assert g.slack_numbers().shape == (0,)
 
+    @pytest.mark.parametrize("n", (0, 1, 512))
+    def test_edge_free_levels_match_general_path(self, n, monkeypatch):
+        """An edge-free DAG skips the ordering pass and the longest-path
+        loop, and labels exactly as they do."""
+        with monkeypatch.context() as m:
+            # an edge count > 0 sends the empty DAG down the general path
+            m.setattr(DAG, "n_edges", property(lambda self: 1))
+            general = DAG.empty(n)
+            ref = (general.levels(), general.heights())
+            assert general._topo is not None
+        g = DAG.empty(n)
+        for got, want in zip((g.levels(), g.heights()), ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert g._topo is None  # the ordering pass never ran
+
+    def test_edges_keep_longest_path_labels(self):
+        g = DAG.from_edges(5, [(0, 2), (2, 4), (1, 4)])
+        assert g.levels().tolist() == [0, 0, 1, 0, 2]
+        assert g.heights().tolist() == [2, 1, 1, 0, 0]
+
 
 class TestTransforms:
     def test_transpose_flips_edges(self):

@@ -2,15 +2,18 @@
 layout, two-level pricing, and exactness of cache-fidelity simulation
 against the per-access oracle replay in :mod:`tests.cache_oracle`."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import fuse
 from repro.analytics import profile_locality
 from repro.fusion import build_combination
 from repro.runtime import CacheConfig, MachineConfig, SimulatedMachine, stack_distances
+from repro.runtime import cache as cache_module
 from repro.runtime.cache import DRAM, L1, LLC, cache_levels, line_layout
 
 from .cache_oracle import OracleThreadCache
@@ -66,7 +69,7 @@ class TestLRU:
 
     def test_clear(self):
         # separate streams start cold: the same line misses in each
-        levels, _ = cache_levels(
+        levels = cache_levels(
             np.array([1, 1]), np.array([0, 1]), np.array([0, 1]), CacheConfig()
         )
         assert levels.tolist() == [DRAM, DRAM]
@@ -93,7 +96,7 @@ class TestThreadCache:
     def levels(self, cfg, *loads):
         lines = np.concatenate([np.asarray(ld) // cfg.line_elems for ld in loads])
         calls = np.repeat(np.arange(len(loads)), [len(ld) for ld in loads])
-        return cache_levels(lines, np.zeros_like(lines), calls, cfg)[0], calls
+        return cache_levels(lines, np.zeros_like(lines), calls, cfg), calls
 
     def price(self, cfg, *loads):
         """Cycles of each load."""
@@ -138,6 +141,87 @@ class TestThreadCache:
         cfg = self.config(l1_lines=0, llc_lines=1)
         levels, _ = self.levels(cfg, [0, 1], [2])
         assert levels.tolist() == [DRAM, L1, LLC]
+
+
+# ----------------------------------------------------------------------
+# verdicts from distance bounds, exact counts only where undecided
+# ----------------------------------------------------------------------
+@st.composite
+def straddling_streams(draw):
+    """``(lines, streams, calls, sets, capacity)``: 2-4 contiguous
+    thread streams of working sets *sets*, each two sweeps over its
+    working set then random reuses, with *capacity* at least one
+    working set and below another. A
+    stream wider than *capacity* holds a reuse no bound decides (its
+    second sweep's first access); the others fit."""
+    sets = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+    assume(min(sets) < max(sets))
+    capacity = draw(st.integers(min(sets), max(sets) - 1))
+    lines, streams = [], []
+    for s, ws in enumerate(sets):
+        tail = draw(st.lists(st.integers(0, ws - 1), max_size=40))
+        lines += list(range(ws)) * 2 + tail
+        streams += [s] * (2 * ws + len(tail))
+    breaks = draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    streams = np.array(streams)
+    calls = np.cumsum(breaks) * 4 + streams
+    return np.array(lines), streams, calls, np.array(sets), capacity
+
+
+class TestBoundedVerdicts:
+    @SETTINGS
+    @given(straddling_streams(), st.integers(min_value=0, max_value=16))
+    def test_mixed_streams_match_oracle(self, drawn, llc_lines):
+        """Streams that fit are decided by the bounds and the others by
+        one exact count over them alone; the levels are the oracle's."""
+        lines, streams, calls, sets, capacity = drawn
+        cfg = CacheConfig(l1_lines=capacity, llc_lines=llc_lines)
+        oracles = {}
+        expected = []
+        for c in np.unique(calls):
+            sel = calls == c
+            oracle = oracles.setdefault(int(streams[sel][0]), OracleThreadCache(cfg))
+            expected.extend(oracle.load(lines[sel].tolist()))
+        counted = []
+        exact = cache_module.stack_distances
+
+        def counting(keys):
+            counted.append(keys.shape[0])
+            return exact(keys)
+
+        with mock.patch.object(cache_module, "stack_distances", counting):
+            levels = cache_levels(lines, streams, calls, cfg)
+        assert levels.tolist() == expected
+        wide = np.flatnonzero(sets > capacity)
+        # the L1 pass counts exactly the wide streams' accesses
+        assert counted[0] == np.count_nonzero(np.isin(streams, wide))
+
+    def test_fitting_streams_count_nothing(self, monkeypatch):
+        """Working sets within capacity decide every verdict unaided."""
+        calls = []
+        monkeypatch.setattr(
+            cache_module, "stack_distances", lambda keys: calls.append(keys)
+        )
+        lines = np.array([0, 1, 2, 0, 1, 2, 5, 5, 6])
+        levels = cache_levels(
+            lines, np.repeat([0, 1], [6, 3]), np.arange(9), CacheConfig(l1_lines=3)
+        )
+        assert calls == []
+        assert levels.tolist() == [DRAM] * 3 + [L1] * 3 + [DRAM, L1, DRAM]
+
+
+def test_replay_distance_is_computed_on_first_read(lap2d_nd):
+    kernels, _ = build_combination(3, lap2d_nd, seed=3)
+    schedule = fuse(kernels, 4).schedule
+    rp = SimulatedMachine(MachineConfig(4)).replay(schedule, kernels)
+    assert "distance" not in vars(rp)
+    span = int(rp.line.max()) + 1
+    want = stack_distances(rp.thread * span + rp.line)
+    assert np.array_equal(rp.distance, want)
+    assert vars(rp)["distance"] is rp.distance  # kept, not recounted
+    # every reuse within the default 512 L1 lines hit L1
+    fits = (want >= 0) & (want < 512)
+    assert np.all(rp.level[fits] == L1)
 
 
 # ----------------------------------------------------------------------
